@@ -79,7 +79,7 @@ impl Workspace {
                 }
                 // Unknown qualifier (std type, module path): the last
                 // path segment may still be a workspace free fn
-                // (`crate::parallel::lock_clean`).
+                // (`crate::node::stall_bucket`).
                 if !self.owners.iter().any(|o| o == owner) {
                     return self.free.get(name).map_or(NONE, |v| v);
                 }

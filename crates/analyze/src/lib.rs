@@ -15,9 +15,7 @@
 //! |------|---------|
 //! | ta1  | allocation in a function transitively reachable from a cycle-loop root |
 //! | tp1  | panic path reachable from a cycle-loop root |
-//! | td2  | wall-clock / randomness / hash-iteration taint reaching the cycle loop |
-//! | pa1  | worker closure touching `DsSystem`/peer-node/shared state |
-//! | pa2  | non-relaxed atomic ordering without a justification |
+//! | td2  | wall-clock / randomness / hash-iteration / host-threading taint reaching the cycle loop |
 //!
 //! The analysis is lexical and name-based (shared tokenizer with
 //! ds-lint; no rustc, no `syn` — the build environment is offline).
@@ -48,10 +46,6 @@ pub enum ARule {
     Tp1,
     /// Transitive nondeterminism taint of the cycle loop.
     Td2,
-    /// Worker-closure aliasing discipline.
-    Pa1,
-    /// Atomic-ordering justification in worker coordination.
-    Pa2,
     /// Malformed directive / baseline problems.
     Directive,
 }
@@ -63,8 +57,6 @@ impl ARule {
             ARule::Ta1 => "ta1",
             ARule::Tp1 => "tp1",
             ARule::Td2 => "td2",
-            ARule::Pa1 => "pa1",
-            ARule::Pa2 => "pa2",
             ARule::Directive => "directive",
         }
     }
@@ -84,7 +76,7 @@ pub struct Finding {
     /// Human-facing explanation.
     pub message: String,
     /// Root → function call chain for transitive findings (empty for
-    /// pa1/pa2/directive findings).
+    /// directive findings).
     pub chain: Vec<String>,
     /// True when a baseline entry accepts this finding.
     pub baselined: bool,
@@ -175,7 +167,6 @@ pub fn analyze(files: Vec<SourceFile>) -> Analysis {
     let w = graph::Workspace::build(files);
     let roots = w.roots_by_prefix(&passes::ROOT_PREFIXES).len();
     let mut findings = passes::transitive_passes(&w);
-    findings.extend(passes::parallel_pass(&w));
     // Malformed `ds-analyze:` directives are findings too — a typo in a
     // suppression must not silently suppress nothing.
     for (idx, m) in w.models.iter().enumerate() {
@@ -221,7 +212,7 @@ pub fn analyze_tree(root: &Path, baseline_path: &Path) -> Result<Analysis, Strin
 
 /// Self-check: seeds one violation per pass into a synthetic workspace
 /// and asserts each is detected (with a call chain where applicable).
-/// Returns the failure descriptions — empty means the analyzer's five
+/// Returns the failure descriptions — empty means the analyzer's three
 /// rules all still catch what they claim to catch.
 pub fn self_check() -> Vec<String> {
     let mut failures = Vec::new();
@@ -256,7 +247,7 @@ pub fn self_check() -> Vec<String> {
     // Pass A: allocation two calls below a root.
     expect(
         "pass A",
-        "impl Node { fn step_shared(&mut self) { self.refill(); } \n\
+        "impl Node { fn step_node(&mut self) { self.refill(); } \n\
            fn refill(&mut self) { deep_helper(); } }\n\
          fn deep_helper() { let v: Vec<u8> = Vec::new(); let _ = v; }\n",
         "crates/core/src/seeded_a.rs",
@@ -297,27 +288,6 @@ pub fn self_check() -> Vec<String> {
         "Ring::flush",
         true,
     );
-    // Pass C (pa1): worker closure writing shared state.
-    expect(
-        "pass C/pa1",
-        "fn run(scope: &Scope, shared: &mut u64) {\n\
-           scope.spawn(move || { *shared = 1; });\n\
-         }\n",
-        "crates/core/src/seeded_c.rs",
-        ARule::Pa1,
-        "run",
-        false,
-    );
-    // Pass C (pa2): unjustified strong ordering in parallel.rs.
-    expect(
-        "pass C/pa2",
-        "fn arm(flag: &AtomicBool) { flag.store(true, Ordering::Release); }\n",
-        "crates/core/src/parallel.rs",
-        ARule::Pa2,
-        "arm",
-        false,
-    );
-
     failures
 }
 

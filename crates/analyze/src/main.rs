@@ -1,5 +1,5 @@
 //! `ds-analyze` — build the workspace call graph and prove the
-//! transitive hot-path, determinism, and parallel-aliasing invariants.
+//! transitive hot-path and determinism invariants.
 //!
 //! Usage:
 //!
@@ -47,7 +47,7 @@ fn main() -> ExitCode {
     if self_check {
         let failures = ds_analyze::self_check();
         if failures.is_empty() {
-            eprintln!("ds-analyze: self-check passed (5 seeded violations detected)");
+            eprintln!("ds-analyze: self-check passed (seeded ta1, tp1 and td2 violations detected)");
             return ExitCode::SUCCESS;
         }
         for f in &failures {

@@ -13,7 +13,7 @@ use ds_lint::tokens::{strip, tokenize, LineIndex, Token, TokenKind};
 use ds_lint::{parse_directives, scan, AllowSet, DirectiveError};
 
 /// Rule codes `ds-analyze:` directives may name.
-pub const ANALYZE_RULE_CODES: [&str; 5] = ["ta1", "tp1", "td2", "pa1", "pa2"];
+pub const ANALYZE_RULE_CODES: [&str; 3] = ["ta1", "tp1", "td2"];
 
 /// The directive prefix for analyzer-specific suppressions.
 pub const ANALYZE_DIRECTIVE: &str = "ds-analyze:";
@@ -81,7 +81,7 @@ pub struct CallSite {
 pub struct FnDef {
     /// Index into the workspace function table.
     pub id: usize,
-    /// Bare name (`step_shared`).
+    /// Bare name (`charge_cycle`).
     pub name: String,
     /// Enclosing `impl` type, if any (`Node`).
     pub owner: Option<String>,
@@ -131,8 +131,9 @@ pub struct FileModel {
 const ALLOC_PATTERNS: [&str; 6] =
     ["Vec::new", "vec![", "Box::new", "String::new", "format!", "to_vec"];
 
-/// d2 nondeterminism tokens, same as ds-lint.
-const TAINT_WORDS: [&str; 7] = [
+/// d2 nondeterminism and host-threading tokens, same as ds-lint (a
+/// trailing `*` matches as a prefix: every `Atomic*` type).
+const TAINT_WORDS: [&str; 11] = [
     "Instant",
     "SystemTime",
     "thread_rng",
@@ -140,6 +141,10 @@ const TAINT_WORDS: [&str; 7] = [
     "RandomState",
     "HashMap",
     "HashSet",
+    "thread",
+    "Mutex",
+    "RwLock",
+    "Atomic*",
 ];
 
 /// Keywords that can precede `(` without being a call.

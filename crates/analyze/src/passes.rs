@@ -3,20 +3,15 @@
 //! - **A / ta1** — transitive allocation-freedom: every function
 //!   reachable from a cycle-loop root must be allocation-free.
 //! - **B / tp1, td2** — transitive panic-reachability and
-//!   nondeterminism taint from the same roots.
-//! - **C / pa1, pa2** — parallel aliasing discipline inside worker
-//!   closures, and memory-ordering justification on atomics in the
-//!   worker-coordination code.
+//!   nondeterminism / host-threading taint from the same roots.
 //!
-//! Passes A and B share one reachability computation; every finding
+//! The passes share one reachability computation; every finding
 //! carries the shortest root → function call chain so the reader can
 //! see *how* the cycle loop gets there, not just that it does.
 
 use crate::graph::Workspace;
-use crate::model::{Fact, FnDef};
+use crate::model::Fact;
 use crate::{ARule, Finding};
-use ds_lint::scan;
-use ds_lint::tokens::{Token, TokenKind};
 
 /// Function-name prefixes that root the transitive passes — the same
 /// family ds-lint's intraprocedural a1 polices: the per-cycle stepping
@@ -45,15 +40,6 @@ pub const ROOT_PREFIXES: [&str; 12] = [
     "inject",
     "fault",
     "watchdog",
-];
-
-/// Orderings that require a justification under pa2 (`Relaxed` is the
-/// default discipline and needs none).
-const STRONG_ORDERINGS: [&str; 4] = [
-    "Ordering::Acquire",
-    "Ordering::Release",
-    "Ordering::AcqRel",
-    "Ordering::SeqCst",
 ];
 
 /// Passes A and B: one finding per (rule, function) with the shortest
@@ -125,280 +111,4 @@ fn plural(n: usize) -> &'static str {
     } else {
         "s"
     }
-}
-
-/// Pass C: worker-closure aliasing discipline (pa1) and atomic-ordering
-/// justification (pa2).
-pub fn parallel_pass(w: &Workspace) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (idx, file) in w.files.iter().enumerate() {
-        let m = &w.models[idx];
-        let cleaned = &m.cleaned;
-        let file_fns: Vec<&FnDef> = w.fns.iter().filter(|f| f.file == idx).collect();
-        let enclosing = |offset: usize| -> String {
-            file_fns
-                .iter()
-                .filter(|f| offset >= f.body.0 && offset <= f.body.1)
-                .min_by_key(|f| f.body.1 - f.body.0)
-                .map(|f| f.qualified())
-                .unwrap_or_else(|| "-".to_string())
-        };
-
-        // pa1: every spawned-closure body in a sim-crate file.
-        for (start, end) in spawn_closures(cleaned, &m.tokens) {
-            check_worker_closure(w, idx, (start, end), &enclosing, &mut out);
-        }
-
-        // pa2: the whole worker-coordination module, plus the parallel
-        // engine body in system.rs (the serial engine has no atomics).
-        let mut scopes: Vec<(usize, usize)> = Vec::new();
-        if file.rel_path.ends_with("src/parallel.rs") {
-            scopes.push((0, cleaned.len()));
-        } else {
-            for f in &file_fns {
-                if f.name == "run_parallel" {
-                    scopes.push(f.body);
-                }
-            }
-        }
-        for pat in STRONG_ORDERINGS {
-            for at in scan::occurrences(cleaned, pat) {
-                if !scopes.iter().any(|&(s, e)| at >= s && at < e)
-                    || scan::in_regions(&m.test_regions, at)
-                {
-                    continue;
-                }
-                let line = m.index.line_of(at);
-                if m.allows.allows(line, "pa2") {
-                    continue;
-                }
-                out.push(Finding {
-                    rule: ARule::Pa2,
-                    file: file.rel_path.clone(),
-                    line,
-                    func: enclosing(at),
-                    message: format!(
-                        "`{pat}` in worker-coordination code: non-relaxed orderings are \
-                         synchronization decisions — state what the acquire/release edge \
-                         pairs with (`// ds-analyze: allow(pa2) <why>`)"
-                    ),
-                    chain: Vec::new(),
-                    baselined: false,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Byte ranges of closure bodies passed to `spawn(...)` calls.
-fn spawn_closures(cleaned: &str, tokens: &[Token]) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for (i, t) in tokens.iter().enumerate() {
-        if !(t.kind == TokenKind::Ident && t.text(cleaned) == "spawn") {
-            continue;
-        }
-        let Some(next) = tokens.get(i + 1) else { continue };
-        if !next.is_punct(b'(') {
-            continue;
-        }
-        // The spawned closure's body is the first brace block inside
-        // the argument list (`spawn(move || { ... })`).
-        if let Some((open, close)) = scan::brace_block(cleaned, next.start) {
-            out.push((open, close));
-        }
-    }
-    out
-}
-
-/// The aliasing rules inside one worker-closure body.
-fn check_worker_closure(
-    w: &Workspace,
-    file_idx: usize,
-    region: (usize, usize),
-    enclosing: &dyn Fn(usize) -> String,
-    out: &mut Vec<Finding>,
-) {
-    let m = &w.models[file_idx];
-    let cleaned = &m.cleaned;
-    let file = &w.files[file_idx];
-    let toks: Vec<(usize, &Token)> = m
-        .tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.start >= region.0 && t.end <= region.1)
-        .collect();
-
-    // Closure-local bindings: `let` patterns, `for` patterns, closure
-    // parameters. Anything else written to or indexed is shared state.
-    let mut locals: Vec<String> = Vec::new();
-    for k in 0..toks.len() {
-        let (_, t) = toks[k];
-        if t.kind == TokenKind::Ident {
-            match t.text(cleaned) {
-                "let" => {
-                    // Idents up to `=` or `;` (patterns, `mut`, types —
-                    // over-collecting here only loosens pa1, and only
-                    // for names that shadow shared ones, which the
-                    // statement-root rule below still catches).
-                    let mut j = k + 1;
-                    while j < toks.len() {
-                        let (_, tj) = toks[j];
-                        if tj.is_punct(b'=') || tj.is_punct(b';') {
-                            break;
-                        }
-                        if tj.kind == TokenKind::Ident {
-                            push_unique(&mut locals, tj.text(cleaned));
-                        }
-                        j += 1;
-                    }
-                }
-                "for" => {
-                    let mut j = k + 1;
-                    while j < toks.len() {
-                        let (_, tj) = toks[j];
-                        if tj.is_word(cleaned, "in") {
-                            break;
-                        }
-                        if tj.kind == TokenKind::Ident {
-                            push_unique(&mut locals, tj.text(cleaned));
-                        }
-                        j += 1;
-                    }
-                }
-                _ => {}
-            }
-        } else if t.is_punct(b'|') && k > 0 {
-            let (_, prev) = toks[k - 1];
-            let opens = matches!(prev.kind, TokenKind::Punct(b'(' | b',' | b'{' | b';' | b'='))
-                || prev.is_word(cleaned, "move");
-            if opens {
-                let mut j = k + 1;
-                while j < toks.len() {
-                    let (_, tj) = toks[j];
-                    if tj.is_punct(b'|') {
-                        break;
-                    }
-                    if tj.kind == TokenKind::Ident {
-                        push_unique(&mut locals, tj.text(cleaned));
-                    }
-                    j += 1;
-                }
-            }
-        }
-    }
-
-    let mut push_pa1 = |at: usize, message: String| {
-        let line = m.index.line_of(at);
-        if m.allows.allows(line, "pa1") || scan::in_regions(&m.test_regions, at) {
-            return;
-        }
-        out.push(Finding {
-            rule: ARule::Pa1,
-            file: file.rel_path.clone(),
-            line,
-            func: enclosing(at),
-            message,
-            chain: Vec::new(),
-            baselined: false,
-        });
-    };
-
-    for k in 0..toks.len() {
-        let (_, t) = toks[k];
-        // Rule 1: no `self` in a worker closure — workers own exactly
-        // their striped nodes; `DsSystem` state belongs to the
-        // coordinator's cycle tail.
-        if t.is_word(cleaned, "self") {
-            push_pa1(
-                t.start,
-                "`self` inside a worker closure: workers must not touch `DsSystem` state; \
-                 cross-node effects belong to the serialized cycle tail"
-                    .to_string(),
-            );
-            continue;
-        }
-        // Rule 2: writes whose statement root is a shared (non-local)
-        // binding.
-        if t.is_punct(b'=') {
-            let prev = k.checked_sub(1).map(|j| toks[j].1);
-            let next = toks.get(k + 1).map(|&(_, t)| t);
-            let is_cmp = matches!(
-                prev.map(|p| p.kind),
-                Some(TokenKind::Punct(b'=' | b'<' | b'>' | b'!'))
-            ) || matches!(next.map(|n| n.kind), Some(TokenKind::Punct(b'=' | b'>')));
-            if is_cmp {
-                continue;
-            }
-            if let Some(root) = statement_root(cleaned, &toks, k) {
-                if !locals.contains(&root) {
-                    push_pa1(
-                        t.start,
-                        format!(
-                            "write to shared binding `{root}` inside a worker closure: only \
-                             closure-local state (own node via its lock) may be mutated; \
-                             shared effects go through the cycle tail"
-                        ),
-                    );
-                }
-            }
-        }
-        // Rule 3: indexing a shared collection — the only way to reach
-        // *peer* node state from a worker. The striped `cells[i]` walk
-        // carries its justification as an allow.
-        if t.kind == TokenKind::Ident {
-            let name = t.text(cleaned);
-            let qualified_const =
-                k >= 2 && toks[k - 1].1.is_punct(b':') && toks[k - 2].1.is_punct(b':');
-            if let Some(&(_, n)) = toks.get(k + 1) {
-                if n.is_punct(b'[') && !locals.contains(&name.to_string()) && !qualified_const {
-                    push_pa1(
-                        t.start,
-                        format!(
-                            "indexing shared collection `{name}` inside a worker closure can \
-                             reach peer-node state: justify the ownership discipline \
-                             (`// ds-analyze: allow(pa1) <why each element has one writer>`)"
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-fn push_unique(v: &mut Vec<String>, s: &str) {
-    if !v.iter().any(|x| x == s) {
-        v.push(s.to_string());
-    }
-}
-
-/// The first identifier of the statement containing the `=` at token
-/// index `eq` — `*slot = ..` → `slot`, `node.core.x += ..` → `node`.
-/// Returns `None` for `let`/`for`/`while`/`if` statements (bindings and
-/// conditions, not writes to pre-existing state).
-fn statement_root(
-    cleaned: &str,
-    toks: &[(usize, &Token)],
-    eq: usize,
-) -> Option<String> {
-    let mut start = 0;
-    for j in (0..eq).rev() {
-        let (_, t) = toks[j];
-        if matches!(t.kind, TokenKind::Punct(b';' | b'{' | b'}')) {
-            start = j + 1;
-            break;
-        }
-    }
-    let mut root = None;
-    for &(_, t) in &toks[start..eq] {
-        if t.kind == TokenKind::Ident {
-            let w = t.text(cleaned);
-            if matches!(w, "let" | "for" | "while" | "if" | "else" | "match") {
-                return None;
-            }
-            root = Some(w.to_string());
-            break;
-        }
-    }
-    root
 }

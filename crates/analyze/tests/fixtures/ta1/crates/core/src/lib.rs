@@ -7,7 +7,7 @@ pub struct Node {
 }
 
 impl Node {
-    pub fn step_shared(&mut self, now: u64) {
+    pub fn step_node(&mut self, now: u64) {
         self.refill(now);
     }
 
@@ -18,7 +18,7 @@ impl Node {
 }
 
 // SEEDED VIOLATION (ta1): allocates, and is reachable from
-// Node::step_shared via Node::refill.
+// Node::step_node via Node::refill.
 fn deep_helper(now: u64) -> usize {
     let v = vec![now; 4];
     v.len()

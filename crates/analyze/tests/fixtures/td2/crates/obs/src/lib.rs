@@ -1,7 +1,8 @@
-//! Pass B (td2) fixture: wall-clock taint below a `record*` root —
-//! an instrumented probe must never time-stamp simulated events with
-//! host time.
+//! Pass B (td2) fixture: wall-clock and host-threading taint below
+//! `record*` roots — an instrumented probe must never time-stamp
+//! simulated events with host time, nor share state across threads.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 pub struct Probe {
@@ -12,9 +13,27 @@ impl Probe {
     pub fn record_event(&mut self) {
         self.last = stamp();
     }
+
+    pub fn record_shared(&mut self) {
+        self.last = bump_shared() + allowed_bump();
+    }
 }
 
 // SEEDED VIOLATION (td2): `Instant` taints Probe::record_event.
 fn stamp() -> u64 {
     Instant::now().elapsed().as_nanos() as u64
+}
+
+// SEEDED VIOLATION (td2): host threading below Probe::record_shared —
+// the simulation crates are single-threaded.
+fn bump_shared() -> u64 {
+    static HITS: AtomicU64 = AtomicU64::new(0);
+    HITS.fetch_add(1, Ordering::Relaxed)
+}
+
+// Allowed twin: same shape, suppressed at the site — must NOT fire.
+fn allowed_bump() -> u64 {
+    // ds-lint: allow(d2) fixture: host-side counter, never simulated state
+    static HITS: AtomicU64 = AtomicU64::new(0);
+    HITS.fetch_add(1, Ordering::Relaxed)
 }

@@ -57,32 +57,10 @@ impl Budget {
 }
 
 /// The Figure 7 baseline configuration for an `n`-node machine.
-///
-/// The critical-path window flushes each full segment into its
-/// accumulator, so attribution covers the whole run at any capacity and
-/// the cache-resident default is the right bench size (sizing the
-/// buffer to the 400K-instruction budget was measured at a ~35%
-/// whole-bench slowdown from the extra memory traffic alone).
-/// `DS_CRIT_WINDOW=<n>` overrides the capacity for experiments.
 pub fn baseline_config(nodes: usize, max_insts: u64) -> DsConfig {
     let mut c = DsConfig::with_nodes(nodes);
     c.max_insts = Some(max_insts);
-    c.crit_window_capacity = crit_window_capacity();
     c
-}
-
-/// Critical-path window (segment) capacity for bench runs: the
-/// `DS_CRIT_WINDOW` env override when set (and nonzero), otherwise the
-/// library default. The knob trades per-segment producer reach against
-/// cache footprint — it no longer gates attribution coverage.
-pub fn crit_window_capacity() -> usize {
-    if let Ok(v) = std::env::var("DS_CRIT_WINDOW") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => return n,
-            _ => eprintln!("ignoring DS_CRIT_WINDOW={v:?}: expected a positive integer"),
-        }
-    }
-    ds_obs::critpath::DEFAULT_CRIT_WINDOW_CAPACITY
 }
 
 /// Unwraps a bench run, turning a watchdog trip into a loud failure
@@ -203,20 +181,6 @@ mod tests {
             row.ds4,
             row.trad_quarter
         );
-    }
-
-    #[test]
-    fn crit_window_keeps_the_cache_resident_default() {
-        // Segment flushing made attribution coverage independent of
-        // capacity (satellite: BENCH_throughput.json showed 767K
-        // dropped vs 21K attributed before the fix; sizing the buffer
-        // to the budget instead cost ~35% of bench throughput), so
-        // every budget takes the library default unless DS_CRIT_WINDOW
-        // overrides it.
-        let full = baseline_config(2, Budget::full().max_insts);
-        assert_eq!(full.crit_window_capacity, ds_obs::critpath::DEFAULT_CRIT_WINDOW_CAPACITY);
-        let quick = baseline_config(2, Budget::quick().max_insts);
-        assert_eq!(quick.crit_window_capacity, ds_obs::critpath::DEFAULT_CRIT_WINDOW_CAPACITY);
     }
 
     #[test]

@@ -60,13 +60,6 @@ pub struct DsConfig {
     pub max_insts: Option<u64>,
     /// Abort if no node commits for this many cycles (deadlock guard).
     pub watchdog_cycles: u64,
-    /// Fault injection: silently drop every `n`-th broadcast at
-    /// delivery. The protocol guarantees this deadlocks a waiting node
-    /// (absent BSHR timeouts), so the expected outcome is a watchdog
-    /// `DeadlockReport` — used to prove the tripwire works. `None` (the
-    /// default) injects nothing. Predates (and is retained alongside)
-    /// the richer [`DsConfig::fault_plan`].
-    pub fault_drop_every: Option<u64>,
     /// ds-chaos fault schedule: drop/delay/duplicate/reorder rules
     /// applied at the fabric's delivery boundary plus per-node tick
     /// stalls. Empty (the default) compiles down to no injector at all,
@@ -80,24 +73,12 @@ pub struct DsConfig {
     /// How many timeouts a line may suffer before it degrades to the
     /// traditional request–response protocol for the rest of the run.
     pub bshr_retry_budget: u32,
-    /// Critical-path window capacity per core, in retirements
-    /// (instrumented builds only; ignored without the `obs` feature).
-    /// The default keeps an instrumented run cheap; benches that need
-    /// the attributed span to cover most of the run size it to the
-    /// instruction budget (see `ds_bench::baseline_config`).
-    pub crit_window_capacity: usize,
     /// Disable event-horizon cycle skipping and run the naive
     /// cycle-by-cycle reference loop. The skipping engine is
     /// behavior-invariant (asserted by `tests/skip_equivalence.rs`
     /// against this path), so the only reason to set this is that
     /// equivalence check itself, or profiling the naive loop.
     pub no_skip: bool,
-    /// Step nodes on worker threads each cycle, merging interconnect
-    /// and broadcast effects on the coordinating thread in node order.
-    /// Deterministic: results are identical to the serial engine
-    /// regardless of worker count. Off by default — it only pays on
-    /// many-node configurations.
-    pub parallel_step: bool,
 }
 
 impl Default for DsConfig {
@@ -121,13 +102,10 @@ impl Default for DsConfig {
             tlb_walk_cycles: 9,
             max_insts: None,
             watchdog_cycles: 2_000_000,
-            fault_drop_every: None,
             fault_plan: ds_net::FaultPlan::default(),
             bshr_timeout_cycles: None,
             bshr_retry_budget: 3,
-            crit_window_capacity: ds_obs::critpath::DEFAULT_CRIT_WINDOW_CAPACITY,
             no_skip: false,
-            parallel_step: false,
         }
     }
 }
@@ -153,10 +131,6 @@ impl DsConfig {
         assert!(self.page_bytes.is_power_of_two(), "page size must be a power of two");
         assert!(self.dist_block_pages >= 1, "distribution block must be positive");
         assert!(self.bshr_entries >= 1, "need at least one BSHR entry");
-        assert!(
-            self.crit_window_capacity >= 1,
-            "need at least one critical-path window slot"
-        );
         assert!(
             self.bshr_timeout_cycles != Some(0),
             "a zero BSHR timeout would retransmit every cycle"

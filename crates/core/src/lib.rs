@@ -55,7 +55,6 @@ pub mod hybrid;
 pub mod linemap;
 pub mod mmm;
 mod node;
-mod parallel;
 mod pending;
 pub mod perfect;
 mod stats;

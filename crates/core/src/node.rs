@@ -40,6 +40,85 @@ pub(crate) type NodeProbe = ds_obs::Recorder;
 #[cfg(not(feature = "obs"))]
 pub(crate) type NodeProbe = ds_obs::NoopProbe;
 
+/// The stall bucket one cycle is charged to, plus the PC to attribute
+/// the wait to for the PC-profiled buckets.
+#[cfg(feature = "obs")]
+pub(crate) type StallCharge = (ds_obs::StallBucket, Option<(u64, ds_obs::PcStallKind)>);
+
+/// The one `CoreStall → StallBucket` table all three system models
+/// charge through. They differ only in how a remote-memory wait is
+/// refined (`remote_wait` names its bucket); only the residual pure
+/// `bshr-wait-remote` wait is attributed to the PC, so per-PC cycles
+/// sum to that bucket exactly. Pure — no counters touched.
+#[cfg(feature = "obs")]
+pub(crate) fn stall_bucket(
+    stall: ds_cpu::CoreStall,
+    remote_wait: impl FnOnce() -> ds_obs::StallBucket,
+) -> StallCharge {
+    use ds_cpu::CoreStall;
+    use ds_obs::{PcStallKind, StallBucket};
+    match stall {
+        CoreStall::Committing => (StallBucket::Committing, None),
+        CoreStall::RemoteMemWait { pc } => {
+            let bucket = remote_wait();
+            let pure = bucket == StallBucket::BshrWaitRemote;
+            (bucket, pure.then_some((pc, PcStallKind::RemoteWait)))
+        }
+        CoreStall::LocalMemWait { pc } => {
+            (StallBucket::LocalMemWait, Some((pc, PcStallKind::LocalWait)))
+        }
+        CoreStall::RuuFull => (StallBucket::RuuFull, None),
+        CoreStall::LsqFull => (StallBucket::LsqFull, None),
+        CoreStall::SquashReplay => (StallBucket::SquashReplay, None),
+        CoreStall::FetchStall => (StallBucket::FetchStall, None),
+        CoreStall::Idle => (StallBucket::Idle, None),
+    }
+}
+
+/// Charges `n` cycles to `bucket` (and its PC attribution) at once.
+#[cfg(feature = "obs")]
+pub(crate) fn charge_block(probe: &mut NodeProbe, (bucket, pc): StallCharge, n: u64) {
+    if n == 0 {
+        return;
+    }
+    if let Some((pc, kind)) = pc {
+        probe.charge_pc_many(pc, kind, n);
+    }
+    probe.charge_many(bucket, n);
+}
+
+/// The [`ds_obs::MetricsReport`] of a single-core comparator system
+/// (traditional, perfect): the core's event ring, its one cycle
+/// account, per-PC profile and critical path. `None` unless built with
+/// `obs`.
+#[cfg(feature = "obs")]
+pub(crate) fn single_core_metrics(
+    core: &OooCore,
+    probe: &NodeProbe,
+    cycles: Cycle,
+) -> Option<ds_obs::MetricsReport> {
+    let mut m = ds_obs::MetricsReport::default();
+    m.absorb(core.events());
+    let acct = *probe.account();
+    if cfg!(any(debug_assertions, feature = "audit")) {
+        assert_eq!(acct.total(), cycles, "stall buckets must sum to total cycles");
+    }
+    m.node_accounts.push(acct);
+    m.hot_pcs = ds_obs::top_hot_pcs([probe.pc_profile()], 16);
+    m.critpath.nodes.push(core.crit_window().path_report());
+    Some(m)
+}
+
+/// Uninstrumented builds carry no metrics.
+#[cfg(not(feature = "obs"))]
+pub(crate) fn single_core_metrics(
+    _core: &OooCore,
+    _probe: &NodeProbe,
+    _cycles: Cycle,
+) -> Option<ds_obs::MetricsReport> {
+    None
+}
+
 /// The memory side of a node (everything in Figure 5 except the CPU
 /// logic).
 #[derive(Debug)]
@@ -411,10 +490,6 @@ use ds_obs::SAMPLE_INTERVAL;
 
 impl Node {
     pub(crate) fn new(id: NodeId, pt: Arc<PageTable>, config: &DsConfig) -> Self {
-        #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
-        let mut core = OooCore::new(config.core, config.icache.line_bytes);
-        #[cfg(feature = "obs")]
-        core.set_crit_window_capacity(config.crit_window_capacity);
         let mut stalls: Vec<(Cycle, Cycle)> = config
             .fault_plan
             .stalls
@@ -424,7 +499,7 @@ impl Node {
             .collect();
         stalls.sort_unstable();
         Node {
-            core,
+            core: OooCore::new(config.core, config.icache.line_bytes),
             ms: MemSide::new(id, pt, config),
             stalls,
             #[cfg(feature = "obs")]
@@ -452,20 +527,6 @@ impl Node {
             return Ok(());
         }
         self.core.step(&mut self.ms, trace, now)
-    }
-
-    /// Advances the node one cycle against a shared read-only trace
-    /// window (the parallel engine pre-extends it before fanning out).
-    pub(crate) fn step_shared(
-        &mut self,
-        trace: &TraceSource,
-        now: Cycle,
-    ) -> Result<(), ds_cpu::ExecError> {
-        if !self.stalls.is_empty() && self.stalled_until(now).is_some() {
-            return Ok(());
-        }
-        let mut feed = trace.ready_window();
-        self.core.step(&mut self.ms, &mut feed, now)
     }
 
     /// Earliest future cycle at which this node's state can change: the
@@ -527,17 +588,6 @@ impl Node {
         if target > from {
             self.core.advance_to(from - 1, target);
         }
-    }
-
-    /// Exclusive upper bound on the trace indices the next `step` can
-    /// peek (parallel pre-extension hint); `None` when fetch cannot run.
-    pub(crate) fn prefetch_bound(&self, now: Cycle) -> Option<u64> {
-        self.core.prefetch_bound(now)
-    }
-
-    /// Furthest trace index (exclusive) this node's fetch has peeked.
-    pub(crate) fn peek_end(&self) -> u64 {
-        self.core.peek_end()
     }
 
     /// Removes and returns the next broadcast whose data is ready by
@@ -745,49 +795,29 @@ impl Node {
         self.core.crit_window()
     }
 
-    /// Classifies the node's stall state at `now` into the bucket it
-    /// should be charged to, plus the PC to attribute the wait to for
-    /// the PC-profiled buckets. Pure (no counters touched), so the
-    /// per-cycle and batch charge paths share one classification.
+    /// Classifies the node's stall state at `now`. Pure (no counters
+    /// touched), so the per-cycle and batch charge paths share one
+    /// classification.
     #[cfg(feature = "obs")]
-    fn classify_stall(
-        &self,
-        now: Cycle,
-        bus_busy: bool,
-    ) -> (ds_obs::StallBucket, Option<(u64, ds_obs::PcStallKind)>) {
-        use ds_cpu::CoreStall;
-        use ds_obs::{PcStallKind, StallBucket};
-        match self.core.stall_class(now) {
-            CoreStall::Committing => (StallBucket::Committing, None),
-            CoreStall::RemoteMemWait { pc } => {
-                // Refine the remote wait: a pending squash means a
-                // false-hit repair is in flight (commit-repair); a busy
-                // bus means the wait is contention, not pure broadcast
-                // latency. Only the residual pure wait is attributed to
-                // the PC, so per-PC cycles sum to the bshr-wait-remote
-                // bucket exactly.
-                if self.ms.bshr.has_pending_squashes() {
-                    (StallBucket::CommitRepair, None)
-                } else if self.ms.bshr.has_retrying_waits() {
-                    // A wait past its first timeout: the cycle belongs
-                    // to fault recovery (retransmit or degraded-mode
-                    // request), not the healthy broadcast path.
-                    (StallBucket::RetryWait, None)
-                } else if bus_busy {
-                    (StallBucket::BusContentionWait, None)
-                } else {
-                    (StallBucket::BshrWaitRemote, Some((pc, PcStallKind::RemoteWait)))
-                }
+    fn classify_stall(&self, now: Cycle, bus_busy: bool) -> StallCharge {
+        use ds_obs::StallBucket;
+        stall_bucket(self.core.stall_class(now), || {
+            // Refine the remote wait: a pending squash means a
+            // false-hit repair is in flight (commit-repair); a wait
+            // past its first timeout belongs to fault recovery
+            // (retransmit or degraded-mode request), not the healthy
+            // broadcast path; a busy bus means the wait is contention,
+            // not pure broadcast latency.
+            if self.ms.bshr.has_pending_squashes() {
+                StallBucket::CommitRepair
+            } else if self.ms.bshr.has_retrying_waits() {
+                StallBucket::RetryWait
+            } else if bus_busy {
+                StallBucket::BusContentionWait
+            } else {
+                StallBucket::BshrWaitRemote
             }
-            CoreStall::LocalMemWait { pc } => {
-                (StallBucket::LocalMemWait, Some((pc, PcStallKind::LocalWait)))
-            }
-            CoreStall::RuuFull => (StallBucket::RuuFull, None),
-            CoreStall::LsqFull => (StallBucket::LsqFull, None),
-            CoreStall::SquashReplay => (StallBucket::SquashReplay, None),
-            CoreStall::FetchStall => (StallBucket::FetchStall, None),
-            CoreStall::Idle => (StallBucket::Idle, None),
-        }
+        })
     }
 
     /// Charges `now` to exactly one stall bucket (top-down cycle
@@ -813,28 +843,8 @@ impl Node {
             );
         }
         self.timeline.note_occ(self.ms.bshr.occupancy() as u64);
-        let (bucket, pc) = self.classify_stall(now, bus_busy);
-        if let Some((pc, kind)) = pc {
-            self.ms.probe.charge_pc(pc, kind);
-        }
-        self.ms.probe.charge(bucket);
-    }
-
-    /// Charges `n` cycles to `bucket` (and its PC attribution) at once.
-    #[cfg(feature = "obs")]
-    fn charge_block(
-        &mut self,
-        bucket: ds_obs::StallBucket,
-        pc: Option<(u64, ds_obs::PcStallKind)>,
-        n: u64,
-    ) {
-        if n == 0 {
-            return;
-        }
-        if let Some((pc, kind)) = pc {
-            self.ms.probe.charge_pc_many(pc, kind, n);
-        }
-        self.ms.probe.charge_many(bucket, n);
+        let charge = self.classify_stall(now, bus_busy);
+        charge_block(&mut self.ms.probe, charge, 1);
     }
 
     /// Charges the `count` cycles `[start, start + count)` skipped by an
@@ -848,7 +858,7 @@ impl Node {
     pub(crate) fn charge_skipped(&mut self, start: Cycle, count: u64, bus_busy: bool) {
         #[cfg(any(debug_assertions, feature = "audit"))]
         let before = *self.ms.probe.account();
-        let (bucket, pc) = self.classify_stall(start, bus_busy);
+        let charge = self.classify_stall(start, bus_busy);
         // A skipped range is quiescent: every counter the timeline
         // samples (commits, sends, arrivals, BSHR occupancy) is frozen
         // at its value after the last real step, which is exactly what
@@ -870,7 +880,7 @@ impl Node {
                 self.timeline.note_occ(occ);
                 self.timeline.note_skipped(boundary - from);
             }
-            self.charge_block(bucket, pc, boundary - from);
+            charge_block(&mut self.ms.probe, charge, boundary - from);
             self.samples.push((boundary, *self.ms.probe.account()));
             self.timeline.sample_close(boundary, committed, sends, arrives, self.ms.probe.account());
             from = boundary;
@@ -880,7 +890,7 @@ impl Node {
             self.timeline.note_occ(occ);
             self.timeline.note_skipped(end - from);
         }
-        self.charge_block(bucket, pc, end - from);
+        charge_block(&mut self.ms.probe, charge, end - from);
         // Skip/charge parity: a horizon advance of `count` cycles must
         // charge exactly `count` cycles, all into the one bucket the
         // quiescent range classifies to.
@@ -893,7 +903,7 @@ impl Node {
                 "horizon skip charged a different number of cycles than it advanced"
             );
             assert_eq!(
-                after.get(bucket) - before.get(bucket),
+                after.get(charge.0) - before.get(charge.0),
                 count,
                 "horizon skip leaked cycles outside its stall bucket"
             );

@@ -60,8 +60,8 @@ pub struct PerfectSystem {
     /// other system models (a broken core model would still surface as
     /// a report rather than a hang).
     deadlock: Option<Box<crate::watchdog::DeadlockReport>>,
-    /// Cycle accounting (observational; instrumented builds only).
-    #[cfg(feature = "obs")]
+    /// Cycle accounting (observational; a no-op ZST unless built with
+    /// `obs`).
     probe: crate::node::NodeProbe,
 }
 
@@ -71,12 +71,8 @@ impl PerfectSystem {
     pub fn new(config: &DsConfig, program: &Program) -> Self {
         let mut mem = MemImage::new();
         program.load(&mut mem);
-        #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
-        let mut core = OooCore::new(config.core, config.icache.line_bytes);
-        #[cfg(feature = "obs")]
-        core.set_crit_window_capacity(config.crit_window_capacity);
         PerfectSystem {
-            core,
+            core: OooCore::new(config.core, config.icache.line_bytes),
             ms: PerfectMem {
                 icache: Cache::new(config.icache),
                 mem: MainMemory::new(config.memory),
@@ -88,7 +84,6 @@ impl PerfectSystem {
             max_insts: config.max_insts.unwrap_or(u64::MAX),
             watchdog_cycles: config.watchdog_cycles,
             deadlock: None,
-            #[cfg(feature = "obs")]
             probe: Default::default(),
         }
     }
@@ -132,53 +127,20 @@ impl PerfectSystem {
             nodes: vec![stats],
             bus: Default::default(),
             trace_window_high_water: self.trace.max_window_len(),
-            metrics: self.metrics(),
+            metrics: crate::node::single_core_metrics(&self.core, &self.probe, self.cycles),
             deadlock: self.deadlock.clone(),
         })
     }
 
     /// Charges `now` to one stall bucket. Loads are always serviced in
-    /// one cycle here, so a remote wait can never arise; the arm is
-    /// kept for totality.
+    /// one cycle here, so a remote wait can never arise; it maps to its
+    /// generic bucket for totality.
     #[cfg(feature = "obs")]
     fn charge_cycle(&mut self, now: Cycle) {
-        use ds_cpu::CoreStall;
-        use ds_obs::{PcStallKind, Probe as _, StallBucket};
-        let bucket = match self.core.stall_class(now) {
-            CoreStall::Committing => StallBucket::Committing,
-            CoreStall::RemoteMemWait { pc } => {
-                self.probe.charge_pc(pc, PcStallKind::RemoteWait);
-                StallBucket::BshrWaitRemote
-            }
-            CoreStall::LocalMemWait { pc } => {
-                self.probe.charge_pc(pc, PcStallKind::LocalWait);
-                StallBucket::LocalMemWait
-            }
-            CoreStall::RuuFull => StallBucket::RuuFull,
-            CoreStall::LsqFull => StallBucket::LsqFull,
-            CoreStall::SquashReplay => StallBucket::SquashReplay,
-            CoreStall::FetchStall => StallBucket::FetchStall,
-            CoreStall::Idle => StallBucket::Idle,
-        };
-        self.probe.charge(bucket);
-    }
-
-    #[cfg(not(feature = "obs"))]
-    fn metrics(&self) -> Option<ds_obs::MetricsReport> {
-        None
-    }
-
-    #[cfg(feature = "obs")]
-    fn metrics(&self) -> Option<ds_obs::MetricsReport> {
-        let mut m = ds_obs::MetricsReport::default();
-        m.absorb(self.core.events());
-        let acct = *self.probe.account();
-        #[cfg(any(debug_assertions, feature = "audit"))]
-        assert_eq!(acct.total(), self.cycles, "stall buckets must sum to total cycles");
-        m.node_accounts.push(acct);
-        m.hot_pcs = ds_obs::top_hot_pcs([self.probe.pc_profile()], 16);
-        m.critpath.nodes.push(self.core.crit_window().path_report());
-        Some(m)
+        let charge = crate::node::stall_bucket(self.core.stall_class(now), || {
+            ds_obs::StallBucket::BshrWaitRemote
+        });
+        crate::node::charge_block(&mut self.probe, charge, 1);
     }
 }
 

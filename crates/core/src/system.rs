@@ -8,8 +8,7 @@ use crate::Cycle;
 use ds_asm::Program;
 use ds_cpu::{ExecError, FuncCore, TraceSource};
 use ds_mem::{MemImage, PageTable, PageTableBuilder, Segment};
-use ds_net::{Delivery, Fabric, MsgKind};
-use std::borrow::BorrowMut;
+use ds_net::{Delivery, Fabric};
 use std::sync::Arc;
 
 /// The DataScalar machine: `N` nodes on a broadcast bus, all running
@@ -26,7 +25,6 @@ pub struct DsSystem {
     trace: TraceSource,
     page_table: Arc<PageTable>,
     cycles: Cycle,
-    delivered: u64,
     /// Cycles advanced by event-horizon jumps rather than naive
     /// iteration (diagnostic; not part of `RunResult`).
     skipped: u64,
@@ -82,7 +80,6 @@ impl DsSystem {
             trace,
             page_table,
             cycles: 0,
-            delivered: 0,
             skipped: 0,
             deadlock: None,
             #[cfg(feature = "audit")]
@@ -133,195 +130,51 @@ impl DsSystem {
     /// Propagates functional-execution errors (undecodable
     /// instructions).
     pub fn run(&mut self) -> Result<RunResult, ExecError> {
-        if self.config.parallel_step && self.config.nodes > 1 {
-            self.run_parallel()
-        } else {
-            self.run_serial()
-        }
-    }
-
-    /// The serial engine: one thread steps every node, then runs the
-    /// shared cycle tail (which skips ahead to the next event horizon
-    /// unless `config.no_skip` pins the naive reference loop).
-    fn run_serial(&mut self) -> Result<RunResult, ExecError> {
-        // The nodes and the trace move out of `self` for the duration
-        // of the loop so the cycle tail can borrow them alongside the
-        // rest of the system.
-        let mut nodes = std::mem::take(&mut self.nodes);
-        let mut trace = std::mem::replace(
-            &mut self.trace,
-            TraceSource::new(FuncCore::new(0), MemImage::new()),
-        );
         let mut wd = ForwardProgress::new(self.config.watchdog_cycles);
         // Reused every cycle; the hot loop allocates nothing.
         let mut deliveries = Vec::new();
-        let outcome: Result<(), ExecError> = loop {
+        loop {
             let now = self.cycles;
             // 1. Every node simulates this cycle (the paper's simulator
             //    "switches contexts after executing each cycle").
-            let mut step_err = None;
-            for node in &mut nodes {
-                if let Err(e) = node.step(&mut trace, now) {
-                    step_err = Some(e);
-                    break;
-                }
+            for node in &mut self.nodes {
+                node.step(&mut self.trace, now)?;
             }
-            if let Some(e) = step_err {
-                break Err(e);
+            if self.cycle_tail(now, &mut wd, &mut deliveries) {
+                break;
             }
-            if self.cycle_tail(&mut nodes, &mut trace, now, &mut wd, &mut deliveries) {
-                break Ok(());
-            }
-        };
-        self.nodes = nodes;
-        self.trace = trace;
-        outcome?;
-        Ok(self.finish_run())
-    }
-
-    /// The parallel engine: node stepping fans out to persistent worker
-    /// threads each cycle; every cross-node effect (trace extension,
-    /// accounting, bus arbitration, delivery, the horizon advance) runs
-    /// on this thread in node order. Results are identical to the
-    /// serial engine for any worker count: stepping only mutates
-    /// per-node state against a read-only trace window, and the merge
-    /// order is fixed.
-    fn run_parallel(&mut self) -> Result<RunResult, ExecError> {
-        use crate::parallel::{
-            into_clean, lock_clean, read_clean, worker_count, write_clean, CycleBarrier,
-            GuardCell, ShutdownOnDrop,
-        };
-        use std::sync::{Mutex, RwLock};
-        let cells: Vec<Mutex<Node>> =
-            std::mem::take(&mut self.nodes).into_iter().map(Mutex::new).collect();
-        let trace_lock = RwLock::new(std::mem::replace(
-            &mut self.trace,
-            TraceSource::new(FuncCore::new(0), MemImage::new()),
-        ));
-        let n = cells.len();
-        let workers = n.min(worker_count());
-        let barrier = CycleBarrier::new();
-        let step_err: Mutex<Option<ExecError>> = Mutex::new(None);
-        let mut wd = ForwardProgress::new(self.config.watchdog_cycles);
-        let mut deliveries = Vec::new();
-        let outcome: Result<(), ExecError> = std::thread::scope(|scope| {
-            // Declared before the guards below: on unwind the node
-            // locks release first, then the barrier wakes the workers
-            // so the scope can join them.
-            let stopper = ShutdownOnDrop(&barrier);
-            for w in 0..workers {
-                let (barrier, cells, trace_lock, step_err) =
-                    (&barrier, &cells, &trace_lock, &step_err);
-                scope.spawn(move || {
-                    let mut round = 0u64;
-                    loop {
-                        round += 1;
-                        if !barrier.worker_wait(round) {
-                            return;
-                        }
-                        let now = barrier.now();
-                        let tr = read_clean(trace_lock);
-                        for i in (w..n).step_by(workers) {
-                            // ds-analyze: allow(pa1) striped ownership: worker w locks exactly the cells with index i = w (mod workers); no two workers share an element, and the mutex still guards each
-                            let mut node = lock_clean(&cells[i]);
-                            if let Err(e) = node.step_shared(&tr, now) {
-                                let mut slot = lock_clean(step_err);
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                            }
-                        }
-                        drop(tr);
-                        barrier.worker_done();
-                    }
-                });
-            }
-            let mut guards: Vec<GuardCell<'_>> = Vec::with_capacity(n);
-            let outcome = loop {
-                let now = self.cycles;
-                // Pre-extend the shared trace past every index fetch
-                // can peek this cycle, so workers read it lock-shared.
-                let mut bound = None::<u64>;
-                for cell in cells.iter() {
-                    if let Some(b) = lock_clean(cell).prefetch_bound(now) {
-                        bound = Some(bound.map_or(b, |cur| cur.max(b)));
-                    }
-                }
-                if let Some(b) = bound {
-                    // `b` is exclusive: materialise through `b - 1`.
-                    if let Err(e) = write_clean(&trace_lock).extend_to(b - 1) {
-                        break Err(e);
-                    }
-                }
-                barrier.open_round(now);
-                barrier.await_workers(workers);
-                if let Some(e) = lock_clean(&step_err).take() {
-                    break Err(e);
-                }
-                for cell in cells.iter() {
-                    guards.push(GuardCell(lock_clean(cell)));
-                }
-                let mut tr = write_clean(&trace_lock);
-                // Fold this cycle's furthest fetch peek into the trace
-                // high-water mark, exactly as the serial engine's
-                // demand-driven reads would have.
-                let peek = guards.iter().map(|g| g.0.peek_end()).max().unwrap_or(0);
-                tr.note_peeks(peek);
-                let done = self.cycle_tail(&mut guards, &mut tr, now, &mut wd, &mut deliveries);
-                drop(tr);
-                guards.clear();
-                if done {
-                    break Ok(());
-                }
-            };
-            drop(guards);
-            drop(stopper);
-            outcome
-        });
-        self.nodes = cells.into_iter().map(into_clean).collect();
-        self.trace = trace_lock.into_inner().unwrap_or_else(|p| p.into_inner());
-        outcome?;
+        }
         Ok(self.finish_run())
     }
 
     /// Everything after node stepping in one simulated cycle: audit
     /// absorption, lead tracking, cycle accounting, broadcast launch,
     /// interconnect stepping, delivery, trace trimming, the watchdog,
-    /// the termination check, and (unless `config.no_skip`) the jump to
-    /// the next event horizon. Generic over the node holder so the
-    /// serial loop (`Vec<Node>`) and the parallel merge phase (mutex
-    /// guards) share it verbatim. Returns true when the run is over.
-    fn cycle_tail<N: BorrowMut<Node>>(
+    /// the termination check, and (unless `config.no_skip` pins the
+    /// naive reference loop) the jump to the next event horizon.
+    /// Returns true when the run is over.
+    fn cycle_tail(
         &mut self,
-        nodes: &mut [N],
-        trace: &mut TraceSource,
         now: Cycle,
         wd: &mut ForwardProgress,
         deliveries: &mut Vec<Delivery>,
     ) -> bool {
         #[cfg(feature = "audit")]
-        for (i, node) in nodes.iter_mut().enumerate() {
-            let node: &mut Node = node.borrow_mut();
-            while let Some(ev) = node.ms.audit.pending.pop_front() {
-                self.audit.absorb(i, ev);
-            }
-        }
+        self.absorb_audit();
         #[cfg(feature = "obs")]
-        self.track_lead(nodes, now);
+        self.track_lead(now);
         // Top-down cycle accounting: charge this cycle to exactly one
         // bucket per node. Runs before `cycles += 1`, so every node's
         // account total equals `cycles` exactly.
         #[cfg(feature = "obs")]
         {
             let bus_busy = !self.bus.is_idle();
-            for node in nodes.iter_mut() {
-                let node: &mut Node = node.borrow_mut();
+            for node in &mut self.nodes {
                 node.charge_cycle(now, bus_busy);
             }
         }
         // 2. Ready broadcasts enter the bus.
-        for node in nodes.iter_mut() {
-            let node: &mut Node = node.borrow_mut();
+        for node in &mut self.nodes {
             while let Some(msg) = node.next_outgoing(now) {
                 self.bus.enqueue(msg);
             }
@@ -329,47 +182,28 @@ impl DsSystem {
         // 3. The bus advances; completed messages are delivered.
         self.bus.step_into(now, deliveries);
         for delivery in deliveries.iter() {
-            if delivery.msg.kind == MsgKind::Broadcast {
-                self.delivered += 1;
-                if let Some(n) = self.config.fault_drop_every {
-                    if self.delivered.is_multiple_of(n) {
-                        continue; // injected fault: lose the broadcast
-                    }
-                }
-            }
-            let dest: &mut Node = nodes[delivery.dest].borrow_mut();
-            dest.deliver(&delivery.msg, now);
+            self.nodes[delivery.dest].deliver(&delivery.msg, now);
         }
         // 3b. BSHR hardening: expired waits escalate to retransmit
         //     requests (or degraded direct requests). Polled after this
         //     cycle's deliveries so an arrival at `now` always beats a
         //     timeout at `now`. Gated — the fault-free path never scans.
         if self.config.bshr_timeout_cycles.is_some() {
-            for node in nodes.iter_mut() {
-                let node: &mut Node = node.borrow_mut();
+            for node in &mut self.nodes {
                 node.poll_faults(now);
             }
         }
         self.cycles += 1;
         // 4. Trim the shared trace behind the slowest node.
         if now.is_multiple_of(1024) {
-            let min = nodes
-                .iter()
-                .map(|n| {
-                    let n: &Node = n.borrow();
-                    n.fetch_cursor()
-                })
-                .min()
-                .unwrap_or(0);
-            trace.trim(min);
+            self.trim_trace();
         }
         // Termination and the deadlock watchdog, in one pass: the same
         // committed() read feeds the progress total and the done check.
         let max_insts = self.config.max_insts.unwrap_or(u64::MAX);
         let mut total: u64 = 0;
         let mut all_done = true;
-        for n in nodes.iter() {
-            let n: &Node = n.borrow();
+        for n in &self.nodes {
             let c = n.committed();
             total += c;
             all_done &= n.is_done() || c >= max_insts;
@@ -378,7 +212,7 @@ impl DsSystem {
             // A stalled machine means the broadcast/BSHR pairing broke
             // and (with hardening off or exhausted) no recovery exists:
             // terminate with evidence instead of spinning or panicking.
-            self.deadlock = Some(Box::new(self.build_deadlock_report(nodes, now, total)));
+            self.deadlock = Some(Box::new(self.build_deadlock_report(now, total)));
             return true;
         }
         let progressed = wd.watchdog_last_progress() == self.cycles;
@@ -392,9 +226,15 @@ impl DsSystem {
         // that starts on a commit cycle is picked up one cycle later —
         // at most one naive iteration per episode is "lost".
         if !self.config.no_skip && !progressed {
-            self.advance_to_horizon(nodes, trace, now, wd);
+            self.advance_to_horizon(now, wd);
         }
         false
+    }
+
+    /// Drops trace records behind the slowest node's fetch cursor.
+    fn trim_trace(&mut self) {
+        let min = self.nodes.iter().map(Node::fetch_cursor).min().unwrap_or(0);
+        self.trace.trim(min);
     }
 
     /// The event-horizon jump. Called after the cycle at `now` fully
@@ -408,53 +248,31 @@ impl DsSystem {
     /// Behavior-invariant by construction: every skipped cycle is one
     /// the naive loop would have executed without changing any state
     /// except these same stall counters.
-    fn advance_to_horizon<N: BorrowMut<Node>>(
-        &mut self,
-        nodes: &mut [N],
-        trace: &mut TraceSource,
-        now: Cycle,
-        wd: &ForwardProgress,
-    ) {
+    fn advance_to_horizon(&mut self, now: Cycle, wd: &ForwardProgress) {
         let mut horizon = self.bus.next_event(now);
-        for node in nodes.iter() {
-            let node: &Node = node.borrow();
+        for node in &self.nodes {
             horizon = horizon.min(node.next_event(now));
         }
         horizon = horizon.min(wd.watchdog_deadline());
         if horizon <= now + 1 {
             return;
         }
+        let skipped = horizon - (now + 1);
         #[cfg(feature = "obs")]
-        {
-            let skipped = horizon - (now + 1);
-            let bus_busy = !self.bus.is_idle();
-            for node in nodes.iter_mut() {
-                let node: &mut Node = node.borrow_mut();
-                node.advance_to(now, horizon);
-                node.charge_skipped(now + 1, skipped, bus_busy);
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        for node in nodes.iter_mut() {
-            let node: &mut Node = node.borrow_mut();
+        let bus_busy = !self.bus.is_idle();
+        for node in &mut self.nodes {
             node.advance_to(now, horizon);
+            #[cfg(feature = "obs")]
+            node.charge_skipped(now + 1, skipped, bus_busy);
         }
         // The naive loop trims at the end of every 1024-multiple cycle.
         // Fetch cursors are frozen across the skipped range, so at most
         // one trim matters: run it iff a 1024 boundary falls inside
         // `[now + 1, horizon - 1]`.
         if (now + 1).next_multiple_of(1024) < horizon {
-            let min = nodes
-                .iter()
-                .map(|n| {
-                    let n: &Node = n.borrow();
-                    n.fetch_cursor()
-                })
-                .min()
-                .unwrap_or(0);
-            trace.trim(min);
+            self.trim_trace();
         }
-        self.skipped += horizon - (now + 1);
+        self.skipped += skipped;
         self.cycles = horizon;
     }
 
@@ -463,22 +281,11 @@ impl DsSystem {
     /// snapshots, every message still on (or fault-deferred inside) the
     /// interconnect, and the tail of the observability event rings.
     /// Cold path — runs at most once per run.
-    fn build_deadlock_report<N: BorrowMut<Node>>(
-        &self,
-        nodes: &[N],
-        now: Cycle,
-        total: u64,
-    ) -> DeadlockReport {
+    fn build_deadlock_report(&self, now: Cycle, total: u64) -> DeadlockReport {
         let mut report = DeadlockReport {
             cycle: self.cycles,
             committed: total,
-            nodes: nodes
-                .iter()
-                .map(|n| {
-                    let n: &Node = n.borrow();
-                    n.deadlock_state(now)
-                })
-                .collect(),
+            nodes: self.nodes.iter().map(|n| n.deadlock_state(now)).collect(),
             in_flight: Vec::new(),
             recent_events: Vec::new(),
         };
@@ -486,8 +293,7 @@ impl DsSystem {
         #[cfg(feature = "obs")]
         {
             let mut evs: Vec<ds_obs::Event> = Vec::new();
-            for n in nodes.iter() {
-                let n: &Node = n.borrow();
+            for n in &self.nodes {
                 evs.extend(n.events().iter().cloned());
             }
             // Stable by cycle: ties keep node order, so the tail is
@@ -502,7 +308,7 @@ impl DsSystem {
         report
     }
 
-    /// Post-loop bookkeeping shared by both engines.
+    /// Post-loop bookkeeping.
     fn finish_run(&mut self) -> RunResult {
         #[cfg(feature = "obs")]
         {
@@ -607,12 +413,11 @@ impl DsSystem {
     /// changes are deterministic). A change of leader ends one
     /// datathread run; the closed segment's length feeds the
     /// datathread-run histogram.
-    fn track_lead<N: std::borrow::Borrow<Node>>(&mut self, nodes: &[N], now: Cycle) {
+    fn track_lead(&mut self, now: Cycle) {
         use ds_obs::Probe as _;
         let mut leader = 0usize;
         let mut best = 0u64;
-        for (i, n) in nodes.iter().enumerate() {
-            let n: &Node = n.borrow();
+        for (i, n) in self.nodes.iter().enumerate() {
             let c = n.committed();
             if c > best {
                 best = c;
@@ -852,8 +657,7 @@ impl DsSystem {
         // traffic all perturb the per-node arrival counts by design
         // (architectural state is still asserted equal by the chaos
         // test grid).
-        if self.config.fault_drop_every.is_some()
-            || !self.config.fault_plan.is_empty()
+        if !self.config.fault_plan.is_empty()
             || self.config.bshr_timeout_cycles.is_some()
             || self.deadlock.is_some()
         {
@@ -1137,7 +941,11 @@ mod tests {
         // the deadlock tripwire end to end.
         let prog = strided_prog();
         let mut config = DsConfig::with_nodes(2);
-        config.fault_drop_every = Some(10);
+        config.fault_plan.rules.push(ds_net::FaultRule::broadcasts(
+            ds_net::FaultKind::Drop,
+            10,
+            u64::MAX,
+        ));
         config.watchdog_cycles = 50_000;
         let mut sys = DsSystem::new(config, &prog);
         let r = sys.run().unwrap();

@@ -226,8 +226,8 @@ pub struct TraditionalSystem {
     queue_penalty: u64,
     /// `Some` once the forward-progress watchdog has tripped.
     deadlock: Option<Box<crate::watchdog::DeadlockReport>>,
-    /// Cycle accounting (observational; instrumented builds only).
-    #[cfg(feature = "obs")]
+    /// Cycle accounting (observational; a no-op ZST unless built with
+    /// `obs`).
     probe: crate::node::NodeProbe,
 }
 
@@ -252,12 +252,8 @@ impl TraditionalSystem {
         program.load(&mut mem);
         let mut bus_cfg = base.bus;
         bus_cfg.ports = 2;
-        #[cfg_attr(not(feature = "obs"), allow(unused_mut))]
-        let mut core = OooCore::new(base.core, base.icache.line_bytes);
-        #[cfg(feature = "obs")]
-        core.set_crit_window_capacity(base.crit_window_capacity);
         TraditionalSystem {
-            core,
+            core: OooCore::new(base.core, base.icache.line_bytes),
             ms: TradMemSide {
                 pt,
                 canon: Cache::new(base.dcache),
@@ -283,7 +279,6 @@ impl TraditionalSystem {
             watchdog_cycles: base.watchdog_cycles,
             queue_penalty: base.queue_penalty,
             deadlock: None,
-            #[cfg(feature = "obs")]
             probe: Default::default(),
         }
     }
@@ -416,29 +411,15 @@ impl TraditionalSystem {
     /// data" reading.
     #[cfg(feature = "obs")]
     fn charge_cycle(&mut self, now: Cycle) {
-        use ds_cpu::CoreStall;
-        use ds_obs::{PcStallKind, Probe as _, StallBucket};
-        let bucket = match self.core.stall_class(now) {
-            CoreStall::Committing => StallBucket::Committing,
-            CoreStall::RemoteMemWait { pc } => {
-                if !self.bus.is_idle() {
-                    StallBucket::BusContentionWait
-                } else {
-                    self.probe.charge_pc(pc, PcStallKind::RemoteWait);
-                    StallBucket::BshrWaitRemote
-                }
+        use ds_obs::StallBucket;
+        let charge = crate::node::stall_bucket(self.core.stall_class(now), || {
+            if self.bus.is_idle() {
+                StallBucket::BshrWaitRemote
+            } else {
+                StallBucket::BusContentionWait
             }
-            CoreStall::LocalMemWait { pc } => {
-                self.probe.charge_pc(pc, PcStallKind::LocalWait);
-                StallBucket::LocalMemWait
-            }
-            CoreStall::RuuFull => StallBucket::RuuFull,
-            CoreStall::LsqFull => StallBucket::LsqFull,
-            CoreStall::SquashReplay => StallBucket::SquashReplay,
-            CoreStall::FetchStall => StallBucket::FetchStall,
-            CoreStall::Idle => StallBucket::Idle,
-        };
-        self.probe.charge(bucket);
+        });
+        crate::node::charge_block(&mut self.probe, charge, 1);
     }
 
     /// The results accumulated so far.
@@ -452,27 +433,9 @@ impl TraditionalSystem {
             nodes: vec![stats],
             bus: *self.bus.stats(),
             trace_window_high_water: self.trace.max_window_len(),
-            metrics: self.metrics(),
+            metrics: crate::node::single_core_metrics(&self.core, &self.probe, self.cycles),
             deadlock: self.deadlock.clone(),
         }
-    }
-
-    #[cfg(not(feature = "obs"))]
-    fn metrics(&self) -> Option<ds_obs::MetricsReport> {
-        None
-    }
-
-    #[cfg(feature = "obs")]
-    fn metrics(&self) -> Option<ds_obs::MetricsReport> {
-        let mut m = ds_obs::MetricsReport::default();
-        m.absorb(self.core.events());
-        let acct = *self.probe.account();
-        #[cfg(any(debug_assertions, feature = "audit"))]
-        assert_eq!(acct.total(), self.cycles, "stall buckets must sum to total cycles");
-        m.node_accounts.push(acct);
-        m.hot_pcs = ds_obs::top_hot_pcs([self.probe.pc_profile()], 16);
-        m.critpath.nodes.push(self.core.crit_window().path_report());
-        Some(m)
     }
 }
 

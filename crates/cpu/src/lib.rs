@@ -30,7 +30,7 @@ pub use exec::{ExecError, ExecRecord, FuncCore};
 pub use ooo::{
     CoreStall, FuPool, LoadResponse, MemSystem, OooConfig, OooCore, OooStats, RuuSnapshot, RuuTag,
 };
-pub use trace::{InstFeed, ReadyWindow, TraceSource};
+pub use trace::{InstFeed, TraceSource};
 
 /// A simulation cycle count.
 pub type Cycle = u64;

@@ -360,11 +360,6 @@ pub struct OooCore {
     /// Current-cycle facts for [`OooCore::stall_class`] (instrumented
     /// builds only; stays zeroed otherwise).
     flags: StepFlags,
-    /// One past the furthest trace index fetch has ever peeked —
-    /// including lookahead reads that did not dispatch. Feeds the
-    /// shared trace window's high-water accounting in the parallel
-    /// engine ([`crate::TraceSource::note_peeks`]).
-    peek_end: u64,
 }
 
 const FU_CLASSES: [FuClass; 7] = [
@@ -467,7 +462,6 @@ impl OooCore {
             redirect_tag: None,
             probe: CoreProbe::default(),
             flags: StepFlags::default(),
-            peek_end: 0,
         }
     }
 
@@ -482,18 +476,6 @@ impl OooCore {
     #[cfg(feature = "obs")]
     pub fn crit_window(&self) -> &ds_obs::CritWindow {
         self.probe.crit_window()
-    }
-
-    /// Resizes the critical-path window (instrumented builds only).
-    /// Construction-time: the simulators call it before the first
-    /// cycle, discarding the empty default window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[cfg(feature = "obs")]
-    pub fn set_crit_window_capacity(&mut self, capacity: usize) {
-        self.probe.set_crit_capacity(capacity);
     }
 
     /// The core configuration.
@@ -521,23 +503,6 @@ impl OooCore {
     /// trace cursor; the minimum over nodes bounds trace trimming).
     pub fn fetch_cursor(&self) -> u64 {
         self.next_fetch
-    }
-
-    /// One past the furthest trace index fetch has ever peeked.
-    pub fn peek_end(&self) -> u64 {
-        self.peek_end
-    }
-
-    /// Upper bound (exclusive) on the trace indices fetch could peek if
-    /// stepped at `now`, or `None` when fetch cannot read the trace
-    /// this cycle (finished or stalled). The parallel engine uses the
-    /// max over nodes to pre-extend the shared trace before fanning
-    /// stepping out to worker threads.
-    pub fn prefetch_bound(&self, now: Cycle) -> Option<u64> {
-        if self.fetch_done || self.fetch_stall_until > now {
-            return None;
-        }
-        Some(self.next_fetch + self.config.fetch_width as u64)
     }
 
     /// Tag of the oldest in-flight instruction (== committed count).
@@ -967,9 +932,6 @@ impl OooCore {
                     self.flags.ruu_full = true;
                 }
                 break;
-            }
-            if self.next_fetch + 1 > self.peek_end {
-                self.peek_end = self.next_fetch + 1;
             }
             let rec = match feed.fetch_record(self.next_fetch)? {
                 Some(r) => r,

@@ -83,66 +83,6 @@ impl TraceSource {
         Ok(self.window.get((idx - self.base) as usize))
     }
 
-    /// Extends the window by functional execution until instruction
-    /// `idx` is materialised (or the program halts before it), without
-    /// touching the high-water mark. The parallel engine pre-extends the
-    /// shared trace with this before fanning node stepping out to
-    /// worker threads; [`TraceSource::note_peeks`] afterwards accounts
-    /// the window growth exactly as the serial engine's demand-driven
-    /// [`TraceSource::get`] calls would have.
-    ///
-    /// # Errors
-    ///
-    /// Propagates functional-execution errors (undecodable
-    /// instructions).
-    pub fn extend_to(&mut self, idx: u64) -> Result<(), ExecError> {
-        while self.end.is_none() && self.base + self.window.len() as u64 <= idx {
-            match self.core.step(&mut self.mem)? {
-                Some(rec) => self.window.push_back(rec),
-                None => self.end = Some(self.base + self.window.len() as u64),
-            }
-        }
-        Ok(())
-    }
-
-    /// Read-only access to instruction `idx` of a pre-extended window:
-    /// `None` past the program's end, the record otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` was already trimmed, or was never materialised by
-    /// a prior [`TraceSource::extend_to`]/[`TraceSource::get`].
-    pub fn get_ready(&self, idx: u64) -> Option<&ExecRecord> {
-        assert!(idx >= self.base, "instruction {idx} already trimmed (base {})", self.base);
-        let off = (idx - self.base) as usize;
-        if off < self.window.len() {
-            return Some(&self.window[off]);
-        }
-        match self.end {
-            Some(end) if idx >= end => None,
-            // ds-analyze: allow(tp1) documented Panics contract: the parallel engine pre-extends the window for the whole round before workers read it
-            _ => panic!("instruction {idx} read beyond the pre-extended window"),
-        }
-    }
-
-    /// Accounts the furthest instruction index (exclusive) any consumer
-    /// peeked this cycle into the window high-water mark, exactly as the
-    /// serial engine's per-`get` bookkeeping would have: the serial mark
-    /// after a consumer reads `idx` is `min(idx + 1, end) - base`, and
-    /// `base` is constant within a cycle (trims happen after stepping),
-    /// so the per-cycle maximum over consumers reproduces every serial
-    /// growth event.
-    pub fn note_peeks(&mut self, peek_end: u64) {
-        let capped = match self.end {
-            Some(end) => peek_end.min(end),
-            None => peek_end,
-        };
-        let len = capped.saturating_sub(self.base) as usize;
-        if len > self.max_window {
-            self.max_window = len;
-        }
-    }
-
     /// Drops all records before `min_idx` (the minimum over all
     /// consumers' cursors).
     pub fn trim(&mut self, min_idx: u64) {
@@ -180,19 +120,11 @@ impl TraceSource {
     pub fn core(&self) -> &FuncCore {
         &self.core
     }
-
-    /// A read-only [`InstFeed`] over the already-materialised window,
-    /// shareable across threads (the parallel engine hands one to each
-    /// node after pre-extending the window).
-    pub fn ready_window(&self) -> ReadyWindow<'_> {
-        ReadyWindow { src: self }
-    }
 }
 
-/// The fetch stage's instruction supply. The serial engine feeds the
+/// The fetch stage's instruction supply: the engine feeds the
 /// out-of-order cores straight from a demand-extended [`TraceSource`];
-/// the parallel engine pre-extends the window once per cycle and feeds
-/// every node from a shared read-only [`ReadyWindow`].
+/// layer benchmarks and tests substitute a canned stream.
 pub trait InstFeed {
     /// The record of instruction `idx`, or `None` if the program halts
     /// before it.
@@ -207,20 +139,6 @@ impl InstFeed for TraceSource {
     #[inline]
     fn fetch_record(&mut self, idx: u64) -> Result<Option<ExecRecord>, ExecError> {
         Ok(self.get(idx)?.copied())
-    }
-}
-
-/// Read-only view over a pre-extended [`TraceSource`] window; the
-/// [`InstFeed`] the parallel engine's worker threads share.
-#[derive(Debug, Clone, Copy)]
-pub struct ReadyWindow<'a> {
-    src: &'a TraceSource,
-}
-
-impl InstFeed for ReadyWindow<'_> {
-    #[inline]
-    fn fetch_record(&mut self, idx: u64) -> Result<Option<ExecRecord>, ExecError> {
-        Ok(self.src.get_ready(idx).copied())
     }
 }
 
@@ -291,42 +209,6 @@ mod tests {
             t.trim(b.min(a));
         }
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn extend_then_read_only_matches_demand_gets() {
-        let mut demand = counted_loop();
-        let mut pre = counted_loop();
-        pre.extend_to(9).unwrap();
-        assert_eq!(pre.max_window_len(), 0, "extend_to must not move the high-water mark");
-        for idx in 0..10u64 {
-            let want = demand.get(idx).unwrap().copied();
-            let got = pre.get_ready(idx).copied();
-            assert_eq!(got, want, "instruction {idx}");
-            let mut feed = pre.ready_window();
-            assert_eq!(feed.fetch_record(idx).unwrap(), want);
-        }
-        // note_peeks reproduces the serial high-water accounting: the
-        // furthest peek was 10, capped by the 8-record stream.
-        pre.note_peeks(10);
-        assert_eq!(pre.max_window_len(), demand.max_window_len());
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond the pre-extended window")]
-    fn get_ready_rejects_unmaterialised_reads() {
-        let mut t = counted_loop();
-        t.extend_to(2).unwrap();
-        let _ = t.get_ready(5);
-    }
-
-    #[test]
-    fn note_peeks_tracks_base_relative_length() {
-        let mut t = counted_loop();
-        t.extend_to(7).unwrap();
-        t.trim(4);
-        t.note_peeks(8);
-        assert_eq!(t.max_window_len(), 4, "peeked through 8 with base 4");
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //!   is seeded per-process; any order that reaches simulated state (or
 //!   replication selection, or recorded event streams) breaks node
 //!   lockstep or run-to-run reproducibility.
-//! - **d2** — no wall-clock (`Instant`, `SystemTime`) or ambient
-//!   randomness (`thread_rng`, `from_entropy`, `RandomState`) in the
-//!   simulation crates. Runs must be pure functions of their inputs.
+//! - **d2** — no wall-clock (`Instant`, `SystemTime`), ambient
+//!   randomness (`thread_rng`, `from_entropy`, `RandomState`) or host
+//!   threading (`thread`, `Mutex`, `RwLock`, `Atomic*`) in the
+//!   simulation crates. Runs must be pure functions of their inputs,
+//!   computed on one thread; host parallelism lives at sweep level in
+//!   `ds_bench::runner`.
 //! - **p1** — no `unwrap`/`expect`/`panic!`/`unsafe` in the cycle-loop
 //!   hot modules without an annotated reason. A panic mid-cycle leaves
 //!   sibling nodes with unconsumed broadcasts; every unwind point must
@@ -55,7 +58,8 @@ use std::path::{Path, PathBuf};
 pub enum Rule {
     /// Hash-based containers / iteration in simulation crates.
     D1,
-    /// Wall-clock or ambient randomness in simulation crates.
+    /// Wall-clock, ambient randomness or host threading in simulation
+    /// crates.
     D2,
     /// Unannotated panic paths (`unwrap`/`expect`/`panic!`/`unsafe`) in
     /// hot modules.
@@ -127,7 +131,7 @@ pub struct FileClass {
 /// A parsed suppression set: line-level `allow` directives plus
 /// block-scope `allow-start`/`allow-end` regions. Rule codes are kept
 /// as strings so `ds-analyze` can reuse the parser with its own rule
-/// catalog (`ta1`, `pa2`, ...).
+/// catalog (`ta1`, `tp1`, ...).
 #[derive(Debug, Default)]
 pub struct AllowSet {
     /// `(target line, rule code)` pairs from line-level allows.
@@ -461,14 +465,20 @@ fn receiver_before(cleaned: &str, dot_at: usize) -> Option<String> {
     last_ident(&cleaned[..dot_at])
 }
 
-/// d2: wall-clock and ambient-randomness tokens.
+/// d2: wall-clock, ambient-randomness and host-threading tokens.
 fn check_d2(cleaned: &str, out: &mut Vec<Candidate>) {
-    let tokens: [(&str, &str); 5] = [
+    const THREADED: &str =
+        "simulation crates are single-threaded; host parallelism lives in ds_bench::runner";
+    let tokens: [(&str, &str); 9] = [
         ("Instant", "wall-clock time in a simulation crate: cycle counts must not depend on host timing"),
         ("SystemTime", "wall-clock time in a simulation crate: cycle counts must not depend on host timing"),
         ("thread_rng", "ambient randomness in a simulation crate: seed explicitly so runs are reproducible"),
         ("from_entropy", "ambient randomness in a simulation crate: seed explicitly so runs are reproducible"),
         ("RandomState", "per-process hasher state in a simulation crate: breaks cross-run determinism"),
+        ("thread", THREADED),
+        ("Mutex", THREADED),
+        ("RwLock", THREADED),
+        ("Atomic*", THREADED),
     ];
     for (tok, msg) in tokens {
         for at in word_occurrences(cleaned, tok) {
@@ -908,6 +918,21 @@ mod tests {
         let src = "fn f() { let t = std::time::Instant::now(); let r = rand::random::<u8>(); }\n";
         let got = rules(&lint_source("x.rs", src, SIM));
         assert_eq!(got, vec![Rule::D2, Rule::D2]);
+    }
+
+    #[test]
+    fn d2_flags_host_threading_unless_allowed() {
+        let seeded = "use std::sync::{Mutex, RwLock};\n\
+                      fn f(n: &AtomicU64) { std::thread::scope(|_| {}); }\n";
+        let diags = lint_source("x.rs", seeded, SIM);
+        assert_eq!(rules(&diags), vec![Rule::D2; 4], "{diags:?}");
+        assert!(diags.iter().all(|d| d.message.contains("single-threaded")), "{diags:?}");
+        // The allowed twin, and names that merely contain a token.
+        let twin = "// ds-lint: allow(d2) fixture: guards a host-side cache, never simulated state\n\
+                    static HITS: AtomicU64 = AtomicU64::new(0);\n\
+                    fn datathread_len(threads: usize) -> usize { threads }\n";
+        assert!(lint_source("x.rs", twin, SIM).is_empty());
+        assert!(lint_source("x.rs", seeded, FileClass::default()).is_empty());
     }
 
     #[test]

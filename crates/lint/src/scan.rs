@@ -15,8 +15,14 @@
 pub use crate::tokens::{is_ident, strip, strip_comments, LineIndex};
 
 /// Byte offsets of every occurrence of `word` in `text` delimited by
-/// non-identifier characters on both sides.
+/// non-identifier characters on both sides. A trailing `*` makes
+/// `word` a prefix: `Atomic*` matches every identifier that starts
+/// with `Atomic`.
 pub fn word_occurrences(text: &str, word: &str) -> Vec<usize> {
+    let (word, prefix) = match word.strip_suffix('*') {
+        Some(stem) => (stem, true),
+        None => (word, false),
+    };
     let mut out = Vec::new();
     let b = text.as_bytes();
     let mut from = 0;
@@ -24,7 +30,7 @@ pub fn word_occurrences(text: &str, word: &str) -> Vec<usize> {
         let at = from + pos;
         let before_ok = at == 0 || !is_ident(b[at - 1]);
         let end = at + word.len();
-        let after_ok = end >= b.len() || !is_ident(b[end]);
+        let after_ok = prefix || end >= b.len() || !is_ident(b[end]);
         if before_ok && after_ok {
             out.push(at);
         }

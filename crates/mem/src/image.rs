@@ -1,18 +1,13 @@
 //! Sparse byte-addressable memory image for functional execution.
 
 use crate::Addr;
+use std::cell::Cell;
 // ds-lint: allow(d1) probe-only chunk index: never iterated, so hash order cannot reach simulated state
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Storage granularity of the sparse image (independent of the
 /// architectural page size configured in the [`crate::PageTable`]).
 const CHUNK: u64 = 4096;
-
-/// Memo sentinel: no chunk cached. Real memo values always carry a
-/// chunk id below `u32::MAX` in the high half, so the sentinel (high
-/// half `u32::MAX`) can never collide with one.
-const NO_MEMO: u64 = u64::MAX;
 
 /// A sparse, little-endian, byte-addressable memory image.
 ///
@@ -25,12 +20,8 @@ const NO_MEMO: u64 = u64::MAX;
 /// Chunk storage is a dense `Vec` reached through a `chunk id → index`
 /// map, with a one-entry memo of the last chunk touched: the functional
 /// core's fetch/load/store stream is overwhelmingly sequential within a
-/// chunk, so the common case skips hashing entirely. The memo packs
-/// `(chunk id, dense index)` into one relaxed [`AtomicU64`] so reads
-/// (`&self`) refresh it too while the image stays `Sync` — the parallel
-/// stepping engine shares the trace (and thus the image) read-only
-/// across worker threads. A racing refresh can only replace one valid
-/// memo with another; a torn value is impossible in a single atomic.
+/// chunk, so the common case skips hashing entirely. The memo is a
+/// [`Cell`] so reads (`&self`) refresh it too.
 ///
 /// # Examples
 ///
@@ -42,33 +33,14 @@ const NO_MEMO: u64 = u64::MAX;
 /// assert_eq!(m.read_u64(0x1000), 0xdead_beef);
 /// assert_eq!(m.read_u64(0x9_0000), 0, "unmapped reads as zero");
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub struct MemImage {
     chunks: Vec<Box<[u8]>>,
     // ds-lint: allow(d1) probed by chunk id on the functional hot path (memoized); never iterated
     index: HashMap<u64, u32>,
-    /// Last resolution, packed `(chunk id << 32) | vec index` — hit on
-    /// sequential access. Only ids below `u32::MAX` are memoised (an
-    /// id that large would mean a ~16 TiB address), so the sentinel is
-    /// unambiguous and the packing is lossless.
-    memo: AtomicU64,
-}
-
-impl Default for MemImage {
-    fn default() -> Self {
-        // ds-lint: allow(d1) see the field declaration: probe-only index
-        MemImage { chunks: Vec::new(), index: HashMap::new(), memo: AtomicU64::new(NO_MEMO) }
-    }
-}
-
-impl Clone for MemImage {
-    fn clone(&self) -> Self {
-        MemImage {
-            chunks: self.chunks.clone(),
-            index: self.index.clone(),
-            memo: AtomicU64::new(self.memo.load(Ordering::Relaxed)),
-        }
-    }
+    /// Last resolution as `(chunk id, vec index)` — hit on sequential
+    /// access.
+    memo: Cell<Option<(u64, u32)>>,
 }
 
 impl MemImage {
@@ -81,24 +53,14 @@ impl MemImage {
     /// first.
     #[inline]
     fn lookup(&self, id: u64) -> Option<u32> {
-        let packed = self.memo.load(Ordering::Relaxed);
-        // The id bound keeps an un-memoisable id (which would need a
-        // ~16 TiB address) from false-hitting the sentinel's high half.
-        if packed >> 32 == id && id < u64::from(u32::MAX) {
-            return Some(packed as u32);
+        if let Some((memo_id, idx)) = self.memo.get() {
+            if memo_id == id {
+                return Some(idx);
+            }
         }
         let idx = *self.index.get(&id)?;
-        self.set_memo(id, idx);
+        self.memo.set(Some((id, idx)));
         Some(idx)
-    }
-
-    /// Refreshes the memo (ids too large to pack are simply not
-    /// memoised).
-    #[inline]
-    fn set_memo(&self, id: u64, idx: u32) {
-        if id < u64::from(u32::MAX) {
-            self.memo.store((id << 32) | u64::from(idx), Ordering::Relaxed);
-        }
     }
 
     #[inline]
@@ -117,7 +79,7 @@ impl MemImage {
                 let idx = u32::try_from(self.chunks.len()).expect("chunk count fits u32");
                 self.chunks.push(vec![0u8; CHUNK as usize].into_boxed_slice());
                 self.index.insert(id, idx);
-                self.set_memo(id, idx);
+                self.memo.set(Some((id, idx)));
                 idx
             }
         };

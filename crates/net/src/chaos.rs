@@ -7,7 +7,7 @@
 //! and its deliveries, and `ds_core::Node` applies stall rules to its
 //! own tick. Everything is deterministic — a seeded plan plus a fixed
 //! configuration reproduces the same faulted run bit for bit, across
-//! the serial, parallel, skipping and non-skipping engines.
+//! the skipping and non-skipping engines.
 //!
 //! With an empty plan the system never constructs an injector, so the
 //! fault path costs nothing and golden results stay byte-identical.

@@ -238,7 +238,8 @@ fn check_critpath_member(v: &Value) -> Result<(), String> {
                 eprintln!(
                     "warning: critpath `{label}` window attributed only {:.0}% of \
                      retirements ({attributed:.0} kept, {d:.0} dropped); shares cover \
-                     the tail of the run — raise crit_window_capacity",
+                     the tail of the run — the producer predates segmented window \
+                     flushing (regenerate it) or segment flushing regressed",
                     coverage * 100.0
                 );
             }

@@ -109,18 +109,6 @@ impl Recorder {
         }
     }
 
-    /// Replaces the critical-path window with an empty one retaining
-    /// `capacity` retirements. Construction-time only (the simulators
-    /// call it before the first cycle): any nodes already recorded are
-    /// discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn set_crit_capacity(&mut self, capacity: usize) {
-        self.crit = CritWindow::with_capacity(capacity);
-    }
-
     /// The recorded events.
     pub fn ring(&self) -> &EventRing {
         &self.ring

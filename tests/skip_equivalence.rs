@@ -1,7 +1,7 @@
 //! The event-horizon engine's behavior-invariance contract: skipping
-//! quiescent cycle ranges (and stepping nodes on worker threads) must
-//! produce *exactly* the `RunResult` of the naive cycle-by-cycle loop —
-//! cycles, every node counter, bus statistics, trace high-water mark,
+//! quiescent cycle ranges must produce *exactly* the `RunResult` of
+//! the naive cycle-by-cycle loop — cycles, every node counter, bus
+//! statistics, trace high-water mark,
 //! and (under `--features obs`) the derived metrics report with its
 //! per-node cycle ledgers and critical-path attribution (`RunResult`
 //! equality covers `CritPathReport` field-by-field: identical edge
@@ -10,12 +10,12 @@
 //! graph edges on either engine; window wraparound itself is pinned by
 //! `crates/obs/src/critpath.rs` unit tests).
 //!
-//! The grid covers both tiny workloads across the Figure 7 node counts,
-//! both interconnect topologies, and both accelerated engines (serial
-//! horizon skipping, parallel stepping + skipping), each compared
-//! against the retained `no_skip` reference path. A second pass narrows
-//! the machine (tiny RUU/LSQ, a real D-TLB) so the window-full and
-//! translation stall classes appear in the skipped ranges too.
+//! The grid covers both tiny workloads across the Figure 7 node counts
+//! and both interconnect topologies, the horizon-skipping engine
+//! compared against the retained `no_skip` reference path. A second
+//! pass narrows the machine (tiny RUU/LSQ, a real D-TLB) so the
+//! window-full and translation stall classes appear in the skipped
+//! ranges too.
 
 use datascalar::core_model::{DsConfig, DsSystem, RunResult};
 use datascalar::workloads::by_name;
@@ -29,24 +29,16 @@ fn run_with(config: DsConfig, workload: &str, budget: Budget) -> RunResult {
     sys.run().expect("workload executes")
 }
 
-/// Asserts the three engines agree exactly on `base`.
+/// Asserts the two engines agree exactly on `base`.
 fn assert_engines_agree(base: DsConfig, workload: &str, budget: Budget, label: &str) {
     let mut reference = base.clone();
     reference.no_skip = true;
-    reference.parallel_step = false;
     let naive = run_with(reference, workload, budget);
 
-    let mut skipping = base.clone();
+    let mut skipping = base;
     skipping.no_skip = false;
-    skipping.parallel_step = false;
     let skipped = run_with(skipping, workload, budget);
     assert_eq!(skipped, naive, "horizon skipping diverged from the naive loop on {label}");
-
-    let mut parallel = base;
-    parallel.no_skip = false;
-    parallel.parallel_step = true;
-    let threaded = run_with(parallel, workload, budget);
-    assert_eq!(threaded, naive, "parallel stepping diverged from the naive loop on {label}");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! count (so length-weighted interval IPC equals run IPC by
 //! construction), and the segmented phases partition the intervals the
 //! same way. Cross-engine equality of the full `TimelineReport`
-//! (naive vs. horizon-skipping vs. parallel) is pinned separately by
+//! (naive vs. horizon-skipping) is pinned separately by
 //! `tests/skip_equivalence.rs` through `RunResult` equality.
 
 #![cfg(feature = "obs")]
