@@ -227,7 +227,7 @@ impl Bshr {
     pub fn join_wait(&mut self, line: u64, tag: RuuTag) {
         self.waits
             .get_mut(line)
-            // ds-analyze: allow(tp1) documented Panics contract: callers route through the DCUB, which only joins lines it has seen start_wait for
+            // ds-lint: allow(p1) documented Panics contract: callers route through the DCUB, which only joins lines it has seen start_wait for
             .expect("join_wait requires an outstanding wait")
             .push(tag);
     }

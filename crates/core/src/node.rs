@@ -472,19 +472,14 @@ pub struct Node {
     /// `[start, end)` cycle windows sorted by start. Empty (the common
     /// case) costs one slice-length check per cycle.
     stalls: Vec<(Cycle, Cycle)>,
-    /// Cumulative `CycleAccount` snapshots for the Perfetto stall
-    /// counter track, taken every [`SAMPLE_INTERVAL`] cycles.
-    #[cfg(feature = "obs")]
-    samples: Vec<(Cycle, ds_obs::CycleAccount)>,
-    /// Interval time-series telemetry: counter deltas closed at the
-    /// same [`SAMPLE_INTERVAL`] boundaries the Perfetto snapshots use.
+    /// Interval time-series telemetry: counter deltas closed at every
+    /// [`SAMPLE_INTERVAL`] boundary. Also feeds the Perfetto stall
+    /// counter track.
     #[cfg(feature = "obs")]
     timeline: ds_obs::IntervalRing,
 }
 
-/// Cycles between stall-counter snapshots and timeline interval
-/// boundaries — one shared cadence for both samplers (hoisted to
-/// ds-obs so they can never drift apart).
+/// Cycles between timeline interval boundaries.
 #[cfg(feature = "obs")]
 use ds_obs::SAMPLE_INTERVAL;
 
@@ -502,8 +497,6 @@ impl Node {
             core: OooCore::new(config.core, config.icache.line_bytes),
             ms: MemSide::new(id, pt, config),
             stalls,
-            #[cfg(feature = "obs")]
-            samples: Vec::with_capacity(256),
             #[cfg(feature = "obs")]
             timeline: ds_obs::IntervalRing::default(),
         }
@@ -828,12 +821,10 @@ impl Node {
     #[cfg(feature = "obs")]
     pub(crate) fn charge_cycle(&mut self, now: Cycle, bus_busy: bool) {
         if now.is_multiple_of(SAMPLE_INTERVAL) {
-            // Snapshot *before* charging: the sample at cycle C covers
-            // charges for cycles [0, C). The timeline interval closes
-            // at the same boundary with the same convention (cycle C's
-            // charge and occupancy belong to the new interval; the
-            // cumulative counters are read after this cycle's step).
-            self.samples.push((now, *self.ms.probe.account()));
+            // Close *before* charging: the interval ending at cycle C
+            // covers charges for cycles [.., C). Cycle C's charge and
+            // occupancy belong to the new interval; the cumulative
+            // counters are read after this cycle's step.
             self.timeline.sample_close(
                 now,
                 self.core.committed(),
@@ -852,7 +843,7 @@ impl Node {
     /// [`Node::charge_cycle`] calls would have. A skipped range is
     /// quiescent by construction — the commit head, BSHR and fetch
     /// stall all hold still, and the interconnect skipped too — so one
-    /// classification at `start` covers the whole range; snapshot
+    /// classification at `start` covers the whole range; interval
     /// boundaries inside the range are honoured one by one.
     #[cfg(feature = "obs")]
     pub(crate) fn charge_skipped(&mut self, start: Cycle, count: u64, bus_busy: bool) {
@@ -871,17 +862,16 @@ impl Node {
         let mut from = start;
         let mut boundary = start.next_multiple_of(SAMPLE_INTERVAL);
         while boundary < end {
-            // The naive loop snapshots at each SAMPLE_INTERVAL multiple
-            // *before* charging that cycle: charge up to the boundary,
-            // snapshot, continue. The per-cycle loop would also have
-            // noted the (frozen) occupancy once per skipped cycle —
-            // once per sub-interval reaches the same high-water mark.
+            // The naive loop closes the interval at each SAMPLE_INTERVAL
+            // multiple *before* charging that cycle: charge up to the
+            // boundary, close, continue. The per-cycle loop would also
+            // have noted the (frozen) occupancy once per skipped cycle
+            // — once per sub-interval reaches the same high-water mark.
             if boundary > from {
                 self.timeline.note_occ(occ);
                 self.timeline.note_skipped(boundary - from);
             }
             charge_block(&mut self.ms.probe, charge, boundary - from);
-            self.samples.push((boundary, *self.ms.probe.account()));
             self.timeline.sample_close(boundary, committed, sends, arrives, self.ms.probe.account());
             from = boundary;
             boundary += SAMPLE_INTERVAL;
@@ -921,12 +911,6 @@ impl Node {
     #[cfg(feature = "obs")]
     pub fn pc_profile(&self) -> &ds_obs::PcProfile {
         self.ms.probe.pc_profile()
-    }
-
-    /// Cumulative account snapshots for the stall counter track.
-    #[cfg(feature = "obs")]
-    pub(crate) fn samples(&self) -> &[(Cycle, ds_obs::CycleAccount)] {
-        &self.samples
     }
 
     /// Closes the final (possibly partial) timeline interval at the

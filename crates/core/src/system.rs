@@ -615,17 +615,11 @@ impl DsSystem {
         if let Some(ring) = self.bus.events() {
             sources.push(TraceSource { pid: n + 1, name: "interconnect", ring });
         }
-        // Stall-bucket occupancy counter tracks, sampled from the
-        // cycle accounts (they live outside the rings).
+        // Stall-bucket occupancy counter tracks, one sample per closed
+        // timeline interval (they live outside the event rings).
         let mut extras: Vec<String> = Vec::new();
         for (i, node) in self.nodes.iter().enumerate() {
-            ds_obs::perfetto::stall_counter_events(
-                i as u32,
-                node.samples(),
-                self.cycles,
-                node.cycle_account(),
-                &mut extras,
-            );
+            ds_obs::perfetto::stall_counter_events(i as u32, node.timeline().iter(), &mut extras);
         }
         ds_obs::perfetto::trace_json_with(&sources, &extras)
     }

@@ -256,7 +256,7 @@ impl FuncCore {
             Lui => self.set_ireg(inst.rd, zimm << 32),
             Lb | Lbu | Lh | Lhu | Lw | Lwu | Ld | Fld => {
                 mem_addr = rs.wrapping_add_signed(simm);
-                // ds-analyze: allow(tp1) every opcode in this match arm defines mem_width() in the ISA table; drift is caught by ds-lint x1
+                // ds-lint: allow(p1) every opcode in this match arm defines mem_width() in the ISA table; drift is caught by ds-lint x1
                 mem_bytes = inst.op.mem_width().expect("load has width").bytes();
                 match inst.op {
                     Lb => self.set_ireg(inst.rd, mem.read_u8(mem_addr) as i8 as i64 as u64),
@@ -272,7 +272,7 @@ impl FuncCore {
             }
             Sb | Sh | Sw | Sd | Fsd => {
                 mem_addr = rs.wrapping_add_signed(simm);
-                // ds-analyze: allow(tp1) every opcode in this match arm defines mem_width() in the ISA table; drift is caught by ds-lint x1
+                // ds-lint: allow(p1) every opcode in this match arm defines mem_width() in the ISA table; drift is caught by ds-lint x1
                 mem_bytes = inst.op.mem_width().expect("store has width").bytes();
                 let value = self.iregs[inst.rd as usize];
                 match inst.op {

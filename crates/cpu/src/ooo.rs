@@ -818,7 +818,7 @@ impl OooCore {
     /// Records the retiring entry's last-arrival graph node (and, for
     /// remote fills, the flow-finish event pairing the consuming commit
     /// with the broadcast/request send). Runs once per retirement on
-    /// instrumented builds; rules a1/ta1 apply.
+    /// instrumented builds; ds-lint rule a1 applies.
     fn edge_note_retire(&mut self, e: &RuuEntry, tag: RuuTag, now: Cycle) {
         let producer_back =
             if e.last_producer == RuuTag::MAX { 0 } else { (tag - e.last_producer) as u32 };

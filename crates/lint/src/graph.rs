@@ -148,9 +148,9 @@ mod tests {
 
     fn ws(src: &str) -> Workspace {
         Workspace::build(vec![SourceFile {
-            crate_name: "core".into(),
             rel_path: "crates/core/src/x.rs".into(),
             raw: src.into(),
+            class: crate::FileClass { sim_crate: true, hot_module: false },
         }])
     }
 

@@ -25,21 +25,25 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let diags = ds_lint::lint_workspace(&root);
-    for d in &diags {
+    let report = ds_lint::lint_tree(&root);
+    for d in &report.diagnostics {
         println!("{d}");
     }
-    if diags.is_empty() {
-        eprintln!("ds-lint: workspace clean");
+    let size = format!(
+        "{} file(s), {} function(s), {} root(s)",
+        report.files, report.functions, report.roots
+    );
+    if report.diagnostics.is_empty() {
+        eprintln!("ds-lint: {size}; workspace clean");
         ExitCode::SUCCESS
     } else {
-        let counts = ds_lint::rule_counts(&diags);
+        let counts = ds_lint::rule_counts(&report.diagnostics);
         let breakdown = counts
             .iter()
             .map(|(rule, n)| format!("{rule}:{n}"))
             .collect::<Vec<_>>()
             .join(" ");
-        eprintln!("ds-lint: {} finding(s) [{breakdown}]", diags.len());
+        eprintln!("ds-lint: {size}; {} finding(s) [{breakdown}]", report.diagnostics.len());
         ExitCode::FAILURE
     }
 }

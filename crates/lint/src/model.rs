@@ -1,32 +1,26 @@
 //! The per-file model: function definitions with their impl owners,
-//! per-function fact sites (allocation, panic, nondeterminism) and
-//! call sites, extracted from ds-lint's shared token stream.
+//! allocation/panic fact sites and call sites, extracted from the
+//! shared token stream.
 //!
 //! This is deliberately a *lexical* model, not a type-checked one: the
-//! analyzer over-approximates call resolution by name (see
-//! `graph.rs`), which is sound for the invariants it proves — a chain
-//! that cannot happen at runtime can only add a finding, never hide
-//! one — and keeps the whole pass dependency-free and fast enough to
-//! run on every `verify.sh`.
+//! linter over-approximates call resolution by name (see `graph.rs`),
+//! which is sound for the invariants it proves — a chain that cannot
+//! happen at runtime can only add a finding, never hide one — and keeps
+//! the whole pass dependency-free and fast enough to run on every
+//! `verify.sh`.
 
-use ds_lint::tokens::{strip, tokenize, LineIndex, Token, TokenKind};
-use ds_lint::{parse_directives, scan, AllowSet, DirectiveError};
+use crate::tokens::{strip, tokenize, LineIndex, Token, TokenKind};
+use crate::{parse_directives, scan, Allow, Diagnostic, FileClass};
 
-/// Rule codes `ds-analyze:` directives may name.
-pub const ANALYZE_RULE_CODES: [&str; 3] = ["ta1", "tp1", "td2"];
-
-/// The directive prefix for analyzer-specific suppressions.
-pub const ANALYZE_DIRECTIVE: &str = "ds-analyze:";
-
-/// One source file handed to the analyzer.
+/// One source file handed to the linter.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
-    /// Short crate name (`core`, `cpu`, ...).
-    pub crate_name: String,
     /// Workspace-relative path (`crates/core/src/node.rs`).
     pub rel_path: String,
     /// Raw source text.
     pub raw: String,
+    /// Which rules apply to it.
+    pub class: FileClass,
 }
 
 /// What kind of fact a [`Site`] records.
@@ -34,24 +28,21 @@ pub struct SourceFile {
 pub enum Fact {
     /// An allocation token (`Vec::new`, `format!`, `.collect()`, ...).
     Alloc,
-    /// A panic path (`.unwrap()`, `.expect(..)`, `panic!`).
+    /// A panic path (`.unwrap()`, `.expect(..)`, `panic!`, `unsafe`).
     Panic,
-    /// Nondeterminism taint: wall-clock, ambient randomness, or a
-    /// hash-ordered container.
-    Taint,
 }
 
-/// One fact occurrence inside a function body.
+/// One fact occurrence.
 #[derive(Debug, Clone)]
 pub struct Site {
     /// What was found.
     pub fact: Fact,
     /// The offending token, for the diagnostic (`Vec::new`, `.unwrap()`).
     pub what: String,
-    /// 1-based line in the file.
-    pub line: usize,
-    /// True when a line or block allow covers this site.
-    pub suppressed: bool,
+    /// Byte offset in the cleaned text.
+    pub offset: usize,
+    /// Id of the innermost enclosing function, if any.
+    pub func: Option<usize>,
 }
 
 /// How a call site names its callee.
@@ -93,15 +84,12 @@ pub struct FnDef {
     pub line: usize,
     /// Byte range of the body braces in the cleaned text (inclusive).
     pub body: (usize, usize),
-    /// Fact sites inside the body.
-    pub sites: Vec<Site>,
     /// Call sites inside the body.
     pub calls: Vec<CallSite>,
 }
 
 impl FnDef {
-    /// `Owner::name` or bare `name` — the spelling used in diagnostics
-    /// and in the suppression baseline.
+    /// `Owner::name` or bare `name` — the spelling used in diagnostics.
     pub fn qualified(&self) -> String {
         match &self.owner {
             Some(o) => format!("{o}::{}", self.name),
@@ -110,41 +98,47 @@ impl FnDef {
     }
 }
 
-/// Everything the passes need from one parsed file.
+/// Everything the rule checks need from one parsed file.
 pub struct FileModel {
     /// Cleaned text (comments/strings blanked, offsets preserved).
     pub cleaned: String,
-    /// Token stream over `cleaned`.
-    pub tokens: Vec<Token>,
     /// Offset → line mapping.
     pub index: LineIndex,
-    /// Merged `ds-lint:` + `ds-analyze:` suppressions.
-    pub allows: AllowSet,
-    /// Malformed `ds-analyze:` directives (ds-lint owns its own).
-    pub directive_errors: Vec<DirectiveError>,
     /// `#[cfg(test)]` regions (byte ranges; exempt from everything).
     pub test_regions: Vec<(usize, usize)>,
+    /// Parsed `ds-lint:` suppressions.
+    pub allows: Vec<Allow>,
+    /// Malformed `ds-lint:` directives.
+    pub directive_errors: Vec<Diagnostic>,
+    /// Allocation and panic sites, in or out of a function (those
+    /// inside `test_regions` included; `lint` drops them).
+    pub sites: Vec<Site>,
 }
 
-/// The allocation token set — deliberately identical to ds-lint's a1
-/// scan so a site reads the same in both tools' diagnostics.
-const ALLOC_PATTERNS: [&str; 6] =
-    ["Vec::new", "vec![", "Box::new", "String::new", "format!", "to_vec"];
+/// How a [`FACT_TOKENS`] needle is matched in cleaned text.
+enum Match {
+    /// Plain substring (`Vec::new`, `vec![`).
+    Text,
+    /// A `.name(` method call.
+    Method,
+    /// An identifier-delimited word.
+    Word,
+}
 
-/// d2 nondeterminism and host-threading tokens, same as ds-lint (a
-/// trailing `*` matches as a prefix: every `Atomic*` type).
-const TAINT_WORDS: [&str; 11] = [
-    "Instant",
-    "SystemTime",
-    "thread_rng",
-    "from_entropy",
-    "RandomState",
-    "HashMap",
-    "HashSet",
-    "thread",
-    "Mutex",
-    "RwLock",
-    "Atomic*",
+/// The one allocation/panic token table: a1 reports the `Alloc` sites
+/// on the cycle path; p1 the `Panic` sites there and in hot modules.
+const FACT_TOKENS: [(Fact, Match, &str); 11] = [
+    (Fact::Alloc, Match::Text, "Vec::new"),
+    (Fact::Alloc, Match::Text, "vec!["),
+    (Fact::Alloc, Match::Text, "Box::new"),
+    (Fact::Alloc, Match::Text, "String::new"),
+    (Fact::Alloc, Match::Text, "format!"),
+    (Fact::Alloc, Match::Method, "to_vec"),
+    (Fact::Alloc, Match::Method, "collect"),
+    (Fact::Panic, Match::Method, "unwrap"),
+    (Fact::Panic, Match::Method, "expect"),
+    (Fact::Panic, Match::Word, "panic!"),
+    (Fact::Panic, Match::Word, "unsafe"),
 ];
 
 /// Keywords that can precede `(` without being a call.
@@ -160,16 +154,7 @@ pub fn parse_file(file: &SourceFile, file_idx: usize, fns: &mut Vec<FnDef>) -> F
     let tokens = tokenize(&cleaned);
     let index = LineIndex::new(&cleaned);
     let test_regions = scan::test_regions(&cleaned);
-
-    // ds-lint allows suppress the matching transitive rule at a site
-    // (an annotated `allow(p1)` unwrap needs no second annotation for
-    // tp1); ds-analyze allows use the analyzer's own codes. Map the
-    // lint codes onto the transitive ones by parsing both grammars.
-    let (lint_allows, _) = parse_directives("ds-lint:", &ds_lint::RULE_CODES, &file.raw, &cleaned);
-    let (analyze_allows, directive_errors) =
-        parse_directives(ANALYZE_DIRECTIVE, &ANALYZE_RULE_CODES, &file.raw, &cleaned);
-    let mut allows = analyze_allows;
-    allows.merge(lint_allows);
+    let (allows, directive_errors) = parse_directives(&file.rel_path, &file.raw, &cleaned);
 
     let impls = impl_regions(&cleaned, &tokens);
     let first = fns.len();
@@ -177,60 +162,16 @@ pub fn parse_file(file: &SourceFile, file_idx: usize, fns: &mut Vec<FnDef>) -> F
     let new_fns = &mut fns[first..];
 
     // Fact sites, assigned to the innermost containing function.
-    let mut facts: Vec<(usize, Fact, String)> = Vec::new();
-    for pat in ALLOC_PATTERNS {
-        for at in scan::occurrences(&cleaned, pat) {
-            facts.push((at, Fact::Alloc, pat.to_string()));
-        }
-    }
-    for at in scan::method_calls(&cleaned, "collect") {
-        facts.push((at, Fact::Alloc, ".collect()".to_string()));
-    }
-    for at in scan::method_calls(&cleaned, "to_vec") {
-        facts.push((at, Fact::Alloc, ".to_vec()".to_string()));
-    }
-    for m in ["unwrap", "expect"] {
-        for at in scan::method_calls(&cleaned, m) {
-            facts.push((at, Fact::Panic, format!(".{m}()")));
-        }
-    }
-    for at in scan::occurrences(&cleaned, "panic!") {
-        let boundary = at == 0 || {
-            let c = cleaned.as_bytes()[at - 1];
-            !(c.is_ascii_alphanumeric() || c == b'_')
+    let mut sites = Vec::new();
+    for (fact, how, needle) in FACT_TOKENS {
+        let (hits, what) = match how {
+            Match::Text => (scan::occurrences(&cleaned, needle), needle.to_string()),
+            Match::Method => (scan::method_calls(&cleaned, needle), format!(".{needle}()")),
+            Match::Word => (scan::word_occurrences(&cleaned, needle), needle.to_string()),
         };
-        if boundary {
-            facts.push((at, Fact::Panic, "panic!".to_string()));
-        }
-    }
-    for w in TAINT_WORDS {
-        for at in scan::word_occurrences(&cleaned, w) {
-            facts.push((at, Fact::Taint, w.to_string()));
-        }
-    }
-    for at in scan::occurrences(&cleaned, "rand::random") {
-        facts.push((at, Fact::Taint, "rand::random".to_string()));
-    }
-
-    for (at, fact, what) in facts {
-        if scan::in_regions(&test_regions, at) {
-            continue;
-        }
-        if let Some(f) = innermost(new_fns, at) {
-            let line = index.line_of(at);
-            let lint_code = match fact {
-                Fact::Alloc => "a1",
-                Fact::Panic => "p1",
-                Fact::Taint => "d2",
-            };
-            let analyze_code = match fact {
-                Fact::Alloc => "ta1",
-                Fact::Panic => "tp1",
-                Fact::Taint => "td2",
-            };
-            let suppressed =
-                allows.allows(line, lint_code) || allows.allows(line, analyze_code);
-            new_fns[f].sites.push(Site { fact, what, line, suppressed });
+        for offset in hits {
+            let func = innermost(new_fns, offset).map(|f| first + f);
+            sites.push(Site { fact, what: what.clone(), offset, func });
         }
     }
 
@@ -242,7 +183,7 @@ pub fn parse_file(file: &SourceFile, file_idx: usize, fns: &mut Vec<FnDef>) -> F
         }
     }
 
-    FileModel { cleaned, tokens, index, allows, directive_errors, test_regions }
+    FileModel { cleaned, index, test_regions, allows, directive_errors, sites }
 }
 
 /// `(body range, type name)` for every `impl` block.
@@ -419,7 +360,6 @@ fn collect_fns(
             file: file_idx,
             line: index.line_of(at),
             body,
-            sites: Vec::new(),
             calls: Vec::new(),
         });
         i += 2;
@@ -519,9 +459,9 @@ mod tests {
 
     fn model(src: &str) -> (Vec<FnDef>, FileModel) {
         let file = SourceFile {
-            crate_name: "core".into(),
             rel_path: "crates/core/src/x.rs".into(),
             raw: src.into(),
+            class: FileClass { sim_crate: true, hot_module: false },
         };
         let mut fns = Vec::new();
         let fm = parse_file(&file, 0, &mut fns);
@@ -550,14 +490,14 @@ mod tests {
     fn sites_attach_to_the_innermost_fn() {
         let src = "fn outer() { let v: Vec<u8> = Vec::new(); }\n\
                    fn inner_host() { fn nested() { x.unwrap(); } nested(); }\n";
-        let (fns, _) = model(src);
-        assert_eq!(fns[0].sites.len(), 1);
-        assert_eq!(fns[0].sites[0].fact, Fact::Alloc);
-        let nested = fns.iter().find(|f| f.name == "nested").unwrap();
-        assert_eq!(nested.sites.len(), 1);
-        assert_eq!(nested.sites[0].fact, Fact::Panic);
-        let host = fns.iter().find(|f| f.name == "inner_host").unwrap();
-        assert!(host.sites.is_empty(), "nested site must not double-count");
+        let (fns, fm) = model(src);
+        let sites_of = |name: &str| -> Vec<Fact> {
+            let id = fns.iter().find(|f| f.name == name).unwrap().id;
+            fm.sites.iter().filter(|s| s.func == Some(id)).map(|s| s.fact).collect()
+        };
+        assert_eq!(sites_of("outer"), vec![Fact::Alloc]);
+        assert_eq!(sites_of("nested"), vec![Fact::Panic]);
+        assert!(sites_of("inner_host").is_empty(), "nested site must not double-count");
     }
 
     #[test]
@@ -580,20 +520,10 @@ mod tests {
     #[test]
     fn array_return_types_do_not_hide_bodies() {
         let src = "fn step(&self) -> [u8; 4] { let v = Vec::new(); [0; 4] }\n";
-        let (fns, _) = model(src);
+        let (fns, fm) = model(src);
         assert_eq!(fns.len(), 1);
-        assert_eq!(fns[0].sites.len(), 1, "body after `[u8; 4]` still parsed");
-    }
-
-    #[test]
-    fn lint_and_analyze_allows_suppress_sites() {
-        let src = "fn f() { x.unwrap() } // ds-lint: allow(p1) invariant documented here\n\
-                   fn g() { y.unwrap() } // ds-analyze: allow(tp1) checked by caller\n\
-                   fn h() { z.unwrap() }\n";
-        let (fns, _) = model(src);
-        assert!(fns[0].sites[0].suppressed);
-        assert!(fns[1].sites[0].suppressed);
-        assert!(!fns[2].sites[0].suppressed);
+        assert_eq!(fm.sites.len(), 1, "body after `[u8; 4]` still parsed");
+        assert_eq!(fm.sites[0].func, Some(0));
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! matched region discovery, and `#[cfg(test)]` exemption regions.
 //!
 //! The lexical groundwork (comment/string stripping, line mapping and
-//! the flat token stream) lives in [`crate::tokens`], shared with the
-//! `ds-analyze` call-graph analyzer; this module re-exports the pieces
-//! the rule checks use so existing imports keep working. The linter is
+//! the flat token stream) lives in [`crate::tokens`]; this module
+//! re-exports the pieces the rule checks use. The linter is
 //! deliberately dependency-free (the build environment is offline, and
 //! `syn` would be a heavyweight answer anyway): rules are expressed
 //! over a *cleaned* view of the source in which comments and
@@ -110,33 +109,6 @@ pub fn test_regions(cleaned: &str) -> Vec<(usize, usize)> {
     out
 }
 
-/// Byte ranges of the bodies of functions whose name satisfies `pred`.
-pub fn fn_bodies(cleaned: &str, pred: impl Fn(&str) -> bool) -> Vec<(usize, usize)> {
-    let b = cleaned.as_bytes();
-    let mut out = Vec::new();
-    for at in word_occurrences(cleaned, "fn") {
-        let mut i = at + 2;
-        while i < b.len() && (b[i] as char).is_whitespace() {
-            i += 1;
-        }
-        let name_start = i;
-        while i < b.len() && is_ident(b[i]) {
-            i += 1;
-        }
-        if i == name_start {
-            continue;
-        }
-        let name = &cleaned[name_start..i];
-        if !pred(name) {
-            continue;
-        }
-        if let Some(range) = brace_block(cleaned, i) {
-            out.push(range);
-        }
-    }
-    out
-}
-
 /// Plain substring occurrences (no boundary requirement).
 pub fn occurrences(text: &str, needle: &str) -> Vec<usize> {
     let mut out = Vec::new();
@@ -197,15 +169,6 @@ mod tests {
         let text = "a.unwrap() b.unwrap_or(0) c.unwrap () d.collect::<Vec<_>>()";
         assert_eq!(method_calls(text, "unwrap").len(), 2);
         assert_eq!(method_calls(text, "collect").len(), 1);
-    }
-
-    #[test]
-    fn fn_bodies_find_named_functions() {
-        let src = "fn step(&mut self) { let a = 1; }\nfn other() { }\nfn step_into(x: u8);";
-        let bodies = fn_bodies(src, |n| n.starts_with("step"));
-        assert_eq!(bodies.len(), 1, "bodyless decls skipped");
-        let (s, e) = bodies[0];
-        assert!(src[s..e].contains("let a = 1"));
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! The shared lexical layer: comment/string stripping, offset → line
+//! The lexical layer: comment/string stripping, offset → line
 //! mapping, and a flat token stream.
 //!
-//! Extracted from `scan.rs` so that `ds-analyze` (the interprocedural
-//! call-graph analyzer in `crates/analyze`) and `ds-lint` lex source
-//! text identically. Everything here operates on a *cleaned* view of
-//! the source in which comments and string/char literals are blanked
-//! out with spaces. Blanking preserves byte offsets and newlines, so
-//! every position in the cleaned text maps 1:1 onto the original file
-//! for diagnostics.
+//! The file-scope rules (`scan.rs`) and the call-graph model
+//! (`model.rs`) lex source text through this one module, so a site
+//! reads identically to both. Everything here operates on a *cleaned*
+//! view of the source in which comments and string/char literals are
+//! blanked out with spaces. Blanking preserves byte offsets and
+//! newlines, so every position in the cleaned text maps 1:1 onto the
+//! original file for diagnostics.
 //!
 //! The token stream is deliberately coarse: identifiers, single-byte
 //! punctuation, (blanked) string literals and lifetimes. Multi-byte
@@ -103,9 +103,7 @@ fn strip_impl(source: &str, blank_strings: bool) -> String {
                     hashes += 1;
                 }
                 out.push(b' ');
-                for _ in 0..hashes {
-                    out.push(b' ');
-                }
+                out.extend(std::iter::repeat_n(b' ', hashes));
                 out.push(b'"');
                 i = hash_start + hashes + 1;
                 'raw: while i < b.len() {
@@ -119,9 +117,7 @@ fn strip_impl(source: &str, blank_strings: bool) -> String {
                         }
                         if ok {
                             out.push(b'"');
-                            for _ in 0..hashes {
-                                out.push(b' ');
-                            }
+                            out.extend(std::iter::repeat_n(b' ', hashes));
                             i += 1 + hashes;
                             break 'raw;
                         }

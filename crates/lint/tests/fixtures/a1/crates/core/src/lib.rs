@@ -1,6 +1,6 @@
-//! Pass A fixture: an allocation hidden two calls below a cycle-loop
-//! root. The intraprocedural a1 rule cannot see it; ta1 must, and the
-//! diagnostic must carry the full chain.
+//! a1 fixture: an allocation hidden two calls below a cycle-loop
+//! root. No file-scope scan can see it; the call-graph rule must, and
+//! the diagnostic must carry the full chain.
 
 pub struct Node {
     scratch: Vec<u8>,
@@ -17,7 +17,7 @@ impl Node {
     }
 }
 
-// SEEDED VIOLATION (ta1): allocates, and is reachable from
+// SEEDED VIOLATION (a1): allocates, and is reachable from
 // Node::step_node via Node::refill.
 fn deep_helper(now: u64) -> usize {
     let v = vec![now; 4];
@@ -26,7 +26,7 @@ fn deep_helper(now: u64) -> usize {
 
 // Allowed twin: same shape, suppressed at the site — must NOT fire.
 fn allowed_helper(now: u64) -> usize {
-    // ds-analyze: allow(ta1) fixture: documented amortized growth
+    // ds-lint: allow(a1) fixture: documented amortized growth
     let v = vec![now; 4];
     v.len()
 }
@@ -40,7 +40,7 @@ pub fn tick_all(now: u64) -> usize {
 }
 
 // The critical-path analyzer's per-retirement family: `edge*` names
-// root the transitive passes like `step*`/`record*` do.
+// root the cycle path like `step*`/`record*` do.
 pub struct Win {
     pcs: [u64; 4],
     len: usize,
@@ -54,7 +54,7 @@ impl Win {
     }
 }
 
-// SEEDED VIOLATION (ta1): allocates, and is reachable from the
+// SEEDED VIOLATION (a1): allocates, and is reachable from the
 // `edge*` root Win::edge_retire.
 fn retire_scratch(pc: u64) -> usize {
     let v = vec![pc; 2];
@@ -62,8 +62,8 @@ fn retire_scratch(pc: u64) -> usize {
 }
 
 // The ds-chaos family: `inject*`/`fault*`/`watchdog*` names root the
-// transitive passes — the injector's delivery rewrite runs at every
-// fabric delivery of a faulted run.
+// cycle path — the injector's delivery rewrite runs at every fabric
+// delivery of a faulted run.
 pub struct Injector {
     held: [u64; 4],
     len: usize,
@@ -77,7 +77,7 @@ impl Injector {
     }
 }
 
-// SEEDED VIOLATION (ta1): allocates, and is reachable from the
+// SEEDED VIOLATION (a1): allocates, and is reachable from the
 // `inject*` root Injector::inject_step.
 fn held_scratch(now: u64) -> usize {
     let v = vec![now; 2];

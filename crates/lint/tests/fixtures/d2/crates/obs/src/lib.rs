@@ -1,6 +1,6 @@
-//! Pass B (td2) fixture: wall-clock and host-threading taint below
-//! `record*` roots — an instrumented probe must never time-stamp
-//! simulated events with host time, nor share state across threads.
+//! d2 fixture: wall-clock and host-threading tokens below `record*`
+//! roots — an instrumented probe must never time-stamp simulated
+//! events with host time, nor share state across threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -19,12 +19,12 @@ impl Probe {
     }
 }
 
-// SEEDED VIOLATION (td2): `Instant` taints Probe::record_event.
+// SEEDED VIOLATION (d2): `Instant` below Probe::record_event.
 fn stamp() -> u64 {
     Instant::now().elapsed().as_nanos() as u64
 }
 
-// SEEDED VIOLATION (td2): host threading below Probe::record_shared —
+// SEEDED VIOLATION (d2): host threading below Probe::record_shared —
 // the simulation crates are single-threaded.
 fn bump_shared() -> u64 {
     static HITS: AtomicU64 = AtomicU64::new(0);

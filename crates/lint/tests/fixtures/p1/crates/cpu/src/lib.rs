@@ -1,4 +1,4 @@
-//! Pass B (tp1) fixture: a panic path below an `advance_to*` root —
+//! p1 fixture: a panic path below an `advance_to*` root —
 //! the event-horizon engine's entry point family.
 
 pub struct Core {
@@ -10,7 +10,7 @@ impl Core {
         self.retire(cycle);
     }
 
-    // SEEDED VIOLATION (tp1): `.unwrap()` reachable from
+    // SEEDED VIOLATION (p1): `.unwrap()` reachable from
     // Core::advance_to via Core::retire.
     fn retire(&mut self, cycle: u64) -> u8 {
         self.slot(cycle).unwrap()
@@ -22,24 +22,24 @@ impl Core {
 }
 
 /// The critical-path analyzer's recording family: `edge*` names root
-/// the transitive passes too.
+/// the cycle path too.
 pub fn edge_note(core: &Core, cycle: u64) -> u8 {
     last_arrival(core, cycle)
 }
 
-// SEEDED VIOLATION (tp1): `.unwrap()` reachable from the `edge*` root
+// SEEDED VIOLATION (p1): `.unwrap()` reachable from the `edge*` root
 // edge_note via last_arrival.
 fn last_arrival(core: &Core, cycle: u64) -> u8 {
     core.slot(cycle).unwrap()
 }
 
-/// The ds-chaos family: `watchdog*` names root the transitive passes —
-/// the forward-progress check runs every cycle of a faulted run.
+/// The ds-chaos family: `watchdog*` names root the cycle path — the
+/// forward-progress check runs every cycle of a faulted run.
 pub fn watchdog_check(core: &Core, cycle: u64) -> u8 {
     stuck_probe(core, cycle)
 }
 
-// SEEDED VIOLATION (tp1): `.unwrap()` reachable from the `watchdog*`
+// SEEDED VIOLATION (p1): `.unwrap()` reachable from the `watchdog*`
 // root watchdog_check via stuck_probe.
 fn stuck_probe(core: &Core, cycle: u64) -> u8 {
     core.slot(cycle).unwrap()

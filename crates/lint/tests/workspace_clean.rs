@@ -27,21 +27,29 @@ fn workspace_lints_clean() {
 fn hot_modules_exist_where_the_linter_expects_them() {
     // If these paths move, ds-lint would silently stop policing them —
     // fail loudly instead so the path list gets updated.
-    for rel in [
-        "crates/core/src/system.rs",
-        "crates/core/src/node.rs",
-        "crates/core/src/pending.rs",
-        "crates/cpu/src/ooo.rs",
-        "crates/net/src/fabric.rs",
-        "crates/obs/src/ring.rs",
-        "crates/isa/src/opcode.rs",
-        "crates/cpu/src/exec.rs",
-        "docs/isa.md",
-    ] {
+    for rel in ds_lint::HOT_MODULES.iter().chain(&ds_lint::X1_PATHS) {
         assert!(
             workspace_root().join(rel).is_file(),
-            "{rel} is gone: update HOT_MODULES / X1 paths in crates/lint"
+            "{rel} is gone: update HOT_MODULES / X1_PATHS in crates/lint"
         );
+    }
+}
+
+#[test]
+fn rule_catalog_names_every_rule_hot_module_and_root_prefix() {
+    // Drift check in the spirit of x1: docs/analysis.md is the one
+    // catalog, so everything the linter polices must be named there.
+    let doc = std::fs::read_to_string(workspace_root().join("docs/analysis.md"))
+        .expect("read docs/analysis.md");
+    for rule in ds_lint::Rule::ALL.into_iter().chain([ds_lint::Rule::Directive]) {
+        assert!(doc.contains(&format!("### {rule} ")), "rule {rule} has no catalog section");
+    }
+    for path in ds_lint::HOT_MODULES {
+        assert!(doc.contains(path), "hot module {path} missing from the catalog");
+    }
+    for prefix in ds_lint::ROOT_PREFIXES {
+        let named = doc.contains(&format!("`{prefix}`"));
+        assert!(named, "root prefix `{prefix}` missing from the catalog");
     }
 }
 

@@ -234,7 +234,7 @@ impl Cache {
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, l)| l.lru)
-                // ds-analyze: allow(tp1) this branch requires set.len() >= assoc and assoc >= 1 is validated at construction
+                // ds-lint: allow(p1) this branch requires set.len() >= assoc and assoc >= 1 is validated at construction
                 .expect("non-empty set");
             let evicted = set.swap_remove(i);
             let line_base = (evicted.tag * self.num_sets + set_idx as u64) * self.config.line_bytes;

@@ -75,8 +75,9 @@ impl MemImage {
         let idx = match self.lookup(id) {
             Some(idx) => idx,
             None => {
-                // ds-analyze: allow(tp1) 2^32 chunks would be 2^48 bytes of simulated memory; the address space is 48-bit so the count cannot overflow
+                // ds-lint: allow(p1) 2^32 chunks would be 2^48 bytes of simulated memory; the address space is 48-bit so the count cannot overflow
                 let idx = u32::try_from(self.chunks.len()).expect("chunk count fits u32");
+                // ds-lint: allow(a1) first-touch chunk allocation: one 4 KiB vec per touched chunk for the whole run, amortized to zero on the steady-state cycle path
                 self.chunks.push(vec![0u8; CHUNK as usize].into_boxed_slice());
                 self.index.insert(id, idx);
                 self.memo.set(Some((id, idx)));

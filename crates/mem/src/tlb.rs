@@ -100,7 +100,7 @@ impl Tlb {
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.lru)
-                // ds-analyze: allow(tp1) this branch requires entries.len() >= assoc and assoc >= 1 is validated at construction
+                // ds-lint: allow(p1) this branch requires entries.len() >= assoc and assoc >= 1 is validated at construction
                 .expect("non-empty set");
             entries.swap_remove(i);
         }

@@ -284,6 +284,7 @@ impl Bus {
     /// Convenience wrapper over [`Bus::step_into`] — hot loops should
     /// pass a reused buffer to `step_into` instead.
     pub fn step(&mut self, now: Cycle) -> Vec<Delivery> {
+        // ds-lint: allow(a1) documented convenience wrapper; the engine's hot loops call step_into with a reused buffer (see fn docs)
         let mut out = Vec::new();
         self.step_into(now, &mut out);
         out

@@ -25,10 +25,10 @@
 //! the full segment is walked *then* — allocation-free, into a
 //! pre-allocated accumulator — and cleared, so attribution covers the
 //! whole run with a cache-resident buffer and nothing is ever dropped.
-//! (This file is a ds-lint hot module: the `edge*`/`charge*` recording
-//! path is a1-clean, and ds-analyze roots its transitive passes at
-//! `edge*` functions.) The report-time walk only covers the retained
-//! tail segment and folds it into a copy of the accumulator.
+//! (This file is a ds-lint hot module, and `edge*`/`charge*` functions
+//! root the cycle path a1 and p1 police, so the recording path is
+//! a1-clean all the way down.) The report-time walk only covers the
+//! retained tail segment and folds it into a copy of the accumulator.
 //!
 //! Segment boundaries cost a little precision: a producer retired in an
 //! already-flushed segment cannot be chased (the walk truncates there),

@@ -25,8 +25,8 @@
 //! are suppressed, so every emitted `t`/`f` has its `s` (checked by
 //! `obs_validate`).
 
-use crate::account::{CycleAccount, StallBucket};
-use crate::{EventKind, EventRing};
+use crate::account::StallBucket;
+use crate::{EventKind, EventRing, IntervalSample};
 use std::fmt::Write as _;
 
 /// One ring rendered under one process id.
@@ -168,16 +168,13 @@ pub fn trace_json_with(sources: &[TraceSource<'_>], extras: &[String]) -> String
 /// track (`tid` [`TID_STALLS`]) and appends the event objects to `out`
 /// (for [`trace_json_with`]'s `extras`).
 ///
-/// `samples` are `(cycle, cumulative_account)` snapshots taken *before*
-/// charging that cycle, in ascending cycle order; each emitted counter
-/// sample carries the per-bucket cycles spent since the previous
-/// snapshot. A final sample covers the partial interval from the last
-/// snapshot to `end_cycle` using `final_account`.
-pub fn stall_counter_events(
+/// `intervals` are the node's closed timeline intervals, oldest first
+/// ([`crate::IntervalRing::iter`]); each emitted counter sample sits at
+/// the interval's closing boundary and carries the per-bucket cycles
+/// charged inside it.
+pub fn stall_counter_events<'a>(
     pid: u32,
-    samples: &[(u64, CycleAccount)],
-    end_cycle: u64,
-    final_account: &CycleAccount,
+    intervals: impl Iterator<Item = &'a IntervalSample>,
     out: &mut Vec<String>,
 ) {
     let mut obj = String::with_capacity(256);
@@ -188,34 +185,22 @@ pub fn stall_counter_events(
     );
     out.push(obj);
 
-    let mut emit = |ts: u64, prev: &CycleAccount, cur: &CycleAccount| {
+    for s in intervals {
         let mut obj = String::with_capacity(256);
         let _ = write!(
             obj,
-            "{{\"name\":\"stall cycles\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\
-             \"tid\":{TID_STALLS},\"args\":{{"
+            "{{\"name\":\"stall cycles\",\"ph\":\"C\",\"ts\":{},\"pid\":{pid},\
+             \"tid\":{TID_STALLS},\"args\":{{",
+            s.start + s.len
         );
         for (i, b) in StallBucket::ALL.iter().enumerate() {
             if i > 0 {
                 obj.push(',');
             }
-            let _ = write!(obj, "\"{}\":{}", b.label(), cur.get(*b) - prev.get(*b));
+            let _ = write!(obj, "\"{}\":{}", b.label(), s.buckets[*b as usize]);
         }
         obj.push_str("}}");
         out.push(obj);
-    };
-
-    let mut prev = CycleAccount::default();
-    let mut prev_cycle = 0u64;
-    for (cycle, acct) in samples {
-        if *cycle > prev_cycle || prev_cycle == 0 {
-            emit(*cycle, &prev, acct);
-            prev = *acct;
-            prev_cycle = *cycle;
-        }
-    }
-    if end_cycle > prev_cycle && final_account.total() > prev.total() {
-        emit(end_cycle, &prev, final_account);
     }
 }
 
@@ -416,17 +401,18 @@ mod tests {
     #[test]
     fn stall_counter_track_emits_interval_deltas() {
         use crate::account::{CycleAccount, StallBucket};
-        let mut mid = CycleAccount::default();
+        let mut ring = crate::IntervalRing::with_capacity(4);
+        let mut acct = CycleAccount::default();
         for _ in 0..3 {
-            mid.charge(StallBucket::Committing);
+            acct.charge(StallBucket::Committing);
         }
-        mid.charge(StallBucket::Idle);
-        let mut fin = mid;
-        fin.charge(StallBucket::BshrWaitRemote);
-        fin.charge(StallBucket::BshrWaitRemote);
-        let samples = vec![(0u64, CycleAccount::default()), (4u64, mid)];
+        acct.charge(StallBucket::Idle);
+        ring.sample_close(4, 3, 0, 0, &acct);
+        acct.charge(StallBucket::BshrWaitRemote);
+        acct.charge(StallBucket::BshrWaitRemote);
+        ring.sample_close(6, 3, 0, 0, &acct);
         let mut extras = Vec::new();
-        stall_counter_events(0, &samples, 6, &fin, &mut extras);
+        stall_counter_events(0, ring.iter(), &mut extras);
         let text = trace_json_with(&[], &extras);
         let v = crate::json::parse(&text).expect("valid JSON");
         let events = v.get("traceEvents").and_then(Value::as_array).unwrap();
@@ -434,15 +420,27 @@ mod tests {
             .iter()
             .filter(|e| e.get("name").and_then(Value::as_str) == Some("stall cycles"))
             .collect();
-        assert_eq!(counters.len(), 3, "start, mid and final samples");
-        // The mid sample carries the cycles since the start snapshot.
-        let args = counters[1].get("args").unwrap();
+        assert_eq!(counters.len(), 2, "one sample per closed interval");
+        // Each sample sits at its interval's closing boundary and
+        // carries the cycles charged inside it.
+        assert_eq!(counters[0].get("ts").and_then(Value::as_f64), Some(4.0));
+        let args = counters[0].get("args").unwrap();
         assert_eq!(args.get("committing").and_then(Value::as_f64), Some(3.0));
         assert_eq!(args.get("idle").and_then(Value::as_f64), Some(1.0));
         // The final partial interval carries only the tail.
-        let args = counters[2].get("args").unwrap();
+        assert_eq!(counters[1].get("ts").and_then(Value::as_f64), Some(6.0));
+        let args = counters[1].get("args").unwrap();
         assert_eq!(args.get("bshr-wait-remote").and_then(Value::as_f64), Some(2.0));
         assert_eq!(args.get("committing").and_then(Value::as_f64), Some(0.0));
+        // Unwrapped ring: the deltas sum, bucket by bucket, to the
+        // cycle account they were closed against.
+        for b in StallBucket::ALL {
+            let sum: f64 = counters
+                .iter()
+                .map(|c| c.get("args").unwrap().get(b.label()).and_then(Value::as_f64).unwrap())
+                .sum();
+            assert_eq!(sum, acct.get(b) as f64, "{}", b.label());
+        }
         assert!(text.contains("\"name\":\"stalls\""), "stalls track named");
     }
 

@@ -12,11 +12,11 @@
 //! occupancy high-water mark, and how many of the interval's cycles the
 //! event-horizon engine skipped.
 //!
-//! The boundaries are the same `SAMPLE_INTERVAL` multiples the Perfetto
-//! `stalls` counter track snapshots at, and the ring follows the same
-//! overwrite-oldest + drop-counter discipline as [`crate::EventRing`]:
-//! this file is a ds-lint hot module, so the `sample*`/`note*` paths
-//! allocate nothing after construction.
+//! The Perfetto `stalls` counter track is rendered from these same
+//! intervals, and the ring follows the same overwrite-oldest +
+//! drop-counter discipline as [`crate::EventRing`]: this file is a
+//! ds-lint hot module, so the `sample*`/`note*` paths allocate nothing
+//! after construction.
 //!
 //! On top of the intervals, [`segment_phases`] runs a deterministic
 //! change-point pass (trailing-window smoothing, integer per-mille
@@ -28,10 +28,8 @@
 use crate::account::{CycleAccount, StallBucket, BUCKET_COUNT};
 use crate::Cycle;
 
-/// Cycles between timeline interval boundaries *and* Perfetto stall
-/// counter snapshots. There is exactly one cadence: both samplers close
-/// at multiples of this constant, so the two exports can never drift
-/// apart.
+/// Cycles between timeline interval boundaries (and therefore between
+/// Perfetto stall counter samples, which are rendered from them).
 pub const SAMPLE_INTERVAL: u64 = 4096;
 
 /// Default [`IntervalRing`] capacity: 1024 intervals cover a 4M-cycle

@@ -304,6 +304,24 @@ fn perfetto_trace_is_valid_json_with_monotonic_tracks() {
         text.contains("\"name\":\"stall cycles\""),
         "missing stall cycles counter events"
     );
+    // ...and, on a run that fits the interval ring, their deltas sum
+    // bucket by bucket to the node's whole-run cycle account.
+    for (pid, node) in sys.nodes().iter().enumerate() {
+        assert_eq!(node.timeline().dropped(), 0, "quick run must not wrap the interval ring");
+        for bucket in ds_obs::StallBucket::ALL {
+            let sum: f64 = events
+                .iter()
+                .filter(|e| {
+                    e.get("name").and_then(Value::as_str) == Some("stall cycles")
+                        && e.get("pid").and_then(Value::as_f64) == Some(pid as f64)
+                })
+                .map(|e| e.get("args").and_then(|a| a.get(bucket.label())).and_then(Value::as_f64))
+                .map(|delta| delta.expect("every sample carries every bucket"))
+                .sum();
+            let charged = node.cycle_account().get(bucket) as f64;
+            assert_eq!(sum, charged, "node {pid} {}", bucket.label());
+        }
+    }
     for pid in 0..4 {
         assert!(
             events.iter().any(|e| {
