@@ -7,7 +7,7 @@
 //! signature of longer datathreads).
 
 use ds_bench::report::Report;
-use ds_bench::{baseline_config, runner, Budget};
+use ds_bench::{baseline_config, expect_no_deadlock, runner, Budget};
 use ds_core::DsSystem;
 use ds_stats::{percent, ratio, Table};
 use ds_workloads::by_name;
@@ -28,7 +28,7 @@ fn main() {
         let mut config = baseline_config(2, budget.max_insts);
         config.dist_block_pages = block;
         let mut sys = DsSystem::new(config, &progs[wi]);
-        let r = sys.run().expect("runs");
+        let r = expect_no_deadlock(sys.run(), names[wi]);
         [
             block.to_string(),
             ratio(r.ipc()),

@@ -9,7 +9,7 @@
 //! engine of datathreading.
 
 use ds_bench::report::Report;
-use ds_bench::{baseline_config, runner, Budget};
+use ds_bench::{baseline_config, expect_no_deadlock, runner, Budget};
 use ds_core::{DsSystem, TraditionalConfig, TraditionalSystem};
 use ds_cpu::BranchModel;
 use ds_stats::{percent, ratio, Table};
@@ -33,9 +33,9 @@ fn main() {
         let mut config = baseline_config(2, budget.max_insts);
         config.core.branch = model;
         let mut ds = DsSystem::new(config.clone(), &progs[wi]);
-        let ds_r = ds.run().expect("runs");
+        let ds_r = expect_no_deadlock(ds.run(), set[wi].name);
         let mut trad = TraditionalSystem::new(&TraditionalConfig { base: config }, &progs[wi]);
-        let trad_r = trad.run().expect("runs");
+        let trad_r = expect_no_deadlock(trad.run(), set[wi].name);
         let s = &ds_r.nodes[0].core;
         let rate = if s.branches == 0 {
             0.0

@@ -6,7 +6,7 @@
 //! be sanity-checked.
 
 use ds_bench::report::Report;
-use ds_bench::{baseline_config, runner, Budget};
+use ds_bench::{baseline_config, expect_no_deadlock, runner, Budget};
 use ds_core::DsSystem;
 use ds_stats::{ratio, Table};
 use ds_workloads::by_name;
@@ -29,7 +29,7 @@ fn main() {
         config.bshr_entries = entries;
         config.bshr_access_cycles = access;
         let mut sys = DsSystem::new(config, &progs[wi]);
-        let r = sys.run().expect("runs");
+        let r = expect_no_deadlock(sys.run(), names[wi]);
         let occ = r.nodes.iter().map(|n| n.bshr.max_occupancy).max().unwrap_or(0);
         let ovf: u64 = r.nodes.iter().map(|n| n.bshr.overflows).sum();
         [

@@ -7,7 +7,7 @@
 //! "optical" fabric modelled as a core-clocked 64-byte-wide bus.
 
 use ds_bench::report::Report;
-use ds_bench::{baseline_config, runner, Budget};
+use ds_bench::{baseline_config, expect_no_deadlock, runner, Budget};
 use ds_core::DsSystem;
 use ds_net::FabricKind;
 use ds_stats::{ratio, Table};
@@ -36,7 +36,7 @@ fn main() {
             config.bus.width_bytes = 64;
         }
         let mut sys = DsSystem::new(config, &progs[wi]);
-        sys.run().expect("runs").ipc()
+        expect_no_deadlock(sys.run(), set[wi].name).ipc()
     });
     for (wi, w) in set.iter().enumerate() {
         let (bus, ring, optical) = (ipcs[wi * 3], ipcs[wi * 3 + 1], ipcs[wi * 3 + 2]);

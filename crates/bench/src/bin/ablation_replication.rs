@@ -7,7 +7,7 @@
 //! two-node machine.
 
 use ds_bench::report::Report;
-use ds_bench::{baseline_config, runner, Budget};
+use ds_bench::{baseline_config, expect_no_deadlock, runner, Budget};
 use ds_core::DsSystem;
 use ds_stats::{ratio, Table};
 use ds_trace::PageProfile;
@@ -36,7 +36,7 @@ fn main() {
         let mut config = config0.clone();
         config.replicated_vpns = ranked.iter().take(count).copied().collect();
         let mut sys = DsSystem::new(config, prog);
-        let r = sys.run().expect("runs");
+        let r = expect_no_deadlock(sys.run(), names[wi]);
         [
             format!("{percent_repl}%"),
             ratio(r.ipc()),

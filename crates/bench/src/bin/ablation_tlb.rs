@@ -7,7 +7,7 @@
 //! walk).
 
 use ds_bench::report::Report;
-use ds_bench::{baseline_config, runner, Budget};
+use ds_bench::{baseline_config, expect_no_deadlock, runner, Budget};
 use ds_core::{DsSystem, TraditionalConfig, TraditionalSystem};
 use ds_mem::TlbConfig;
 use ds_stats::{ratio, Table};
@@ -34,9 +34,9 @@ fn main() {
             page_bytes: config.page_bytes,
         });
         let mut ds = DsSystem::new(config.clone(), &progs[wi]);
-        let ds_r = ds.run().expect("runs");
+        let ds_r = expect_no_deadlock(ds.run(), names[wi]);
         let mut trad = TraditionalSystem::new(&TraditionalConfig { base: config }, &progs[wi]);
-        let trad_r = trad.run().expect("runs");
+        let trad_r = expect_no_deadlock(trad.run(), names[wi]);
         [
             entries.map_or("perfect".to_string(), |n| n.to_string()),
             ratio(ds_r.ipc()),

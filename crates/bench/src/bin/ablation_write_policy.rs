@@ -7,7 +7,7 @@
 //! policies on the two-node DataScalar machine.
 
 use ds_bench::report::Report;
-use ds_bench::{baseline_config, runner, Budget};
+use ds_bench::{baseline_config, expect_no_deadlock, runner, Budget};
 use ds_core::DsSystem;
 use ds_mem::WritePolicy;
 use ds_stats::{ratio, Table};
@@ -34,7 +34,7 @@ fn main() {
         let mut config = baseline_config(2, budget.max_insts);
         config.dcache.write_policy = POLICIES[pi];
         let mut sys = DsSystem::new(config, &progs[wi]);
-        sys.run().expect("runs")
+        expect_no_deadlock(sys.run(), set[wi].name)
     });
     for (wi, w) in set.iter().enumerate() {
         let (noalloc, alloc) = (&results[wi * 2], &results[wi * 2 + 1]);

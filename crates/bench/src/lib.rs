@@ -13,11 +13,12 @@
 //! | `figure8_sensitivity` | Figure 8 — go/compress sensitivity sweeps |
 //! | `table3_broadcast` | Table 3 — broadcast/BSHR statistics |
 //!
-//! The shared runners live here so Criterion benches, integration tests
-//! and the binaries measure exactly the same way. Run a binary with
+//! The shared runners live here so integration tests, the ledger in
+//! `benchmark/` and the binaries measure exactly the same way. Run a binary with
 //! `--quick` for a reduced instruction budget.
 
 use ds_core::{DsConfig, DsSystem, PerfectSystem, RunResult, TraditionalConfig, TraditionalSystem};
+use ds_cpu::ExecError;
 use ds_workloads::{figure7_set, Scale, Workload};
 
 pub mod regress;
@@ -41,7 +42,7 @@ impl Budget {
         Budget { max_insts: 400_000, scale: Scale::Small }
     }
 
-    /// A fast budget for smoke tests and Criterion.
+    /// A fast budget for smoke tests.
     pub fn quick() -> Self {
         Budget { max_insts: 40_000, scale: Scale::Tiny }
     }
@@ -63,10 +64,12 @@ pub fn baseline_config(nodes: usize, max_insts: u64) -> DsConfig {
     c
 }
 
-/// Unwraps a bench run, turning a watchdog trip into a loud failure
-/// with the full structured report: every published number comes from
-/// a run that actually finished.
-fn expect_no_deadlock(r: RunResult, what: &str) -> RunResult {
+/// Unwraps a bench run, turning a functional-execution error or a
+/// watchdog trip (with its full structured report) into a loud failure.
+/// The IPC of a watchdog-aborted run is a perfectly plausible number,
+/// so every harness that publishes one goes through here.
+pub fn expect_no_deadlock(run: Result<RunResult, ExecError>, what: &str) -> RunResult {
+    let r = run.unwrap_or_else(|e| panic!("{what} failed to execute: {e:?}"));
     if let Some(report) = &r.deadlock {
         panic!("{what} tripped the forward-progress watchdog:\n{report}");
     }
@@ -78,7 +81,7 @@ pub fn run_datascalar(w: &Workload, nodes: usize, budget: Budget) -> RunResult {
     let prog = (w.build)(budget.scale);
     let config = baseline_config(nodes, budget.max_insts);
     let mut sys = DsSystem::new(config, &prog);
-    expect_no_deadlock(sys.run().expect("workload executes"), w.name)
+    expect_no_deadlock(sys.run(), w.name)
 }
 
 /// IPC of the traditional system with a `1/nodes` on-chip share.
@@ -86,7 +89,7 @@ pub fn run_traditional(w: &Workload, nodes: usize, budget: Budget) -> RunResult 
     let prog = (w.build)(budget.scale);
     let config = TraditionalConfig { base: baseline_config(nodes, budget.max_insts) };
     let mut sys = TraditionalSystem::new(&config, &prog);
-    expect_no_deadlock(sys.run().expect("workload executes"), w.name)
+    expect_no_deadlock(sys.run(), w.name)
 }
 
 /// IPC of the perfect-data-cache upper bound.
@@ -94,7 +97,7 @@ pub fn run_perfect(w: &Workload, budget: Budget) -> RunResult {
     let prog = (w.build)(budget.scale);
     let config = baseline_config(1, budget.max_insts);
     let mut sys = PerfectSystem::new(&config, &prog);
-    expect_no_deadlock(sys.run().expect("workload executes"), w.name)
+    expect_no_deadlock(sys.run(), w.name)
 }
 
 /// One Figure 7 group: the five bars for one benchmark.
@@ -181,6 +184,19 @@ mod tests {
             row.ds4,
             row.trad_quarter
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "li tripped the forward-progress watchdog")]
+    fn a_watchdog_aborted_run_never_becomes_a_number() {
+        // A fuse shorter than one off-chip round trip: the run returns
+        // `Ok` with a plausible-looking IPC and a deadlock report.
+        let w = by_name("li").unwrap();
+        let b = Budget::quick();
+        let mut config = baseline_config(2, b.max_insts);
+        config.watchdog_cycles = 20;
+        let mut sys = TraditionalSystem::new(&TraditionalConfig { base: config }, &(w.build)(b.scale));
+        expect_no_deadlock(sys.run(), w.name);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! width, and RUU entries — for go and compress, across all five
 //! systems.
 
-use crate::{baseline_config, Budget};
+use crate::{baseline_config, expect_no_deadlock, Budget};
 use ds_core::{DsConfig, DsSystem, PerfectSystem, TraditionalConfig, TraditionalSystem};
 use ds_workloads::Workload;
 
@@ -94,20 +94,18 @@ pub fn sweep_point(w: &Workload, knob: Knob, budget: Budget) -> SweepPoint {
     let run_ds = |nodes: usize| {
         let mut c = baseline_config(nodes, budget.max_insts);
         knob.apply(&mut c);
-        DsSystem::new(c, &prog).run().expect("runs").ipc()
+        expect_no_deadlock(DsSystem::new(c, &prog).run(), w.name).ipc()
     };
     let run_trad = |nodes: usize| {
         let mut c = baseline_config(nodes, budget.max_insts);
         knob.apply(&mut c);
-        TraditionalSystem::new(&TraditionalConfig { base: c }, &prog)
-            .run()
-            .expect("runs")
-            .ipc()
+        let mut sys = TraditionalSystem::new(&TraditionalConfig { base: c }, &prog);
+        expect_no_deadlock(sys.run(), w.name).ipc()
     };
     let perfect = {
         let mut c = baseline_config(1, budget.max_insts);
         knob.apply(&mut c);
-        PerfectSystem::new(&c, &prog).run().expect("runs").ipc()
+        expect_no_deadlock(PerfectSystem::new(&c, &prog).run(), w.name).ipc()
     };
     SweepPoint {
         perfect,

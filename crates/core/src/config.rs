@@ -74,10 +74,12 @@ pub struct DsConfig {
     /// traditional request–response protocol for the rest of the run.
     pub bshr_retry_budget: u32,
     /// Disable event-horizon cycle skipping and run the naive
-    /// cycle-by-cycle reference loop. The skipping engine is
+    /// cycle-by-cycle reference loop. Means the same thing on all
+    /// three system models — they share one engine. Skipping is
     /// behavior-invariant (asserted by `tests/skip_equivalence.rs`
-    /// against this path), so the only reason to set this is that
-    /// equivalence check itself, or profiling the naive loop.
+    /// against this path on every machine), so the only reason to set
+    /// this is that equivalence check itself, or profiling the naive
+    /// loop.
     pub no_skip: bool,
 }
 

@@ -54,6 +54,7 @@ pub mod datathread;
 pub mod hybrid;
 pub mod linemap;
 pub mod mmm;
+mod engine;
 mod node;
 mod pending;
 pub mod perfect;

@@ -758,11 +758,6 @@ impl Node {
         self.core.committed()
     }
 
-    /// This node's trace cursor (for trace trimming).
-    pub(crate) fn fetch_cursor(&self) -> u64 {
-        self.core.fetch_cursor()
-    }
-
     /// True when no broadcast is waiting for its data-ready cycle.
     pub(crate) fn outgoing_is_empty(&self) -> bool {
         self.ms.outgoing.is_empty()
@@ -814,10 +809,10 @@ impl Node {
     }
 
     /// Charges `now` to exactly one stall bucket (top-down cycle
-    /// accounting). Called once per simulated cycle by `DsSystem::run`,
-    /// after the node stepped; `bus_busy` is whether the interconnect
-    /// was occupied this cycle. Hot path: one classification, one array
-    /// increment, no allocation.
+    /// accounting). Called once per simulated cycle by the machine's
+    /// `step_cycle`, after the node stepped; `bus_busy` is whether the
+    /// interconnect was occupied this cycle. Hot path: one
+    /// classification, one array increment, no allocation.
     #[cfg(feature = "obs")]
     pub(crate) fn charge_cycle(&mut self, now: Cycle, bus_busy: bool) {
         if now.is_multiple_of(SAMPLE_INTERVAL) {
@@ -914,7 +909,7 @@ impl Node {
     }
 
     /// Closes the final (possibly partial) timeline interval at the
-    /// run's end cycle. Called once by `DsSystem::finish_run`; a run
+    /// run's end cycle. Called once by `DsSystem::run`; a run
     /// ending exactly on an already-closed boundary is a no-op.
     #[cfg(feature = "obs")]
     pub(crate) fn close_timeline(&mut self, end: Cycle) {

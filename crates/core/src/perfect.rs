@@ -6,13 +6,13 @@
 //! nodes'; only data accesses are idealised.
 
 use crate::config::DsConfig;
+use crate::engine::{Engine, Machine};
 use crate::stats::{NodeStats, RunResult};
+use crate::watchdog::{DeadlockReport, NodeDeadlockState};
 use crate::Cycle;
 use ds_asm::Program;
-use ds_cpu::{
-    ExecError, ExecRecord, FuncCore, LoadResponse, MemSystem, OooCore, RuuTag, TraceSource,
-};
-use ds_mem::{AccessKind, Cache, CacheOutcome, MainMemory, MemImage};
+use ds_cpu::{ExecError, ExecRecord, LoadResponse, MemSystem, OooCore, RuuTag, TraceSource};
+use ds_mem::{AccessKind, Cache, CacheOutcome, MainMemory};
 
 #[derive(Debug)]
 struct PerfectMem {
@@ -49,17 +49,18 @@ impl MemSystem for PerfectMem {
 /// A single core with a perfect (single-cycle) data cache.
 #[derive(Debug)]
 pub struct PerfectSystem {
+    engine: Engine,
+    machine: PerfectMachine,
+}
+
+/// What the engine drives: one core and its idealised memory. A
+/// perfect cache cannot wedge on data, so the watchdog is pure parity
+/// with the other system models (a broken core model would still
+/// surface as a report rather than a hang).
+#[derive(Debug)]
+struct PerfectMachine {
     core: OooCore,
     ms: PerfectMem,
-    trace: TraceSource,
-    cycles: Cycle,
-    max_insts: u64,
-    watchdog_cycles: u64,
-    /// `Some` once the forward-progress watchdog has tripped. A perfect
-    /// cache cannot wedge on data, so this is pure parity with the
-    /// other system models (a broken core model would still surface as
-    /// a report rather than a hang).
-    deadlock: Option<Box<crate::watchdog::DeadlockReport>>,
     /// Cycle accounting (observational; a no-op ZST unless built with
     /// `obs`).
     probe: crate::node::NodeProbe,
@@ -68,10 +69,14 @@ pub struct PerfectSystem {
 impl PerfectSystem {
     /// Builds the perfect-cache comparator for `program`; core, I-cache
     /// and local-memory parameters are taken from `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is inconsistent
+    /// (see [`DsConfig::validate`]).
     pub fn new(config: &DsConfig, program: &Program) -> Self {
-        let mut mem = MemImage::new();
-        program.load(&mut mem);
-        PerfectSystem {
+        config.validate();
+        let machine = PerfectMachine {
             core: OooCore::new(config.core, config.icache.line_bytes),
             ms: PerfectMem {
                 icache: Cache::new(config.icache),
@@ -79,13 +84,9 @@ impl PerfectSystem {
                 line_bytes: config.icache.line_bytes,
                 stats: NodeStats::default(),
             },
-            trace: TraceSource::new(FuncCore::with_stack(program.entry, program.stack_top), mem),
-            cycles: 0,
-            max_insts: config.max_insts.unwrap_or(u64::MAX),
-            watchdog_cycles: config.watchdog_cycles,
-            deadlock: None,
             probe: Default::default(),
-        }
+        };
+        PerfectSystem { engine: Engine::new(config, program), machine }
     }
 
     /// Runs to completion (or the instruction cap).
@@ -94,53 +95,72 @@ impl PerfectSystem {
     ///
     /// Propagates functional-execution errors.
     pub fn run(&mut self) -> Result<RunResult, ExecError> {
-        let mut wd = crate::watchdog::ForwardProgress::new(self.watchdog_cycles);
-        while !self.core.is_done() && self.core.committed() < self.max_insts {
-            self.core.step(&mut self.ms, &mut self.trace, self.cycles)?;
-            #[cfg(feature = "obs")]
-            self.charge_cycle(self.cycles);
-            self.cycles += 1;
-            if self.cycles.is_multiple_of(1024) {
-                self.trace.trim(self.core.fetch_cursor());
-            }
-            if wd.watchdog_check(self.core.committed(), self.cycles) {
-                self.deadlock = Some(Box::new(crate::watchdog::DeadlockReport {
-                    cycle: self.cycles,
-                    committed: self.core.committed(),
-                    nodes: vec![crate::watchdog::NodeDeadlockState {
-                        node: 0,
-                        committed: self.core.committed(),
-                        oldest: self.core.oldest_entry(),
-                        ..Default::default()
-                    }],
-                    in_flight: Vec::new(),
-                    recent_events: Vec::new(),
-                }));
-                break;
-            }
-        }
-        let mut stats = self.ms.stats;
-        stats.core = *self.core.stats();
-        Ok(RunResult {
-            cycles: self.cycles,
-            committed: self.core.committed(),
-            nodes: vec![stats],
-            bus: Default::default(),
-            trace_window_high_water: self.trace.max_window_len(),
-            metrics: crate::node::single_core_metrics(&self.core, &self.probe, self.cycles),
-            deadlock: self.deadlock.clone(),
-        })
+        self.engine.run(&mut self.machine)?;
+        let m = &self.machine;
+        let mut stats = m.ms.stats;
+        stats.core = *m.core.stats();
+        Ok(self.engine.result(
+            m.core.committed(),
+            vec![stats],
+            Default::default(),
+            crate::node::single_core_metrics(&m.core, &m.probe, self.engine.cycles()),
+        ))
     }
 
-    /// Charges `now` to one stall bucket. Loads are always serviced in
-    /// one cycle here, so a remote wait can never arise; it maps to its
-    /// generic bucket for totality.
+    /// Cycles covered by event-horizon jumps instead of naive
+    /// iteration. Zero under `no_skip`; excluded from [`RunResult`] so
+    /// the two paths stay byte-comparable.
+    pub fn cycles_skipped(&self) -> u64 {
+        self.engine.cycles_skipped()
+    }
+}
+
+impl Machine for PerfectMachine {
+    fn step_cycle(&mut self, trace: &mut TraceSource, now: Cycle) -> Result<(), ExecError> {
+        self.core.step(&mut self.ms, trace, now)?;
+        #[cfg(feature = "obs")]
+        self.charge(now, 1);
+        Ok(())
+    }
+
+    fn each_core(&self, mut visit: impl FnMut(&OooCore)) {
+        visit(&self.core);
+    }
+
+    fn next_event(&self, now: Cycle) -> Cycle {
+        self.core.next_event(now)
+    }
+
+    fn advance_to(&mut self, now: Cycle, horizon: Cycle) {
+        self.core.advance_to(now, horizon);
+        #[cfg(feature = "obs")]
+        self.charge(now + 1, horizon - (now + 1));
+    }
+
+    fn deadlock_evidence(&self, _now: Cycle, report: &mut DeadlockReport) {
+        report.nodes.push(NodeDeadlockState {
+            node: 0,
+            committed: self.core.committed(),
+            oldest: self.core.oldest_entry(),
+            ..Default::default()
+        });
+        #[cfg(feature = "obs")]
+        report.recent_events.extend(self.core.events().iter().cloned());
+    }
+}
+
+impl PerfectMachine {
+    /// Charges the `n` cycles from `at` to the stall bucket `at`
+    /// classifies to (`n > 1` only for a quiescent block, which one
+    /// classification covers). Loads are always serviced in one cycle
+    /// here, so a remote wait can never arise; it maps to its generic
+    /// bucket for totality.
     #[cfg(feature = "obs")]
-    fn charge_cycle(&mut self, now: Cycle) {
-        let charge = crate::node::stall_bucket(self.core.stall_class(now), || {
+    fn charge(&mut self, at: Cycle, n: u64) {
+        let charge = crate::node::stall_bucket(self.core.stall_class(at), || {
             ds_obs::StallBucket::BshrWaitRemote
         });
-        crate::node::charge_block(&mut self.probe, charge, 1);
+        crate::node::charge_block(&mut self.probe, charge, n);
     }
 }
 
@@ -174,6 +194,13 @@ mod tests {
         assert!(r.committed > 0);
         assert!(r.ipc() > 1.0, "perfect cache should exceed 1 IPC, got {}", r.ipc());
         assert_eq!(r.nodes[0].loads_issued, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one node")]
+    fn rejects_an_inconsistent_config_like_the_other_machines() {
+        let prog = assemble(".text\nmain: halt\n").unwrap();
+        PerfectSystem::new(&DsConfig { nodes: 0, ..Default::default() }, &prog);
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! The complete DataScalar machine.
 
 use crate::config::DsConfig;
+use crate::engine::{self, Engine, Machine};
 use crate::node::Node;
 use crate::stats::RunResult;
-use crate::watchdog::{DeadlockReport, ForwardProgress};
+use crate::watchdog::DeadlockReport;
 use crate::Cycle;
 use ds_asm::Program;
-use ds_cpu::{ExecError, FuncCore, TraceSource};
-use ds_mem::{MemImage, PageTable, PageTableBuilder, Segment};
+use ds_cpu::{ExecError, OooCore, TraceSource};
+use ds_mem::{MemImage, PageTable};
 use ds_net::{Delivery, Fabric};
 use std::sync::Arc;
 
@@ -19,18 +20,21 @@ use std::sync::Arc;
 /// See the crate-level examples and `examples/quickstart.rs`.
 #[derive(Debug)]
 pub struct DsSystem {
+    engine: Engine,
+    machine: DsMachine,
+}
+
+/// What the engine drives: the nodes, the interconnect between them,
+/// and the observers that watch both.
+#[derive(Debug)]
+struct DsMachine {
     config: DsConfig,
     nodes: Vec<Node>,
     bus: Fabric,
-    trace: TraceSource,
     page_table: Arc<PageTable>,
-    cycles: Cycle,
-    /// Cycles advanced by event-horizon jumps rather than naive
-    /// iteration (diagnostic; not part of `RunResult`).
-    skipped: u64,
-    /// `Some` once the forward-progress watchdog has tripped: the run
-    /// terminated with this structured evidence instead of hanging.
-    deadlock: Option<Box<DeadlockReport>>,
+    /// This cycle's completed deliveries. Reused every cycle; the hot
+    /// loop allocates nothing.
+    deliveries: Vec<Delivery>,
     /// Cross-node commit-stream auditor (observational only).
     #[cfg(feature = "audit")]
     audit: crate::audit::SystemAudit,
@@ -52,36 +56,21 @@ impl DsSystem {
     /// (see [`DsConfig::validate`]).
     pub fn new(config: DsConfig, program: &Program) -> Self {
         config.validate();
-        let mut ptb = PageTableBuilder::new(config.page_bytes, config.nodes);
-        for (start, end, seg) in program.regions() {
-            ptb.add_region(start, end, seg);
-        }
-        if config.replicate_text {
-            ptb.replicate_segment(Segment::Text);
-        }
-        for &vpn in &config.replicated_vpns {
-            ptb.replicate_page_of(vpn * config.page_bytes);
-        }
-        ptb.distribute_round_robin(config.dist_block_pages);
-        let page_table = Arc::new(ptb.build());
-
-        let mut mem = MemImage::new();
-        program.load(&mut mem);
-        let trace = TraceSource::new(FuncCore::with_stack(program.entry, program.stack_top), mem);
-
+        // The ledger's `setup_s` is sensitive to this allocation order
+        // (see `drain_interconnect`).
+        let distribution = engine::page_distribution(&config, program);
+        let page_table = Arc::new(distribution.build());
+        let engine = Engine::new(&config, program);
         let mut bus_cfg = config.bus;
         bus_cfg.ports = config.nodes;
         let nodes = (0..config.nodes)
             .map(|i| Node::new(i, Arc::clone(&page_table), &config))
             .collect();
-        DsSystem {
+        let machine = DsMachine {
             bus: Fabric::with_chaos(config.interconnect, bus_cfg, &config.fault_plan),
             nodes,
-            trace,
             page_table,
-            cycles: 0,
-            skipped: 0,
-            deadlock: None,
+            deliveries: Vec::new(),
             #[cfg(feature = "audit")]
             audit: crate::audit::SystemAudit::new(config.nodes),
             #[cfg(feature = "obs")]
@@ -89,17 +78,18 @@ impl DsSystem {
             #[cfg(feature = "obs")]
             lead: (0, 0),
             config,
-        }
+        };
+        DsSystem { engine, machine }
     }
 
     /// The page table (replication/ownership map).
     pub fn page_table(&self) -> &PageTable {
-        &self.page_table
+        &self.machine.page_table
     }
 
     /// The nodes.
     pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+        &self.machine.nodes
     }
 
     /// Cycles covered by event-horizon jumps instead of naive
@@ -107,13 +97,13 @@ impl DsSystem {
     /// `config.no_skip`; excluded from [`RunResult`] so the two paths
     /// stay byte-comparable.
     pub fn cycles_skipped(&self) -> u64 {
-        self.skipped
+        self.engine.cycles_skipped()
     }
 
     /// Final memory image view (functional state; reflects execution up
     /// to the furthest point generated).
     pub fn mem(&self) -> &MemImage {
-        self.trace.mem()
+        self.engine.mem()
     }
 
     /// Runs until every node commits the whole program (or
@@ -130,254 +120,46 @@ impl DsSystem {
     /// Propagates functional-execution errors (undecodable
     /// instructions).
     pub fn run(&mut self) -> Result<RunResult, ExecError> {
-        let mut wd = ForwardProgress::new(self.config.watchdog_cycles);
-        // Reused every cycle; the hot loop allocates nothing.
-        let mut deliveries = Vec::new();
-        loop {
-            let now = self.cycles;
-            // 1. Every node simulates this cycle (the paper's simulator
-            //    "switches contexts after executing each cycle").
-            for node in &mut self.nodes {
-                node.step(&mut self.trace, now)?;
-            }
-            if self.cycle_tail(now, &mut wd, &mut deliveries) {
-                break;
-            }
-        }
-        Ok(self.finish_run())
-    }
-
-    /// Everything after node stepping in one simulated cycle: audit
-    /// absorption, lead tracking, cycle accounting, broadcast launch,
-    /// interconnect stepping, delivery, trace trimming, the watchdog,
-    /// the termination check, and (unless `config.no_skip` pins the
-    /// naive reference loop) the jump to the next event horizon.
-    /// Returns true when the run is over.
-    fn cycle_tail(
-        &mut self,
-        now: Cycle,
-        wd: &mut ForwardProgress,
-        deliveries: &mut Vec<Delivery>,
-    ) -> bool {
-        #[cfg(feature = "audit")]
-        self.absorb_audit();
-        #[cfg(feature = "obs")]
-        self.track_lead(now);
-        // Top-down cycle accounting: charge this cycle to exactly one
-        // bucket per node. Runs before `cycles += 1`, so every node's
-        // account total equals `cycles` exactly.
+        self.engine.run(&mut self.machine)?;
+        let end = self.engine.cycles();
         #[cfg(feature = "obs")]
         {
-            let bus_busy = !self.bus.is_idle();
-            for node in &mut self.nodes {
-                node.charge_cycle(now, bus_busy);
-            }
-        }
-        // 2. Ready broadcasts enter the bus.
-        for node in &mut self.nodes {
-            while let Some(msg) = node.next_outgoing(now) {
-                self.bus.enqueue(msg);
-            }
-        }
-        // 3. The bus advances; completed messages are delivered.
-        self.bus.step_into(now, deliveries);
-        for delivery in deliveries.iter() {
-            self.nodes[delivery.dest].deliver(&delivery.msg, now);
-        }
-        // 3b. BSHR hardening: expired waits escalate to retransmit
-        //     requests (or degraded direct requests). Polled after this
-        //     cycle's deliveries so an arrival at `now` always beats a
-        //     timeout at `now`. Gated — the fault-free path never scans.
-        if self.config.bshr_timeout_cycles.is_some() {
-            for node in &mut self.nodes {
-                node.poll_faults(now);
-            }
-        }
-        self.cycles += 1;
-        // 4. Trim the shared trace behind the slowest node.
-        if now.is_multiple_of(1024) {
-            self.trim_trace();
-        }
-        // Termination and the deadlock watchdog, in one pass: the same
-        // committed() read feeds the progress total and the done check.
-        let max_insts = self.config.max_insts.unwrap_or(u64::MAX);
-        let mut total: u64 = 0;
-        let mut all_done = true;
-        for n in &self.nodes {
-            let c = n.committed();
-            total += c;
-            all_done &= n.is_done() || c >= max_insts;
-        }
-        if wd.watchdog_check(total, self.cycles) {
-            // A stalled machine means the broadcast/BSHR pairing broke
-            // and (with hardening off or exhausted) no recovery exists:
-            // terminate with evidence instead of spinning or panicking.
-            self.deadlock = Some(Box::new(self.build_deadlock_report(now, total)));
-            return true;
-        }
-        let progressed = wd.watchdog_last_progress() == self.cycles;
-        if all_done {
-            return true;
-        }
-        // The horizon scan is gated on quiescence: a cycle that retired
-        // instructions never opens a skippable range (the committing
-        // core's next event is the very next cycle), so scanning after
-        // it would be pure overhead on busy phases. A stall episode
-        // that starts on a commit cycle is picked up one cycle later —
-        // at most one naive iteration per episode is "lost".
-        if !self.config.no_skip && !progressed {
-            self.advance_to_horizon(now, wd);
-        }
-        false
-    }
-
-    /// Drops trace records behind the slowest node's fetch cursor.
-    fn trim_trace(&mut self) {
-        let min = self.nodes.iter().map(Node::fetch_cursor).min().unwrap_or(0);
-        self.trace.trim(min);
-    }
-
-    /// The event-horizon jump. Called after the cycle at `now` fully
-    /// completed (`self.cycles == now + 1`): computes the earliest
-    /// future cycle any component's state can change — core event
-    /// heaps, fetch stalls, queued broadcasts, the interconnect — and,
-    /// when that horizon is beyond the next cycle, charges the skipped
-    /// quiescent cycles to their stall buckets and advances the clock
-    /// in one step. The horizon is clamped to the watchdog deadline so
-    /// a deadlocked machine still reaches its panic iteration naively.
-    /// Behavior-invariant by construction: every skipped cycle is one
-    /// the naive loop would have executed without changing any state
-    /// except these same stall counters.
-    fn advance_to_horizon(&mut self, now: Cycle, wd: &ForwardProgress) {
-        let mut horizon = self.bus.next_event(now);
-        for node in &self.nodes {
-            horizon = horizon.min(node.next_event(now));
-        }
-        horizon = horizon.min(wd.watchdog_deadline());
-        if horizon <= now + 1 {
-            return;
-        }
-        let skipped = horizon - (now + 1);
-        #[cfg(feature = "obs")]
-        let bus_busy = !self.bus.is_idle();
-        for node in &mut self.nodes {
-            node.advance_to(now, horizon);
-            #[cfg(feature = "obs")]
-            node.charge_skipped(now + 1, skipped, bus_busy);
-        }
-        // The naive loop trims at the end of every 1024-multiple cycle.
-        // Fetch cursors are frozen across the skipped range, so at most
-        // one trim matters: run it iff a 1024 boundary falls inside
-        // `[now + 1, horizon - 1]`.
-        if (now + 1).next_multiple_of(1024) < horizon {
-            self.trim_trace();
-        }
-        self.skipped += skipped;
-        self.cycles = horizon;
-    }
-
-    /// Assembles the structured evidence the run terminates with when
-    /// the forward-progress watchdog trips: per-node RUU/BSHR
-    /// snapshots, every message still on (or fault-deferred inside) the
-    /// interconnect, and the tail of the observability event rings.
-    /// Cold path — runs at most once per run.
-    fn build_deadlock_report(&self, now: Cycle, total: u64) -> DeadlockReport {
-        let mut report = DeadlockReport {
-            cycle: self.cycles,
-            committed: total,
-            nodes: self.nodes.iter().map(|n| n.deadlock_state(now)).collect(),
-            in_flight: Vec::new(),
-            recent_events: Vec::new(),
-        };
-        self.bus.pending_into(&mut report.in_flight);
-        #[cfg(feature = "obs")]
-        {
-            let mut evs: Vec<ds_obs::Event> = Vec::new();
-            for n in &self.nodes {
-                evs.extend(n.events().iter().cloned());
-            }
-            // Stable by cycle: ties keep node order, so the tail is
-            // deterministic across engines.
-            evs.sort_by_key(|e| e.cycle);
-            let tail = crate::watchdog::REPORT_EVENT_TAIL;
-            if evs.len() > tail {
-                evs.drain(..evs.len() - tail);
-            }
-            report.recent_events = evs;
-        }
-        report
-    }
-
-    /// Post-loop bookkeeping.
-    fn finish_run(&mut self) -> RunResult {
-        #[cfg(feature = "obs")]
-        {
-            self.close_lead_segment();
+            self.machine.close_lead_segment(end);
             // Close each node's final (partial) timeline interval at
             // the run's end cycle, so the interval deltas partition the
             // whole run.
-            let end = self.cycles;
-            for node in &mut self.nodes {
+            for node in &mut self.machine.nodes {
                 node.close_timeline(end);
             }
         }
         let result = self.result();
         // A deadlocked interconnect cannot drain (the wedged episode's
         // traffic never resolves); the report already captured it.
-        if self.deadlock.is_none() {
-            self.drain_interconnect();
+        if !self.engine.deadlocked() {
+            self.machine.drain_interconnect(end);
         }
         #[cfg(feature = "audit")]
         self.assert_audit_invariants();
-        result
-    }
-
-    /// Delivers every in-flight broadcast after the cores finish, so
-    /// the ESP send/consume ledgers balance (a node can retire its last
-    /// instruction while a reparative broadcast it triggered is still
-    /// queued). Runs outside the timed region — the reported cycle
-    /// count is the completion time.
-    fn drain_interconnect(&mut self) {
-        let mut t = self.cycles;
-        let deadline = t + 100_000_000;
-        let mut deliveries = Vec::new();
-        loop {
-            for node in &mut self.nodes {
-                while let Some(msg) = node.next_outgoing(t) {
-                    self.bus.enqueue(msg);
-                }
-            }
-            self.bus.step_into(t, &mut deliveries);
-            for delivery in &deliveries {
-                self.nodes[delivery.dest].deliver(&delivery.msg, t);
-            }
-            t += 1;
-            let quiescent = self.bus.is_idle()
-                && self.nodes.iter().all(|n| n.outgoing_is_empty());
-            if quiescent {
-                break;
-            }
-            assert!(t < deadline, "interconnect failed to drain");
-        }
+        // Released here, not at drop: see `drain_interconnect`.
+        self.machine.deliveries = Vec::new();
+        Ok(result)
     }
 
     /// The results accumulated so far.
     pub fn result(&self) -> RunResult {
-        RunResult {
-            cycles: self.cycles,
-            committed: self.nodes.iter().map(|n| n.committed()).min().unwrap_or(0),
-            nodes: self.nodes.iter().map(|n| n.stats()).collect(),
-            bus: *self.bus.stats(),
-            trace_window_high_water: self.trace.max_window_len(),
-            metrics: self.metrics(),
-            deadlock: self.deadlock.clone(),
-        }
+        let nodes = &self.machine.nodes;
+        self.engine.result(
+            nodes.iter().map(|n| n.committed()).min().unwrap_or(0),
+            nodes.iter().map(|n| n.stats()).collect(),
+            *self.machine.bus.stats(),
+            self.metrics(),
+        )
     }
 
     /// The fabric-level fault-injection counters: `None` when the run's
     /// `FaultPlan` was empty (no injector was built at all).
     pub fn fault_stats(&self) -> Option<&ds_net::FaultStats> {
-        self.bus.fault_stats()
+        self.machine.bus.fault_stats()
     }
 
     /// Derived event-stream metrics: `None` unless built with `obs`.
@@ -390,15 +172,141 @@ impl DsSystem {
     /// same committed count, every canonical cache must hold exactly
     /// the same lines with the same dirty bits.
     pub fn correspondence_holds(&self) -> bool {
-        let counts: Vec<u64> = self.nodes.iter().map(|n| n.committed()).collect();
+        let nodes = self.nodes();
+        let counts: Vec<u64> = nodes.iter().map(|n| n.committed()).collect();
         if counts.windows(2).any(|w| w[0] != w[1]) {
             // Only comparable at equal commit points.
             return true;
         }
-        let reference = self.nodes[0].canonical_cache_lines();
-        self.nodes
-            .iter()
-            .all(|n| n.canonical_cache_lines() == reference)
+        let reference = nodes[0].canonical_cache_lines();
+        nodes.iter().all(|n| n.canonical_cache_lines() == reference)
+    }
+}
+
+impl Machine for DsMachine {
+    fn step_cycle(&mut self, trace: &mut TraceSource, now: Cycle) -> Result<(), ExecError> {
+        // 1. Every node simulates this cycle (the paper's simulator
+        //    "switches contexts after executing each cycle").
+        for node in &mut self.nodes {
+            node.step(trace, now)?;
+        }
+        #[cfg(feature = "audit")]
+        self.absorb_audit();
+        #[cfg(feature = "obs")]
+        self.track_lead(now);
+        // Top-down cycle accounting: charge this cycle to exactly one
+        // bucket per node. Runs before the engine's `cycles += 1`, so
+        // every node's account total equals `cycles` exactly.
+        #[cfg(feature = "obs")]
+        {
+            let bus_busy = !self.bus.is_idle();
+            for node in &mut self.nodes {
+                node.charge_cycle(now, bus_busy);
+            }
+        }
+        // 2–3. Ready broadcasts launch; the bus steps and delivers.
+        launch_and_deliver(&mut self.nodes, &mut self.bus, now, &mut self.deliveries);
+        // 3b. BSHR hardening: expired waits escalate to retransmit
+        //     requests (or degraded direct requests). Polled after this
+        //     cycle's deliveries so an arrival at `now` always beats a
+        //     timeout at `now`. Gated — the fault-free path never scans.
+        if self.config.bshr_timeout_cycles.is_some() {
+            for node in &mut self.nodes {
+                node.poll_faults(now);
+            }
+        }
+        Ok(())
+    }
+
+    fn each_core(&self, mut visit: impl FnMut(&OooCore)) {
+        for node in &self.nodes {
+            visit(&node.core);
+        }
+    }
+
+    /// Core event heaps, fetch stalls, queued broadcasts, BSHR
+    /// deadlines and chaos-stall edges per node, plus the interconnect.
+    fn next_event(&self, now: Cycle) -> Cycle {
+        let mut horizon = self.bus.next_event(now);
+        for node in &self.nodes {
+            horizon = horizon.min(node.next_event(now));
+        }
+        horizon
+    }
+
+    fn advance_to(&mut self, now: Cycle, horizon: Cycle) {
+        #[cfg(feature = "obs")]
+        let bus_busy = !self.bus.is_idle();
+        for node in &mut self.nodes {
+            node.advance_to(now, horizon);
+            #[cfg(feature = "obs")]
+            node.charge_skipped(now + 1, horizon - (now + 1), bus_busy);
+        }
+    }
+
+    /// A stalled machine means the broadcast/BSHR pairing broke and
+    /// (with hardening off or exhausted) no recovery exists: per-node
+    /// RUU/BSHR snapshots, every message still on (or fault-deferred
+    /// inside) the interconnect, and the nodes' event rings.
+    fn deadlock_evidence(&self, now: Cycle, report: &mut DeadlockReport) {
+        report.nodes = self.nodes.iter().map(|n| n.deadlock_state(now)).collect();
+        self.bus.pending_into(&mut report.in_flight);
+        #[cfg(feature = "obs")]
+        for n in &self.nodes {
+            report.recent_events.extend(n.events().iter().cloned());
+        }
+    }
+}
+
+/// Steps 2 and 3 of a cycle: ready broadcasts enter the bus; the bus
+/// advances and completed messages are delivered. `deliveries` is the
+/// caller's reused scratch buffer.
+fn launch_and_deliver(
+    nodes: &mut [Node],
+    bus: &mut Fabric,
+    now: Cycle,
+    deliveries: &mut Vec<Delivery>,
+) {
+    for node in nodes.iter_mut() {
+        while let Some(msg) = node.next_outgoing(now) {
+            bus.enqueue(msg);
+        }
+    }
+    bus.step_into(now, deliveries);
+    for delivery in deliveries.iter() {
+        nodes[delivery.dest].deliver(&delivery.msg, now);
+    }
+}
+
+impl DsMachine {
+    /// Delivers every in-flight broadcast after the cores finish, so
+    /// the ESP send/consume ledgers balance (a node can retire its last
+    /// instruction while a reparative broadcast it triggered is still
+    /// queued). Runs outside the timed region — the reported cycle
+    /// count is the completion time.
+    ///
+    /// Drains into its own buffer, not the per-cycle one. Measured, not
+    /// taste: sharing it removes one 320-byte allocation per run, and
+    /// that alone moved the ledger's `setup_s` on `li.ds2.bus` from
+    /// 1.1 ms to 1.6 ms (bound 25%) — glibc trims the heap differently
+    /// after the run and the next rep's `Workload.build` page-faults
+    /// again. So build → new → run keeps the heap-operation sequence it
+    /// had before the engine split: this buffer, the allocation order
+    /// in `new`, and the per-cycle buffer's release at the end of `run`.
+    fn drain_interconnect(&mut self, end: Cycle) {
+        let mut t = end;
+        let deadline = t + 100_000_000;
+        let mut deliveries = Vec::new();
+        loop {
+            launch_and_deliver(&mut self.nodes, &mut self.bus, t, &mut deliveries);
+            t += 1;
+            let quiescent = self.bus.is_idle()
+                && self.nodes.iter().all(|n| n.outgoing_is_empty());
+            if quiescent {
+                break;
+            }
+            assert!(t < deadline, "interconnect failed to drain");
+        }
     }
 }
 
@@ -407,7 +315,7 @@ impl DsSystem {
 /// Observational only — an `obs` build produces the same cycles and
 /// stats (asserted by `tests/golden_stats.rs` under `--features obs`).
 #[cfg(feature = "obs")]
-impl DsSystem {
+impl DsMachine {
     /// Per-cycle lead tracking: the node with the most committed
     /// instructions holds the lead (ties to the lowest id, so lead
     /// changes are deterministic). A change of leader ends one
@@ -437,27 +345,30 @@ impl DsSystem {
         }
     }
 
-    /// Closes the final lead segment when the run ends, so every cycle
-    /// of the run is covered by exactly one datathread run.
-    fn close_lead_segment(&mut self) {
+    /// Closes the final lead segment when the run ends at `end`, so
+    /// every cycle of the run is covered by exactly one datathread run.
+    fn close_lead_segment(&mut self, end: Cycle) {
         use ds_obs::Probe as _;
         let (prev, since) = self.lead;
         self.probe.record(
-            self.cycles,
+            end,
             ds_obs::EventKind::LeadChange {
                 node: prev as u32,
-                held_cycles: self.cycles.saturating_sub(since),
+                held_cycles: end.saturating_sub(since),
             },
         );
-        self.lead = (prev, self.cycles);
+        self.lead = (prev, end);
     }
+}
 
+#[cfg(feature = "obs")]
+impl DsSystem {
     /// Folds every ring — per-node memory sides and cores, the
     /// interconnect, and the system's own lead events — into one
     /// [`ds_obs::MetricsReport`].
     fn metrics(&self) -> Option<ds_obs::MetricsReport> {
         let mut m = ds_obs::MetricsReport::default();
-        for (i, n) in self.nodes.iter().enumerate() {
+        for (i, n) in self.machine.nodes.iter().enumerate() {
             m.absorb(n.events());
             m.absorb(n.core_events());
             let acct = *n.cycle_account();
@@ -466,21 +377,21 @@ impl DsSystem {
             #[cfg(any(debug_assertions, feature = "audit"))]
             assert_eq!(
                 acct.total(),
-                self.cycles,
+                self.engine.cycles(),
                 "node {i} stall buckets must sum to total cycles"
             );
             let _ = i;
             m.node_accounts.push(acct);
         }
-        m.hot_pcs = ds_obs::top_hot_pcs(self.nodes.iter().map(|n| n.pc_profile()), 16);
-        for n in &self.nodes {
+        m.hot_pcs = ds_obs::top_hot_pcs(self.machine.nodes.iter().map(|n| n.pc_profile()), 16);
+        for n in &self.machine.nodes {
             m.critpath.nodes.push(n.crit_window().path_report());
         }
         m.timeline = self.timeline_report();
-        if let Some(ring) = self.bus.events() {
+        if let Some(ring) = self.machine.bus.events() {
             m.absorb(ring);
         }
-        m.absorb(self.probe.ring());
+        m.absorb(self.machine.probe.ring());
         Some(m)
     }
 
@@ -493,7 +404,7 @@ impl DsSystem {
         use ds_obs::StallBucket;
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in self.machine.nodes.iter().enumerate() {
             let acct = node.cycle_account();
             let profile = node.pc_profile();
             for b in StallBucket::ALL {
@@ -542,7 +453,7 @@ impl DsSystem {
     /// it without absorbing the event rings.
     pub fn timeline_report(&self) -> ds_obs::TimelineReport {
         let mut t = ds_obs::TimelineReport::default();
-        for n in &self.nodes {
+        for n in &self.machine.nodes {
             t.nodes.push(n.timeline().report());
         }
         t
@@ -578,7 +489,7 @@ impl DsSystem {
     pub fn critpath_folded(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in self.machine.nodes.iter().enumerate() {
             let rep = node.crit_window().path_report();
             for kind in ds_obs::EdgeKind::ALL {
                 let cycles = rep.kind(kind);
@@ -604,21 +515,21 @@ impl DsSystem {
     /// interconnect (grants).
     pub fn perfetto_trace(&self) -> String {
         use ds_obs::perfetto::TraceSource;
-        let n = self.nodes.len() as u32;
+        let n = self.machine.nodes.len() as u32;
         let names: Vec<String> = (0..n).map(|i| format!("node{i}")).collect();
         let mut sources: Vec<TraceSource<'_>> = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in self.machine.nodes.iter().enumerate() {
             sources.push(TraceSource { pid: i as u32, name: &names[i], ring: node.events() });
             sources.push(TraceSource { pid: i as u32, name: &names[i], ring: node.core_events() });
         }
-        sources.push(TraceSource { pid: n, name: "system", ring: self.probe.ring() });
-        if let Some(ring) = self.bus.events() {
+        sources.push(TraceSource { pid: n, name: "system", ring: self.machine.probe.ring() });
+        if let Some(ring) = self.machine.bus.events() {
             sources.push(TraceSource { pid: n + 1, name: "interconnect", ring });
         }
         // Stall-bucket occupancy counter tracks, one sample per closed
         // timeline interval (they live outside the event rings).
         let mut extras: Vec<String> = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in self.machine.nodes.iter().enumerate() {
             ds_obs::perfetto::stall_counter_events(i as u32, node.timeline().iter(), &mut extras);
         }
         ds_obs::perfetto::trace_json_with(&sources, &extras)
@@ -629,7 +540,7 @@ impl DsSystem {
 /// dynamic counterpart of the `ds-lint` static rules. Observational
 /// only — an audit build produces the same cycles and stats.
 #[cfg(feature = "audit")]
-impl DsSystem {
+impl DsMachine {
     /// Feeds every node's freshly recorded commit events into the
     /// shared reference stream, panicking at the first divergence.
     fn absorb_audit(&mut self) {
@@ -639,38 +550,41 @@ impl DsSystem {
             }
         }
     }
+}
 
+#[cfg(feature = "audit")]
+impl DsSystem {
     /// End-of-run ledger checks. Only meaningful for complete,
     /// fault-free runs: with injected faults the machine deadlocks
     /// before reaching here, and an instruction-budget stop leaves
     /// episodes legitimately in flight.
     fn assert_audit_invariants(&mut self) {
-        self.absorb_audit();
+        self.machine.absorb_audit();
         // The message ledger below assumes the pristine ESP protocol:
         // injected faults, retransmit re-broadcasts and degraded-mode
         // traffic all perturb the per-node arrival counts by design
         // (architectural state is still asserted equal by the chaos
         // test grid).
-        if !self.config.fault_plan.is_empty()
-            || self.config.bshr_timeout_cycles.is_some()
-            || self.deadlock.is_some()
+        if !self.machine.config.fault_plan.is_empty()
+            || self.machine.config.bshr_timeout_cycles.is_some()
+            || self.engine.deadlocked()
         {
             return;
         }
-        if !self.nodes.iter().all(|n| n.is_done()) {
+        if !self.machine.nodes.iter().all(|n| n.is_done()) {
             return;
         }
         assert!(
-            self.audit.aligned(),
+            self.machine.audit.aligned(),
             "audit: nodes finished with different mem-commit counts"
         );
         assert!(
             self.correspondence_holds(),
             "audit: canonical caches differ at end of run"
         );
-        let sent: Vec<u64> = self.nodes.iter().map(|n| n.stats().broadcasts_sent).collect();
+        let sent: Vec<u64> = self.machine.nodes.iter().map(|n| n.stats().broadcasts_sent).collect();
         let total: u64 = sent.iter().sum();
-        for (i, node) in self.nodes.iter().enumerate() {
+        for (i, node) in self.machine.nodes.iter().enumerate() {
             assert_eq!(
                 node.stats().bshr.arrivals,
                 total - sent[i],
@@ -686,7 +600,7 @@ impl DsSystem {
                 "audit: node {i} leaked DCUB entries past their residency episodes"
             );
         }
-        self.audit.add_checks(2 + 3 * self.nodes.len() as u64);
+        self.machine.audit.add_checks(2 + 3 * self.machine.nodes.len() as u64);
     }
 
     /// Number of audit assertions that have passed so far (per-commit
@@ -694,7 +608,7 @@ impl DsSystem {
     /// ledger checks). Exposed so tests can prove the auditor actually
     /// ran.
     pub fn audit_checks(&self) -> u64 {
-        self.audit.checks() + self.nodes.iter().map(|n| n.ms.audit.checks()).sum::<u64>()
+        self.machine.audit.checks() + self.machine.nodes.iter().map(|n| n.ms.audit.checks()).sum::<u64>()
     }
 }
 

@@ -11,19 +11,16 @@
 
 use crate::config::DsConfig;
 use crate::cub::Dcub;
+use crate::engine::{self, Engine, Machine};
 use crate::linemap::LineMap;
 use crate::pending::PendingQueue;
 use crate::stats::{NodeStats, RunResult};
+use crate::watchdog::{DeadlockReport, NodeDeadlockState};
 use crate::Cycle;
 use ds_asm::Program;
-use ds_cpu::{
-    ExecError, ExecRecord, FuncCore, LoadResponse, MemSystem, OooCore, RuuTag, TraceSource,
-};
-use ds_mem::{
-    AccessKind, Cache, CacheOutcome, MainMemory, MemImage, PageTable, PageTableBuilder, Segment,
-    Tlb, Victim,
-};
-use ds_net::{Bus, Message, MsgKind};
+use ds_cpu::{ExecError, ExecRecord, LoadResponse, MemSystem, OooCore, RuuTag, TraceSource};
+use ds_mem::{AccessKind, Cache, CacheOutcome, MainMemory, PageTable, Tlb, Victim};
+use ds_net::{Bus, Delivery, Message, MsgKind};
 use std::rc::Rc;
 
 /// Configuration of the traditional system.
@@ -212,6 +209,14 @@ impl MemSystem for TradMemSide {
 /// The traditional (request/response) IRAM system.
 #[derive(Debug)]
 pub struct TraditionalSystem {
+    engine: Engine,
+    machine: TradMachine,
+}
+
+/// What the engine drives: the CPU chip, the bus, and the memory chips
+/// behind it.
+#[derive(Debug)]
+struct TradMachine {
     core: OooCore,
     ms: TradMemSide,
     bus: Bus,
@@ -219,13 +224,10 @@ pub struct TraditionalSystem {
     remote_mem: MainMemory,
     /// Responses waiting for their data-ready cycle.
     pending_responses: PendingQueue,
-    trace: TraceSource,
-    cycles: Cycle,
-    max_insts: u64,
-    watchdog_cycles: u64,
     queue_penalty: u64,
-    /// `Some` once the forward-progress watchdog has tripped.
-    deadlock: Option<Box<crate::watchdog::DeadlockReport>>,
+    /// This cycle's completed deliveries. Reused every cycle; the hot
+    /// loop allocates nothing.
+    deliveries: Vec<Delivery>,
     /// Cycle accounting (observational; a no-op ZST unless built with
     /// `obs`).
     probe: crate::node::NodeProbe,
@@ -233,26 +235,22 @@ pub struct TraditionalSystem {
 
 impl TraditionalSystem {
     /// Builds the system for `program`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is inconsistent
+    /// (see [`DsConfig::validate`]).
     pub fn new(config: &TraditionalConfig, program: &Program) -> Self {
         let base = &config.base;
         base.validate();
-        // The same round-robin distribution as the DataScalar machine;
-        // "node 0" is the on-chip share.
-        let mut ptb = PageTableBuilder::new(base.page_bytes, base.nodes);
-        for (start, end, seg) in program.regions() {
-            ptb.add_region(start, end, seg);
-        }
-        if base.replicate_text {
-            ptb.replicate_segment(Segment::Text);
-        }
-        ptb.distribute_round_robin(base.dist_block_pages);
-        let pt = Rc::new(ptb.build());
-
-        let mut mem = MemImage::new();
-        program.load(&mut mem);
+        // The same distribution as the DataScalar machine; "node 0" is
+        // the on-chip share.
+        let distribution = engine::page_distribution(base, program);
+        let pt = Rc::new(distribution.build());
+        let engine = Engine::new(base, program);
         let mut bus_cfg = base.bus;
         bus_cfg.ports = 2;
-        TraditionalSystem {
+        let machine = TradMachine {
             core: OooCore::new(base.core, base.icache.line_bytes),
             ms: TradMemSide {
                 pt,
@@ -273,95 +271,113 @@ impl TraditionalSystem {
             bus: Bus::new(bus_cfg),
             remote_mem: MainMemory::new(base.memory),
             pending_responses: PendingQueue::new(),
-            trace: TraceSource::new(FuncCore::with_stack(program.entry, program.stack_top), mem),
-            cycles: 0,
-            max_insts: base.max_insts.unwrap_or(u64::MAX),
-            watchdog_cycles: base.watchdog_cycles,
             queue_penalty: base.queue_penalty,
-            deadlock: None,
+            deliveries: Vec::new(),
             probe: Default::default(),
-        }
+        };
+        TraditionalSystem { engine, machine }
     }
 
     /// Runs to completion (or the instruction cap). If no instruction
     /// commits for the configured watchdog window (a lost response —
     /// must not happen), the run terminates with a structured
-    /// [`crate::watchdog::DeadlockReport`] on `RunResult::deadlock`.
+    /// [`DeadlockReport`] on `RunResult::deadlock`.
     ///
     /// # Errors
     ///
     /// Propagates functional-execution errors.
     pub fn run(&mut self) -> Result<RunResult, ExecError> {
-        let mut wd = crate::watchdog::ForwardProgress::new(self.watchdog_cycles);
-        // Reused every cycle; the hot loop allocates nothing.
-        let mut deliveries = Vec::new();
-        while !self.core.is_done() && self.core.committed() < self.max_insts {
-            let now = self.cycles;
-            self.core.step(&mut self.ms, &mut self.trace, now)?;
-            #[cfg(feature = "obs")]
-            self.charge_cycle(now);
-            // Due CPU-side messages and memory-side responses enter the
-            // bus merged in (ready, seq) order, CPU side first on ties
-            // (the order the old merge-and-stable-sort produced).
-            loop {
-                let cpu = self.ms.outgoing.peek_due(now);
-                let mem = self.pending_responses.peek_due(now);
-                let msg = match (cpu, mem) {
-                    (Some(kc), Some(km)) if kc <= km => self.ms.outgoing.pop_due(now),
-                    (Some(_), Some(_)) | (None, Some(_)) => self.pending_responses.pop_due(now),
-                    (Some(_), None) => self.ms.outgoing.pop_due(now),
-                    (None, None) => None,
-                };
-                let Some(msg) = msg else { break };
-                self.bus.enqueue(msg);
-            }
-            self.bus.step_into(now, &mut deliveries);
-            // `deliveries` is a local scratch buffer, so iterating it
-            // while mutating `self` is fine.
-            let batch = std::mem::take(&mut deliveries);
-            for d in &batch {
-                self.on_delivery(d.msg, now);
-            }
-            deliveries = batch;
-            self.cycles += 1;
-            if now.is_multiple_of(1024) {
-                self.trace.trim(self.core.fetch_cursor());
-            }
-            if wd.watchdog_check(self.core.committed(), self.cycles) {
-                self.deadlock = Some(Box::new(self.build_deadlock_report()));
-                break;
-            }
-        }
+        self.engine.run(&mut self.machine)?;
         Ok(self.result())
     }
 
-    /// The structured evidence a wedged run terminates with (one-node
-    /// machine: the CPU side plus both bus directions). Cold path.
-    fn build_deadlock_report(&self) -> crate::watchdog::DeadlockReport {
-        let mut report = crate::watchdog::DeadlockReport {
-            cycle: self.cycles,
-            committed: self.core.committed(),
-            nodes: vec![crate::watchdog::NodeDeadlockState {
-                node: 0,
-                committed: self.core.committed(),
-                oldest: self.core.oldest_entry(),
-                bshr_waits: self.ms.waiting.entries().iter().map(|&(l, _)| l).collect(),
-                ..Default::default()
-            }],
-            in_flight: Vec::new(),
-            recent_events: Vec::new(),
-        };
-        self.bus.pending_into(&mut report.in_flight);
-        #[cfg(feature = "obs")]
-        {
-            let evs: Vec<ds_obs::Event> = self.core.events().iter().cloned().collect();
-            let tail = crate::watchdog::REPORT_EVENT_TAIL;
-            let skip = evs.len().saturating_sub(tail);
-            report.recent_events = evs.into_iter().skip(skip).collect();
-        }
-        report
+    /// Cycles covered by event-horizon jumps instead of naive
+    /// iteration. Zero under `no_skip`; excluded from [`RunResult`] so
+    /// the two paths stay byte-comparable.
+    pub fn cycles_skipped(&self) -> u64 {
+        self.engine.cycles_skipped()
     }
 
+    /// The results accumulated so far.
+    pub fn result(&self) -> RunResult {
+        let m = &self.machine;
+        let mut stats = m.ms.stats;
+        stats.core = *m.core.stats();
+        stats.dcub_max = m.ms.dcub.max_occupancy();
+        self.engine.result(
+            m.core.committed(),
+            vec![stats],
+            *m.bus.stats(),
+            crate::node::single_core_metrics(&m.core, &m.probe, self.engine.cycles()),
+        )
+    }
+}
+
+impl Machine for TradMachine {
+    fn step_cycle(&mut self, trace: &mut TraceSource, now: Cycle) -> Result<(), ExecError> {
+        self.core.step(&mut self.ms, trace, now)?;
+        #[cfg(feature = "obs")]
+        self.charge(now, 1);
+        // Due CPU-side messages and memory-side responses enter the
+        // bus merged in (ready, seq) order, CPU side first on ties
+        // (the order the old merge-and-stable-sort produced).
+        loop {
+            let cpu = self.ms.outgoing.peek_due(now);
+            let mem = self.pending_responses.peek_due(now);
+            let msg = match (cpu, mem) {
+                (Some(kc), Some(km)) if kc <= km => self.ms.outgoing.pop_due(now),
+                (Some(_), Some(_)) | (None, Some(_)) => self.pending_responses.pop_due(now),
+                (Some(_), None) => self.ms.outgoing.pop_due(now),
+                (None, None) => None,
+            };
+            let Some(msg) = msg else { break };
+            self.bus.enqueue(msg);
+        }
+        self.bus.step_into(now, &mut self.deliveries);
+        for i in 0..self.deliveries.len() {
+            self.on_delivery(self.deliveries[i].msg, now);
+        }
+        Ok(())
+    }
+
+    fn each_core(&self, mut visit: impl FnMut(&OooCore)) {
+        visit(&self.core);
+    }
+
+    /// The core's own horizon, the first cycle a queued message in
+    /// either direction becomes bus-ready, and the bus.
+    fn next_event(&self, now: Cycle) -> Cycle {
+        let mut horizon = self.core.next_event(now).min(self.bus.next_event(now));
+        for queue in [&self.ms.outgoing, &self.pending_responses] {
+            if let Some(ready) = queue.next_ready() {
+                horizon = horizon.min(ready.max(now + 1));
+            }
+        }
+        horizon
+    }
+
+    fn advance_to(&mut self, now: Cycle, horizon: Cycle) {
+        self.core.advance_to(now, horizon);
+        #[cfg(feature = "obs")]
+        self.charge(now + 1, horizon - (now + 1));
+    }
+
+    /// One-node machine: the CPU side plus both bus directions.
+    fn deadlock_evidence(&self, _now: Cycle, report: &mut DeadlockReport) {
+        report.nodes.push(NodeDeadlockState {
+            node: 0,
+            committed: self.core.committed(),
+            oldest: self.core.oldest_entry(),
+            bshr_waits: self.ms.waiting.entries().iter().map(|&(l, _)| l).collect(),
+            ..Default::default()
+        });
+        self.bus.pending_into(&mut report.in_flight);
+        #[cfg(feature = "obs")]
+        report.recent_events.extend(self.core.events().iter().cloned());
+    }
+}
+
+impl TradMachine {
     fn on_delivery(&mut self, msg: Message, now: Cycle) {
         match msg.kind {
             MsgKind::Request => {
@@ -404,38 +420,24 @@ impl TraditionalSystem {
         }
     }
 
-    /// Charges `now` to one stall bucket. No BSHR exists here, so a
-    /// remote wait is a generic off-chip request/response wait: charged
-    /// to bus contention while the bus is occupied, otherwise to the
+    /// Charges the `n` cycles from `at` to the stall bucket `at`
+    /// classifies to (`n > 1` only for a quiescent block, which one
+    /// classification covers). No BSHR exists here, so a remote wait is
+    /// a generic off-chip request/response wait: charged to bus
+    /// contention while the bus is occupied, otherwise to the
     /// `bshr-wait-remote` bucket in its generic "waiting on remote
     /// data" reading.
     #[cfg(feature = "obs")]
-    fn charge_cycle(&mut self, now: Cycle) {
+    fn charge(&mut self, at: Cycle, n: u64) {
         use ds_obs::StallBucket;
-        let charge = crate::node::stall_bucket(self.core.stall_class(now), || {
+        let charge = crate::node::stall_bucket(self.core.stall_class(at), || {
             if self.bus.is_idle() {
                 StallBucket::BshrWaitRemote
             } else {
                 StallBucket::BusContentionWait
             }
         });
-        crate::node::charge_block(&mut self.probe, charge, 1);
-    }
-
-    /// The results accumulated so far.
-    pub fn result(&self) -> RunResult {
-        let mut stats = self.ms.stats;
-        stats.core = *self.core.stats();
-        stats.dcub_max = self.ms.dcub.max_occupancy();
-        RunResult {
-            cycles: self.cycles,
-            committed: self.core.committed(),
-            nodes: vec![stats],
-            bus: *self.bus.stats(),
-            trace_window_high_water: self.trace.max_window_len(),
-            metrics: crate::node::single_core_metrics(&self.core, &self.probe, self.cycles),
-            deadlock: self.deadlock.clone(),
-        }
+        crate::node::charge_block(&mut self.probe, charge, n);
     }
 }
 

@@ -6,11 +6,11 @@
 //! deadlocks" (§1). Under ds-chaos fault injection that failure surface
 //! is exercised on purpose, so a hung run must terminate with evidence,
 //! not spin: [`ForwardProgress`] watches the committed-instruction
-//! total and trips after a configurable quiet window, and the system
-//! models respond by assembling a [`DeadlockReport`] — per-node oldest
-//! RUU entry, BSHR residents, in-flight interconnect messages, and the
-//! tail of the observability event ring — instead of panicking or
-//! hanging.
+//! total and trips after a configurable quiet window, and the engine
+//! (the one run loop of all three system models) responds by
+//! assembling a [`DeadlockReport`] — per-node oldest RUU entry, BSHR
+//! residents, in-flight interconnect messages, and the tail of the
+//! observability event ring — instead of panicking or hanging.
 //!
 //! The check itself is hot-path code (one call per monitored cycle
 //! range) and is an analyze root (`watchdog*`): allocation-free,

@@ -669,10 +669,11 @@ fn doc_contains_mnemonic(doc: &str, mnemonic: &str) -> bool {
 pub const SIM_CRATES: [&str; 6] = ["core", "cpu", "mem", "net", "trace", "obs"];
 
 /// The cycle-loop hot modules p1 polices in full (workspace-relative).
-/// chaos.rs and watchdog.rs are hot because the fault injector runs at
+/// engine.rs is the one run loop; chaos.rs and watchdog.rs are hot because the fault injector runs at
 /// every fabric delivery and the forward-progress check at every
 /// cycle of a faulted run.
-pub const HOT_MODULES: [&str; 11] = [
+pub const HOT_MODULES: [&str; 12] = [
+    "crates/core/src/engine.rs",
     "crates/core/src/system.rs",
     "crates/core/src/node.rs",
     "crates/core/src/pending.rs",
@@ -687,7 +688,9 @@ pub const HOT_MODULES: [&str; 11] = [
 ];
 
 /// Function-name prefixes that root the cycle path a1 and p1 police:
-/// the per-cycle stepping entry points (`step*`/`tick*`), the probe's
+/// the per-cycle stepping entry points (`step*`/`tick*` — including
+/// `Machine::step_cycle`, the engine's per-cycle hook, so the loop body
+/// of all three system models is a root), the probe's
 /// per-event record path (`record*`), per-cycle stall accounting
 /// (`charge*`), the event-horizon engine (`next_event*`/`advance_to*`),
 /// the critical-path analyzer's per-retirement edge recording
@@ -696,7 +699,7 @@ pub const HOT_MODULES: [&str; 11] = [
 /// (`inject*`/`fault*`/`watchdog*` — the fault injector's delivery
 /// rewrite and rule matching plus the forward-progress check).
 /// Report-time walks allocate on purpose and therefore carry non-root
-/// names (`path_report`, `report`, `merged`, `build_deadlock_report`).
+/// names (`path_report`, `report`, `merged`, `deadlock_evidence`).
 pub const ROOT_PREFIXES: [&str; 12] = [
     "step",
     "tick",

@@ -121,16 +121,31 @@ fn real_workspace_is_clean() {
 /// The PR-7 audit targets stay inside the proven region: the stall
 /// accounting entry point is a root and its classification helpers are
 /// reachable, so any future allocation/panic slipped into them becomes
-/// an a1/p1 finding rather than a silent regression.
+/// an a1/p1 finding rather than a silent regression. Likewise the loop
+/// body itself: the engine's per-cycle hook is a root on all three
+/// system models, and what only it calls is reachable.
 #[test]
 fn stall_accounting_helpers_are_in_the_proven_region() {
     let w = load(&workspace_root());
     let roots = w.roots_by_prefix(&ROOT_PREFIXES);
     let by_name = |q: &str| w.fns.iter().find(|f| f.qualified() == q);
-    let charge = by_name("Node::charge_cycle").expect("Node::charge_cycle exists");
-    assert!(roots.contains(&charge.id), "charge_cycle is a cycle-loop root");
+    for q in [
+        "Node::charge_cycle",
+        "DsMachine::step_cycle",
+        "TradMachine::step_cycle",
+        "PerfectMachine::step_cycle",
+    ] {
+        let f = by_name(q).unwrap_or_else(|| panic!("{q} exists"));
+        assert!(roots.contains(&f.id), "{q} is a cycle-loop root");
+    }
     let parent = w.reach(&roots);
-    for q in ["Node::classify_stall", "OooCore::stall_class"] {
+    for q in [
+        "Node::classify_stall",
+        "OooCore::stall_class",
+        "Node::deliver",
+        "Bshr::on_arrival",
+        "TradMachine::on_delivery",
+    ] {
         let f = by_name(q).unwrap_or_else(|| panic!("{q} exists"));
         assert!(parent[f.id].is_some(), "{q} is reachable from the cycle-loop roots");
     }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full verification: build, tests, invariant lint, audit, clippy, and
-# the throughput benchmark gated against the committed baseline.
+# Full verification: build, published-results check, tests, invariant
+# lint, audit, clippy, and the throughput benchmark gated against the
+# committed baseline.
 #
 # Usage: scripts/verify.sh [--fast | --no-bench]
 #
@@ -49,6 +50,11 @@ fi
 
 echo "== cargo build --release"
 cargo build --workspace --release
+
+echo "== results/*.txt are what the harness binaries print (regen_results.sh --check)"
+# Before the obs smoke below relinks figure7_ipc with recording on: the
+# committed tables come from the plain build.
+scripts/regen_results.sh --check
 
 echo "== cargo test"
 cargo test --workspace -q

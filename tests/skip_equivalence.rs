@@ -15,30 +15,63 @@
 //! compared against the retained `no_skip` reference path. A second
 //! pass narrows the machine (tiny RUU/LSQ, a real D-TLB) so the
 //! window-full and translation stall classes appear in the skipped
-//! ranges too.
+//! ranges too. All three system models run through the one engine, so
+//! the traditional and perfect comparators get the same grid, the same
+//! "skipping actually skips" guard, and the same watchdog-parity check.
 
-use datascalar::core_model::{DsConfig, DsSystem, RunResult};
+use datascalar::core_model::{
+    DsConfig, DsSystem, PerfectSystem, RunResult, TraditionalConfig, TraditionalSystem,
+};
 use datascalar::workloads::by_name;
 use ds_bench::Budget;
 
-/// Runs one workload under `config` and returns its full result.
-fn run_with(config: DsConfig, workload: &str, budget: Budget) -> RunResult {
-    let w = by_name(workload).expect("known workload");
-    let prog = (w.build)(budget.scale);
-    let mut sys = DsSystem::new(config, &prog);
-    sys.run().expect("workload executes")
+/// Which of the three system models to build from a `DsConfig`.
+#[derive(Debug, Clone, Copy)]
+enum Model {
+    DataScalar,
+    Traditional,
+    Perfect,
 }
 
-/// Asserts the two engines agree exactly on `base`.
-fn assert_engines_agree(base: DsConfig, workload: &str, budget: Budget, label: &str) {
+/// Runs one workload on `model` under `config`; returns its full result
+/// and the cycles covered by horizon jumps.
+fn run_on(model: Model, config: DsConfig, workload: &str, budget: Budget) -> (RunResult, u64) {
+    let w = by_name(workload).expect("known workload");
+    let prog = (w.build)(budget.scale);
+    match model {
+        Model::DataScalar => {
+            let mut sys = DsSystem::new(config, &prog);
+            (sys.run().expect("workload executes"), sys.cycles_skipped())
+        }
+        Model::Traditional => {
+            let mut sys = TraditionalSystem::new(&TraditionalConfig { base: config }, &prog);
+            (sys.run().expect("workload executes"), sys.cycles_skipped())
+        }
+        Model::Perfect => {
+            let mut sys = PerfectSystem::new(&config, &prog);
+            (sys.run().expect("workload executes"), sys.cycles_skipped())
+        }
+    }
+}
+
+/// Asserts the two engines agree exactly on `base`; returns the agreed
+/// result.
+fn assert_engines_agree(
+    model: Model,
+    base: DsConfig,
+    workload: &str,
+    budget: Budget,
+    label: &str,
+) -> RunResult {
     let mut reference = base.clone();
     reference.no_skip = true;
-    let naive = run_with(reference, workload, budget);
+    let (naive, _) = run_on(model, reference, workload, budget);
 
     let mut skipping = base;
     skipping.no_skip = false;
-    let skipped = run_with(skipping, workload, budget);
+    let (skipped, _) = run_on(model, skipping, workload, budget);
     assert_eq!(skipped, naive, "horizon skipping diverged from the naive loop on {label}");
+    skipped
 }
 
 #[test]
@@ -51,7 +84,7 @@ fn engines_agree_across_the_figure7_grid() {
                 config.max_insts = Some(budget.max_insts);
                 config.interconnect = fabric;
                 let label = format!("{workload}/{nodes} nodes/{fabric:?}");
-                assert_engines_agree(config, workload, budget, &label);
+                assert_engines_agree(Model::DataScalar, config, workload, budget, &label);
             }
         }
     }
@@ -75,7 +108,24 @@ fn engines_agree_on_a_narrow_machine() {
             config.core.lsq_entries = 8;
             config.tlb = Some(ds_mem::TlbConfig { entries: 8, assoc: 2, page_bytes: 4096 });
             let label = format!("narrow {workload}/{fabric:?}");
-            assert_engines_agree(config, workload, budget, &label);
+            assert_engines_agree(Model::DataScalar, config, workload, budget, &label);
+        }
+    }
+}
+
+#[test]
+fn engines_agree_on_the_comparators() {
+    // Traditional at 1/2 and 1/4 on-chip, and the perfect-cache bound
+    // (which ignores the node count).
+    let budget = Budget::quick();
+    for workload in ["compress", "go", "li", "wave5"] {
+        for (model, nodes) in
+            [(Model::Traditional, 2usize), (Model::Traditional, 4), (Model::Perfect, 1)]
+        {
+            let mut config = DsConfig::with_nodes(nodes);
+            config.max_insts = Some(budget.max_insts);
+            let label = format!("{workload}/{model:?}/{nodes}");
+            assert_engines_agree(model, config, workload, budget, &label);
         }
     }
 }
@@ -85,24 +135,44 @@ fn skipping_actually_skips() {
     // Guard against the engine silently degenerating into the naive
     // loop: on a remote-wait-heavy run a substantial share of the
     // cycles must be covered by horizon jumps, and the reference path
-    // must report none.
+    // must report none. li on the traditional machine is one long
+    // chain of request round-trips: most of its cycles are skippable.
     let budget = Budget::quick();
-    let w = by_name("compress").expect("known workload");
-    let prog = (w.build)(budget.scale);
-    let mut config = DsConfig::with_nodes(4);
-    config.max_insts = Some(budget.max_insts);
+    for (model, workload, nodes, min_share) in [
+        (Model::DataScalar, "compress", 4usize, 0.1),
+        (Model::Traditional, "li", 2, 0.5),
+    ] {
+        let mut config = DsConfig::with_nodes(nodes);
+        config.max_insts = Some(budget.max_insts);
 
-    let mut sys = DsSystem::new(config.clone(), &prog);
-    let r = sys.run().expect("workload executes");
-    assert!(
-        sys.cycles_skipped() > r.cycles / 10,
-        "expected a material share of {} cycles skipped, got {}",
-        r.cycles,
-        sys.cycles_skipped()
-    );
+        let (r, skipped) = run_on(model, config.clone(), workload, budget);
+        assert!(
+            skipped as f64 > r.cycles as f64 * min_share,
+            "{model:?}/{workload}: expected over {min_share} of {} cycles skipped, got {skipped}",
+            r.cycles,
+        );
 
-    config.no_skip = true;
-    let mut reference = DsSystem::new(config, &prog);
-    reference.run().expect("workload executes");
-    assert_eq!(reference.cycles_skipped(), 0, "the reference path must never skip");
+        config.no_skip = true;
+        let (_, skipped) = run_on(model, config, workload, budget);
+        assert_eq!(skipped, 0, "{model:?}: the reference path must never skip");
+    }
+}
+
+#[test]
+fn watchdog_trips_identically_under_both_engines() {
+    // A fuse far shorter than the first off-chip round trip (or, on
+    // the perfect machine, than the first I-cache fill): the run must
+    // end in a deadlock report, at the same cycle with the same
+    // evidence whether the quiet cycles were stepped or skipped — the
+    // horizon is clamped to the watchdog deadline.
+    let budget = Budget::quick();
+    for (model, fuse) in [(Model::DataScalar, 20), (Model::Traditional, 20), (Model::Perfect, 3)] {
+        let mut config = DsConfig::with_nodes(2);
+        config.max_insts = Some(budget.max_insts);
+        config.watchdog_cycles = fuse;
+        let label = format!("{model:?} with a {fuse}-cycle fuse");
+        let r = assert_engines_agree(model, config, "li", budget, &label);
+        let report = r.deadlock.unwrap_or_else(|| panic!("{label} must trip the watchdog"));
+        assert_eq!(report.cycle, r.cycles, "{label}");
+    }
 }
