@@ -21,7 +21,6 @@ use ds_core::{DsConfig, DsSystem, PerfectSystem, RunResult, TraditionalConfig, T
 use ds_cpu::ExecError;
 use ds_workloads::{figure7_set, Scale, Workload};
 
-pub mod regress;
 pub mod report;
 pub mod runner;
 pub mod sweep;

@@ -69,7 +69,7 @@ impl StallBucket {
     ];
 
     /// Stable kebab-case label (folded-stack frames, Perfetto args,
-    /// `ds-report` keys).
+    /// ds-ledger `obs.stall.*` metric names).
     pub const fn label(self) -> &'static str {
         match self {
             StallBucket::Committing => "committing",

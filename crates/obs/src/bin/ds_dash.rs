@@ -1,5 +1,5 @@
-//! `ds-dash`: renders `--json` experiment results and `--history`
-//! throughput rows into one self-contained HTML dashboard.
+//! `ds-dash`: renders `--json` experiment results into one
+//! self-contained HTML dashboard.
 //!
 //! Dependency-free by design (parsing via [`ds_obs::json`], hand-rolled
 //! SVG): the output is a single file with no external scripts, styles,
@@ -7,7 +7,7 @@
 //! years later and still render. Per timeline label the dashboard
 //! shows an IPC sparkline, a stacked stall-share ribbon per node (one
 //! colour per [`StallBucket`]), and the segmented phases with their
-//! dominant stall; `--history` adds a combined-throughput trend strip.
+//! dominant stall.
 //!
 //! The exact input documents are embedded verbatim in a
 //! `<script type="application/json" id="ds-dash-data">` payload, so
@@ -15,9 +15,12 @@
 //! pictures without re-running anything.
 //!
 //! ```text
-//! ds-dash --json fig7.json [--json more.json ...] \
-//!         [--history BENCH_history.jsonl ...] [--out dash.html]
+//! ds-dash --json fig7.json [--json more.json ...] [--out dash.html]
 //! ```
+//!
+//! Bad input — a flag without its value, an unreadable or unparseable
+//! `--json` file, an unwritable `--out` — is a one-line
+//! `ds-dash: <path>: <reason>` on stderr and exit status 2.
 
 use ds_obs::json::{self, Value};
 use ds_obs::StallBucket;
@@ -51,60 +54,42 @@ const SPARK_W: f64 = 720.0;
 const SPARK_H: f64 = 56.0;
 const RIBBON_H: f64 = 72.0;
 
+const USAGE: &str = "usage: ds-dash --json <result.json>... [--out <dash.html>]";
+
 fn main() {
+    if let Err(e) = run(std::env::args().skip(1)) {
+        eprintln!("ds-dash: {e}");
+        std::process::exit(2);
+    }
+}
+
+fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut json_paths: Vec<String> = Vec::new();
-    let mut history_paths: Vec<String> = Vec::new();
     let mut out_path = String::from("ds-dash.html");
-    let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{a} takes a path"));
         match a.as_str() {
-            "--json" => json_paths.push(args.next().expect("--json takes a path")),
-            "--history" => history_paths.push(args.next().expect("--history takes a path")),
-            "--out" => out_path = args.next().expect("--out takes a path"),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: ds-dash --json <result.json>... \
-                     [--history <BENCH_history.jsonl>...] [--out <dash.html>]"
-                );
-                std::process::exit(2);
-            }
+            "--json" => json_paths.push(value()?),
+            "--out" => out_path = value()?,
+            other => return Err(format!("unknown argument: {other} ({USAGE})")),
         }
     }
-    if json_paths.is_empty() && history_paths.is_empty() {
-        eprintln!("ds-dash: nothing to render (pass --json and/or --history)");
-        std::process::exit(2);
+    if json_paths.is_empty() {
+        return Err(format!("pass at least one --json ({USAGE})"));
     }
 
     let mut results = Vec::new();
-    for path in &json_paths {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read --json {path}: {e}"));
-        let doc = json::parse(&text)
-            .unwrap_or_else(|e| panic!("--json {path}: parse error: {e:?}"));
-        results.push(ResultDoc { path: path.clone(), text, doc });
+    for path in json_paths {
+        let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+        let doc = json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        results.push(ResultDoc { path, text, doc });
     }
-    let mut history_lines: Vec<String> = Vec::new();
-    for path in &history_paths {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read --history {path}: {e}"));
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            json::parse(line)
-                .unwrap_or_else(|e| panic!("--history {path} line {}: {e:?}", i + 1));
-            history_lines.push(line.to_string());
-        }
-    }
-
-    let html = render(&results, &history_lines);
-    std::fs::write(&out_path, html)
-        .unwrap_or_else(|e| panic!("cannot write --out {out_path}: {e}"));
+    std::fs::write(&out_path, render(&results)).map_err(|e| format!("{out_path}: {e}"))?;
     eprintln!("wrote {out_path}");
+    Ok(())
 }
 
-fn render(results: &[ResultDoc], history_lines: &[String]) -> String {
+fn render(results: &[ResultDoc]) -> String {
     let mut out = String::with_capacity(64 * 1024);
     out.push_str(
         "<!doctype html>\n<html lang=\"en\">\n<head>\n<meta charset=\"utf-8\">\n\
@@ -145,12 +130,8 @@ fn render(results: &[ResultDoc], history_lines: &[String]) -> String {
         }
     }
 
-    if !history_lines.is_empty() {
-        render_history(&mut out, history_lines);
-    }
-
     out.push_str("<script type=\"application/json\" id=\"ds-dash-data\">\n");
-    out.push_str(&payload(results, history_lines));
+    out.push_str(&payload(results));
     out.push_str("\n</script>\n</body>\n</html>\n");
     out
 }
@@ -158,20 +139,13 @@ fn render(results: &[ResultDoc], history_lines: &[String]) -> String {
 /// The machine-readable payload: every input document embedded
 /// verbatim. `</` is escaped to `<\/` (a legal JSON escape) so no
 /// embedded string can terminate the surrounding `<script>` element.
-fn payload(results: &[ResultDoc], history_lines: &[String]) -> String {
+fn payload(results: &[ResultDoc]) -> String {
     let mut p = String::from("{\"tool\":\"ds-dash\",\"results\":[");
     for (i, r) in results.iter().enumerate() {
         if i > 0 {
             p.push(',');
         }
         let _ = write!(p, "{{\"path\":{},\"doc\":{}}}", json_escape(&r.path), r.text.trim());
-    }
-    p.push_str("],\"history\":[");
-    for (i, line) in history_lines.iter().enumerate() {
-        if i > 0 {
-            p.push(',');
-        }
-        p.push_str(line.trim());
     }
     p.push_str("]}");
     p.replace("</", "<\\/")
@@ -368,47 +342,6 @@ fn push_phase_table(out: &mut String, node: &Value) {
     out.push_str("</table>\n");
 }
 
-/// Combined-throughput trend over the appended history rows.
-fn render_history(out: &mut String, lines: &[String]) {
-    let values: Vec<f64> = lines
-        .iter()
-        .filter_map(|l| {
-            json::parse(l).ok()?.get("combined_insts_per_sec").and_then(Value::as_f64)
-        })
-        .collect();
-    let _ = writeln!(
-        out,
-        "<h2>Throughput history <span class=\"muted\">({} rows)</span></h2>",
-        values.len()
-    );
-    if values.is_empty() {
-        out.push_str("<p class=\"muted\">no parsable history rows</p>\n");
-        return;
-    }
-    let max = values.iter().copied().fold(0.0_f64, f64::max).max(1e-9);
-    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let _ = write!(
-        out,
-        "<svg width=\"{SPARK_W}\" height=\"{SPARK_H}\" viewBox=\"0 0 {SPARK_W} {SPARK_H}\" \
-         role=\"img\" aria-label=\"combined insts per second over runs\">\
-         <polyline fill=\"none\" stroke=\"#2e7d32\" stroke-width=\"1.5\" points=\""
-    );
-    let step = SPARK_W / values.len().max(2) as f64;
-    for (i, v) in values.iter().enumerate() {
-        let x = step * (i as f64 + 0.5);
-        let y = SPARK_H - 4.0 - (v / max) * (SPARK_H - 8.0);
-        let _ = write!(out, "{x:.1},{y:.1} ");
-    }
-    out.push_str("\"/>");
-    let _ = write!(
-        out,
-        "<text x=\"4\" y=\"12\" font-size=\"10\" fill=\"#2e7d32\">\
-         insts/s (min {min:.0}, max {max:.0}, latest {:.0})</text>",
-        values[values.len() - 1]
-    );
-    out.push_str("</svg>\n");
-}
-
 fn esc_html(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -463,7 +396,7 @@ mod tests {
 
     #[test]
     fn renders_self_contained_html_with_payload() {
-        let html = render(&[sample_doc()], &[]);
+        let html = render(&[sample_doc()]);
         assert!(html.starts_with("<!doctype html>"));
         assert!(html.contains("id=\"ds-dash-data\""));
         assert!(html.contains("compress/ds2"));
@@ -476,7 +409,7 @@ mod tests {
 
     #[test]
     fn payload_parses_and_embeds_documents_verbatim() {
-        let html = render(&[sample_doc()], &["{\"v\": 1, \"combined_insts_per_sec\": 9}".into()]);
+        let html = render(&[sample_doc()]);
         let start = html.find("id=\"ds-dash-data\">").unwrap() + "id=\"ds-dash-data\">".len();
         let end = html[start..].find("</script>").unwrap() + start;
         let p = json::parse(&html[start..end].replace("<\\/", "</")).expect("payload parses");
@@ -484,8 +417,6 @@ mod tests {
         assert_eq!(results[0].get("path").and_then(Value::as_str), Some("unit.json"));
         let tl = results[0].get("doc").unwrap().get("timeline").unwrap();
         assert!(tl.get("compress/ds2").is_some());
-        let hist = p.get("history").and_then(Value::as_array).unwrap();
-        assert_eq!(hist[0].get("combined_insts_per_sec").and_then(Value::as_f64), Some(9.0));
     }
 
     #[test]
@@ -494,7 +425,7 @@ mod tests {
         d.path = "evil</script><b>.json".into();
         d.text = d.text.replace("\"binary\":\"t\"", "\"binary\":\"x</script>y\"");
         d.doc = json::parse(&d.text).unwrap();
-        let html = render(&[d], &[]);
+        let html = render(&[d]);
         let payload_start = html.find("id=\"ds-dash-data\">").unwrap();
         let payload_end = payload_start + html[payload_start..].find("</script>").unwrap();
         // The only `</script>` after the payload opener is the real one.
@@ -503,13 +434,27 @@ mod tests {
     }
 
     #[test]
-    fn history_only_invocation_renders_a_trend() {
-        let rows = vec![
-            "{\"v\": 1, \"combined_insts_per_sec\": 100}".to_string(),
-            "{\"v\": 1, \"combined_insts_per_sec\": 140}".to_string(),
-        ];
-        let html = render(&[], &rows);
-        assert!(html.contains("Throughput history"));
-        assert!(html.contains("latest 140"));
+    fn bad_input_is_a_one_line_error_not_a_panic() {
+        let err = |args: &[&str]| run(args.iter().map(|a| a.to_string())).unwrap_err();
+        assert!(err(&["--json"]).starts_with("--json takes a path"));
+        assert!(err(&["--json", "a.json", "--out"]).starts_with("--out takes a path"));
+        assert!(err(&[]).starts_with("pass at least one --json"));
+
+        let dir = std::env::temp_dir().join(format!("ds-dash-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let missing = dir.join("missing.json").display().to_string();
+        assert!(err(&["--json", &missing]).starts_with(&format!("{missing}: ")));
+
+        let truncated = dir.join("truncated.json").display().to_string();
+        std::fs::write(&truncated, "{\"schema\":\"ds-bench-result/v1\",\"tables\":[").unwrap();
+        let e = err(&["--json", &truncated]);
+        assert!(e.starts_with(&format!("{truncated}: JSON parse error")), "{e}");
+
+        // A readable document but an unwritable --out (no such directory).
+        let ok = dir.join("ok.json").display().to_string();
+        std::fs::write(&ok, "{}").unwrap();
+        let out = dir.join("no-such-dir/dash.html").display().to_string();
+        assert!(err(&["--json", &ok, "--out", &out]).starts_with(&format!("{out}: ")));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,18 +1,19 @@
 //! Validates machine-readable experiment output: parses each argument
 //! as JSON and, when the document carries a known schema, checks its
-//! required members. Used by `scripts/verify.sh` to gate the `--json`,
-//! `--trace-out` and `--history` emitters.
+//! required members. Used by `scripts/verify.sh` to gate the `--json`
+//! and `--trace-out` emitters.
 //!
 //! Checks per shape:
 //!
 //! * `ds-bench-result/v1`: required members, table row/header widths,
-//!   and — when a `critpath` member is present — edge-class shares in
-//!   range and summing to ~1 per label.
+//!   and — when present — the `critpath` member (edge-class shares in
+//!   range and summing to ~1 per label) and the `timeline` member
+//!   (interval rows are the 18-number contract with bucket columns
+//!   summing to the interval length, strictly increasing starts, and
+//!   phases that partition the recorded intervals).
 //! * Perfetto traces (`traceEvents`): per-track timestamp monotonicity,
 //!   non-failing dropped-event warnings, and broadcast flow-id pairing
 //!   (every `ph:"t"`/`"f"` flow step must name an emitted `ph:"s"` id).
-//! * `*.jsonl` (e.g. `BENCH_history.jsonl`): every line a `v: 1` row
-//!   with engine, budget, workloads and combined throughput counters.
 //! * `*.html` (a `ds-dash` dashboard): the embedded
 //!   `id="ds-dash-data"` JSON payload must parse, and every embedded
 //!   result document is re-checked as if passed directly — the numbers
@@ -21,22 +22,23 @@
 //!   its plan label, fault counters, and the two verdicts
 //!   (`matches_baseline`, `watchdog_fired`); a run that diverged from
 //!   the fault-free baseline or tripped the watchdog fails validation.
-//! * Other plain JSON (e.g. `BENCH_throughput.json`): parsing, plus the
-//!   critpath- and timeline-member checks when present. Timeline
-//!   interval rows must be the 18-number contract with bucket columns
-//!   summing to the interval length, strictly increasing starts, and
-//!   phases that partition the recorded intervals.
+//!
+//! Anything else — a `.jsonl` path, JSON with neither a `schema` member
+//! nor `traceEvents` — is an error, not a pass.
 //!
 //! Exit status: 0 when every file parses (and passes its schema
 //! check), 1 otherwise.
 
 use ds_obs::json::{self, Value};
 
+const UNRECOGNISED: &str = "unrecognised document (expected ds-bench-result/v1, \
+     ds-chaos-result/v1, a Perfetto trace, or a ds-dash .html)";
+
 fn check(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
     if path.ends_with(".jsonl") {
-        return check_history(&text);
+        return Err(UNRECOGNISED.into());
     }
+    let text = std::fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
     if path.ends_with(".html") {
         return check_dash_html(&text);
     }
@@ -50,13 +52,7 @@ fn check_value(v: &Value) -> Result<(), String> {
         Some("ds-chaos-result/v1") => check_chaos_result(v),
         Some(other) => Err(format!("unknown schema `{other}`")),
         None if v.get("traceEvents").is_some() => check_trace(v),
-        // Plain JSON (e.g. BENCH_throughput.json): parsing is the bulk
-        // of the check, but critpath/timeline members must still be
-        // well-formed.
-        None => {
-            check_critpath_member(v)?;
-            check_timeline_member(v)
-        }
+        None => Err(UNRECOGNISED.into()),
     }
 }
 
@@ -82,17 +78,6 @@ fn check_dash_html(text: &str) -> Result<(), String> {
         let path = r.get("path").and_then(Value::as_str).unwrap_or("?");
         let doc = r.get("doc").ok_or_else(|| format!("result `{path}` lacks `doc`"))?;
         check_value(doc).map_err(|e| format!("embedded `{path}`: {e}"))?;
-    }
-    for (i, row) in p
-        .get("history")
-        .and_then(Value::as_array)
-        .unwrap_or(&[])
-        .iter()
-        .enumerate()
-    {
-        if row.get("v").is_none() {
-            return Err(format!("embedded history row {i} lacks `v`"));
-        }
     }
     Ok(())
 }
@@ -188,11 +173,11 @@ fn check_chaos_result(v: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks a `critpath` member (shared by `ds-bench-result/v1` and
-/// `BENCH_throughput.json`): each labelled entry carries the four
-/// edge-class shares, each in `[0, 1]`, summing to ~1 whenever any
-/// cycles were attributed. Absent or `null` members pass — obs-off
-/// builds legitimately have nothing to report.
+/// Checks the `critpath` member of a `ds-bench-result/v1` document:
+/// each labelled entry carries the four edge-class shares, each in
+/// `[0, 1]`, summing to ~1 whenever any cycles were attributed. Absent
+/// or `null` members pass — obs-off builds legitimately have nothing to
+/// report.
 fn check_critpath_member(v: &Value) -> Result<(), String> {
     let entries = match v.get("critpath") {
         Some(Value::Obj(entries)) => entries,
@@ -230,16 +215,14 @@ fn check_critpath_member(v: &Value) -> Result<(), String> {
             // Coverage warning, non-failing: a starved window (most
             // retirements dropped, only the tail attributed) makes the
             // class shares unrepresentative of the run. Segment
-            // flushing keeps current producers at zero drops; this
-            // tripwire stays armed for regressions and for validating
-            // old pre-segmentation baselines, which must keep passing.
+            // flushing keeps producers at zero drops; this tripwire
+            // stays armed for regressions.
             let coverage = attributed / (attributed + d).max(1.0);
             if d > 0.0 && coverage < 0.25 {
                 eprintln!(
                     "warning: critpath `{label}` window attributed only {:.0}% of \
                      retirements ({attributed:.0} kept, {d:.0} dropped); shares cover \
-                     the tail of the run — the producer predates segmented window \
-                     flushing (regenerate it) or segment flushing regressed",
+                     the tail of the run — segment flushing regressed",
                     coverage * 100.0
                 );
             }
@@ -248,17 +231,13 @@ fn check_critpath_member(v: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks a `timeline` member. Two shapes are accepted per label:
-///
-/// * the full `ds-bench-result/v1` form (`nodes` present): every
-///   interval row is the 18-number contract `[start, len, committed,
-///   sends, arrives, bshr_occ_hw, skipped, bucket0..bucket10]` with
-///   strictly increasing starts and bucket columns summing exactly to
-///   the interval length, and the phases partition the intervals;
-/// * the `BENCH_throughput.json` summary form (no `nodes`): interval
-///   count, dropped counter and phase list with dominant-stall fields.
-///
-/// Absent or `null` members pass (obs-off builds).
+/// Checks the `timeline` member of a `ds-bench-result/v1` document:
+/// per label and node, every interval row is the 18-number contract
+/// `[start, len, committed, sends, arrives, bshr_occ_hw, skipped,
+/// bucket0..bucket10]` with strictly increasing starts and bucket
+/// columns summing exactly to the interval length, and the phases
+/// partition the intervals. Absent or `null` members pass (obs-off
+/// builds).
 fn check_timeline_member(v: &Value) -> Result<(), String> {
     let entries = match v.get("timeline") {
         Some(Value::Obj(entries)) => entries,
@@ -273,22 +252,18 @@ fn check_timeline_member(v: &Value) -> Result<(), String> {
         if interval_cycles <= 0.0 {
             return Err(format!("timeline `{label}` has non-positive interval_cycles"));
         }
-        match entry.get("nodes") {
-            Some(nodes) => {
-                let nodes = nodes
-                    .as_array()
-                    .ok_or_else(|| format!("timeline `{label}` `nodes` must be an array"))?;
-                for (ni, node) in nodes.iter().enumerate() {
-                    check_timeline_node(label, ni, node)?;
-                }
-            }
-            None => check_timeline_summary(label, entry)?,
+        let nodes = entry
+            .get("nodes")
+            .and_then(Value::as_array)
+            .ok_or_else(|| format!("timeline `{label}` lacks `nodes` array"))?;
+        for (ni, node) in nodes.iter().enumerate() {
+            check_timeline_node(label, ni, node)?;
         }
     }
     Ok(())
 }
 
-/// The full per-node form: 18-number interval rows that reconcile.
+/// One node's timeline: 18-number interval rows that reconcile.
 fn check_timeline_node(label: &str, ni: usize, node: &Value) -> Result<(), String> {
     let ctx = |msg: String| format!("timeline `{label}` node {ni}: {msg}");
     let rows = node
@@ -344,90 +319,6 @@ fn check_timeline_node(label: &str, ni: usize, node: &Value) -> Result<(), Strin
         return Err(ctx(format!(
             "phase cycles sum to {phase_cycles}, intervals to {interval_cycle_sum}"
         )));
-    }
-    Ok(())
-}
-
-/// The `BENCH_throughput.json` summary form.
-fn check_timeline_summary(label: &str, entry: &Value) -> Result<(), String> {
-    for key in ["intervals", "dropped"] {
-        if entry.get(key).and_then(Value::as_f64).is_none() {
-            return Err(format!("timeline `{label}` summary lacks number `{key}`"));
-        }
-    }
-    let phases = entry
-        .get("phases")
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("timeline `{label}` summary lacks `phases` array"))?;
-    for (i, p) in phases.iter().enumerate() {
-        for key in ["start", "cycles", "ipc_millis", "dominant_millis"] {
-            if p.get(key).and_then(Value::as_f64).is_none() {
-                return Err(format!(
-                    "timeline `{label}` phase {i} lacks number `{key}`"
-                ));
-            }
-        }
-        if p.get("dominant").and_then(Value::as_str).is_none() {
-            return Err(format!("timeline `{label}` phase {i} lacks string `dominant`"));
-        }
-    }
-    Ok(())
-}
-
-/// Validates a `BENCH_history.jsonl` file: one self-contained `v: 1`
-/// measurement row per line, so downstream tooling can trust every row
-/// it greps out.
-fn check_history(text: &str) -> Result<(), String> {
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let row = json::parse(line).map_err(|e| format!("line {}: {e:?}", i + 1))?;
-        let context = |msg: &str| format!("line {}: {msg}", i + 1);
-        match row.get("v").and_then(Value::as_f64) {
-            Some(v) if v == 1.0 => {}
-            Some(v) => return Err(context(&format!("unknown row version {v}"))),
-            None => return Err(context("row lacks `v`")),
-        }
-        for key in ["unix_time", "combined_insts_per_sec", "combined_cycles_per_sec"] {
-            if row.get(key).and_then(Value::as_f64).is_none() {
-                return Err(context(&format!("row lacks number `{key}`")));
-            }
-        }
-        if row.get("engine").and_then(Value::as_str).is_none() {
-            return Err(context("row lacks string `engine`"));
-        }
-        if row.get("budget").and_then(|b| b.get("max_insts")).is_none() {
-            return Err(context("row lacks `budget.max_insts`"));
-        }
-        let workloads = row
-            .get("workloads")
-            .and_then(Value::as_array)
-            .ok_or_else(|| context("row lacks `workloads` array"))?;
-        for w in workloads {
-            for key in ["insts_per_sec", "cycles_per_sec"] {
-                if w.get(key).and_then(Value::as_f64).is_none() {
-                    return Err(context(&format!("workload lacks number `{key}`")));
-                }
-            }
-            if w.get("name").and_then(Value::as_str).is_none() {
-                return Err(context("workload lacks string `name`"));
-            }
-            // Optional (older rows predate it, obs-off rows carry null):
-            // when present, bucket shares must be sane.
-            if let Some(Value::Obj(shares)) = w.get("cycle_accounting") {
-                for (bucket, share) in shares {
-                    match share.as_f64() {
-                        Some(s) if (0.0..=1.0).contains(&s) => {}
-                        _ => {
-                            return Err(context(&format!(
-                                "cycle_accounting `{bucket}` share out of range"
-                            )))
-                        }
-                    }
-                }
-            }
-        }
     }
     Ok(())
 }
@@ -518,6 +409,11 @@ mod tests {
         )
         .unwrap();
         assert!(check_critpath_member(&good).is_ok());
+        // ...but well-formed members alone do not make a document: with
+        // no `schema` and no `traceEvents` there is nothing to check it
+        // against, and a `.jsonl` path is no shape at all.
+        assert_eq!(check_value(&good).unwrap_err(), UNRECOGNISED);
+        assert_eq!(check("history.jsonl").unwrap_err(), UNRECOGNISED);
         assert!(check_critpath_member(&json::parse(r#"{"critpath": null}"#).unwrap()).is_ok());
         assert!(check_critpath_member(&json::parse(r#"{"other": 1}"#).unwrap()).is_ok());
 
@@ -536,7 +432,7 @@ mod tests {
 
     #[test]
     fn timeline_member_shapes() {
-        // Full ds-bench-result/v1 form: 18-number rows that reconcile.
+        // 18-number rows that reconcile.
         let good = json::parse(
             r#"{"timeline": {"compress/ds2": {"interval_cycles": 4096, "nodes": [
                 {"dropped": 0,
@@ -580,22 +476,13 @@ mod tests {
         .unwrap();
         assert!(check_timeline_member(&bad_phases).unwrap_err().contains("phases cover"));
 
-        // Summary form (BENCH_throughput.json).
-        let summary = json::parse(
+        // An entry without per-node rows is not a timeline.
+        let no_nodes = json::parse(
             r#"{"timeline": {"compress": {"interval_cycles": 4096, "intervals": 12,
-                "dropped": 0, "phases": [{"start": 0, "cycles": 49152,
-                "ipc_millis": 800, "dominant": "committing",
-                "dominant_millis": 700}]}}}"#,
+                "dropped": 0, "phases": []}}}"#,
         )
         .unwrap();
-        assert!(check_timeline_member(&summary).is_ok());
-        let summary_bad = json::parse(
-            r#"{"timeline": {"compress": {"interval_cycles": 4096, "intervals": 12,
-                "dropped": 0, "phases": [{"start": 0, "cycles": 49152,
-                "ipc_millis": 800, "dominant_millis": 700}]}}}"#,
-        )
-        .unwrap();
-        assert!(check_timeline_member(&summary_bad).unwrap_err().contains("dominant"));
+        assert!(check_timeline_member(&no_nodes).unwrap_err().contains("lacks `nodes`"));
     }
 
     #[test]
@@ -651,8 +538,7 @@ mod tests {
             <script type="application/json" id="ds-dash-data">
             {"tool":"ds-dash","results":[{"path":"a.json","doc":
               {"schema":"ds-bench-result/v1","binary":"t","tables":[],
-               "critpath":{},"timeline":{}}}],
-             "history":[{"v": 1}]}
+               "critpath":{},"timeline":{}}}]}
             </script></body></html>"#;
         assert!(check_dash_html(html).is_ok());
 
@@ -662,28 +548,6 @@ mod tests {
         assert!(check_dash_html("<html></html>")
             .unwrap_err()
             .contains("no embedded ds-dash-data"));
-    }
-
-    #[test]
-    fn history_rows_validate_line_by_line() {
-        let good = r#"{"v": 1, "unix_time": 5, "engine": "event-horizon",
-            "budget": {"max_insts": 400000, "scale": "Small"},
-            "workloads": [{"name": "compress", "insts_per_sec": 100,
-                           "cycles_per_sec": 200,
-                           "cycle_accounting": {"committing": 0.5, "idle": 0.5}}],
-            "combined_insts_per_sec": 100, "combined_cycles_per_sec": 200}"#
-            .replace('\n', " ");
-        // Pre-critpath rows lack cycle_accounting entirely: still valid.
-        let old = r#"{"v": 1, "unix_time": 5, "engine": "e",
-            "budget": {"max_insts": 1, "scale": "Tiny"},
-            "workloads": [{"name": "go", "insts_per_sec": 1, "cycles_per_sec": 1}],
-            "combined_insts_per_sec": 1, "combined_cycles_per_sec": 1}"#
-            .replace('\n', " ");
-        assert!(check_history(&format!("{good}\n{old}\n")).is_ok());
-        assert!(check_history("{\"v\": 2}\n").unwrap_err().contains("version"));
-        assert!(check_history("not json\n").is_err());
-        let no_engine = good.replace("\"engine\": \"event-horizon\",", "");
-        assert!(check_history(&no_engine).unwrap_err().contains("engine"));
     }
 
     #[test]

@@ -1,26 +1,26 @@
 #!/usr/bin/env bash
 # Full verification: build, published-results check, tests, invariant
-# lint, audit, clippy, and the throughput benchmark gated against the
-# committed baseline.
+# lint, audit, instrumented build, chaos matrix, clippy, and a smoke run
+# of the benchmark (ds-ledger, benchmark/).
 #
-# Usage: scripts/verify.sh [--fast | --no-bench]
+# Usage: scripts/verify.sh [--fast]
 #
 #   --fast      invariant lint + unit tests only (quick iteration)
-#   --no-bench  everything except the benchmark (it rewrites
-#               BENCH_throughput.json in place; skip it on a loaded
-#               machine where the numbers would be noise)
 #
-# The benchmark step is a regression gate: a fresh measurement is
-# diffed against the committed BENCH_throughput.json by ds-report and
-# the script fails when throughput drops or stall buckets shift beyond
-# tolerance. Override the drop threshold with DS_REPORT_MAX_DROP
-# (fraction, default 0.12) — e.g. a known-slower machine. The default
-# is wider than ds-report's own 0.08 because single-vCPU containers
-# show ±10% whole-process run-to-run variance even with the bench's
-# internal best-of-3; BENCH_history.jsonl exists to catch slow drift
-# that a single-run gate this wide would miss.
+# Nothing here gates on host time. Simulator speed is ds-ledger's job:
+# parent-vs-change pairs of `benchmark/run.sh` on the six workloads in
+# BENCHMARK.json, under the bounds declared there (benchmark/README.md,
+# "Comparing two commits"). The last stage only proves the ledger still
+# builds against the current crates/* and that its output checks pass.
+# What the instruments *say* about a run (stall buckets, critical-path
+# classes, phases) is pinned exactly by tests/obs_goldens.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [[ $# -gt 1 || ( $# -eq 1 && "$1" != "--fast" ) ]]; then
+    echo "usage: scripts/verify.sh [--fast]" >&2
+    exit 2
+fi
 
 # All five rules, call-graph ones included, in both modes. The
 # wall-clock budget keeps the linter honest about staying cheap enough
@@ -77,7 +77,7 @@ target/release/figure7_ipc --quick \
 # obs_validate checks schema members, trace flow-id pairing, and the
 # critpath section (class shares in range, summing to ~1 per system).
 cargo run -q --release -p ds-obs --bin obs_validate -- \
-    "$obs_tmp/fig7.json" "$obs_tmp/trace.json" BENCH_throughput.json
+    "$obs_tmp/fig7.json" "$obs_tmp/trace.json"
 # An instrumented figure7 run must actually attribute a critical path:
 # an empty critpath member means the edge hooks silently stopped firing.
 grep -q '"critpath":{"' "$obs_tmp/fig7.json" || {
@@ -93,7 +93,7 @@ grep -q '"timeline":{"' "$obs_tmp/fig7.json" || {
 echo "== ds-dash smoke: render the dashboard, re-validate its embedded payload"
 cargo build -q --release -p ds-obs --bin ds-dash
 target/release/ds-dash --json "$obs_tmp/fig7.json" \
-    --history BENCH_history.jsonl --out "$obs_tmp/dash.html" 2> /dev/null
+    --out "$obs_tmp/dash.html" 2> /dev/null
 # obs_validate extracts the ds-dash-data payload and re-checks every
 # embedded document (timeline interval sums included).
 cargo run -q --release -p ds-obs --bin obs_validate -- "$obs_tmp/dash.html"
@@ -110,21 +110,11 @@ cargo run -q --release -p ds-obs --bin obs_validate -- "$obs_tmp/chaos.json"
 echo "== cargo clippy (deny warnings)"
 cargo clippy --all-targets -- -D warnings
 
-if [[ "${1:-}" != "--no-bench" ]]; then
-    echo "== throughput benchmark + ds-report regression gate"
-    # Built with obs so the committed summary carries stall-bucket
-    # shares (the committed baseline is an obs-on measurement; gating
-    # an obs-off run against it would compare different builds).
-    cargo build -q --release -p ds-bench --features obs \
-        --bin bench_throughput --bin ds-report
-    target/release/bench_throughput --out "$obs_tmp/bench.json" \
-        --history BENCH_history.jsonl
-    target/release/ds-report BENCH_throughput.json "$obs_tmp/bench.json" \
-        --max-drop "${DS_REPORT_MAX_DROP:-0.12}"
-    mv "$obs_tmp/bench.json" BENCH_throughput.json
-    # Every history row must stay machine-readable (v:1 schema with
-    # throughput counters and optional stall-bucket shares).
-    cargo run -q --release -p ds-obs --bin obs_validate -- BENCH_history.jsonl
-fi
+echo "== ds-ledger smoke: the benchmark builds against crates/* and its output checks pass"
+# No host-time gating (--quick): a public-API change that breaks the
+# benchmark's build, or a run that fails its result/correspondence
+# checks, stops here instead of in the pipeline.
+(cd benchmark && cargo test --offline -q)
+benchmark/run.sh --quick > /dev/null
 
 echo "verify: OK"

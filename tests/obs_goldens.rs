@@ -6,7 +6,9 @@
 //! `cargo test --features obs` runs it against the instrumented build).
 //! This file checks the other half — that the instrumented build
 //! actually *observes*: metrics are populated for DataScalar runs,
-//! deterministic across runs, and the Perfetto export is well-formed.
+//! deterministic across runs, the Perfetto export is well-formed, and
+//! what the stall, critical-path and timeline instruments report is
+//! pinned to the integer (`GOLDEN_INSTRUMENTS`).
 
 #![cfg(feature = "obs")]
 
@@ -369,5 +371,66 @@ fn perfetto_trace_is_valid_json_with_monotonic_tracks() {
     assert!(!ends.is_empty(), "no consuming commits linked by flow arrows");
     for id in steps.iter().chain(&ends) {
         assert!(starts.contains(id), "dangling flow id {id}");
+    }
+}
+
+/// Every integer the three attribution instruments report for one run,
+/// rendered as one canonical line: machine-wide stall buckets, per-node
+/// critical-path classes, and the merged timeline's phases.
+fn instrument_line(r: &datascalar::core_model::RunResult) -> String {
+    use datascalar::obs::{EdgeClass, StallBucket};
+    let m = r.metrics.as_ref().expect("obs metrics");
+    let totals = r.stall_totals().expect("accounts present");
+    let buckets: Vec<String> =
+        StallBucket::ALL.iter().map(|b| format!("{}={}", b.label(), totals.get(*b))).collect();
+    let mut s = format!("stall[{}]", buckets.join(" "));
+    for (i, n) in m.critpath.nodes.iter().enumerate() {
+        let classes: Vec<String> =
+            EdgeClass::ALL.iter().map(|c| format!("{}={}", c.label(), n.class(*c))).collect();
+        s.push_str(&format!(
+            " crit{i}[{} attributed={} dropped={}]",
+            classes.join(" "),
+            n.attributed_cycles,
+            n.window_dropped
+        ));
+    }
+    let merged = m.timeline.merged();
+    s.push_str(&format!(" timeline[intervals={}", merged.intervals.len()));
+    for p in &merged.phases {
+        s.push_str(&format!(" {}+{}:{}", p.start, p.cycles, p.dominant().0.label()));
+    }
+    s + "]"
+}
+
+/// (workload, `instrument_line` of its 2-node DataScalar run at the
+/// full budget).
+const GOLDEN_INSTRUMENTS: &[(&str, &str)] = &[
+    ("compress", "stall[committing=109492 fetch-stall=60 ruu-full=0 lsq-full=0 bshr-wait-remote=3340 local-memory-wait=12579 bus-contention-wait=318552 commit-repair=145451 squash-replay=0 retry-wait=0 idle=2] crit0[compute=497 communication=6332 structural=25 frontend=291433 attributed=298287 dropped=0] crit1[compute=435 communication=8579 structural=26 frontend=290056 attributed=299096 dropped=0] timeline[intervals=72 0+131072:bus-contention-wait 65536+458404:bus-contention-wait]"),
+    ("go", "stall[committing=131628 fetch-stall=173 ruu-full=59841 lsq-full=0 bshr-wait-remote=1602 local-memory-wait=24 bus-contention-wait=10823 commit-repair=1538 squash-replay=0 retry-wait=0 idle=99021] crit0[compute=357 communication=0 structural=2004 frontend=152109 attributed=154470 dropped=0] crit1[compute=332 communication=243 structural=1908 frontend=152030 attributed=154513 dropped=0] timeline[intervals=38 0+40960:committing 20480+263690:committing]"),
+];
+
+/// What the instruments say about a run is pinned as exactly as what
+/// the run computes (`tests/golden_stats.rs`): a change that moves one
+/// cycle between stall buckets, critical-path classes or phases fails
+/// here. After an *intentional* instrument or model change, regenerate
+/// with `cargo test --features obs --test obs_goldens -- --ignored --nocapture`.
+#[test]
+fn instrument_shape_pinned_for_compress_and_go() {
+    for (name, want) in GOLDEN_INSTRUMENTS {
+        let w = by_name(name).expect("registered workload");
+        let got = instrument_line(&run_datascalar(&w, 2, Budget::full()));
+        assert_eq!(&got, want, "{name}: stall / critpath / timeline attribution changed");
+    }
+}
+
+/// Prints a fresh golden block; paste over `GOLDEN_INSTRUMENTS` after
+/// an intentional instrument or model change.
+#[test]
+#[ignore]
+fn print_instrument_goldens() {
+    for (name, _) in GOLDEN_INSTRUMENTS {
+        let w = by_name(name).unwrap();
+        let line = instrument_line(&run_datascalar(&w, 2, Budget::full()));
+        println!("    (\"{name}\", \"{line}\"),");
     }
 }
