@@ -182,11 +182,6 @@ impl ProgBuilder {
         self.inst(Inst::jalr(reg::ZERO, reg::RA))
     }
 
-    /// Current number of emitted instruction slots.
-    pub fn text_len(&self) -> usize {
-        self.slots.len()
-    }
-
     // ---- data -------------------------------------------------------
 
     /// Appends 64-bit words to the data segment (8-byte aligned).

@@ -1,9 +1,11 @@
 //! Experiment harness regenerating every table and figure of the
 //! DataScalar paper.
 //!
-//! Each binary in `src/bin/` prints one table or figure:
+//! `ds-bench <experiment>` prints one table or figure (`--quick` for a
+//! reduced instruction budget, `--json <path>` for the same tables as a
+//! `ds-bench-result/v1` document; see [`experiments`] and [`report`]):
 //!
-//! | binary | reproduces |
+//! | experiment | reproduces |
 //! |---|---|
 //! | `figure1_mmm` | Figure 1 — synchronous-ESP MMM timeline |
 //! | `figure3_chain` | Figure 3 — serialized off-chip crossings |
@@ -12,15 +14,25 @@
 //! | `figure7_ipc` | Figure 7 — IPC across five systems |
 //! | `figure8_sensitivity` | Figure 8 — go/compress sensitivity sweeps |
 //! | `table3_broadcast` | Table 3 — broadcast/BSHR statistics |
+//! | `section5_result_comm` | §5.1 — result-communication upper bound |
+//! | `section5_hybrid` | §5.2 — hybrid parallel/SPSD scalability |
+//! | `ablation_replication` | A1 — static replication fraction |
+//! | `ablation_write_policy` | A2 — write-no-allocate vs write-allocate under ESP |
+//! | `ablation_bshr` | A3 — BSHR capacity and access latency |
+//! | `ablation_nodes` | A4 — node-count scaling, 1 to 8 |
+//! | `ablation_tlb` | A5 — D-TLB size |
+//! | `ablation_blocks` | A6 — round-robin distribution block size |
+//! | `ablation_interconnect` | A7 — bus vs ring vs optical interconnect |
+//! | `ablation_branch` | A8 — perfect vs bimodal vs static branch prediction |
 //!
 //! The shared runners live here so integration tests, the ledger in
-//! `benchmark/` and the binaries measure exactly the same way. Run a binary with
-//! `--quick` for a reduced instruction budget.
+//! `benchmark/` and the experiments measure exactly the same way.
 
 use ds_core::{DsConfig, DsSystem, PerfectSystem, RunResult, TraditionalConfig, TraditionalSystem};
 use ds_cpu::ExecError;
 use ds_workloads::{figure7_set, Scale, Workload};
 
+pub mod experiments;
 pub mod report;
 pub mod runner;
 pub mod sweep;
@@ -45,15 +57,6 @@ impl Budget {
     pub fn quick() -> Self {
         Budget { max_insts: 40_000, scale: Scale::Tiny }
     }
-
-    /// Parses `--quick` from argv.
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            Self::quick()
-        } else {
-            Self::full()
-        }
-    }
 }
 
 /// The Figure 7 baseline configuration for an `n`-node machine.
@@ -66,7 +69,7 @@ pub fn baseline_config(nodes: usize, max_insts: u64) -> DsConfig {
 /// Unwraps a bench run, turning a functional-execution error or a
 /// watchdog trip (with its full structured report) into a loud failure.
 /// The IPC of a watchdog-aborted run is a perfectly plausible number,
-/// so every harness that publishes one goes through here.
+/// so every experiment that publishes one goes through here.
 pub fn expect_no_deadlock(run: Result<RunResult, ExecError>, what: &str) -> RunResult {
     let r = run.unwrap_or_else(|e| panic!("{what} failed to execute: {e:?}"));
     if let Some(report) = &r.deadlock {

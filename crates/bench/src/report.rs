@@ -1,15 +1,16 @@
-//! Machine-readable results: the `--json <path>` flag every experiment
-//! binary supports.
+//! What an experiment has to say, stated once: a [`Report`] is both the
+//! text `ds-bench <experiment>` prints and the `--json <path>` document.
 //!
-//! Each binary prints its tables to stdout exactly as before (the text
-//! output is golden in several tests and must stay byte-identical) and,
-//! when `--json <path>` is given, *additionally* writes a versioned
-//! JSON document to `path`. The schema, `ds-bench-result/v1`, is
-//! documented in `docs/observability.md`: table cells are the exact
-//! strings of the text output (no re-rounding, so text and JSON can
-//! never disagree), plus free-form named numbers, notes, and — when the
-//! binary runs instrumented (`--features obs`) — labelled critical-path
-//! edge-class attributions under `critpath`.
+//! An experiment writes its lines and tables into the report in print
+//! order. `Display` is the stdout (committed under `results/` and
+//! checked byte-for-byte by `scripts/regen_results.sh --check`);
+//! [`Report::render`] is the versioned JSON document. The schema,
+//! `ds-bench-result/v1`, is documented in `docs/observability.md`:
+//! table cells are the exact strings of the text output (no
+//! re-rounding, so text and JSON can never disagree), plus free-form
+//! named numbers, notes, and — on instrumented builds (`--features
+//! obs`) — labelled critical-path edge-class attributions under
+//! `critpath`.
 
 use crate::Budget;
 use ds_obs::{CritPathReport, EdgeClass, StallBucket, TimelineReport};
@@ -31,12 +32,19 @@ struct CritEntry {
     comm_edge_max: u64,
 }
 
-/// A machine-readable mirror of one binary's output.
+/// One piece of an experiment's stdout, in print order.
+#[derive(Debug, Clone)]
+enum Text {
+    Line(String),
+    Table { title: String, table: Table },
+}
+
+/// One experiment's output: its stdout and its JSON document.
 #[derive(Debug, Clone)]
 pub struct Report {
-    binary: &'static str,
+    experiment: &'static str,
     budget: Option<Budget>,
-    tables: Vec<(String, Table)>,
+    text: Vec<Text>,
     numbers: Vec<(String, f64)>,
     notes: Vec<String>,
     critpath: Vec<(String, CritEntry)>,
@@ -44,12 +52,13 @@ pub struct Report {
 }
 
 impl Report {
-    /// Starts a report for `binary` (the `src/bin` file stem).
-    pub fn new(binary: &'static str) -> Self {
+    /// Starts a report for `experiment` (its registry name; the
+    /// document's `binary` member).
+    pub fn new(experiment: &'static str) -> Self {
         Report {
-            binary,
+            experiment,
             budget: None,
-            tables: Vec::new(),
+            text: Vec::new(),
             numbers: Vec::new(),
             notes: Vec::new(),
             critpath: Vec::new(),
@@ -63,19 +72,34 @@ impl Report {
         self
     }
 
-    /// Adds a titled table — pass the same [`Table`] the binary prints.
-    pub fn table(&mut self, title: &str, t: &Table) -> &mut Self {
-        self.tables.push((title.to_string(), t.clone()));
+    /// How a budgeted experiment opens: records the budget, prints the
+    /// title and a blank line.
+    pub fn heading(&mut self, budget: Budget, title: impl Into<String>) -> &mut Self {
+        self.budget(budget).line(title).line("")
+    }
+
+    /// Prints one line (`text` may itself span several).
+    pub fn line(&mut self, text: impl Into<String>) -> &mut Self {
+        self.text.push(Text::Line(text.into()));
         self
     }
 
-    /// Adds a named scalar (derived metrics like means or ratios).
+    /// Prints `table`, followed by a blank line, and mirrors it into
+    /// the document under `title`.
+    pub fn table(&mut self, title: &str, table: Table) -> &mut Self {
+        self.text.push(Text::Table { title: title.to_string(), table });
+        self
+    }
+
+    /// Adds a named scalar (derived metrics like means or ratios) to the
+    /// document; not printed.
     pub fn number(&mut self, name: &str, value: f64) -> &mut Self {
         self.numbers.push((name.to_string(), value));
         self
     }
 
-    /// Adds a free-form note (provenance, caveats).
+    /// Adds a free-form note (provenance, caveats) to the document; not
+    /// printed.
     pub fn note(&mut self, text: &str) -> &mut Self {
         self.notes.push(text.to_string());
         self
@@ -123,7 +147,7 @@ impl Report {
         out.push('{');
         push_str_field(&mut out, "schema", SCHEMA);
         out.push(',');
-        push_str_field(&mut out, "binary", self.binary);
+        push_str_field(&mut out, "binary", self.experiment);
         out.push(',');
         out.push_str("\"budget\":");
         match self.budget {
@@ -136,7 +160,11 @@ impl Report {
             None => out.push_str("null"),
         }
         out.push_str(",\"tables\":[");
-        for (i, (title, t)) in self.tables.iter().enumerate() {
+        let tables = self.text.iter().filter_map(|item| match item {
+            Text::Table { title, table } => Some((title, table)),
+            Text::Line(_) => None,
+        });
+        for (i, (title, t)) in tables.enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -197,21 +225,18 @@ impl Report {
         out.push_str("}}");
         out
     }
+}
 
-    /// Writes the document to the path given by `--json <path>` on the
-    /// command line, if any. Progress goes to stderr so stdout stays
-    /// byte-identical to a run without the flag.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the path cannot be written — a silently dropped
-    /// result file is worse than a failed run.
-    pub fn write_if_requested(&self) {
-        if let Some(path) = flag_value("--json") {
-            std::fs::write(&path, self.render())
-                .unwrap_or_else(|e| panic!("cannot write --json {path}: {e}"));
-            eprintln!("wrote {path}");
+/// The experiment's stdout, byte for byte.
+impl std::fmt::Display for Report {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for item in &self.text {
+            match item {
+                Text::Line(s) => writeln!(f, "{s}")?,
+                Text::Table { table, .. } => writeln!(f, "{table}")?,
+            }
         }
+        Ok(())
     }
 }
 
@@ -340,7 +365,7 @@ mod tests {
         t.row(&["compress", "1.23"]);
         let mut r = Report::new("unit_test");
         r.budget(Budget::quick())
-            .table("Figure 7", &t)
+            .table("Figure 7", t)
             .number("mean_ipc", 1.23)
             .note("one \"quoted\" note\nwith a newline");
         let doc = ds_obs::json::parse(&r.render()).expect("valid JSON");
@@ -366,8 +391,47 @@ mod tests {
         let text = t.render();
         assert!(text.contains("0.50"));
         let mut r = Report::new("unit_test");
-        r.table("t", &t);
+        r.table("t", t);
         assert!(r.render().contains("\"0.50\""));
+    }
+
+    #[test]
+    fn display_and_document_agree_on_every_table_cell() {
+        let mut a = Table::new(&["bench", "ipc"]);
+        a.row(&["compress", "1.23"]).row(&["go", "2.65"]);
+        let mut b = Table::new(&["nodes", "DS IPC", "DS/trad"]);
+        b.row(&["2", "0.10", "1.50x"]);
+        let mut r = Report::new("unit_test");
+        r.line("Title (40000 instructions per run)").line("");
+        r.line("=== first ===").table("first", a.clone());
+        r.table("second", b.clone()).line("closing remark");
+        r.number("mean", 1.94).note("document only");
+
+        // Stdout: lines as written, each table followed by a blank line.
+        assert_eq!(
+            r.to_string(),
+            format!(
+                "Title (40000 instructions per run)\n\n=== first ===\n{a}\n{b}\nclosing remark\n"
+            )
+        );
+        // Document: the same tables, in print order, cell for cell; the
+        // number and the note ride along without being printed.
+        let doc = ds_obs::json::parse(&r.render()).expect("valid JSON");
+        let tables = doc.get("tables").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(tables.len(), 2);
+        for (json, (title, t)) in tables.iter().zip([("first", &a), ("second", &b)]) {
+            assert_eq!(json.get("title").and_then(|v| v.as_str()), Some(title));
+            let strings = |v: &ds_obs::json::Value| -> Vec<String> {
+                v.as_array().unwrap().iter().map(|c| c.as_str().unwrap().to_string()).collect()
+            };
+            assert_eq!(strings(json.get("headers").unwrap()), t.headers());
+            let rows = json.get("rows").and_then(|v| v.as_array()).unwrap();
+            assert_eq!(rows.iter().map(strings).collect::<Vec<_>>(), t.rows());
+        }
+        assert_eq!(doc.get("numbers").unwrap().get("mean").and_then(|v| v.as_f64()), Some(1.94));
+        let notes = doc.get("notes").and_then(|v| v.as_array()).unwrap();
+        assert_eq!(notes[0].as_str(), Some("document only"));
+        assert!(!r.to_string().contains("document only") && !r.to_string().contains("1.94"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Parallel experiment runner.
 //!
-//! Every experiment binary is a pile of *independent* timing
+//! Every `ds-bench` experiment is a pile of *independent* timing
 //! simulations (workload × configuration), each deterministic and
 //! single-threaded (DESIGN.md §6). That makes them embarrassingly
 //! parallel: this module fans a job list across `std::thread::scope`
@@ -8,7 +8,7 @@
 //! from the results is byte-identical whether the jobs ran
 //! sequentially or on sixteen cores.
 //!
-//! Binaries opt in with `--parallel` (kept off by default so default
+//! A run opts in with `--parallel` (kept off by default so default
 //! runs stay easy to profile and to diff against old behaviour);
 //! `DS_BENCH_THREADS` caps the worker count.
 //!

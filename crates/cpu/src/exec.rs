@@ -183,11 +183,6 @@ impl FuncCore {
         self.fregs[r as usize]
     }
 
-    /// Writes floating-point register `r`.
-    pub fn set_freg(&mut self, r: u8, v: f64) {
-        self.fregs[r as usize] = v;
-    }
-
     /// Executes one instruction, mutating architectural state and
     /// memory, and returns its [`ExecRecord`]. Returns `None` once
     /// halted.

@@ -505,11 +505,6 @@ impl OooCore {
         self.next_fetch
     }
 
-    /// Tag of the oldest in-flight instruction (== committed count).
-    pub fn head_tag(&self) -> RuuTag {
-        self.base_tag
-    }
-
     /// Snapshot of the oldest in-flight instruction — the one the
     /// commit stage is waiting on — for deadlock reports. `None` when
     /// the window is empty (fetch-starved or finished).

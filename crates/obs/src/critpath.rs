@@ -616,15 +616,6 @@ impl CritPathNodeReport {
             self.class(class) as f64 / self.attributed_cycles as f64
         }
     }
-
-    /// Mean end-to-end communication edge length in cycles.
-    pub fn mean_comm_edge(&self) -> f64 {
-        if self.comm_edges == 0 {
-            0.0
-        } else {
-            self.comm_edge_cycles as f64 / self.comm_edges as f64
-        }
-    }
 }
 
 /// The run-level critical-path report on `RunResult::metrics`: one

@@ -52,17 +52,6 @@ impl Table {
         self
     }
 
-    /// Appends a row from already-owned strings.
-    pub fn row_owned(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(
-            cells.len(),
-            self.headers.len(),
-            "row width must match header width"
-        );
-        self.rows.push(cells);
-        self
-    }
-
     /// The column headers, in order.
     pub fn headers(&self) -> &[String] {
         &self.headers

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates results/*.txt (which EXPERIMENTS.md quotes) from the
 # current source: each file is the full-budget output of the ds-bench
-# binary it is named after. Deterministic; ~40 s for all 17.
+# experiment it is named after. Deterministic; measured on a 2-vCPU
+# host: ~22 s to rebuild ds-bench after a simulation-crate edit (one
+# fat-LTO link), then ~31 s to run all 17.
 #
 # Usage: scripts/regen_results.sh [--check]
 #
@@ -17,14 +19,14 @@ if [[ "${1:-}" == "--check" ]]; then
 fi
 
 # Plain (obs-off) build: the flavour the committed tables come from.
-cargo build -q --release -p ds-bench
+cargo build -q --release -p ds-bench --bin ds-bench
 
 status=0
 for committed in results/*.txt; do
-    bin="$(basename "$committed" .txt)"
-    "target/release/$bin" > "$out/$bin.txt"
-    if [[ "$out" != results ]] && ! diff -u "$committed" "$out/$bin.txt"; then
-        echo "regen_results: $committed is not what $bin prints" >&2
+    name="$(basename "$committed" .txt)"
+    target/release/ds-bench "$name" > "$out/$name.txt"
+    if [[ "$out" != results ]] && ! diff -u "$committed" "$out/$name.txt"; then
+        echo "regen_results: $committed is not what ds-bench $name prints" >&2
         status=1
     fi
 done

@@ -51,9 +51,10 @@ fi
 echo "== cargo build --release"
 cargo build --workspace --release
 
-echo "== results/*.txt are what the harness binaries print (regen_results.sh --check)"
-# Before the obs smoke below relinks figure7_ipc with recording on: the
-# committed tables come from the plain build.
+echo "== results/*.txt are what ds-bench prints (regen_results.sh --check)"
+# Before the obs smoke below replaces target/release/ds-bench — every
+# experiment at once — with the recording build: the committed tables
+# come from the plain build.
 scripts/regen_results.sh --check
 
 echo "== cargo test"
@@ -68,11 +69,11 @@ echo "== cargo test --features obs (instrumented build: goldens must stay byte-i
 cargo test --features obs -q
 cargo test -p ds-core --features obs -q
 
-echo "== obs smoke: figure7_ipc --json/--trace-out, validated by obs_validate"
-cargo build -q --release -p ds-bench --features obs --bin figure7_ipc
+echo "== obs smoke: ds-bench figure7_ipc --json/--trace-out, validated by obs_validate"
+cargo build -q --release -p ds-bench --features obs --bin ds-bench
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT
-target/release/figure7_ipc --quick \
+target/release/ds-bench figure7_ipc --quick \
     --json "$obs_tmp/fig7.json" --trace-out "$obs_tmp/trace.json" > /dev/null
 # obs_validate checks schema members, trace flow-id pairing, and the
 # critpath section (class shares in range, summing to ~1 per system).
@@ -81,12 +82,12 @@ cargo run -q --release -p ds-obs --bin obs_validate -- \
 # An instrumented figure7 run must actually attribute a critical path:
 # an empty critpath member means the edge hooks silently stopped firing.
 grep -q '"critpath":{"' "$obs_tmp/fig7.json" || {
-    echo "verify: figure7_ipc --json carries no critpath entries" >&2
+    echo "verify: ds-bench figure7_ipc --json carries no critpath entries" >&2
     exit 1
 }
 # ...and record a timeline (same silent-death guard for the sampler).
 grep -q '"timeline":{"' "$obs_tmp/fig7.json" || {
-    echo "verify: figure7_ipc --json carries no timeline entries" >&2
+    echo "verify: ds-bench figure7_ipc --json carries no timeline entries" >&2
     exit 1
 }
 

@@ -1,6 +1,7 @@
 //! Smoke tests over the paper-experiment pipelines: each table/figure
-//! harness must run end to end and satisfy the structural properties
-//! the paper states about its own results.
+//! experiment must run end to end and satisfy the structural properties
+//! the paper states about its own results; and the `ds-bench` registry,
+//! `results/` and the crate docs must name the same experiments.
 
 use datascalar::core_model::{datathread, mmm};
 use datascalar::mem::{PageTableBuilder, Segment};
@@ -121,4 +122,55 @@ fn figure8_knobs_move_performance_in_the_right_direction() {
     assert!(slow_bus.trad_half < fast_bus.trad_half);
     // ...but never the perfect cache.
     assert!((slow_bus.perfect - fast_bus.perfect).abs() < 0.05);
+}
+
+/// The `| \`name\` | about |` rows of the experiment table in
+/// `crates/bench/src/lib.rs`'s module docs.
+fn documented_experiments() -> Vec<(String, String)> {
+    let lib = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/crates/bench/src/lib.rs"))
+        .expect("crates/bench/src/lib.rs");
+    lib.lines()
+        .filter_map(|l| l.strip_prefix("//! | `")?.strip_suffix(" |")?.split_once("` | "))
+        .map(|(name, about)| (name.to_string(), about.to_string()))
+        .collect()
+}
+
+#[test]
+fn registry_results_and_docs_name_the_same_experiments() {
+    use ds_bench::experiments::EXPERIMENTS;
+    let mut registered: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    // The crate docs list the registry, descriptions included, in order.
+    let documented = documented_experiments();
+    let rows: Vec<(&str, &str)> = documented.iter().map(|(n, a)| (n.as_str(), a.as_str())).collect();
+    assert_eq!(rows, EXPERIMENTS.iter().map(|e| (e.name, e.about)).collect::<Vec<_>>());
+
+    // Every experiment has a committed output and every committed
+    // output has an experiment: regen_results.sh walks results/*.txt,
+    // so a missing file is never checked and a stale one never noticed.
+    let mut committed: Vec<String> = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/results"))
+        .expect("results/")
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+        .map(|p| p.file_stem().unwrap().to_str().unwrap().to_string())
+        .collect();
+    committed.sort();
+    registered.sort();
+    assert_eq!(registered, committed);
+}
+
+#[test]
+fn budget_free_experiments_print_their_committed_results() {
+    use ds_bench::experiments::find;
+    use ds_bench::{report::Report, Budget};
+    // The first published numbers pinned by tier-1 rather than only by
+    // scripts/regen_results.sh --check.
+    for name in ["figure1_mmm", "figure3_chain"] {
+        let exp = find(name).expect("registered");
+        let mut report = Report::new(exp.name);
+        (exp.run)(Budget::full(), &mut report);
+        let committed =
+            std::fs::read_to_string(format!("{}/results/{name}.txt", env!("CARGO_MANIFEST_DIR")))
+                .expect("committed result");
+        assert_eq!(report.to_string(), committed, "{name}");
+    }
 }
