@@ -20,6 +20,30 @@ pub enum FuClass {
     Mem,
 }
 
+impl FuClass {
+    /// Execution latency in cycles of every operation of this class
+    /// (memory latency excluded for [`FuClass::Mem`]: this is the
+    /// address-generation plus pipeline cost only).
+    pub const fn latency(self) -> u64 {
+        match self {
+            FuClass::IntAlu => 1,
+            FuClass::IntMul => 3,
+            FuClass::IntDiv => 12,
+            FuClass::FpAlu => 2,
+            FuClass::FpMul => 4,
+            FuClass::FpDiv => 12,
+            FuClass::Mem => 1,
+        }
+    }
+
+    /// True when a unit of this class accepts a new operation every
+    /// cycle. An unpipelined unit (the two dividers) is occupied for
+    /// the whole [`FuClass::latency`] of the operation it executes.
+    pub const fn is_pipelined(self) -> bool {
+        !matches!(self, FuClass::IntDiv | FuClass::FpDiv)
+    }
+}
+
 /// Access width of a load or store, in bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemWidth {
@@ -163,35 +187,35 @@ opcodes! {
 
 impl Opcode {
     /// True for every load, integer or floating point.
-    pub fn is_load(self) -> bool {
+    pub const fn is_load(self) -> bool {
         use Opcode::*;
         matches!(self, Lb | Lbu | Lh | Lhu | Lw | Lwu | Ld | Fld)
     }
 
     /// True for every store, integer or floating point.
-    pub fn is_store(self) -> bool {
+    pub const fn is_store(self) -> bool {
         use Opcode::*;
         matches!(self, Sb | Sh | Sw | Sd | Fsd)
     }
 
     /// True for loads and stores.
-    pub fn is_mem(self) -> bool {
+    pub const fn is_mem(self) -> bool {
         self.is_load() || self.is_store()
     }
 
     /// True for conditional branches (not jumps).
-    pub fn is_branch(self) -> bool {
+    pub const fn is_branch(self) -> bool {
         use Opcode::*;
         matches!(self, Beq | Bne | Blt | Bge | Bltu | Bgeu)
     }
 
     /// True for unconditional control transfers.
-    pub fn is_jump(self) -> bool {
+    pub const fn is_jump(self) -> bool {
         matches!(self, Opcode::Jal | Opcode::Jalr)
     }
 
     /// True for any instruction that can change the PC non-sequentially.
-    pub fn is_control(self) -> bool {
+    pub const fn is_control(self) -> bool {
         self.is_branch() || self.is_jump()
     }
 
@@ -208,7 +232,7 @@ impl Opcode {
     }
 
     /// Functional-unit class used by the timing model.
-    pub fn fu_class(self) -> FuClass {
+    pub const fn fu_class(self) -> FuClass {
         use Opcode::*;
         match self {
             Mul => FuClass::IntMul,
@@ -224,20 +248,12 @@ impl Opcode {
     /// Execution latency in cycles on its functional unit (memory
     /// latency excluded for loads/stores; this is the address-generation
     /// plus pipeline cost only).
-    pub fn latency(self) -> u64 {
-        match self.fu_class() {
-            FuClass::IntAlu => 1,
-            FuClass::IntMul => 3,
-            FuClass::IntDiv => 12,
-            FuClass::FpAlu => 2,
-            FuClass::FpMul => 4,
-            FuClass::FpDiv => 12,
-            FuClass::Mem => 1,
-        }
+    pub const fn latency(self) -> u64 {
+        self.fu_class().latency()
     }
 
     /// True when `rd` names a floating-point destination register.
-    pub fn writes_freg(self) -> bool {
+    pub const fn writes_freg(self) -> bool {
         use Opcode::*;
         matches!(
             self,

@@ -672,13 +672,14 @@ pub const SIM_CRATES: [&str; 6] = ["core", "cpu", "mem", "net", "trace", "obs"];
 /// engine.rs is the one run loop; chaos.rs and watchdog.rs are hot because the fault injector runs at
 /// every fabric delivery and the forward-progress check at every
 /// cycle of a faulted run.
-pub const HOT_MODULES: [&str; 12] = [
+pub const HOT_MODULES: [&str; 13] = [
     "crates/core/src/engine.rs",
     "crates/core/src/system.rs",
     "crates/core/src/node.rs",
     "crates/core/src/pending.rs",
     "crates/core/src/watchdog.rs",
-    "crates/cpu/src/ooo.rs",
+    "crates/cpu/src/ooo/mod.rs",
+    "crates/cpu/src/ooo/window.rs",
     "crates/net/src/fabric.rs",
     "crates/net/src/chaos.rs",
     "crates/obs/src/account.rs",

@@ -98,8 +98,13 @@ pub fn brace_block(text: &str, from: usize) -> Option<(usize, usize)> {
 }
 
 /// Byte ranges of `#[cfg(test)]`-gated item bodies (test modules and
-/// test-only items): tokens inside them are exempt from every rule.
+/// test-only items): tokens inside them are exempt from every rule. A
+/// file that declares itself test-only with the inner attribute
+/// `#![cfg(test)]` (an out-of-line `mod tests;`) is one region.
 pub fn test_regions(cleaned: &str) -> Vec<(usize, usize)> {
+    if cleaned.contains("#![cfg(test)]") {
+        return vec![(0, cleaned.len())];
+    }
     let mut out = Vec::new();
     for at in occurrences(cleaned, "#[cfg(test)]") {
         if let Some((open, close)) = brace_block(cleaned, at) {
@@ -169,6 +174,12 @@ mod tests {
         let text = "a.unwrap() b.unwrap_or(0) c.unwrap () d.collect::<Vec<_>>()";
         assert_eq!(method_calls(text, "unwrap").len(), 2);
         assert_eq!(method_calls(text, "collect").len(), 1);
+    }
+
+    #[test]
+    fn a_cfg_test_file_is_one_region() {
+        let src = "//! whole-file tests\n#![cfg(test)]\nfn b() { x.unwrap(); }\n";
+        assert_eq!(test_regions(src), [(0, src.len())]);
     }
 
     #[test]
