@@ -119,6 +119,39 @@ pub(crate) fn single_core_metrics(
     None
 }
 
+/// Serves the point-to-point read `req` the way a memory chip does: the
+/// line is read from `mem` at `now`, and its `Response` — one line,
+/// from the request's destination back to its source, under the
+/// request's sequence number — becomes ready `queue_penalty` cycles
+/// after the data. The traditional system's off-chip memory and a
+/// degraded-mode owner both answer requests through here.
+pub(crate) fn serve_request(
+    mem: &mut MainMemory,
+    req: &Message,
+    line_bytes: u64,
+    queue_penalty: u64,
+    now: Cycle,
+    out: &mut PendingQueue,
+) {
+    let Some(server) = req.dest else {
+        debug_assert!(false, "a request is always point-to-point");
+        return;
+    };
+    let ready = mem.access(req.line_addr, line_bytes, now) + queue_penalty;
+    out.push(
+        ready,
+        Message {
+            src: server,
+            dest: Some(req.src),
+            kind: MsgKind::Response,
+            line_addr: req.line_addr,
+            payload_bytes: line_bytes,
+            seq: req.seq,
+            enqueued_at: ready,
+        },
+    );
+}
+
 /// The memory side of a node (everything in Figure 5 except the CPU
 /// logic).
 #[derive(Debug)]
@@ -648,21 +681,9 @@ impl Node {
                 // Degraded-mode direct request: serve it like a
                 // traditional memory, point-to-point.
                 debug_assert_eq!(self.ms.pt.classify(line), PageClass::Owned(self.ms.id));
-                let done = self.ms.mem.access(line, self.ms.line_bytes, now);
                 self.ms.stats.degraded_responses += 1;
-                let ready = done + self.ms.queue_penalty;
-                self.ms.outgoing.push(
-                    ready,
-                    Message {
-                        src: self.ms.id,
-                        dest: Some(msg.src),
-                        kind: MsgKind::Response,
-                        line_addr: line,
-                        payload_bytes: self.ms.line_bytes,
-                        seq: 0,
-                        enqueued_at: ready,
-                    },
-                );
+                let ms = &mut self.ms;
+                serve_request(&mut ms.mem, msg, ms.line_bytes, ms.queue_penalty, now, &mut ms.outgoing);
             }
             MsgKind::Response => {
                 // Degraded-mode fill. A duplicate (the original

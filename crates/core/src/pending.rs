@@ -75,12 +75,6 @@ impl PendingQueue {
         self.heap.peek().map(|e| e.ready)
     }
 
-    /// Key `(ready, seq)` of the head entry if it is due by `now`.
-    pub(crate) fn peek_due(&self, now: Cycle) -> Option<(Cycle, u64)> {
-        let head = self.heap.peek()?;
-        (head.ready <= now).then_some((head.ready, head.msg.seq))
-    }
-
     /// Removes and returns the next message due by `now`, if any.
     pub(crate) fn pop_due(&mut self, now: Cycle) -> Option<Message> {
         if self.heap.peek()?.ready > now {

@@ -388,9 +388,7 @@ impl DsSystem {
             m.critpath.nodes.push(n.crit_window().path_report());
         }
         m.timeline = self.timeline_report();
-        if let Some(ring) = self.machine.bus.events() {
-            m.absorb(ring);
-        }
+        m.absorb(self.machine.bus.events());
         m.absorb(self.machine.probe.ring());
         Some(m)
     }
@@ -523,9 +521,7 @@ impl DsSystem {
             sources.push(TraceSource { pid: i as u32, name: &names[i], ring: node.core_events() });
         }
         sources.push(TraceSource { pid: n, name: "system", ring: self.machine.probe.ring() });
-        if let Some(ring) = self.machine.bus.events() {
-            sources.push(TraceSource { pid: n + 1, name: "interconnect", ring });
-        }
+        sources.push(TraceSource { pid: n + 1, name: "interconnect", ring: self.machine.bus.events() });
         // Stall-bucket occupancy counter tracks, one sample per closed
         // timeline interval (they live outside the event rings).
         let mut extras: Vec<String> = Vec::new();
@@ -839,6 +835,20 @@ mod tests {
         let ring = run_with(ds_net::FabricKind::Ring);
         assert_eq!(bus.0, ring.0, "same committed stream");
         assert_eq!(bus.1, ring.1, "same broadcast count (topology changes timing only)");
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn ring_grants_reach_the_perfetto_trace() {
+        let mut config = DsConfig::with_nodes(4);
+        config.interconnect = ds_net::FabricKind::Ring;
+        let mut sys = DsSystem::new(config, &strided_prog());
+        let r = sys.run().unwrap();
+        let grants = sys.machine.bus.events();
+        assert_eq!(grants.len() as u64 + grants.dropped(), r.bus.transactions);
+        let trace = sys.perfetto_trace();
+        assert!(trace.contains(r#""args":{"name":"interconnect"}"#), "no interconnect process");
+        assert!(trace.contains(r#""args":{"name":"bus"}"#), "no grant track");
     }
 
     #[test]

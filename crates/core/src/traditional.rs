@@ -20,7 +20,7 @@ use crate::Cycle;
 use ds_asm::Program;
 use ds_cpu::{ExecError, ExecRecord, LoadResponse, MemSystem, OooCore, RuuTag, TraceSource};
 use ds_mem::{AccessKind, Cache, CacheOutcome, MainMemory, PageTable, Tlb, Victim};
-use ds_net::{Bus, Delivery, Message, MsgKind};
+use ds_net::{Delivery, Fabric, FabricKind, Message, MsgKind};
 use std::rc::Rc;
 
 /// Configuration of the traditional system.
@@ -219,12 +219,11 @@ pub struct TraditionalSystem {
 struct TradMachine {
     core: OooCore,
     ms: TradMemSide,
-    bus: Bus,
+    bus: Fabric,
     /// Off-chip memory chips behind the bus.
     remote_mem: MainMemory,
     /// Responses waiting for their data-ready cycle.
     pending_responses: PendingQueue,
-    queue_penalty: u64,
     /// This cycle's completed deliveries. Reused every cycle; the hot
     /// loop allocates nothing.
     deliveries: Vec<Delivery>,
@@ -268,10 +267,9 @@ impl TraditionalSystem {
                 seq: 0,
                 stats: NodeStats::default(),
             },
-            bus: Bus::new(bus_cfg),
+            bus: Fabric::new(FabricKind::Bus, bus_cfg),
             remote_mem: MainMemory::new(base.memory),
             pending_responses: PendingQueue::new(),
-            queue_penalty: base.queue_penalty,
             deliveries: Vec::new(),
             probe: Default::default(),
         };
@@ -318,19 +316,13 @@ impl Machine for TradMachine {
         self.core.step(&mut self.ms, trace, now)?;
         #[cfg(feature = "obs")]
         self.charge(now, 1);
-        // Due CPU-side messages and memory-side responses enter the
-        // bus merged in (ready, seq) order, CPU side first on ties
-        // (the order the old merge-and-stable-sort produced).
-        loop {
-            let cpu = self.ms.outgoing.peek_due(now);
-            let mem = self.pending_responses.peek_due(now);
-            let msg = match (cpu, mem) {
-                (Some(kc), Some(km)) if kc <= km => self.ms.outgoing.pop_due(now),
-                (Some(_), Some(_)) | (None, Some(_)) => self.pending_responses.pop_due(now),
-                (Some(_), None) => self.ms.outgoing.pop_due(now),
-                (None, None) => None,
-            };
-            let Some(msg) = msg else { break };
+        // Due CPU-side messages leave from CPU_PORT, due responses from
+        // MEM_PORT; the fabric queues per source port, so draining one
+        // queue after the other keeps each port's FIFO.
+        while let Some(msg) = self.ms.outgoing.pop_due(now) {
+            self.bus.enqueue(msg);
+        }
+        while let Some(msg) = self.pending_responses.pop_due(now) {
             self.bus.enqueue(msg);
         }
         self.bus.step_into(now, &mut self.deliveries);
@@ -380,21 +372,14 @@ impl Machine for TradMachine {
 impl TradMachine {
     fn on_delivery(&mut self, msg: Message, now: Cycle) {
         match msg.kind {
-            MsgKind::Request => {
-                let done = self.remote_mem.access(msg.line_addr, self.ms.line_bytes, now);
-                self.pending_responses.push(
-                    done + self.queue_penalty,
-                    Message {
-                        src: MEM_PORT,
-                        dest: Some(CPU_PORT),
-                        kind: MsgKind::Response,
-                        line_addr: msg.line_addr,
-                        payload_bytes: self.ms.line_bytes,
-                        seq: msg.seq,
-                        enqueued_at: done + self.queue_penalty,
-                    },
-                );
-            }
+            MsgKind::Request => crate::node::serve_request(
+                &mut self.remote_mem,
+                &msg,
+                self.ms.line_bytes,
+                self.ms.queue_penalty,
+                now,
+                &mut self.pending_responses,
+            ),
             MsgKind::WriteBack | MsgKind::WriteThrough => {
                 self.remote_mem.access(msg.line_addr, msg.payload_bytes.max(1), now);
             }

@@ -145,6 +145,8 @@ fn stall_accounting_helpers_are_in_the_proven_region() {
         "Node::deliver",
         "Bshr::on_arrival",
         "TradMachine::on_delivery",
+        "serve_request",
+        "Ports::account",
     ] {
         let f = by_name(q).unwrap_or_else(|| panic!("{q} exists"));
         assert!(parent[f.id].is_some(), "{q} is reachable from the cycle-loop roots");

@@ -1,19 +1,25 @@
-//! Interconnect abstraction: bus or ring, plus optional fault injection.
+//! The interconnect: one shared port layer, a bus or ring timing model,
+//! plus optional fault injection.
 //!
 //! §4.4 surveys three technologies for the DataScalar interconnect:
 //! buses (broadcasts implicit, but not scalable), rings (SCI-style,
 //! pipelined, broadcasts observed in different orders), and free-space
 //! optics (broadcasts essentially free — expressible here as a very
 //! wide, core-clocked bus). [`Fabric`] lets the system models swap
-//! among them without caring which is underneath. When a non-empty
-//! [`FaultPlan`] is supplied, a [`FaultInjector`] sits between the
-//! interconnect model and its deliveries; with an empty plan no
-//! injector exists and the fabric behaves byte-identically to the
-//! un-hardened build.
+//! among them without caring which is underneath. The timing models
+//! decide only *when* a queued message is granted and *when* each copy
+//! arrives; the output queues, enqueue validation, statistics and grant
+//! events live once, in [`Ports`]. When a non-empty [`FaultPlan`] is
+//! supplied, a [`FaultInjector`] sits between the model and its
+//! deliveries; with an empty plan no injector exists and the fabric
+//! behaves byte-identically to the un-hardened build.
 
+use crate::bus::Bus;
 use crate::chaos::{FaultInjector, FaultPlan, FaultStats};
-use crate::ring::{Ring, RingConfig};
-use crate::{Bus, BusConfig, BusStats, Cycle, Delivery, Message};
+use crate::ring::Ring;
+use crate::{BusConfig, BusStats, Cycle, Delivery, Message, MsgKind, NetProbe};
+use ds_obs::Probe as _;
+use std::collections::VecDeque;
 
 /// Which interconnect to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,26 +32,93 @@ pub enum FabricKind {
     Ring,
 }
 
-/// The underlying interconnect model.
-//
-// The instrumented bus carries its probe's recorder inline (event ring +
-// critical-path window headers), so the variants differ in size; one
-// `Fabric` exists per system and is never moved per cycle, so boxing the
-// large variant would buy nothing but an extra indirection on the hot
-// `step` path.
-#[allow(clippy::large_enum_variant)]
+/// What every timing model shares: the geometry, one FIFO output queue
+/// per port, the statistics, and the grant-event probe.
 #[derive(Debug, Clone)]
-pub enum FabricInner {
-    /// Shared-bus fabric.
+pub(crate) struct Ports {
+    pub(crate) config: BusConfig,
+    /// Messages waiting at each port for the model to grant them.
+    pub(crate) queues: Vec<VecDeque<Message>>,
+    stats: BusStats,
+    /// Cycle-stamped grant events (no-op unless built with `obs`).
+    probe: NetProbe,
+}
+
+impl Ports {
+    fn new(config: BusConfig) -> Self {
+        assert!(config.ports > 0, "need at least one port");
+        assert!(config.width_bytes > 0, "fabric must be at least a byte wide");
+        assert!(config.clock_divisor > 0, "divisor must be positive");
+        Ports {
+            queues: vec![VecDeque::new(); config.ports],
+            config,
+            stats: BusStats::default(),
+            probe: NetProbe::default(),
+        }
+    }
+
+    /// True when every output queue is empty.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.queues.iter().all(VecDeque::is_empty)
+    }
+
+    /// Charges one transaction the model has just granted at `now`:
+    /// its bytes, its queueing delay, and the `busy` core cycles it
+    /// occupies the model.
+    pub(crate) fn account(&mut self, msg: &Message, now: Cycle, busy: Cycle) {
+        let bytes = msg.payload_bytes + self.config.header_bytes;
+        let queue_delay = now.saturating_sub(msg.enqueued_at);
+        self.probe.record(now, ds_obs::EventKind::BusGrant { bytes, queue_delay });
+        let s = &mut self.stats;
+        s.transactions += 1;
+        s.bytes += bytes;
+        s.busy_cycles += busy;
+        s.queue_delay_cycles += queue_delay;
+        match msg.kind {
+            MsgKind::Broadcast => s.broadcasts += 1,
+            MsgKind::Request => s.requests += 1,
+            MsgKind::Response => s.responses += 1,
+            MsgKind::WriteBack | MsgKind::WriteThrough => s.writes += 1,
+            MsgKind::RetransmitReq => s.retransmits += 1,
+        }
+    }
+}
+
+/// The timing model behind the shared ports.
+#[derive(Debug, Clone)]
+enum Model {
     Bus(Bus),
-    /// Slotted-ring fabric.
     Ring(Ring),
 }
 
 /// A bus or ring behind one interface, optionally faulted by ds-chaos.
+///
+/// Drive it with [`Fabric::enqueue`] and one [`Fabric::step_into`] per
+/// core cycle.
+///
+/// # Examples
+///
+/// ```
+/// use ds_net::{BusConfig, Fabric, FabricKind, Message, MsgKind};
+///
+/// let config = BusConfig { ports: 4, width_bytes: 8, clock_divisor: 1, header_bytes: 8 };
+/// let mut ring = Fabric::new(FabricKind::Ring, config);
+/// ring.enqueue(Message {
+///     src: 0, dest: None, kind: MsgKind::Broadcast,
+///     line_addr: 0x1000, payload_bytes: 32, seq: 0, enqueued_at: 0,
+/// });
+/// let (mut arrived, mut out) = (Vec::new(), Vec::new());
+/// for now in 0..100 {
+///     ring.step_into(now, &mut out);
+///     arrived.extend(out.iter().map(|d| d.dest));
+/// }
+/// assert_eq!(arrived, [1, 2, 3], "every other node, in ring order");
+/// assert!(ring.is_idle());
+/// ```
 #[derive(Debug, Clone)]
 pub struct Fabric {
-    inner: FabricInner,
+    ports: Ports,
+    model: Model,
     /// Present only under a non-empty fault plan; boxed because the
     /// fault path is rare and the common case should not pay its
     /// footprint.
@@ -56,17 +129,18 @@ impl Fabric {
     /// Builds a fault-free fabric of `kind` from shared geometry. Rings
     /// need at least two ports; degenerate single-node systems fall
     /// back to a bus (which never carries traffic there anyway).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is degenerate (no ports, zero width,
+    /// or zero divisor).
     pub fn new(kind: FabricKind, config: BusConfig) -> Self {
-        let inner = match kind {
-            FabricKind::Ring if config.ports >= 2 => FabricInner::Ring(Ring::new(RingConfig {
-                ports: config.ports,
-                width_bytes: config.width_bytes,
-                clock_divisor: config.clock_divisor,
-                header_bytes: config.header_bytes,
-            })),
-            _ => FabricInner::Bus(Bus::new(config)),
+        let ports = Ports::new(config);
+        let model = match kind {
+            FabricKind::Ring if config.ports >= 2 => Model::Ring(Ring::new(config.ports)),
+            _ => Model::Bus(Bus::default()),
         };
-        Fabric { inner, chaos: None }
+        Fabric { ports, model, chaos: None }
     }
 
     /// Builds a fabric with `plan`'s message faults injected at the
@@ -79,31 +153,26 @@ impl Fabric {
         f
     }
 
-    /// The underlying interconnect model.
-    pub fn inner(&self) -> &FabricInner {
-        &self.inner
-    }
-
     /// Fault-injection statistics (`None` without an active plan).
     pub fn fault_stats(&self) -> Option<&FaultStats> {
         self.chaos.as_deref().map(FaultInjector::stats)
     }
 
-    /// Queues a message at its source port.
+    /// Queues `msg` at its source port.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msg.src` (or a point-to-point `msg.dest`) is not a
+    /// valid port, or if a point-to-point message addresses its own
+    /// sender.
     pub fn enqueue(&mut self, msg: Message) {
-        match &mut self.inner {
-            FabricInner::Bus(b) => b.enqueue(msg),
-            FabricInner::Ring(r) => r.enqueue(msg),
+        let ports = self.ports.config.ports;
+        assert!(msg.src < ports, "bad source port");
+        if let Some(d) = msg.dest {
+            assert!(d < ports, "bad destination port");
+            assert!(d != msg.src, "self-addressed message");
         }
-    }
-
-    /// Advances one core cycle. Test-only convenience — the cycle loop
-    /// calls `step_into` with a reused buffer.
-    pub fn step(&mut self, now: Cycle) -> Vec<Delivery> {
-        // ds-lint: allow(a1) returning convenience wrapper; sim uses step_into
-        let mut out = Vec::new();
-        self.step_into(now, &mut out);
-        out
+        self.ports.queues[msg.src].push_back(msg);
     }
 
     /// Advances one core cycle, filling `out` with the deliveries
@@ -111,9 +180,10 @@ impl Fabric {
     /// Under an active fault plan the injector rewrites the batch —
     /// dropping, deferring, duplicating or reordering deliveries.
     pub fn step_into(&mut self, now: Cycle, out: &mut Vec<Delivery>) {
-        match &mut self.inner {
-            FabricInner::Bus(b) => b.step_into(now, out),
-            FabricInner::Ring(r) => r.step_into(now, out),
+        out.clear();
+        match &mut self.model {
+            Model::Bus(b) => b.step_into(&mut self.ports, now, out),
+            Model::Ring(r) => r.step_into(&mut self.ports, now, out),
         }
         if let Some(ch) = &mut self.chaos {
             ch.inject_step(now, out);
@@ -126,9 +196,9 @@ impl Fabric {
     /// system-wide event horizon; includes the injector's deferred
     /// releases so cycle skipping never jumps over a fault.
     pub fn next_event(&self, now: Cycle) -> Cycle {
-        let mut horizon = match &self.inner {
-            FabricInner::Bus(b) => b.next_event(now),
-            FabricInner::Ring(r) => r.next_event(now),
+        let mut horizon = match &self.model {
+            Model::Bus(b) => b.next_event(&self.ports, now),
+            Model::Ring(r) => r.next_event(&self.ports, now),
         };
         if let Some(ch) = &self.chaos {
             horizon = horizon.min(ch.next_event(now));
@@ -138,75 +208,74 @@ impl Fabric {
 
     /// True when nothing is queued, in flight, or deferred by a fault.
     pub fn is_idle(&self) -> bool {
-        let inner_idle = match &self.inner {
-            FabricInner::Bus(b) => b.is_idle(),
-            FabricInner::Ring(r) => r.is_idle(),
+        let model_idle = match &self.model {
+            Model::Bus(b) => b.is_idle(),
+            Model::Ring(r) => r.is_idle(),
         };
-        inner_idle && self.chaos.as_ref().is_none_or(|ch| ch.is_idle())
+        model_idle && self.ports.is_empty() && self.chaos.as_ref().is_none_or(|ch| ch.is_idle())
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> &BusStats {
-        match &self.inner {
-            FabricInner::Bus(b) => b.stats(),
-            FabricInner::Ring(r) => r.stats(),
-        }
+        &self.ports.stats
     }
 
-    /// Appends every queued, in-flight, or fault-deferred message to
-    /// `out` (deadlock-report introspection; cold path).
+    /// Appends every in-flight, queued, or fault-deferred message to
+    /// `out`, in that order (deadlock-report introspection; cold path).
     pub fn pending_into(&self, out: &mut Vec<Message>) {
-        match &self.inner {
-            FabricInner::Bus(b) => b.pending_into(out),
-            FabricInner::Ring(r) => r.pending_into(out),
+        match &self.model {
+            Model::Bus(b) => b.pending_into(out),
+            Model::Ring(r) => r.pending_into(out),
         }
+        out.extend(self.ports.queues.iter().flatten());
         if let Some(ch) = &self.chaos {
             ch.pending_into(out);
         }
     }
 
-    /// The recorded grant events (instrumented builds only; the ring
-    /// fabric is not yet instrumented and reports no events).
+    /// The recorded grant events (instrumented builds only).
     #[cfg(feature = "obs")]
-    pub fn events(&self) -> Option<&ds_obs::EventRing> {
-        match &self.inner {
-            FabricInner::Bus(b) => Some(b.events()),
-            FabricInner::Ring(_) => None,
-        }
+    pub fn events(&self) -> &ds_obs::EventRing {
+        self.ports.probe.ring()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::chaos::{FaultKind, FaultRule};
-    use crate::MsgKind;
+    use crate::PortId;
+
+    /// A core-clocked, 8-byte-wide geometry with `ports` ports.
+    pub(crate) fn fast(ports: usize) -> BusConfig {
+        BusConfig { ports, width_bytes: 8, clock_divisor: 1, header_bytes: 8 }
+    }
+
+    /// A 32-byte message enqueued at `at`.
+    pub(crate) fn msg(src: PortId, dest: Option<PortId>, kind: MsgKind, at: Cycle) -> Message {
+        Message { src, dest, kind, line_addr: 0x1000, payload_bytes: 32, seq: 0, enqueued_at: at }
+    }
+
+    /// Steps `f` over cycles `0..cycles`, collecting every delivery.
+    pub(crate) fn run(f: &mut Fabric, cycles: Cycle) -> Vec<Delivery> {
+        let (mut got, mut out) = (Vec::new(), Vec::new());
+        for now in 0..cycles {
+            f.step_into(now, &mut out);
+            got.extend_from_slice(&out);
+        }
+        got
+    }
 
     fn bmsg(src: usize) -> Message {
-        Message {
-            src,
-            dest: None,
-            kind: MsgKind::Broadcast,
-            line_addr: 0,
-            payload_bytes: 32,
-            seq: 0,
-            enqueued_at: 0,
-        }
+        msg(src, None, MsgKind::Broadcast, 0)
     }
 
     #[test]
     fn both_kinds_deliver_broadcasts_to_all_peers() {
         for kind in [FabricKind::Bus, FabricKind::Ring] {
-            let mut f = Fabric::new(
-                kind,
-                BusConfig { ports: 3, width_bytes: 8, clock_divisor: 1, header_bytes: 8 },
-            );
+            let mut f = Fabric::new(kind, fast(3));
             f.enqueue(bmsg(0));
-            let mut got = 0;
-            for now in 0..100 {
-                got += f.step(now).len();
-            }
-            assert_eq!(got, 2, "{kind:?}");
+            assert_eq!(run(&mut f, 100).len(), 2, "{kind:?}");
             assert!(f.is_idle());
             assert_eq!(f.stats().broadcasts, 1);
         }
@@ -215,24 +284,85 @@ mod tests {
     #[test]
     fn single_port_ring_falls_back_to_bus() {
         let f = Fabric::new(FabricKind::Ring, BusConfig { ports: 1, ..Default::default() });
-        assert!(matches!(f.inner(), FabricInner::Bus(_)));
+        assert!(f.is_idle());
+        assert_eq!(f.next_event(0), Cycle::MAX, "an idle one-port fabric has no events");
     }
 
     #[test]
     fn ring_broadcast_latency_beats_bus_for_nearest_neighbour() {
-        let config = BusConfig { ports: 4, width_bytes: 8, clock_divisor: 1, header_bytes: 8 };
-        let first_arrival = |mut f: Fabric| -> u64 {
+        let first_arrival = |kind| -> u64 {
+            let mut f = Fabric::new(kind, fast(4));
             f.enqueue(bmsg(0));
-            for now in 0..1000 {
-                if let Some(d) = f.step(now).first() {
-                    return d.at;
-                }
-            }
-            panic!("no delivery");
+            run(&mut f, 1000).first().expect("a delivery").at
         };
-        let bus = first_arrival(Fabric::new(FabricKind::Bus, config));
-        let ring = first_arrival(Fabric::new(FabricKind::Ring, config));
+        let bus = first_arrival(FabricKind::Bus);
+        let ring = first_arrival(FabricKind::Ring);
         assert!(ring <= bus, "nearest ring neighbour ({ring}) vs bus ({bus})");
+    }
+
+    #[test]
+    fn stats_accumulate() {
+        for kind in [FabricKind::Bus, FabricKind::Ring] {
+            let mut f = Fabric::new(kind, fast(2));
+            f.enqueue(bmsg(0));
+            f.enqueue(msg(1, Some(0), MsgKind::Request, 0));
+            run(&mut f, 100);
+            let s = f.stats();
+            assert_eq!(s.transactions, 2, "{kind:?}");
+            assert_eq!(s.broadcasts, 1);
+            assert_eq!(s.requests, 1);
+            assert_eq!(s.bytes, 40 + 40);
+            assert!(s.mean_queue_delay() >= 0.0);
+        }
+    }
+
+    #[test]
+    fn queue_delay_measured_from_enqueue() {
+        let mut f = Fabric::new(FabricKind::Bus, fast(2));
+        f.enqueue(msg(0, Some(1), MsgKind::Response, 0));
+        let (mut delivered, mut out) = (0, Vec::new());
+        for now in 0..100 {
+            if now == 1 {
+                f.enqueue(msg(0, Some(1), MsgKind::Response, 1));
+            }
+            f.step_into(now, &mut out);
+            delivered += out.len();
+        }
+        assert_eq!(delivered, 2);
+        // Second message waited from cycle 1 to its grant at cycle 5.
+        assert_eq!(f.stats().queue_delay_cycles, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad source port")]
+    fn bad_port_rejected() {
+        Fabric::new(FabricKind::Bus, fast(2)).enqueue(bmsg(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "self-addressed")]
+    fn self_addressed_message_rejected() {
+        Fabric::new(FabricKind::Ring, fast(2)).enqueue(msg(1, Some(1), MsgKind::Response, 0));
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn both_kinds_record_one_grant_event_per_transaction() {
+        for kind in [FabricKind::Bus, FabricKind::Ring] {
+            let mut f = Fabric::new(kind, fast(3));
+            f.enqueue(bmsg(0));
+            // First stepped at cycle 3: the grant waited three cycles.
+            let mut out = Vec::new();
+            for now in 3..100 {
+                f.step_into(now, &mut out);
+            }
+            let grants: Vec<_> = f.events().iter().map(|e| (e.cycle, e.kind)).collect();
+            let s = f.stats();
+            let expected =
+                ds_obs::EventKind::BusGrant { bytes: s.bytes, queue_delay: s.queue_delay_cycles };
+            assert_eq!(grants, [(3, expected)], "{kind:?}");
+            assert_eq!((s.bytes, s.queue_delay_cycles), (40, 3), "{kind:?}");
+        }
     }
 
     #[test]
@@ -248,17 +378,9 @@ mod tests {
             stalls: Vec::new(),
         };
         for kind in [FabricKind::Bus, FabricKind::Ring] {
-            let mut f = Fabric::with_chaos(
-                kind,
-                BusConfig { ports: 3, width_bytes: 8, clock_divisor: 1, header_bytes: 8 },
-                &plan,
-            );
+            let mut f = Fabric::with_chaos(kind, fast(3), &plan);
             f.enqueue(bmsg(0));
-            let mut got = 0;
-            for now in 0..100 {
-                got += f.step(now).len();
-            }
-            assert_eq!(got, 0, "{kind:?}: every delivery dropped");
+            assert!(run(&mut f, 100).is_empty(), "{kind:?}: every delivery dropped");
             assert!(f.is_idle());
             assert_eq!(f.fault_stats().unwrap().dropped, 2, "{kind:?}");
         }
@@ -270,16 +392,13 @@ mod tests {
             rules: vec![FaultRule::broadcasts(FaultKind::Delay(40), 1, u64::MAX)],
             stalls: Vec::new(),
         };
-        let mut f = Fabric::with_chaos(
-            FabricKind::Bus,
-            BusConfig { ports: 2, width_bytes: 8, clock_divisor: 1, header_bytes: 8 },
-            &plan,
-        );
+        let mut f = Fabric::with_chaos(FabricKind::Bus, fast(2), &plan);
         f.enqueue(bmsg(0));
-        let mut arrivals = Vec::new();
+        let (mut arrivals, mut out) = (Vec::new(), Vec::new());
         let mut now = 0;
         while now < 200 {
-            arrivals.extend(f.step(now).iter().map(|d| d.at));
+            f.step_into(now, &mut out);
+            arrivals.extend(out.iter().map(|d| d.at));
             if f.is_idle() {
                 break;
             }
@@ -298,15 +417,9 @@ mod tests {
             rules: vec![FaultRule::broadcasts(FaultKind::Delay(1000), 1, u64::MAX)],
             stalls: Vec::new(),
         };
-        let mut f = Fabric::with_chaos(
-            FabricKind::Bus,
-            BusConfig { ports: 2, width_bytes: 8, clock_divisor: 1, header_bytes: 8 },
-            &plan,
-        );
+        let mut f = Fabric::with_chaos(FabricKind::Bus, fast(2), &plan);
         f.enqueue(bmsg(0));
-        for now in 0..20 {
-            f.step(now);
-        }
+        run(&mut f, 20);
         let mut pending = Vec::new();
         f.pending_into(&mut pending);
         assert_eq!(pending.len(), 1, "the deferred broadcast is visible");
