@@ -16,7 +16,9 @@
 //!   model (a mirror of the canonical tag array driven only by the
 //!   event stream) asserts that hits land on resident lines, misses on
 //!   non-resident ones, and evictions name a resident victim — i.e.
-//!   false misses really were coalesced by the DCUB.
+//!   false misses really were coalesced by the DCUB. The traditional
+//!   machine's CPU chip is a node too, so its stream is checked here
+//!   as well.
 //! * **Every broadcast consumed exactly once per non-owner.** Checked
 //!   at end of run by `DsSystem`: send/arrival ledgers balance and the
 //!   BSHRs and DCUBs are empty (see `assert_audit_invariants`).

@@ -278,15 +278,15 @@ impl Bshr {
     }
 
     /// A direct (request–response) fill for `line` arrived at `now` —
-    /// the degraded path's answer. Releases and returns the waiters, or
-    /// `None` when no wait is outstanding (a duplicate or stale
-    /// response must not invent completions).
-    pub fn fill_direct(&mut self, line: u64, now: Cycle) -> Option<Vec<(RuuTag, Cycle)>> {
+    /// the answer to a request-mode side's or a degraded line's
+    /// request. Releases the waiters and returns them with the one
+    /// cycle they may complete at, or `None` when no wait is
+    /// outstanding (a duplicate or stale response must not invent
+    /// completions).
+    pub fn fill_direct(&mut self, line: u64, now: Cycle) -> Option<(Vec<RuuTag>, Cycle)> {
         let waiters = self.waits.remove(line)?;
         self.meta.remove(line);
-        let ready = now + self.access_cycles;
-        // ds-lint: allow(a1) same second Vec per fill as on_arrival, kept for the same measured reason (removing it moved setup_s on li.ds2.bus past its 25% bound); degraded-mode fills only, so the fault-free path never reaches it
-        Some(waiters.into_iter().map(|t| (t, ready)).collect())
+        Some((waiters, now + self.access_cycles))
     }
 
     /// The first wait (lowest line address — deterministic) whose
@@ -521,7 +521,7 @@ mod tests {
         b.request(0x400, 7, 0);
         b.join_wait(0x400, 9);
         let got = b.fill_direct(0x400, 30).expect("wait outstanding");
-        assert_eq!(got, vec![(7, 32), (9, 32)]);
+        assert_eq!(got, (vec![7, 9], 32));
         assert_eq!(b.next_timeout(), None);
         assert_eq!(b.fill_direct(0x400, 40), None, "duplicate response ignored");
     }

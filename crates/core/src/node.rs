@@ -14,6 +14,12 @@
 //!   in-flight episode, yet a commit-order miss) triggers the repair:
 //!   a late (reparative) broadcast at the owner, a BSHR squash at
 //!   non-owners.
+//!
+//! The traditional comparator's CPU chip is the same node with one
+//! difference, its [`Remote`] mode: a line it does not hold is
+//! *requested* from the memory port instead of awaited as a broadcast,
+//! and dirty or written-through data for it crosses the bus. A DS line
+//! in degraded mode takes the same request path.
 
 use crate::bshr::{Arrival, Bshr};
 use crate::config::DsConfig;
@@ -87,36 +93,46 @@ pub(crate) fn charge_block(probe: &mut NodeProbe, (bucket, pc): StallCharge, n: 
     probe.charge_many(bucket, n);
 }
 
-/// The [`ds_obs::MetricsReport`] of a single-core comparator system
-/// (traditional, perfect): the core's event ring, its one cycle
-/// account, per-PC profile and critical path. `None` unless built with
+/// The [`ds_obs::MetricsReport`] of `nodes` after `cycles` simulated
+/// cycles: every node's memory-side and core event rings, cycle ledger,
+/// per-PC profile, critical path and timeline. `None` unless built with
 /// `obs`.
 #[cfg(feature = "obs")]
-pub(crate) fn single_core_metrics(
-    core: &OooCore,
-    probe: &NodeProbe,
-    cycles: Cycle,
-) -> Option<ds_obs::MetricsReport> {
+pub(crate) fn nodes_metrics(nodes: &[Node], cycles: Cycle) -> Option<ds_obs::MetricsReport> {
     let mut m = ds_obs::MetricsReport::default();
-    m.absorb(core.events());
-    let acct = *probe.account();
-    if cfg!(any(debug_assertions, feature = "audit")) {
-        assert_eq!(acct.total(), cycles, "stall buckets must sum to total cycles");
+    for (i, n) in nodes.iter().enumerate() {
+        m.absorb(n.events());
+        m.absorb(n.core_events());
+        let acct = *n.cycle_account();
+        // The tentpole invariant: every simulated cycle was charged to
+        // exactly one bucket.
+        #[cfg(any(debug_assertions, feature = "audit"))]
+        assert_eq!(acct.total(), cycles, "node {i} stall buckets must sum to total cycles");
+        let _ = (i, cycles);
+        m.node_accounts.push(acct);
     }
-    m.node_accounts.push(acct);
-    m.hot_pcs = ds_obs::top_hot_pcs([probe.pc_profile()], 16);
-    m.critpath.nodes.push(core.crit_window().path_report());
+    m.hot_pcs = ds_obs::top_hot_pcs(nodes.iter().map(|n| n.pc_profile()), 16);
+    for n in nodes {
+        m.critpath.nodes.push(n.crit_window().path_report());
+    }
+    m.timeline = timeline_report(nodes);
     Some(m)
 }
 
 /// Uninstrumented builds carry no metrics.
 #[cfg(not(feature = "obs"))]
-pub(crate) fn single_core_metrics(
-    _core: &OooCore,
-    _probe: &NodeProbe,
-    _cycles: Cycle,
-) -> Option<ds_obs::MetricsReport> {
+pub(crate) fn nodes_metrics(_nodes: &[Node], _cycles: Cycle) -> Option<ds_obs::MetricsReport> {
     None
+}
+
+/// Every node's interval timeline, phases segmented.
+#[cfg(feature = "obs")]
+pub(crate) fn timeline_report(nodes: &[Node]) -> ds_obs::TimelineReport {
+    let mut t = ds_obs::TimelineReport::default();
+    for n in nodes {
+        t.nodes.push(n.timeline().report());
+    }
+    t
 }
 
 /// Serves the point-to-point read `req` the way a memory chip does: the
@@ -152,11 +168,27 @@ pub(crate) fn serve_request(
     );
 }
 
+/// How a memory side obtains a line another node owns. Fixed at
+/// construction; the one thing that differs between a DataScalar node
+/// and the traditional machine's CPU chip.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Remote {
+    /// ESP: wait in the BSHR for the owner's broadcast, and drop writes
+    /// to the line (the owner makes them itself). Only a degraded line
+    /// is requested from its owner.
+    Broadcast,
+    /// Request the line from the memory behind port `server`, and write
+    /// dirty victims and write-through stores back to it. A response is
+    /// usable `fill_cycles` after it lands.
+    Request { server: NodeId, fill_cycles: Cycle },
+}
+
 /// The memory side of a node (everything in Figure 5 except the CPU
 /// logic).
 #[derive(Debug)]
 pub(crate) struct MemSide {
     id: NodeId,
+    remote: Remote,
     pt: Arc<PageTable>,
     canon: Cache,
     icache: Cache,
@@ -166,15 +198,20 @@ pub(crate) struct MemSide {
     /// Optional data TLB; misses charge a local page-table walk.
     dtlb: Option<Tlb>,
     tlb_walk_cycles: u64,
-    line_bytes: u64,
-    queue_penalty: u64,
-    /// Broadcasts awaiting their data-ready cycle before entering the
-    /// bus queue.
+    pub(crate) line_bytes: u64,
+    pub(crate) queue_penalty: u64,
+    /// Cycle the latest request for each line entered the output queue:
+    /// the near end of the round trip its fill is stamped with.
+    req_sent: LineMap<Cycle>,
+    /// Messages awaiting their data-ready cycle before entering the bus
+    /// queue.
     outgoing: PendingQueue,
     /// Per-line broadcast sequence numbers (the paper's supplementary
     /// tags). Sorted-vec map: probed once per broadcast and never
     /// iterated, and its order is deterministic either way.
     seq: LineMap<u64>,
+    /// Sequence number of the next point-to-point message.
+    p2p_seq: u64,
     stats: NodeStats,
     /// Cycle-stamped protocol events (no-op unless built with `obs`).
     probe: NodeProbe,
@@ -184,11 +221,16 @@ pub(crate) struct MemSide {
 }
 
 impl MemSide {
-    fn new(id: NodeId, pt: Arc<PageTable>, config: &DsConfig) -> Self {
-        let mut bshr = Bshr::new(config.bshr_entries, config.bshr_access_cycles);
+    fn new(id: NodeId, pt: Arc<PageTable>, config: &DsConfig, remote: Remote) -> Self {
+        let access = match remote {
+            Remote::Broadcast => config.bshr_access_cycles,
+            Remote::Request { fill_cycles, .. } => fill_cycles,
+        };
+        let mut bshr = Bshr::new(config.bshr_entries, access);
         bshr.configure_timeout(config.bshr_timeout_cycles, config.bshr_retry_budget);
         MemSide {
             id,
+            remote,
             pt,
             canon: Cache::new(config.dcache),
             icache: Cache::new(config.icache),
@@ -199,8 +241,10 @@ impl MemSide {
             tlb_walk_cycles: config.tlb_walk_cycles,
             line_bytes: config.dcache.line_bytes,
             queue_penalty: config.queue_penalty,
+            req_sent: LineMap::new(),
             outgoing: PendingQueue::new(),
             seq: LineMap::new(),
+            p2p_seq: 0,
             stats: NodeStats::default(),
             probe: NodeProbe::default(),
             #[cfg(feature = "audit")]
@@ -222,9 +266,9 @@ impl MemSide {
     }
 
     fn push_broadcast(&mut self, line: u64, ready: Cycle) {
-        if self.pt.nodes() == 1 {
-            // No peers: a degenerate single-node machine never
-            // broadcasts.
+        if self.remote != Remote::Broadcast || self.pt.nodes() == 1 {
+            // Nobody listens: a request-mode side's peers ask for what
+            // they need, and a single-node machine has no peers.
             return;
         }
         let seq = self.seq.get_mut_or_default(line);
@@ -243,23 +287,28 @@ impl MemSide {
         self.outgoing.push(ready, msg);
     }
 
-    /// Sends a traditional point-to-point request for `line` to its
-    /// owner — the graceful-degradation fallback once a line exhausts
-    /// its retransmit budget. Address-only (no payload).
-    fn send_direct_request(&mut self, line: u64, owner: NodeId, now: Cycle) {
+    /// Queues a point-to-point `kind` message for `line` to `dest`,
+    /// ready after the queue penalty. A `Request` is address-only and
+    /// records its send cycle, so the fill it brings back is stamped
+    /// with the whole round trip (request out, memory, response back).
+    fn send(&mut self, kind: MsgKind, line: u64, payload: u64, dest: NodeId, now: Cycle) {
         let ready = now + self.queue_penalty;
         self.outgoing.push(
             ready,
             Message {
                 src: self.id,
-                dest: Some(owner),
-                kind: MsgKind::Request,
+                dest: Some(dest),
+                kind,
                 line_addr: line,
-                payload_bytes: 0,
-                seq: 0,
+                payload_bytes: payload,
+                seq: self.p2p_seq,
                 enqueued_at: ready,
             },
         );
+        self.p2p_seq += 1;
+        if kind == MsgKind::Request {
+            self.req_sent.insert(line, ready);
+        }
     }
 
     fn handle_victim(&mut self, victim: Option<Victim>, now: Cycle) {
@@ -272,6 +321,8 @@ impl MemSide {
             // it occupies a bank but blocks nothing).
             self.mem.access(v.line_addr, self.line_bytes, now);
             self.stats.writebacks_local += 1;
+        } else if let Remote::Request { server, .. } = self.remote {
+            self.send(MsgKind::WriteBack, v.line_addr, self.line_bytes, server, now);
         } else {
             // ESP: another node owns the line and generates the same
             // value locally; the write-back is dropped (§3.1).
@@ -280,10 +331,12 @@ impl MemSide {
     }
 
     /// Repairs a commit-time miss that had no in-flight episode: a
-    /// broadcast at the owner, a squash at non-owners. `reparative` is
-    /// true for load false hits (counted as Table 3's late broadcasts)
-    /// and false for write-allocate store fills, which are ordinary
-    /// episode fills that merely happen at commit.
+    /// broadcast at the owner, a squash at non-owners — or, on a
+    /// request-mode side, a local read or a fire-and-forget request
+    /// that pays the traffic without blocking the completed load.
+    /// `reparative` is true for load false hits (counted as Table 3's
+    /// late broadcasts) and false for write-allocate store fills, which
+    /// are ordinary episode fills that merely happen at commit.
     fn fill_repair(&mut self, line: u64, now: Cycle, reparative: bool) {
         if reparative {
             self.probe.record(now, EventKind::FalseHitRepair { line });
@@ -294,14 +347,15 @@ impl MemSide {
             }
             PageClass::Owned(o) if o == self.id => {
                 self.mem.access(line, self.line_bytes, now);
-                if reparative {
+                if reparative && self.remote == Remote::Broadcast {
                     self.stats.late_broadcasts += 1;
                 }
                 self.push_broadcast(line, now + self.queue_penalty);
             }
-            PageClass::Owned(_) => {
-                self.bshr.post_squash(line);
-            }
+            PageClass::Owned(_) => match self.remote {
+                Remote::Broadcast => self.bshr.post_squash(line),
+                Remote::Request { server, .. } => self.send(MsgKind::Request, line, 0, server, now),
+            },
         }
     }
 
@@ -363,6 +417,18 @@ impl MemSystem for MemSide {
             }
             PageClass::Owned(owner) => {
                 self.stats.remote_accesses += 1;
+                if let Remote::Request { server, .. } = self.remote {
+                    // Nothing is broadcast to a request-mode side: ask,
+                    // then wait. (In this order the traditional machine
+                    // keeps its heap-operation sequence, DESIGN.md §12.)
+                    self.send(MsgKind::Request, line, 0, server, now);
+                    self.dcub.insert(line, None, false);
+                    self.record_dcub_push(line, now);
+                    self.bshr.request(line, tag, now);
+                    let occ = self.bshr.occupancy() as u32;
+                    self.probe.record(now, EventKind::BshrAllocate { line, occ });
+                    return (LoadResponse::Pending, false);
+                }
                 match self.bshr.request(line, tag, now) {
                     Some(ready) => {
                         self.probe.record(
@@ -386,7 +452,7 @@ impl MemSystem for MemSide {
                         // traditional machine would.
                         if self.bshr.is_degraded(line) {
                             self.stats.degraded_requests += 1;
-                            self.send_direct_request(line, owner, now);
+                            self.send(MsgKind::Request, line, 0, owner, now);
                         }
                         self.dcub.insert(line, None, false);
                         self.record_dcub_push(line, now);
@@ -417,10 +483,13 @@ impl MemSystem for MemSide {
                     );
                     // Write-no-allocate: the store writes through to the
                     // owner's memory and is dropped everywhere else —
-                    // created values never cross the interconnect (§3.1).
+                    // created values never cross the interconnect (§3.1)
+                    // unless the side requests its remote lines.
                     if self.pt.is_local(addr, self.id) {
                         self.mem.access(addr, rec.mem_bytes, now);
                         self.stats.writethroughs_local += 1;
+                    } else if let Remote::Request { server, .. } = self.remote {
+                        self.send(MsgKind::WriteThrough, line, rec.mem_bytes, server, now);
                     } else {
                         self.stats.writes_dropped += 1;
                     }
@@ -487,7 +556,8 @@ impl MemSystem for MemSide {
 
     fn fetch_line(&mut self, pc: u64, now: Cycle) -> Cycle {
         // Text is replicated at every node (§4.2), so instruction
-        // fetches always complete locally.
+        // fetches always complete locally. The traditional machine gets
+        // the same benefit, keeping the comparison about data.
         let line = self.icache.line_addr(pc);
         match self.icache.access(pc, AccessKind::Read) {
             CacheOutcome::Hit => now,
@@ -496,7 +566,8 @@ impl MemSystem for MemSide {
     }
 }
 
-/// One DataScalar node (CPU + memory side of Figure 5).
+/// One node (CPU + memory side of Figure 5): a DataScalar node, or the
+/// traditional machine's CPU chip.
 #[derive(Debug)]
 pub struct Node {
     pub(crate) core: OooCore,
@@ -517,7 +588,7 @@ pub struct Node {
 use ds_obs::SAMPLE_INTERVAL;
 
 impl Node {
-    pub(crate) fn new(id: NodeId, pt: Arc<PageTable>, config: &DsConfig) -> Self {
+    pub(crate) fn new(id: NodeId, pt: Arc<PageTable>, config: &DsConfig, remote: Remote) -> Self {
         let mut stalls: Vec<(Cycle, Cycle)> = config
             .fault_plan
             .stalls
@@ -528,7 +599,7 @@ impl Node {
         stalls.sort_unstable();
         Node {
             core: OooCore::new(config.core, config.icache.line_bytes),
-            ms: MemSide::new(id, pt, config),
+            ms: MemSide::new(id, pt, config, remote),
             stalls,
             #[cfg(feature = "obs")]
             timeline: ds_obs::IntervalRing::default(),
@@ -616,15 +687,16 @@ impl Node {
         }
     }
 
-    /// Removes and returns the next broadcast whose data is ready by
+    /// Removes and returns the next message whose data is ready by
     /// `now` (in `(ready, seq)` order), or `None` when drained.
     pub(crate) fn next_outgoing(&mut self, now: Cycle) -> Option<Message> {
         self.ms.outgoing.pop_due(now)
     }
 
     /// A message arrived from the interconnect: an ESP broadcast in the
-    /// fault-free protocol, or one of the ds-chaos hardening kinds
-    /// (retransmit requests, degraded-mode requests and responses).
+    /// fault-free protocol, the response to a request-mode side's
+    /// request, or one of the ds-chaos hardening kinds (retransmit
+    /// requests, degraded-mode requests and responses).
     pub(crate) fn deliver(&mut self, msg: &Message, now: Cycle) {
         let line = msg.line_addr;
         match msg.kind {
@@ -686,10 +758,15 @@ impl Node {
                 serve_request(&mut ms.mem, msg, ms.line_bytes, ms.queue_penalty, now, &mut ms.outgoing);
             }
             MsgKind::Response => {
-                // Degraded-mode fill. A duplicate (the original
-                // broadcast raced the retransmit path) finds no wait
-                // and is dropped.
-                if let Some(waiters) = self.ms.bshr.fill_direct(line, now) {
+                // The answer to a request (every remote line of a
+                // request-mode side, a degraded line here). The first
+                // response for a line fills its wait; a duplicate (the
+                // original broadcast raced the retransmit path, or a
+                // repair's fire-and-forget request) finds none and is
+                // dropped. Fills are stamped with the request's send
+                // cycle, so the critical path sees the round trip.
+                let sent = self.ms.req_sent.remove(line);
+                if let Some((waiters, ready)) = self.ms.bshr.fill_direct(line, now) {
                     self.ms.probe.record(
                         now,
                         EventKind::BshrFill {
@@ -698,16 +775,17 @@ impl Node {
                             occ: self.ms.bshr.occupancy() as u32,
                         },
                     );
-                    if let Some(&(_, ready)) = waiters.first() {
-                        self.ms.dcub.mark_ready(line, ready);
-                    }
-                    for (tag, ready) in waiters {
-                        self.core.complete_load_from(tag, ready, line, msg.enqueued_at);
+                    self.ms.dcub.mark_ready(line, ready);
+                    for tag in waiters {
+                        match sent {
+                            Some(s) => self.core.complete_load_from(tag, ready, line, s),
+                            None => self.core.complete_load(tag, ready),
+                        }
                     }
                 }
             }
             MsgKind::WriteBack | MsgKind::WriteThrough => {
-                debug_assert!(false, "traditional-only message kind reached a DataScalar node");
+                debug_assert!(false, "a write for the memory port reached a node");
             }
         }
     }
@@ -730,7 +808,7 @@ impl Node {
             }
             if e.degraded {
                 self.ms.stats.degraded_requests += 1;
-                self.ms.send_direct_request(e.line, owner, now);
+                self.ms.send(MsgKind::Request, e.line, 0, owner, now);
             } else {
                 self.ms.stats.retransmit_requests += 1;
                 self.ms.probe.record(
@@ -779,7 +857,7 @@ impl Node {
         self.core.committed()
     }
 
-    /// True when no broadcast is waiting for its data-ready cycle.
+    /// True when no message is waiting for its data-ready cycle.
     pub(crate) fn outgoing_is_empty(&self) -> bool {
         self.ms.outgoing.is_empty()
     }

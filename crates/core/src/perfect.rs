@@ -103,7 +103,7 @@ impl PerfectSystem {
             m.core.committed(),
             vec![stats],
             Default::default(),
-            crate::node::single_core_metrics(&m.core, &m.probe, self.engine.cycles()),
+            metrics(&m.core, &m.probe, self.engine.cycles()),
         ))
     }
 
@@ -147,6 +147,37 @@ impl Machine for PerfectMachine {
         #[cfg(feature = "obs")]
         report.recent_events.extend(self.core.events().iter().cloned());
     }
+}
+
+/// The [`ds_obs::MetricsReport`] of the one core: its event ring, cycle
+/// account, per-PC profile and critical path. `None` unless built with
+/// `obs`.
+#[cfg(feature = "obs")]
+fn metrics(
+    core: &OooCore,
+    probe: &crate::node::NodeProbe,
+    cycles: Cycle,
+) -> Option<ds_obs::MetricsReport> {
+    let mut m = ds_obs::MetricsReport::default();
+    m.absorb(core.events());
+    let acct = *probe.account();
+    if cfg!(any(debug_assertions, feature = "audit")) {
+        assert_eq!(acct.total(), cycles, "stall buckets must sum to total cycles");
+    }
+    m.node_accounts.push(acct);
+    m.hot_pcs = ds_obs::top_hot_pcs([probe.pc_profile()], 16);
+    m.critpath.nodes.push(core.crit_window().path_report());
+    Some(m)
+}
+
+/// Uninstrumented builds carry no metrics.
+#[cfg(not(feature = "obs"))]
+fn metrics(
+    _core: &OooCore,
+    _probe: &crate::node::NodeProbe,
+    _cycles: Cycle,
+) -> Option<ds_obs::MetricsReport> {
+    None
 }
 
 impl PerfectMachine {

@@ -2,7 +2,7 @@
 
 use crate::config::DsConfig;
 use crate::engine::{self, Engine, Machine};
-use crate::node::Node;
+use crate::node::{Node, Remote};
 use crate::stats::RunResult;
 use crate::watchdog::DeadlockReport;
 use crate::Cycle;
@@ -64,7 +64,7 @@ impl DsSystem {
         let mut bus_cfg = config.bus;
         bus_cfg.ports = config.nodes;
         let nodes = (0..config.nodes)
-            .map(|i| Node::new(i, Arc::clone(&page_table), &config))
+            .map(|i| Node::new(i, Arc::clone(&page_table), &config, Remote::Broadcast))
             .collect();
         let machine = DsMachine {
             bus: Fabric::with_chaos(config.interconnect, bus_cfg, &config.fault_plan),
@@ -367,27 +367,7 @@ impl DsSystem {
     /// interconnect, and the system's own lead events — into one
     /// [`ds_obs::MetricsReport`].
     fn metrics(&self) -> Option<ds_obs::MetricsReport> {
-        let mut m = ds_obs::MetricsReport::default();
-        for (i, n) in self.machine.nodes.iter().enumerate() {
-            m.absorb(n.events());
-            m.absorb(n.core_events());
-            let acct = *n.cycle_account();
-            // The tentpole invariant: every simulated cycle was charged
-            // to exactly one bucket.
-            #[cfg(any(debug_assertions, feature = "audit"))]
-            assert_eq!(
-                acct.total(),
-                self.engine.cycles(),
-                "node {i} stall buckets must sum to total cycles"
-            );
-            let _ = i;
-            m.node_accounts.push(acct);
-        }
-        m.hot_pcs = ds_obs::top_hot_pcs(self.machine.nodes.iter().map(|n| n.pc_profile()), 16);
-        for n in &self.machine.nodes {
-            m.critpath.nodes.push(n.crit_window().path_report());
-        }
-        m.timeline = self.timeline_report();
+        let mut m = crate::node::nodes_metrics(&self.machine.nodes, self.engine.cycles())?;
         m.absorb(self.machine.bus.events());
         m.absorb(self.machine.probe.ring());
         Some(m)
@@ -450,11 +430,7 @@ impl DsSystem {
     /// `RunResult::metrics`; exposed separately so exporters can reach
     /// it without absorbing the event rings.
     pub fn timeline_report(&self) -> ds_obs::TimelineReport {
-        let mut t = ds_obs::TimelineReport::default();
-        for n in &self.machine.nodes {
-            t.nodes.push(n.timeline().report());
-        }
-        t
+        crate::node::timeline_report(&self.machine.nodes)
     }
 
     /// Renders the merged system timeline's phases in the flamegraph

@@ -4,7 +4,7 @@
 //! the feature still builds this target as an empty test binary.
 #![cfg(feature = "audit")]
 
-use ds_core::{DsConfig, DsSystem};
+use ds_core::{DsConfig, DsSystem, TraditionalConfig, TraditionalSystem};
 use ds_workloads::{by_name, Scale};
 
 fn run_audited(workload: &str, nodes: usize, max_insts: u64) -> u64 {
@@ -39,6 +39,31 @@ fn go_2_nodes_passes_audit() {
 #[test]
 fn go_4_nodes_passes_audit() {
     let checks = run_audited("go", 4, 40_000);
+    assert!(checks > 1_000, "auditor barely ran: {checks} checks");
+}
+
+/// The traditional machine's CPU chip is the same node, so its commit
+/// stream runs through the same residency model.
+fn run_audited_traditional(workload: &str, max_insts: u64) -> u64 {
+    let w = by_name(workload).expect("workload registered");
+    let prog = (w.build)(Scale::Tiny);
+    let mut base = DsConfig::with_nodes(2);
+    base.max_insts = Some(max_insts);
+    let mut sys = TraditionalSystem::new(&TraditionalConfig { base }, &prog);
+    let result = sys.run().expect("workload executes under audit");
+    assert!(result.committed > 0, "traditional {workload}: nothing committed");
+    sys.audit_checks()
+}
+
+#[test]
+fn traditional_compress_passes_audit() {
+    let checks = run_audited_traditional("compress", 40_000);
+    assert!(checks > 1_000, "auditor barely ran: {checks} checks");
+}
+
+#[test]
+fn traditional_go_passes_audit() {
+    let checks = run_audited_traditional("go", 40_000);
     assert!(checks > 1_000, "auditor barely ran: {checks} checks");
 }
 

@@ -144,7 +144,7 @@ fn stall_accounting_helpers_are_in_the_proven_region() {
         "OooCore::stall_class",
         "Node::deliver",
         "Bshr::on_arrival",
-        "TradMachine::on_delivery",
+        "TradMachine::deliver",
         "serve_request",
         "Ports::account",
     ] {

@@ -91,6 +91,63 @@ fn hardened_runs_converge_to_the_fault_free_architectural_state() {
     }
 }
 
+/// Degraded mode end to end: every broadcast is dropped and no retry
+/// is allowed, so each remote line's first timeout degrades it to
+/// request–response and the whole run completes over direct requests —
+/// with the fault-free architectural state. Under `obs`, each of those
+/// fills is a `remote-fill` edge measured from the request's send, so
+/// it spans the whole round trip: request out, the owner's memory and
+/// queue, the response back, and the BSHR read.
+#[test]
+fn degraded_lines_complete_over_direct_requests() {
+    let (base_r, base_lines) = run_compress(hardened_config(2, FaultPlan::default(), None));
+    let plan = FaultPlan {
+        rules: vec![FaultRule::broadcasts(FaultKind::Drop, 1, u64::MAX)],
+        stalls: Vec::new(),
+    };
+    let mut config = hardened_config(2, plan, None);
+    config.bshr_timeout_cycles = Some(500);
+    config.bshr_retry_budget = 0;
+    let w = by_name("compress").expect("compress registered");
+    let prog = (w.build)(Scale::Tiny);
+    let mut sys = DsSystem::new(config.clone(), &prog);
+    let r = sys.run().expect("workload executes");
+    assert!(r.deadlock.is_none(), "degraded lines must still complete");
+    let degraded: u64 = r.nodes.iter().map(|n| n.bshr.lines_degraded).sum();
+    let responses: u64 = r.nodes.iter().map(|n| n.degraded_responses).sum();
+    assert!(degraded > 0, "every dropped broadcast leaves a line to degrade");
+    assert!(responses > 0, "degraded lines are served by their owners");
+    assert_eq!(r.committed, base_r.committed, "same committed stream");
+    let lines: Vec<_> = sys.nodes().iter().map(|n| n.canonical_cache_lines()).collect();
+    assert_eq!(lines, base_lines, "canonical caches must match the fault-free run");
+
+    #[cfg(feature = "obs")]
+    {
+        use datascalar::obs::FillKind;
+        let bus = config.bus;
+        let round_trip = bus.transfer_cycles(0)
+            + config.memory.access_cycles
+            + config.queue_penalty
+            + bus.transfer_cycles(config.dcache.line_bytes)
+            + config.bshr_access_cycles;
+        let mut edges = 0;
+        for node in sys.nodes() {
+            for n in node.crit_window().iter() {
+                if n.fill == FillKind::RemoteFill && n.sent <= n.complete {
+                    edges += 1;
+                    assert!(
+                        n.complete - n.sent >= round_trip,
+                        "a degraded fill's edge spans {} cycles, less than the \
+                         {round_trip}-cycle request round trip",
+                        n.complete - n.sent
+                    );
+                }
+            }
+        }
+        assert!(edges > 0, "no degraded fill reached the critical-path window");
+    }
+}
+
 #[test]
 fn unrecoverable_plan_terminates_with_a_populated_deadlock_report() {
     // Drop *every* broadcast with no BSHR timeout to fall back on: the

@@ -14,7 +14,9 @@
 use datascalar::core_model::RunResult;
 use datascalar::trace::{measure_traffic, TrafficConfig};
 use datascalar::workloads::{by_name, Workload};
-use ds_bench::{run_datascalar, run_perfect, run_traditional, Budget};
+use datascalar::core_model::{TraditionalConfig, TraditionalSystem};
+use datascalar::mem::{TlbConfig, WritePolicy};
+use ds_bench::{baseline_config, run_datascalar, run_perfect, run_traditional, Budget};
 
 /// Every counter that a hot-path change could plausibly disturb,
 /// rendered as one canonical line.
@@ -96,6 +98,39 @@ const GOLDEN_GO: &[(&str, &str)] = &[
     ("trad4", "cycles=16366 committed=40005 bus[txn=174 bytes=4176 busy=5220 qdelay=5528 bcast=0 req=87 resp=87 wr=0] n0[ld=6930 hit=6199 lmiss=59 rem=87 bc=0 late=0 fh=0 fm=585 st=1240 wt=0 wb=0 drop=0]"),
 ];
 
+/// The 1/2-on-chip traditional machine under the two memory-side
+/// options the Figure 7 grid leaves at their defaults: a real D-TLB and
+/// a write-allocate D-cache. `dcub_max` rides along because both change
+/// how long lines stay in flight.
+fn trad2_variant_fingerprints(name: &str) -> Vec<(&'static str, String)> {
+    let w = by_name(name).expect("registered workload");
+    let b = Budget::quick();
+    let prog = (w.build)(b.scale);
+    let run = |tweak: &dyn Fn(&mut datascalar::core_model::DsConfig)| {
+        let mut base = baseline_config(2, b.max_insts);
+        tweak(&mut base);
+        let r = TraditionalSystem::new(&TraditionalConfig { base }, &prog)
+            .run()
+            .expect("workload executes");
+        assert!(r.deadlock.is_none(), "{name}: traditional run wedged");
+        format!("{} dcub_max={}", fingerprint(&r), r.nodes[0].dcub_max)
+    };
+    vec![
+        ("tlb", run(&|c| c.tlb = Some(TlbConfig { entries: 8, assoc: 2, page_bytes: 4096 }))),
+        ("walloc", run(&|c| c.dcache.write_policy = WritePolicy::WriteBackAllocate)),
+    ]
+}
+
+const GOLDEN_TRAD2_COMPRESS: &[(&str, &str)] = &[
+    ("tlb", "cycles=35969 committed=40005 bus[txn=1585 bytes=19020 busy=33960 qdelay=827351 bcast=0 req=113 resp=113 wr=1359] n0[ld=3026 hit=2142 lmiss=173 rem=106 bc=0 late=0 fh=13 fm=598 st=5978 wt=1297 wb=5 drop=0] dcub_max=7"),
+    ("walloc", "cycles=13574 committed=40003 bus[txn=360 bytes=8864 busy=11080 qdelay=14321 bcast=0 req=173 resp=172 wr=15] n0[ld=3079 hit=2290 lmiss=162 rem=95 bc=0 late=0 fh=1 fm=533 st=5978 wt=0 wb=44 drop=0] dcub_max=7"),
+];
+
+const GOLDEN_TRAD2_LI: &[(&str, &str)] = &[
+    ("tlb", "cycles=201991 committed=40001 bus[txn=5600 bytes=118784 busy=148480 qdelay=3178849 bcast=0 req=1824 resp=1824 wr=1952] n0[ld=12106 hit=2546 lmiss=1955 rem=1823 bc=0 late=0 fh=1 fm=5746 st=4000 wt=2048 wb=0 drop=0] dcub_max=34"),
+    ("walloc", "cycles=213461 committed=40001 bus[txn=5086 bytes=129872 busy=162340 qdelay=2208925 bcast=0 req=2299 resp=2299 wr=488] n0[ld=12106 hit=2570 lmiss=1955 rem=1811 bc=0 late=0 fh=0 fm=5734 st=4000 wt=0 wb=512 drop=0] dcub_max=34"),
+];
+
 const GOLDEN_TRAFFIC_COMPRESS: &str =
     "fills=474 writebacks=0 insts=52985 refs=14488 trad_bytes=22752 esp_bytes=18960 trad_txn=948 esp_txn=474";
 const GOLDEN_TRAFFIC_GO: &str =
@@ -122,6 +157,16 @@ fn figure7_stats_pinned_for_compress() {
 #[test]
 fn figure7_stats_pinned_for_go() {
     check("go", GOLDEN_GO);
+}
+
+#[test]
+fn traditional_variants_pinned() {
+    for (name, golden) in [("compress", GOLDEN_TRAD2_COMPRESS), ("li", GOLDEN_TRAD2_LI)] {
+        for ((label, got), (glabel, want)) in trad2_variant_fingerprints(name).iter().zip(golden) {
+            assert_eq!(label, glabel);
+            assert_eq!(got, want, "{name}/trad2/{label}: simulation statistics changed");
+        }
+    }
 }
 
 #[test]
@@ -160,5 +205,11 @@ fn print_golden_stats() {
             println!("    (\"{label}\", \"{fp}\"),");
         }
         println!("    traffic: \"{}\"", traffic_line(&w));
+    }
+    for name in ["compress", "li"] {
+        println!("== {name} trad2 variants ==");
+        for (label, fp) in trad2_variant_fingerprints(name) {
+            println!("    (\"{label}\", \"{fp}\"),");
+        }
     }
 }

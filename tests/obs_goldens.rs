@@ -55,11 +55,18 @@ fn metrics_populated_for_all_five_figure7_systems() {
         assert!(!m.hot_pcs.is_empty(), "ds{nodes}: no hot PCs attributed");
     }
 
-    // The single-core comparison systems carry no event stream beyond
-    // commits, but they do carry the cycle account (one core each).
+    // The perfect machine carries no event stream beyond commits, but
+    // it does carry the cycle account (one core).
     assert_accounts_cover("perfect", &run_perfect(&w, b), 1);
+    // The traditional CPU chip is a node: no broadcasts, but its
+    // request waits and DCUB traffic are observed like a DS node's.
     for nodes in [2, 4] {
-        assert_accounts_cover(&format!("trad{nodes}"), &run_traditional(&w, nodes, b), 1);
+        let r = run_traditional(&w, nodes, b);
+        let m = r.metrics.as_ref().unwrap_or_else(|| panic!("trad{nodes}: metrics missing"));
+        assert_eq!(m.broadcast_latency.total(), 0, "trad{nodes}: nothing is broadcast");
+        assert!(m.bshr_occupancy.total() > 0, "trad{nodes}: no request waits observed");
+        assert!(m.dcub_occupancy.total() > 0, "trad{nodes}: no DCUB traffic observed");
+        assert_accounts_cover(&format!("trad{nodes}"), &r, 1);
     }
 }
 

@@ -94,10 +94,15 @@ fn engines_agree_across_the_figure7_grid() {
 fn engines_agree_on_a_narrow_machine() {
     // A tiny window and a real D-TLB push the run through the stall
     // classes the wide default machine rarely shows (RUU/LSQ full,
-    // translation walks), so the batch charge path sees them too.
+    // translation walks), so the batch charge path sees them too. The
+    // traditional machine always steps a bus, so it runs once.
     let budget = Budget::quick();
     for workload in ["compress", "go"] {
-        for fabric in [ds_net::FabricKind::Bus, ds_net::FabricKind::Ring] {
+        for (model, fabric) in [
+            (Model::DataScalar, ds_net::FabricKind::Bus),
+            (Model::DataScalar, ds_net::FabricKind::Ring),
+            (Model::Traditional, ds_net::FabricKind::Bus),
+        ] {
             let mut config = DsConfig::with_nodes(2);
             config.max_insts = Some(budget.max_insts);
             config.interconnect = fabric;
@@ -107,8 +112,8 @@ fn engines_agree_on_a_narrow_machine() {
             config.core.ruu_entries = 16;
             config.core.lsq_entries = 8;
             config.tlb = Some(ds_mem::TlbConfig { entries: 8, assoc: 2, page_bytes: 4096 });
-            let label = format!("narrow {workload}/{fabric:?}");
-            assert_engines_agree(Model::DataScalar, config, workload, budget, &label);
+            let label = format!("narrow {workload}/{model:?}/{fabric:?}");
+            assert_engines_agree(model, config, workload, budget, &label);
         }
     }
 }
