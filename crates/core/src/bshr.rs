@@ -268,7 +268,7 @@ impl Bshr {
         if let Some(waiters) = self.waits.remove(line) {
             self.meta.remove(line);
             let ready = now + self.access_cycles;
-            // ds-lint: allow(a1) a second Vec per fill, kept on purpose: removing it (allocs/Kinst 336 -> 169 on li.ds2.bus) moved the ledger's untraced setup_s there from 1.0-1.4 ms to 2.2-2.5 ms in 4 of 4 alternating runs (bound 25%) because the next rep's Workload.build page-faults again once the run's allocation pattern changes; a perf issue that removes it must name that interaction up front
+            // ds-lint: allow(a1) a second Vec per fill, kept on purpose: removing it (allocs/Kinst 336 -> 169 on li.ds2.bus) moved the ledger's untraced setup_s there from 1.0-1.4 ms to 2.2-2.5 ms in 4 of 4 alternating runs, and again from 0.84-0.92 ms to 1.28-1.48 ms in 5 of 5 pairs on top of the per-page broadcast tags (bound 25%), because the next rep's Workload.build page-faults again once the run's allocation pattern changes (DESIGN.md §12); a perf issue that removes it must name that interaction up front
             return Arrival::Completed(waiters.into_iter().map(|t| (t, ready)).collect());
         }
         self.buffered.get_mut_or_default(line).push_back(now);

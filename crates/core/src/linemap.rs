@@ -8,6 +8,17 @@
 //! searches: at these occupancies the probe touches one or two cache
 //! lines and never hashes. Inserts shift the tail, which is cheap at
 //! double-digit lengths and irrelevant off the probe path.
+//!
+//! The rule that follows: a `LineMap` is only for a map bounded by a
+//! modelled hardware structure (BSHR entries, the DCUB's instruction
+//! window, outstanding requests). A map that grows with the program's
+//! footprint — an entry for every line a node ever touched — makes each
+//! first insert shift the whole tail: the per-line broadcast tags sat
+//! in one until it held 16,000 lines per node on li and 13% of host
+//! time went to `memmove`. Such maps hang off the page table's dense
+//! page ordinal instead (`node::BroadcastTags`), keeping a `LineMap`
+//! only as the fallback for lines on undeclared pages, which no
+//! workload has.
 
 /// A sorted-vector map from line address to `V`.
 #[derive(Debug, Clone)]

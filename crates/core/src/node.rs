@@ -183,6 +183,75 @@ pub(crate) enum Remote {
     Request { server: NodeId, fill_cycles: Cycle },
 }
 
+/// The per-line broadcast sequence numbers of one memory side (the
+/// paper's supplementary tags), found through the page table's dense
+/// page ordinal: each declared page gets one counter per line,
+/// allocated at the page's first broadcast, so a tag costs O(1) however
+/// many lines the node has broadcast. Lines on undeclared pages (no
+/// workload has any) count in a `LineMap`.
+///
+/// The counters are `u64`, the width of `Message::seq`. `u32` would
+/// halve the blocks, but with 512-byte blocks every rep of the ledger's
+/// `li.ds2.bus` ended on a trimmed heap and `setup_s` doubled
+/// (DESIGN.md §8, "Per-line broadcast tags").
+#[derive(Debug)]
+struct BroadcastTags {
+    /// Counter blocks by page ordinal; an empty block is a page that
+    /// has not broadcast yet. Sized at the first broadcast.
+    pages: Vec<Vec<u64>>,
+    undeclared: LineMap<u64>,
+    line_shift: u32,
+    lines_per_page: usize,
+}
+
+impl BroadcastTags {
+    /// An empty table for lines of `line_bytes` on `pt`'s pages.
+    /// Allocates nothing (DESIGN.md §12: `Node::new`'s allocation
+    /// order is part of the ledger's `setup_s`).
+    fn new(pt: &PageTable, line_bytes: u64) -> Self {
+        BroadcastTags {
+            pages: Vec::new(),
+            undeclared: LineMap::new(),
+            line_shift: line_bytes.trailing_zeros(),
+            lines_per_page: (pt.page_size() / line_bytes).max(1) as usize,
+        }
+    }
+
+    /// `line`'s next tag: how many broadcasts of it came before.
+    #[inline]
+    fn next(&mut self, pt: &PageTable, line: u64) -> u64 {
+        let counter = match pt.ordinal(line) {
+            Some(page) => {
+                if self.pages.get(page).is_none_or(Vec::is_empty) {
+                    self.first_touch(page, pt.declared_pages());
+                }
+                let slot = ((line & (pt.page_size() - 1)) >> self.line_shift) as usize;
+                &mut self.pages[page][slot]
+            }
+            None => self.undeclared.get_mut_or_default(line),
+        };
+        *counter += 1;
+        *counter - 1
+    }
+
+    /// Allocates `page`'s counter block (and, at the first broadcast of
+    /// the run, the page index itself).
+    #[cold]
+    fn first_touch(&mut self, page: usize, declared_pages: usize) {
+        if self.pages.is_empty() {
+            self.pages.resize_with(declared_pages, Default::default);
+        }
+        // ds-lint: allow(a1) first-touch block allocation: one counter block per broadcasting page for the whole run, amortized to zero on the steady-state cycle path
+        self.pages[page] = vec![0; self.lines_per_page];
+    }
+
+    /// Counter blocks allocated so far.
+    #[cfg(test)]
+    fn blocks(&self) -> usize {
+        self.pages.iter().filter(|b| !b.is_empty()).count()
+    }
+}
+
 /// The memory side of a node (everything in Figure 5 except the CPU
 /// logic).
 #[derive(Debug)]
@@ -207,9 +276,8 @@ pub(crate) struct MemSide {
     /// queue.
     outgoing: PendingQueue,
     /// Per-line broadcast sequence numbers (the paper's supplementary
-    /// tags). Sorted-vec map: probed once per broadcast and never
-    /// iterated, and its order is deterministic either way.
-    seq: LineMap<u64>,
+    /// tags).
+    tags: BroadcastTags,
     /// Sequence number of the next point-to-point message.
     p2p_seq: u64,
     stats: NodeStats,
@@ -228,6 +296,7 @@ impl MemSide {
         };
         let mut bshr = Bshr::new(config.bshr_entries, access);
         bshr.configure_timeout(config.bshr_timeout_cycles, config.bshr_retry_budget);
+        let tags = BroadcastTags::new(&pt, config.dcache.line_bytes);
         MemSide {
             id,
             remote,
@@ -243,7 +312,7 @@ impl MemSide {
             queue_penalty: config.queue_penalty,
             req_sent: LineMap::new(),
             outgoing: PendingQueue::new(),
-            seq: LineMap::new(),
+            tags,
             p2p_seq: 0,
             stats: NodeStats::default(),
             probe: NodeProbe::default(),
@@ -271,17 +340,15 @@ impl MemSide {
             // they need, and a single-node machine has no peers.
             return;
         }
-        let seq = self.seq.get_mut_or_default(line);
         let msg = Message {
             src: self.id,
             dest: None,
             kind: MsgKind::Broadcast,
             line_addr: line,
             payload_bytes: self.line_bytes,
-            seq: *seq,
+            seq: self.tags.next(&self.pt, line),
             enqueued_at: ready,
         };
-        *seq += 1;
         self.stats.broadcasts_sent += 1;
         self.probe.record(ready, EventKind::BroadcastSend { line });
         self.outgoing.push(ready, msg);
@@ -1052,5 +1119,65 @@ impl Node {
     #[cfg(feature = "audit")]
     pub(crate) fn dcub_occupancy(&self) -> usize {
         self.ms.dcub.occupancy()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ds_mem::{PageTableBuilder, Segment};
+    use rand::rngs::SmallRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// Every broadcast carries its line's count of earlier broadcasts,
+    /// over more lines than any workload broadcasts, in shuffled order,
+    /// with repeats and a line on an undeclared page; and the tags take
+    /// one counter block per page that broadcast, nothing for the rest.
+    #[test]
+    fn broadcast_tags_count_per_line_in_one_block_per_page() {
+        let config = DsConfig::with_nodes(2);
+        let (page, line_bytes) = (config.page_bytes, config.dcache.line_bytes);
+        let heap = 0x10_0000;
+        let mut b = PageTableBuilder::new(page, 2);
+        b.add_region(0x1000, 0x3000, Segment::Text);
+        b.add_region(heap, heap + 256 * page, Segment::Heap);
+        b.distribute_round_robin(1);
+        let pt = Arc::new(b.build());
+        let mut ms = MemSide::new(0, Arc::clone(&pt), &config, Remote::Broadcast);
+
+        // 22,528 distinct heap lines on the 176 pages whose index is not
+        // 3 mod 8, broadcast once to three times each, plus one line far
+        // past every declared page.
+        let undeclared = 0x4000_0000;
+        let mut lines = vec![undeclared; 3];
+        let mut pages = BTreeSet::new();
+        for p in (0..256).filter(|p| p % 8 != 3) {
+            pages.insert(p);
+            for l in 0..page / line_bytes {
+                let line = heap + p * page + l * line_bytes;
+                lines.extend(std::iter::repeat(line).take(1 + (line / line_bytes % 3) as usize));
+            }
+        }
+        assert!(lines.len() > 40_000);
+        lines.shuffle(&mut SmallRng::seed_from_u64(29));
+
+        for (ready, &line) in lines.iter().enumerate() {
+            ms.push_broadcast(line, ready as Cycle);
+        }
+        let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+        for &line in &lines {
+            let msg = ms.outgoing.pop_due(Cycle::MAX).expect("one message per push");
+            assert_eq!(msg.line_addr, line);
+            let count = reference.entry(line).or_default();
+            assert_eq!(msg.seq, *count, "tag of {line:#x}");
+            *count += 1;
+        }
+        assert!(ms.outgoing.pop_due(Cycle::MAX).is_none());
+        assert!(reference.len() > 20_000);
+        assert_eq!(ms.tags.blocks(), pages.len());
+        assert_eq!(ms.tags.undeclared.len(), 1);
+        assert_eq!(ms.stats.broadcasts_sent, lines.len() as u64);
     }
 }

@@ -147,6 +147,8 @@ fn stall_accounting_helpers_are_in_the_proven_region() {
         "TradMachine::deliver",
         "serve_request",
         "Ports::account",
+        "BroadcastTags::next",
+        "PageTable::classify",
     ] {
         let f = by_name(q).unwrap_or_else(|| panic!("{q} exists"));
         assert!(parent[f.id].is_some(), "{q} is reachable from the cycle-loop roots");

@@ -60,12 +60,27 @@ struct PageEntry {
     segment: Segment,
 }
 
+/// A maximal run of consecutive declared pages.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    first_vpn: u64,
+    pages: u64,
+    /// Ordinal of `first_vpn`: the number of declared pages below it.
+    base: usize,
+}
+
 /// The single-level page table of a DataScalar system.
 ///
 /// Construct one through [`PageTableBuilder`]. Addresses on pages never
 /// declared to the builder fall back to a deterministic round-robin
 /// ownership (`vpn % nodes`), so timing simulation is total even if a
 /// workload touches memory outside its declared layout.
+///
+/// The declared pages are stored densely, in address order, and found
+/// through their runs of consecutive page numbers — one per program
+/// segment, or fewer where segments abut — so a lookup is a shift and a
+/// scan over a handful of runs. [`PageTable::ordinal`] exposes each
+/// declared page's position in that order, for per-page side tables.
 ///
 /// # Examples
 ///
@@ -81,12 +96,18 @@ struct PageEntry {
 /// assert_eq!(pt.classify(0x100), PageClass::Replicated);
 /// assert_eq!(pt.classify(0x2000), PageClass::Owned(0));
 /// assert_eq!(pt.classify(0x3000), PageClass::Owned(1));
+/// assert_eq!(pt.ordinal(0x3000), Some(3));
+/// assert_eq!(pt.ordinal(0x6000), None);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PageTable {
     page_size: u64,
+    page_shift: u32,
     nodes: usize,
-    entries: BTreeMap<u64, PageEntry>,
+    /// Runs of consecutive declared pages, ascending and disjoint.
+    runs: Vec<Run>,
+    /// Every declared page, indexed by its ordinal (ascending vpn).
+    entries: Vec<PageEntry>,
 }
 
 impl PageTable {
@@ -102,20 +123,40 @@ impl PageTable {
 
     /// Virtual page number of `addr`.
     pub fn vpn(&self, addr: Addr) -> u64 {
-        addr / self.page_size
+        addr >> self.page_shift
+    }
+
+    /// The dense ordinal of the declared page holding `addr`: declared
+    /// pages are numbered `0..declared_pages()` in ascending address
+    /// order. `None` for an undeclared page.
+    #[inline]
+    pub fn ordinal(&self, addr: Addr) -> Option<usize> {
+        let vpn = self.vpn(addr);
+        self.runs.iter().find_map(|r| {
+            let offset = vpn.wrapping_sub(r.first_vpn);
+            (offset < r.pages).then(|| r.base + offset as usize)
+        })
     }
 
     /// Classifies `addr` as replicated or owned-by-node.
+    #[inline]
     pub fn classify(&self, addr: Addr) -> PageClass {
-        let vpn = self.vpn(addr);
-        match self.entries.get(&vpn) {
-            Some(e) => e.class,
-            None => PageClass::Owned((vpn % self.nodes as u64) as NodeId),
+        match self.ordinal(addr) {
+            Some(i) => self.entries[i].class,
+            None => self.undeclared_owner(self.vpn(addr)),
         }
+    }
+
+    /// The round-robin owner of an undeclared page (no workload touches
+    /// one, hence out of line).
+    #[cold]
+    fn undeclared_owner(&self, vpn: u64) -> PageClass {
+        PageClass::Owned((vpn % self.nodes as u64) as NodeId)
     }
 
     /// True when `node` can service `addr` from its local memory
     /// (replicated everywhere, or owned by `node`).
+    #[inline]
     pub fn is_local(&self, addr: Addr, node: NodeId) -> bool {
         match self.classify(addr) {
             PageClass::Replicated => true,
@@ -125,13 +166,13 @@ impl PageTable {
 
     /// The segment of `addr`, if its page was declared.
     pub fn segment(&self, addr: Addr) -> Option<Segment> {
-        self.entries.get(&self.vpn(addr)).map(|e| e.segment)
+        self.ordinal(addr).map(|i| self.entries[i].segment)
     }
 
     /// Counts replicated pages per segment, in [`Segment::ALL`] order.
     pub fn replicated_per_segment(&self) -> [usize; 4] {
         let mut counts = [0usize; 4];
-        for e in self.entries.values() {
+        for e in &self.entries {
             if e.class == PageClass::Replicated {
                 let idx = Segment::ALL.iter().position(|&s| s == e.segment).unwrap();
                 counts[idx] += 1;
@@ -147,10 +188,7 @@ impl PageTable {
 
     /// Number of declared pages owned by `node` (excludes replicated).
     pub fn pages_owned_by(&self, node: NodeId) -> usize {
-        self.entries
-            .values()
-            .filter(|e| e.class == PageClass::Owned(node))
-            .count()
+        self.entries.iter().filter(|e| e.class == PageClass::Owned(node)).count()
     }
 }
 
@@ -248,7 +286,8 @@ impl PageTableBuilder {
 
     /// Finalises the table.
     pub fn build(&self) -> PageTable {
-        let mut entries = BTreeMap::new();
+        let mut entries = Vec::with_capacity(self.segments.len());
+        let mut runs: Vec<Run> = Vec::new();
         for (&vpn, &segment) in &self.segments {
             let class = if self.replicated.contains(&vpn) {
                 PageClass::Replicated
@@ -260,9 +299,19 @@ impl PageTableBuilder {
                     None => PageClass::Owned((vpn % self.nodes as u64) as NodeId),
                 }
             };
-            entries.insert(vpn, PageEntry { class, segment });
+            match runs.last_mut() {
+                Some(r) if r.first_vpn + r.pages == vpn => r.pages += 1,
+                _ => runs.push(Run { first_vpn: vpn, pages: 1, base: entries.len() }),
+            }
+            entries.push(PageEntry { class, segment });
         }
-        PageTable { page_size: self.page_size, nodes: self.nodes, entries }
+        PageTable {
+            page_size: self.page_size,
+            page_shift: self.page_size.trailing_zeros(),
+            nodes: self.nodes,
+            runs,
+            entries,
+        }
     }
 }
 

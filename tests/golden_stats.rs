@@ -1,6 +1,7 @@
-//! Golden simulation statistics: exact pinned results for two small
-//! workloads, covering Figure 7 (timing IPC across all five systems)
-//! and Table 1 (ESP traffic reduction).
+//! Golden simulation statistics: exact pinned results for small
+//! workloads, covering Figure 7 (timing IPC across all five systems on
+//! compress and go), Table 1 (ESP traffic reduction), and the
+//! DataScalar and traditional variants the Figure 7 grid leaves out.
 //!
 //! These exist so performance work on the simulation engine can be
 //! proven behavior-preserving: every hot-path optimization must leave
@@ -14,8 +15,9 @@
 use datascalar::core_model::RunResult;
 use datascalar::trace::{measure_traffic, TrafficConfig};
 use datascalar::workloads::{by_name, Workload};
-use datascalar::core_model::{TraditionalConfig, TraditionalSystem};
+use datascalar::core_model::{DsSystem, TraditionalConfig, TraditionalSystem};
 use datascalar::mem::{TlbConfig, WritePolicy};
+use datascalar::net::FabricKind;
 use ds_bench::{baseline_config, run_datascalar, run_perfect, run_traditional, Budget};
 
 /// Every counter that a hot-path change could plausibly disturb,
@@ -131,6 +133,27 @@ const GOLDEN_TRAD2_LI: &[(&str, &str)] = &[
     ("walloc", "cycles=213461 committed=40001 bus[txn=5086 bytes=129872 busy=162340 qdelay=2208925 bcast=0 req=2299 resp=2299 wr=488] n0[ld=12106 hit=2570 lmiss=1955 rem=1811 bc=0 late=0 fh=0 fm=5734 st=4000 wt=0 wb=512 drop=0] dcub_max=34"),
 ];
 
+/// The DataScalar runs the Figure 7 grid leaves out: li on two nodes
+/// and the bus, where every owner broadcasts the most distinct lines
+/// (the per-line tag table's largest load), and wave5 on four nodes and
+/// the ring, the only multi-hop fabric. `dcub_max` rides along.
+fn ds_variant_fingerprint(name: &str, nodes: usize, fabric: FabricKind) -> String {
+    let w = by_name(name).expect("registered workload");
+    let b = Budget::quick();
+    let prog = (w.build)(b.scale);
+    let mut config = baseline_config(nodes, b.max_insts);
+    config.interconnect = fabric;
+    let r = DsSystem::new(config, &prog).run().expect("workload executes");
+    assert!(r.deadlock.is_none(), "{name}: DataScalar run wedged");
+    let dcub: Vec<String> = r.nodes.iter().map(|n| n.dcub_max.to_string()).collect();
+    format!("{} dcub_max={}", fingerprint(&r), dcub.join(","))
+}
+
+const GOLDEN_DS2_BUS_LI: &str =
+    "cycles=215844 committed=40001 bus[txn=3782 bytes=151280 busy=189100 qdelay=2641886 bcast=3782 req=0 resp=0 wr=0] n0[ld=12116 hit=2546 lmiss=1957 rem=1826 bc=1957 late=0 fh=1 fm=5786 st=4000 wt=2048 wb=0 drop=1952] n1[ld=12119 hit=2551 lmiss=1827 rem=1957 bc=1827 late=0 fh=0 fm=5744 st=4000 wt=1952 wb=0 drop=2048] dcub_max=37,39";
+const GOLDEN_DS4_RING_WAVE5: &str =
+    "cycles=87472 committed=40000 bus[txn=1529 bytes=61160 busy=305800 qdelay=1397064 bcast=1529 req=0 resp=0 wr=0] n0[ld=5805 hit=533 lmiss=510 rem=1021 bc=510 late=0 fh=2 fm=3721 st=5456 wt=0 wb=373 drop=608] n1[ld=5808 hit=567 lmiss=422 rem=1110 bc=426 late=4 fh=2 fm=3685 st=5452 wt=0 wb=284 drop=696] n2[ld=5808 hit=765 lmiss=343 rem=1188 bc=343 late=0 fh=2 fm=3492 st=5460 wt=0 wb=209 drop=773] n3[ld=5805 hit=632 lmiss=255 rem=1276 bc=255 late=0 fh=2 fm=3622 st=5456 wt=0 wb=115 drop=866] dcub_max=13,13,13,13";
+
 const GOLDEN_TRAFFIC_COMPRESS: &str =
     "fills=474 writebacks=0 insts=52985 refs=14488 trad_bytes=22752 esp_bytes=18960 trad_txn=948 esp_txn=474";
 const GOLDEN_TRAFFIC_GO: &str =
@@ -167,6 +190,20 @@ fn traditional_variants_pinned() {
             assert_eq!(got, want, "{name}/trad2/{label}: simulation statistics changed");
         }
     }
+}
+
+#[test]
+fn ds_variants_pinned() {
+    assert_eq!(
+        ds_variant_fingerprint("li", 2, FabricKind::Bus),
+        GOLDEN_DS2_BUS_LI,
+        "li/ds2/bus: simulation statistics changed"
+    );
+    assert_eq!(
+        ds_variant_fingerprint("wave5", 4, FabricKind::Ring),
+        GOLDEN_DS4_RING_WAVE5,
+        "wave5/ds4/ring: simulation statistics changed"
+    );
 }
 
 #[test]
@@ -212,4 +249,6 @@ fn print_golden_stats() {
             println!("    (\"{label}\", \"{fp}\"),");
         }
     }
+    println!("li ds2 bus: \"{}\"", ds_variant_fingerprint("li", 2, FabricKind::Bus));
+    println!("wave5 ds4 ring: \"{}\"", ds_variant_fingerprint("wave5", 4, FabricKind::Ring));
 }
