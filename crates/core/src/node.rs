@@ -46,10 +46,14 @@ pub(crate) type NodeProbe = ds_obs::Recorder;
 #[cfg(not(feature = "obs"))]
 pub(crate) type NodeProbe = ds_obs::NoopProbe;
 
-/// The stall bucket one cycle is charged to, plus the PC to attribute
-/// the wait to for the PC-profiled buckets.
+/// A node's cycle ledger (stall buckets and per-PC profile), held by
+/// whoever charges its cycles: the ds-obs ledger when the `obs` feature
+/// is on, the same zero-sized no-op otherwise.
 #[cfg(feature = "obs")]
-pub(crate) type StallCharge = (ds_obs::StallBucket, Option<(u64, ds_obs::PcStallKind)>);
+pub(crate) type NodeLedger = ds_obs::CycleLedger;
+/// The disabled ledger (ZST).
+#[cfg(not(feature = "obs"))]
+pub(crate) type NodeLedger = ds_obs::NoopProbe;
 
 /// The one `CoreStall → StallBucket` table all three system models
 /// charge through. They differ only in how a remote-memory wait is
@@ -60,7 +64,7 @@ pub(crate) type StallCharge = (ds_obs::StallBucket, Option<(u64, ds_obs::PcStall
 pub(crate) fn stall_bucket(
     stall: ds_cpu::CoreStall,
     remote_wait: impl FnOnce() -> ds_obs::StallBucket,
-) -> StallCharge {
+) -> ds_obs::StallCharge {
     use ds_cpu::CoreStall;
     use ds_obs::{PcStallKind, StallBucket};
     match stall {
@@ -79,18 +83,6 @@ pub(crate) fn stall_bucket(
         CoreStall::FetchStall => (StallBucket::FetchStall, None),
         CoreStall::Idle => (StallBucket::Idle, None),
     }
-}
-
-/// Charges `n` cycles to `bucket` (and its PC attribution) at once.
-#[cfg(feature = "obs")]
-pub(crate) fn charge_block(probe: &mut NodeProbe, (bucket, pc): StallCharge, n: u64) {
-    if n == 0 {
-        return;
-    }
-    if let Some((pc, kind)) = pc {
-        probe.charge_pc_many(pc, kind, n);
-    }
-    probe.charge_many(bucket, n);
 }
 
 /// The [`ds_obs::MetricsReport`] of `nodes` after `cycles` simulated
@@ -643,6 +635,10 @@ pub struct Node {
     /// `[start, end)` cycle windows sorted by start. Empty (the common
     /// case) costs one slice-length check per cycle.
     stalls: Vec<(Cycle, Cycle)>,
+    /// The node's cycle ledger, charged once per cycle by the machine
+    /// (no-op unless built with `obs`, the only flavour that charges).
+    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
+    ledger: NodeLedger,
     /// Interval time-series telemetry: counter deltas closed at every
     /// [`SAMPLE_INTERVAL`] boundary. Also feeds the Perfetto stall
     /// counter track.
@@ -668,6 +664,7 @@ impl Node {
             core: OooCore::new(config.core, config.icache.line_bytes),
             ms: MemSide::new(id, pt, config, remote),
             stalls,
+            ledger: NodeLedger::default(),
             #[cfg(feature = "obs")]
             timeline: ds_obs::IntervalRing::default(),
         }
@@ -953,7 +950,7 @@ impl Node {
     /// touched), so the per-cycle and batch charge paths share one
     /// classification.
     #[cfg(feature = "obs")]
-    fn classify_stall(&self, now: Cycle, bus_busy: bool) -> StallCharge {
+    fn classify_stall(&self, now: Cycle, bus_busy: bool) -> ds_obs::StallCharge {
         use ds_obs::StallBucket;
         stall_bucket(self.core.stall_class(now), || {
             // Refine the remote wait: a pending squash means a
@@ -991,12 +988,12 @@ impl Node {
                 self.core.committed(),
                 self.ms.stats.broadcasts_sent,
                 self.ms.bshr.stats().arrivals,
-                self.ms.probe.account(),
+                self.ledger.account(),
             );
         }
         self.timeline.note_occ(self.ms.bshr.occupancy() as u64);
         let charge = self.classify_stall(now, bus_busy);
-        charge_block(&mut self.ms.probe, charge, 1);
+        self.ledger.charge(charge, 1);
     }
 
     /// Charges the `count` cycles `[start, start + count)` skipped by an
@@ -1009,7 +1006,7 @@ impl Node {
     #[cfg(feature = "obs")]
     pub(crate) fn charge_skipped(&mut self, start: Cycle, count: u64, bus_busy: bool) {
         #[cfg(any(debug_assertions, feature = "audit"))]
-        let before = *self.ms.probe.account();
+        let before = *self.ledger.account();
         let charge = self.classify_stall(start, bus_busy);
         // A skipped range is quiescent: every counter the timeline
         // samples (commits, sends, arrivals, BSHR occupancy) is frozen
@@ -1032,8 +1029,8 @@ impl Node {
                 self.timeline.note_occ(occ);
                 self.timeline.note_skipped(boundary - from);
             }
-            charge_block(&mut self.ms.probe, charge, boundary - from);
-            self.timeline.sample_close(boundary, committed, sends, arrives, self.ms.probe.account());
+            self.ledger.charge(charge, boundary - from);
+            self.timeline.sample_close(boundary, committed, sends, arrives, self.ledger.account());
             from = boundary;
             boundary += SAMPLE_INTERVAL;
         }
@@ -1041,13 +1038,13 @@ impl Node {
             self.timeline.note_occ(occ);
             self.timeline.note_skipped(end - from);
         }
-        charge_block(&mut self.ms.probe, charge, end - from);
+        self.ledger.charge(charge, end - from);
         // Skip/charge parity: a horizon advance of `count` cycles must
         // charge exactly `count` cycles, all into the one bucket the
         // quiescent range classifies to.
         #[cfg(any(debug_assertions, feature = "audit"))]
         {
-            let after = self.ms.probe.account();
+            let after = self.ledger.account();
             assert_eq!(
                 after.total() - before.total(),
                 count,
@@ -1064,14 +1061,14 @@ impl Node {
     /// This node's cycle ledger (instrumented builds only).
     #[cfg(feature = "obs")]
     pub fn cycle_account(&self) -> &ds_obs::CycleAccount {
-        self.ms.probe.account()
+        self.ledger.account()
     }
 
     /// This node's per-PC memory-wait profile (instrumented builds
     /// only).
     #[cfg(feature = "obs")]
     pub fn pc_profile(&self) -> &ds_obs::PcProfile {
-        self.ms.probe.pc_profile()
+        self.ledger.pc_profile()
     }
 
     /// Closes the final (possibly partial) timeline interval at the
@@ -1084,7 +1081,7 @@ impl Node {
             self.core.committed(),
             self.ms.stats.broadcasts_sent,
             self.ms.bshr.stats().arrivals,
-            self.ms.probe.account(),
+            self.ledger.account(),
         );
     }
 

@@ -63,7 +63,7 @@ struct PerfectMachine {
     ms: PerfectMem,
     /// Cycle accounting (observational; a no-op ZST unless built with
     /// `obs`).
-    probe: crate::node::NodeProbe,
+    ledger: crate::node::NodeLedger,
 }
 
 impl PerfectSystem {
@@ -84,7 +84,7 @@ impl PerfectSystem {
                 line_bytes: config.icache.line_bytes,
                 stats: NodeStats::default(),
             },
-            probe: Default::default(),
+            ledger: Default::default(),
         };
         PerfectSystem { engine: Engine::new(config, program), machine }
     }
@@ -103,7 +103,7 @@ impl PerfectSystem {
             m.core.committed(),
             vec![stats],
             Default::default(),
-            metrics(&m.core, &m.probe, self.engine.cycles()),
+            metrics(&m.core, &m.ledger, self.engine.cycles()),
         ))
     }
 
@@ -155,17 +155,17 @@ impl Machine for PerfectMachine {
 #[cfg(feature = "obs")]
 fn metrics(
     core: &OooCore,
-    probe: &crate::node::NodeProbe,
+    ledger: &crate::node::NodeLedger,
     cycles: Cycle,
 ) -> Option<ds_obs::MetricsReport> {
     let mut m = ds_obs::MetricsReport::default();
     m.absorb(core.events());
-    let acct = *probe.account();
+    let acct = *ledger.account();
     if cfg!(any(debug_assertions, feature = "audit")) {
         assert_eq!(acct.total(), cycles, "stall buckets must sum to total cycles");
     }
     m.node_accounts.push(acct);
-    m.hot_pcs = ds_obs::top_hot_pcs([probe.pc_profile()], 16);
+    m.hot_pcs = ds_obs::top_hot_pcs([ledger.pc_profile()], 16);
     m.critpath.nodes.push(core.crit_window().path_report());
     Some(m)
 }
@@ -174,7 +174,7 @@ fn metrics(
 #[cfg(not(feature = "obs"))]
 fn metrics(
     _core: &OooCore,
-    _probe: &crate::node::NodeProbe,
+    _ledger: &crate::node::NodeLedger,
     _cycles: Cycle,
 ) -> Option<ds_obs::MetricsReport> {
     None
@@ -188,10 +188,11 @@ impl PerfectMachine {
     /// bucket for totality.
     #[cfg(feature = "obs")]
     fn charge(&mut self, at: Cycle, n: u64) {
+        use ds_obs::Probe as _;
         let charge = crate::node::stall_bucket(self.core.stall_class(at), || {
             ds_obs::StallBucket::BshrWaitRemote
         });
-        crate::node::charge_block(&mut self.probe, charge, n);
+        self.ledger.charge(charge, n);
     }
 }
 

@@ -42,6 +42,15 @@ pub(crate) type CoreProbe = ds_obs::Recorder;
 #[cfg(not(feature = "obs"))]
 pub(crate) type CoreProbe = ds_obs::NoopProbe;
 
+/// The core's critical-path window, with the last-arrival stamps of its
+/// in-flight instructions by RUU ring slot: ds-obs's `CritWindow` when
+/// the `obs` feature is on, the same zero-sized no-op otherwise.
+#[cfg(feature = "obs")]
+pub(crate) type CoreCrit = ds_obs::CritWindow;
+/// The disabled window (ZST).
+#[cfg(not(feature = "obs"))]
+pub(crate) type CoreCrit = ds_obs::NoopProbe;
+
 /// Identifies an instruction in flight: its global instruction number.
 pub type RuuTag = u64;
 
@@ -301,6 +310,9 @@ pub struct OooCore {
     redirect_tag: Option<RuuTag>,
     /// Cycle-stamped commit events (no-op unless built with `obs`).
     probe: CoreProbe,
+    /// Last-arrival stamps and retirements for the critical path (no-op
+    /// unless built with `obs`).
+    crit: CoreCrit,
     /// Current-cycle facts for [`OooCore::stall_class`] (instrumented
     /// builds only; stays zeroed otherwise).
     flags: StepFlags,
@@ -372,6 +384,7 @@ impl OooCore {
             predictor: Predictor::new(config.branch),
             redirect_tag: None,
             probe: CoreProbe::default(),
+            crit: CoreCrit::with_ruu_slots(config.ruu_entries.next_power_of_two()),
             flags: StepFlags::default(),
         }
     }
@@ -386,7 +399,7 @@ impl OooCore {
     /// (instrumented builds only).
     #[cfg(feature = "obs")]
     pub fn crit_window(&self) -> &ds_obs::CritWindow {
-        self.probe.crit_window()
+        &self.crit
     }
 
     /// The core configuration.
@@ -454,8 +467,8 @@ impl OooCore {
     /// arrows; timing is unchanged.
     pub fn complete_load_from(&mut self, tag: RuuTag, available_at: Cycle, line: u64, sent: Cycle) {
         if let Some(e) = self.window.get_mut(tag) {
-            e.crit.sent(sent);
             e.fill_line = line;
+            self.crit.edge_sent(self.window.slot(tag), sent);
         }
         self.complete_load(tag, available_at);
     }
@@ -629,7 +642,7 @@ impl OooCore {
 
     /// One completion event: `tag`'s result is available.
     fn complete_tag(&mut self, tag: RuuTag, now: Cycle) {
-        if self.window.complete(tag, now) && self.redirect_tag == Some(tag) {
+        if self.window.complete(tag, now, &mut self.crit) && self.redirect_tag == Some(tag) {
             // The mispredicted transfer resolved: redirect fetch
             // after the front-end refill penalty.
             self.redirect_tag = None;
@@ -646,8 +659,13 @@ impl OooCore {
             }
             let tag = self.window.base_tag();
             retired += 1;
-            #[cfg(feature = "obs")]
-            Self::edge_note_retire(&mut self.probe, e, tag, now);
+            // The retirement's critical-path node; a remote fill also
+            // closes its trace flow, pairing the consuming commit with
+            // the broadcast/request send.
+            if let Some(sent) = self.crit.edge_commit(self.window.slot(tag), e.rec.pc, now) {
+                let line = e.fill_line;
+                self.probe.record(now, ds_obs::EventKind::RemoteFillCommit { line, sent });
+            }
             let info = OpInfo::of(e.rec.inst.op);
             if info.is_mem {
                 self.mem_in_window -= 1;
@@ -684,34 +702,6 @@ impl OooCore {
                 self.flags.retired = retired as u32;
             }
             self.probe.record(now, ds_obs::EventKind::Commit { n: retired as u32 });
-        }
-    }
-
-    /// Records the retiring entry's last-arrival graph node (and, for
-    /// remote fills, the flow-finish event pairing the consuming commit
-    /// with the broadcast/request send). Runs once per retirement on
-    /// instrumented builds; ds-lint rule a1 applies.
-    #[cfg(feature = "obs")]
-    fn edge_note_retire(probe: &mut CoreProbe, e: &window::RuuEntry, tag: RuuTag, now: Cycle) {
-        let crit = &e.crit;
-        let producer_back =
-            if crit.last_producer == RuuTag::MAX { 0 } else { (tag - crit.last_producer) as u32 };
-        probe.edge_retire(ds_obs::CritNode {
-            pc: e.rec.pc,
-            dispatch: crit.dispatch,
-            ready: crit.ready,
-            issue: crit.issue,
-            complete: crit.complete,
-            commit: now,
-            sent: crit.fill_sent,
-            producer_back,
-            fill: crit.fill,
-        });
-        if crit.fill == FillKind::RemoteFill && crit.fill_sent != ds_obs::critpath::UNKNOWN_SEND {
-            probe.record(
-                now,
-                ds_obs::EventKind::RemoteFillCommit { line: e.fill_line, sent: crit.fill_sent },
-            );
         }
     }
 
@@ -767,7 +757,7 @@ impl OooCore {
                 if e.lane == FORWARD_LANE {
                     // LSQ forwarding bypasses the cache port.
                     e.issue_hit = Some(true);
-                    e.crit.issued(now, FillKind::Forward);
+                    self.crit.edge_issue(slot, now, FillKind::Forward);
                     self.stats.forwarded_loads += 1;
                     self.schedule(now, now + 1, tag);
                 } else if info.is_load {
@@ -776,12 +766,12 @@ impl OooCore {
                     e.pending_remote = matches!(resp, LoadResponse::Pending);
                     let fill =
                         if e.pending_remote { FillKind::RemoteFill } else { FillKind::LocalFill };
-                    e.crit.issued(now, fill);
+                    self.crit.edge_issue(slot, now, fill);
                     if let LoadResponse::Ready(at) = resp {
                         self.schedule(now, at.max(now + 1), tag);
                     }
                 } else {
-                    e.crit.issued(now, FillKind::Exec);
+                    self.crit.edge_issue(slot, now, FillKind::Exec);
                     let done = now + Cycle::from(info.latency);
                     // An unpipelined class has a free unit (counted
                     // above), busy from now for the whole operation; a
@@ -930,7 +920,8 @@ impl OooCore {
                 }
             }
         }
-        self.window.dispatch(*rec, &producers[..np], lane, now);
+        self.window.dispatch(*rec, &producers[..np], lane);
+        self.crit.edge_dispatch(self.window.slot(tag), now);
         // Record the rename-table destination.
         match info.dest {
             Dest::Int if inst.rd != 0 => self.writer_i[inst.rd as usize] = Some(tag),

@@ -721,3 +721,61 @@ fn store_filter_sees_both_words_of_an_unaligned_store() {
     assert_eq!(addr, 0x1008, "only ld reaches memory");
     assert!(at > 12, "ld waits for the store's 12-cycle value, issued at {at}");
 }
+
+/// Under `obs` every retirement reaches the core's own critical-path
+/// window, stamped from the ring slot it occupied — on a 4-slot ring
+/// every slot is reused several times, so a stale stamp from an earlier
+/// occupant would break the orderings. The remote load keeps its send
+/// stamp, its consumer points back at it, and its commit closes the
+/// fill's trace flow.
+#[cfg(feature = "obs")]
+#[test]
+fn retirements_carry_their_slot_stamps_into_the_crit_window() {
+    let mut small = OooConfig::default();
+    small.ruu_entries = 4;
+    let prog: Vec<Inst> = [
+        Inst::rri(Opcode::Addi, reg::T0, reg::ZERO, 0x4000),
+        Inst::load(Opcode::Ld, reg::T1, reg::T0, 0),
+        Inst::rrr(Opcode::Add, reg::T2, reg::T1, reg::T1),
+    ]
+    .into_iter()
+    .chain((0..12).map(|k| Inst::rri(Opcode::Addi, reg::T3, reg::ZERO, k)))
+    .chain([Inst::halt()])
+    .collect();
+    let mut trace = trace_of(&prog);
+    let mut core = OooCore::new(small, 32);
+    let mut ms = SlowMem { latency: 50, pending: Vec::new() };
+    run_to_completion(&mut core, &mut ms, &mut trace, |ms, core, now| {
+        let due: Vec<_> = ms.pending.iter().filter(|&&(_, at)| at <= now).cloned().collect();
+        ms.pending.retain(|&(_, at)| at > now);
+        for (tag, at) in due {
+            core.complete_load_from(tag, at.max(now + 1), 0x4000, 3);
+        }
+    });
+    let nodes: Vec<ds_obs::CritNode> = core.crit_window().iter().copied().collect();
+    assert_eq!(nodes.len(), prog.len(), "one node per retirement");
+    for (k, n) in nodes.iter().enumerate() {
+        assert!(
+            n.dispatch <= n.ready && n.ready <= n.issue && n.issue < n.complete,
+            "node {k}: {n:?}"
+        );
+        assert!(n.complete <= n.commit, "node {k}: {n:?}");
+        assert_eq!(n.pc, 0x1000 + 8 * k as u64, "retirement order");
+        if k >= 4 {
+            let prev = nodes[k - 4].commit;
+            assert!(n.dispatch >= prev, "node {k} took its slot before {prev}: {n:?}");
+        }
+    }
+    let (load, add) = (nodes[1], nodes[2]);
+    assert_eq!((load.fill, load.sent), (ds_obs::FillKind::RemoteFill, 3));
+    assert!(load.complete >= load.issue + 50, "{load:?}");
+    assert_eq!((add.producer_back, add.ready), (1, load.complete), "{add:?}");
+    let flows: Vec<_> = core
+        .events()
+        .iter()
+        .filter(|e| matches!(e.kind, ds_obs::EventKind::RemoteFillCommit { .. }))
+        .map(|e| (e.cycle, e.kind))
+        .collect();
+    let closes = ds_obs::EventKind::RemoteFillCommit { line: 0x4000, sent: 3 };
+    assert_eq!(flows, [(load.commit, closes)]);
+}

@@ -9,7 +9,7 @@
 use super::RuuTag;
 use crate::exec::ExecRecord;
 use crate::Cycle;
-use ds_obs::FillKind;
+use ds_obs::Probe;
 
 /// Producer edges one entry can hang on: two register sources plus a
 /// store dependence today, one spare.
@@ -37,91 +37,13 @@ pub(super) enum EState {
     Done,
 }
 
-/// Last-arrival timestamps for the critical-path analyzer. They exist
-/// only on instrumented builds; the plain flavour carries a zero-sized
-/// stand-in whose setters compile to nothing.
-#[cfg(feature = "obs")]
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Stamps {
-    pub dispatch: Cycle,
-    /// When the last producer woke the entry (dispatch, if it
-    /// dispatched ready: its last arrival is the frontend).
-    pub ready: Cycle,
-    pub issue: Cycle,
-    pub complete: Cycle,
-    /// Producer whose completion was the last arrival; `RuuTag::MAX`
-    /// when the entry dispatched ready.
-    pub last_producer: RuuTag,
-    /// How the completion was produced (stamped at issue).
-    pub fill: FillKind,
-    /// For remote fills: the cycle the data entered the sender's output
-    /// queue ([`ds_obs::critpath::UNKNOWN_SEND`] otherwise).
-    pub fill_sent: Cycle,
-}
-
-#[cfg(feature = "obs")]
-impl Stamps {
-    fn dispatched(now: Cycle) -> Self {
-        Stamps {
-            dispatch: now,
-            ready: now,
-            issue: now,
-            complete: now,
-            last_producer: RuuTag::MAX,
-            fill: FillKind::Exec,
-            fill_sent: ds_obs::critpath::UNKNOWN_SEND,
-        }
-    }
-
-    fn woken(&mut self, now: Cycle, producer: RuuTag) {
-        self.ready = now;
-        self.last_producer = producer;
-    }
-
-    pub fn issued(&mut self, now: Cycle, fill: FillKind) {
-        self.issue = now;
-        self.fill = fill;
-    }
-
-    fn completed(&mut self, now: Cycle) {
-        self.complete = now;
-    }
-
-    pub fn sent(&mut self, sent: Cycle) {
-        self.fill_sent = sent;
-    }
-}
-
-/// The plain flavour's stamps: nothing.
-#[cfg(not(feature = "obs"))]
-#[derive(Debug, Clone, Copy)]
-pub(super) struct Stamps;
-
-#[cfg(not(feature = "obs"))]
-impl Stamps {
-    #[inline(always)]
-    fn dispatched(_now: Cycle) -> Self {
-        Stamps
-    }
-
-    #[inline(always)]
-    fn woken(&mut self, _now: Cycle, _producer: RuuTag) {}
-
-    #[inline(always)]
-    pub fn issued(&mut self, _now: Cycle, _fill: FillKind) {}
-
-    #[inline(always)]
-    fn completed(&mut self, _now: Cycle) {}
-
-    #[inline(always)]
-    pub fn sent(&mut self, _sent: Cycle) {}
-}
-
 /// One in-flight instruction.
 ///
-/// The plain-flavour entry is 96 bytes (pinned ≤ 104 by a test): every
-/// node copies one in at dispatch and walks several per cycle, so a
-/// field added here is paid on the simulator's hottest path.
+/// The entry is 96 bytes on both build flavours (pinned by a test;
+/// the critical-path stamps live beside the core's `CritWindow`, by
+/// slot): every node copies one in at dispatch and walks several per
+/// cycle, so a field added here is paid on the simulator's hottest
+/// path.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct RuuEntry {
     pub rec: ExecRecord,
@@ -147,7 +69,6 @@ pub(super) struct RuuEntry {
     /// The line a remote fill rode (0 until one arrives); deadlock
     /// reports print it on every flavour.
     pub fill_line: u64,
-    pub crit: Stamps,
 }
 
 /// Fixed-capacity bitmaps of ready ring slots, one per issue lane.
@@ -243,8 +164,9 @@ impl Window {
         self.base_tag
     }
 
+    /// The ring slot `tag` occupies while in flight.
     #[inline]
-    fn slot(&self, tag: RuuTag) -> usize {
+    pub fn slot(&self, tag: RuuTag) -> usize {
         (tag & self.mask) as usize
     }
 
@@ -274,7 +196,7 @@ impl Window {
     /// the wake-up list of every producer that has not finished.
     /// `rec.icount` must be the next tag in sequence and the ring must
     /// have a free slot.
-    pub fn dispatch(&mut self, rec: ExecRecord, producers: &[RuuTag], lane: u8, now: Cycle) {
+    pub fn dispatch(&mut self, rec: ExecRecord, producers: &[RuuTag], lane: u8) {
         let tag = rec.icount;
         debug_assert_eq!(tag, self.next_tag);
         debug_assert!(self.len() <= self.mask as usize);
@@ -306,7 +228,6 @@ impl Window {
             lane,
             pending_remote: false,
             fill_line: 0,
-            crit: Stamps::dispatched(now),
         };
         if slot == self.entries.len() {
             self.entries.push(entry); // first lap: within capacity
@@ -324,16 +245,18 @@ impl Window {
         self.base_tag += 1;
     }
 
-    /// Marks `tag` done and wakes its consumers. Returns false — and
-    /// does nothing — for a tag that has retired or already completed,
-    /// so duplicate completion events are harmless.
-    pub fn complete(&mut self, tag: RuuTag, now: Cycle) -> bool {
+    /// Marks `tag` done and wakes its consumers, stamping both into
+    /// `crit`. Returns false — and does nothing — for a tag that has
+    /// retired or already completed, so duplicate completion events are
+    /// harmless.
+    pub fn complete(&mut self, tag: RuuTag, now: Cycle, crit: &mut impl Probe) -> bool {
+        let slot = self.slot(tag);
         let Some(e) = self.get_mut(tag) else { return false };
         if e.state == EState::Done {
             return false;
         }
         e.state = EState::Done;
-        e.crit.completed(now);
+        crit.edge_complete(slot, now);
         let mut link = std::mem::replace(&mut e.cons_head, NIL);
         while link != NIL {
             // A consumer cannot retire before its producer completes,
@@ -346,7 +269,7 @@ impl Window {
                     // This completion was the consumer's last arrival:
                     // its data-dependence edge.
                     c.state = EState::Ready;
-                    c.crit.woken(now, tag);
+                    crit.edge_wake(slot, now, (c.rec.icount - tag) as u32);
                     let lane = c.lane;
                     self.ready.insert(slot, lane);
                 } else {
@@ -415,6 +338,7 @@ impl Window {
 mod tests {
     use super::*;
     use ds_isa::Inst;
+    use ds_obs::NoopProbe;
 
     fn rec(icount: u64) -> ExecRecord {
         ExecRecord {
@@ -453,15 +377,16 @@ mod tests {
         if state(w, tag) == EState::Ready {
             w.clear_ready((tag & w.mask) as usize);
         }
-        w.complete(tag, 0);
+        w.complete(tag, 0, &mut NoopProbe);
         w.retire_head();
     }
 
-    /// A field added to the entry shows up here, not in the ledger.
-    #[cfg(not(feature = "obs"))]
+    /// A field added to the entry shows up here, not in the ledger —
+    /// on both flavours: the obs build keeps its critical-path stamps
+    /// out of the ring.
     #[test]
-    fn plain_entry_stays_within_104_bytes() {
-        assert!(std::mem::size_of::<RuuEntry>() <= 104, "{}", std::mem::size_of::<RuuEntry>());
+    fn entry_is_96_bytes_on_both_flavours() {
+        assert_eq!(std::mem::size_of::<RuuEntry>(), 96);
     }
 
     #[test]
@@ -474,7 +399,7 @@ mod tests {
                 assert_eq!(w.head().unwrap().rec.icount, tag - 6);
                 drain_head(&mut w);
             }
-            w.dispatch(rec(tag), &[], 0, tag);
+            w.dispatch(rec(tag), &[], 0);
             assert_eq!(w.get_mut(tag).unwrap().rec.icount, tag);
             assert!(w.get_mut(tag + 1).is_none(), "not dispatched yet");
         }
@@ -494,17 +419,17 @@ mod tests {
         let mut w = Window::new(8);
         // Advance the head to slot 5 so the window straddles the wrap.
         for tag in 0..5 {
-            w.dispatch(rec(tag), &[], 0, 0);
+            w.dispatch(rec(tag), &[], 0);
             drain_head(&mut w);
         }
         // Tags 5..11 live in slots 5, 6, 7, 0, 1, 2; 5 gates 7 and 9;
         // 6 and 10 wait in lane 3, the rest in lane 0.
-        w.dispatch(rec(5), &[], 0, 0);
-        w.dispatch(rec(6), &[], 3, 0);
-        w.dispatch(rec(7), &[5], 0, 0);
-        w.dispatch(rec(8), &[], 0, 0);
-        w.dispatch(rec(9), &[5], 0, 0);
-        w.dispatch(rec(10), &[], 3, 0);
+        w.dispatch(rec(5), &[], 0);
+        w.dispatch(rec(6), &[], 3);
+        w.dispatch(rec(7), &[5], 0);
+        w.dispatch(rec(8), &[], 0);
+        w.dispatch(rec(9), &[5], 0);
+        w.dispatch(rec(10), &[], 3);
         assert_eq!(w.ready_lanes(), 0b1001);
         assert_eq!(sweep(&mut w, !0), [5, 6, 8, 10]);
         assert_eq!(sweep(&mut w, 0b0001), [5, 8]);
@@ -513,7 +438,7 @@ mod tests {
         w.clear_ready(0); // tag 8
         assert_eq!(sweep(&mut w, !0), [6, 10]);
         assert_eq!(w.ready_lanes(), 0b1000);
-        assert!(w.complete(5, 3));
+        assert!(w.complete(5, 3, &mut NoopProbe));
         assert_eq!(sweep(&mut w, !0), [6, 7, 9, 10]);
         for slot in [6, 7, 1, 2] {
             w.clear_ready(slot);
@@ -526,11 +451,11 @@ mod tests {
     fn a_full_ring_is_swept_once_per_slot() {
         let mut w = Window::new(128);
         for tag in 0..70 {
-            w.dispatch(rec(tag), &[], 0, 0);
+            w.dispatch(rec(tag), &[], 0);
             drain_head(&mut w);
         }
         for tag in 70..198 {
-            w.dispatch(rec(tag), &[], (tag % 8) as u8, 0);
+            w.dispatch(rec(tag), &[], (tag % 8) as u8);
         }
         assert_eq!(w.len(), 128);
         assert_eq!(sweep(&mut w, !0), (70..198).collect::<Vec<_>>());
@@ -539,42 +464,42 @@ mod tests {
     #[test]
     fn wake_up_follows_every_edge_and_only_unfinished_producers() {
         let mut w = Window::new(16);
-        w.dispatch(rec(0), &[], 0, 0);
-        w.dispatch(rec(1), &[], 0, 0);
-        w.dispatch(rec(2), &[], 0, 0);
-        assert!(w.complete(2, 1));
+        w.dispatch(rec(0), &[], 0);
+        w.dispatch(rec(1), &[], 0);
+        w.dispatch(rec(2), &[], 0);
+        assert!(w.complete(2, 1, &mut NoopProbe));
         // 3 waits on 0 and 1; 2 is done and must not count.
-        w.dispatch(rec(3), &[0, 1, 2], 0, 1);
+        w.dispatch(rec(3), &[0, 1, 2], 0);
         // 4 and 5 share producer 0 with 3: one list, three members.
-        w.dispatch(rec(4), &[0], 0, 1);
-        w.dispatch(rec(5), &[1, 0], 0, 1);
+        w.dispatch(rec(4), &[0], 0);
+        w.dispatch(rec(5), &[1, 0], 0);
         assert_eq!(state(&mut w, 3), EState::Waiting(2));
         assert_eq!(state(&mut w, 4), EState::Waiting(1));
         assert_eq!(state(&mut w, 5), EState::Waiting(2));
-        assert!(w.complete(0, 2));
+        assert!(w.complete(0, 2, &mut NoopProbe));
         assert_eq!(state(&mut w, 3), EState::Waiting(1));
         assert_eq!(state(&mut w, 4), EState::Ready);
         assert_eq!(state(&mut w, 5), EState::Waiting(1));
-        assert!(!w.complete(0, 3), "a second completion is ignored");
-        assert!(w.complete(1, 3));
+        assert!(!w.complete(0, 3, &mut NoopProbe), "a second completion is ignored");
+        assert!(w.complete(1, 3, &mut NoopProbe));
         assert_eq!(state(&mut w, 3), EState::Ready);
         assert_eq!(state(&mut w, 5), EState::Ready);
-        assert!(!w.complete(99, 3), "unknown tags are ignored");
+        assert!(!w.complete(99, 3, &mut NoopProbe), "unknown tags are ignored");
     }
 
     #[test]
     fn a_reused_slot_starts_with_an_empty_list() {
         let mut w = Window::new(2);
-        w.dispatch(rec(0), &[], 0, 0);
-        w.dispatch(rec(1), &[0], 0, 0);
+        w.dispatch(rec(0), &[], 0);
+        w.dispatch(rec(1), &[0], 0);
         drain_head(&mut w);
         drain_head(&mut w);
         // Tag 2 reuses tag 0's slot; tag 3 must hang on tag 2, not on
         // anything tag 0 left behind.
-        w.dispatch(rec(2), &[], 0, 0);
-        w.dispatch(rec(3), &[2], 0, 0);
+        w.dispatch(rec(2), &[], 0);
+        w.dispatch(rec(3), &[2], 0);
         assert_eq!(state(&mut w, 3), EState::Waiting(1));
-        assert!(w.complete(2, 1));
+        assert!(w.complete(2, 1, &mut NoopProbe));
         assert_eq!(state(&mut w, 3), EState::Ready);
     }
 }

@@ -123,7 +123,10 @@ fn real_workspace_is_clean() {
 /// reachable, so any future allocation/panic slipped into them becomes
 /// an a1/p1 finding rather than a silent regression. Likewise the loop
 /// body itself: the engine's per-cycle hook is a root on all three
-/// system models, and what only it calls is reachable.
+/// system models, and what only it calls is reachable. The probe
+/// owners' hooks — a node's cycle ledger, a core's critical-path stamps
+/// and retirements — are roots too, and the profile and segment walk
+/// behind them reachable.
 #[test]
 fn stall_accounting_helpers_are_in_the_proven_region() {
     let w = load(&workspace_root());
@@ -134,6 +137,9 @@ fn stall_accounting_helpers_are_in_the_proven_region() {
         "DsMachine::step_cycle",
         "TradMachine::step_cycle",
         "PerfectMachine::step_cycle",
+        "CycleLedger::charge",
+        "CritWindow::edge_dispatch",
+        "CritWindow::edge_commit",
     ] {
         let f = by_name(q).unwrap_or_else(|| panic!("{q} exists"));
         assert!(roots.contains(&f.id), "{q} is a cycle-loop root");
@@ -149,6 +155,8 @@ fn stall_accounting_helpers_are_in_the_proven_region() {
         "Ports::account",
         "BroadcastTags::next",
         "PageTable::classify",
+        "PcProfile::charge_pc_many",
+        "walk_nodes",
     ] {
         let f = by_name(q).unwrap_or_else(|| panic!("{q} exists"));
         assert!(parent[f.id].is_some(), "{q} is reachable from the cycle-loop roots");

@@ -9,7 +9,10 @@
 //! accumulator is [`CycleAccount`] — a fixed array, so charging is one
 //! indexed increment and ds-lint a1-clean. The invariant downstream
 //! code asserts: per node, `CycleAccount::total()` equals the total
-//! simulated cycles exactly.
+//! simulated cycles exactly. A node's account and its per-PC profile
+//! travel together as one [`CycleLedger`].
+
+use crate::Probe;
 
 /// Number of stall buckets — the length of every [`CycleAccount`].
 pub const BUCKET_COUNT: usize = 11;
@@ -233,6 +236,44 @@ impl PcProfile {
     }
 }
 
+/// One charge: the stall bucket, plus the PC (and wait kind) the
+/// memory-wait buckets attribute their cycles to.
+pub type StallCharge = (StallBucket, Option<(u64, PcStallKind)>);
+
+/// One node's cycle ledger: its [`CycleAccount`] and [`PcProfile`],
+/// owned by whoever charges the node's cycles and fed only through
+/// [`Probe::charge`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CycleLedger {
+    account: CycleAccount,
+    pcs: PcProfile,
+}
+
+impl CycleLedger {
+    /// The stall buckets charged so far.
+    pub fn account(&self) -> &CycleAccount {
+        &self.account
+    }
+
+    /// The per-PC memory-wait profile charged so far.
+    pub fn pc_profile(&self) -> &PcProfile {
+        &self.pcs
+    }
+}
+
+impl Probe for CycleLedger {
+    #[inline]
+    fn charge(&mut self, (bucket, pc): StallCharge, n: u64) {
+        if n == 0 {
+            return;
+        }
+        if let Some((pc, kind)) = pc {
+            self.pcs.charge_pc_many(pc, kind, n);
+        }
+        self.account.charge_many(bucket, n);
+    }
+}
+
 /// One row of a top-N hot-PC table (merged across nodes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotPc {
@@ -328,6 +369,19 @@ mod tests {
         }
         assert_eq!(batched, looped);
         assert_eq!(batched.overflow(), (0, 9));
+    }
+
+    #[test]
+    fn ledger_charges_bucket_and_pc_in_one_call() {
+        let mut l = CycleLedger::default();
+        l.charge((StallBucket::BshrWaitRemote, Some((0x40, PcStallKind::RemoteWait))), 5);
+        l.charge((StallBucket::Committing, None), 3);
+        l.charge((StallBucket::LocalMemWait, Some((0x80, PcStallKind::LocalWait))), 0);
+        assert_eq!(l.account().get(StallBucket::BshrWaitRemote), 5);
+        assert_eq!(l.account().total(), 8);
+        let e = l.pc_profile().entries();
+        assert_eq!(e.len(), 1, "a zero-cycle charge profiles no PC: {e:?}");
+        assert_eq!((e[0].pc, e[0].remote_wait), (0x40, 5));
     }
 
     #[test]

@@ -37,13 +37,14 @@
 //! Both effects are bounded per segment and vanish against full-run
 //! totals.
 
-use crate::Cycle;
+use crate::{Cycle, Probe};
 
 /// Default [`CritWindow`] capacity — the *segment* size. The walk
 /// flushes each full segment into the accumulator, so any capacity
-/// attributes the whole run; this default keeps the buffer
-/// (~1.25 MiB per instrumented core) cache-resident while giving the
-/// backward walk ~16 K retirements of producer reach.
+/// attributes the whole run; this default keeps the buffer (1 MiB of
+/// 64-byte nodes per instrumented core, plus the accumulator's 64 KiB
+/// per-PC table) while giving the backward walk ~16 K retirements of
+/// producer reach.
 pub const DEFAULT_CRIT_WINDOW_CAPACITY: usize = 1 << 14;
 
 /// Slots in the pre-allocated per-PC residency table (power of two).
@@ -474,15 +475,22 @@ fn walk_nodes(nodes: &[CritNode], acc: &mut CritAccum) {
 }
 
 /// The bounded segment buffer of retired-instruction graph nodes plus
-/// the accumulator full segments are flushed into. Pre-allocated;
-/// recording never fails, blocks or allocates, and attribution covers
-/// the whole run regardless of capacity.
+/// the accumulator full segments are flushed into, and — for a core's
+/// window — the nodes of the instructions still in flight, stamped as
+/// they go. All pre-allocated; recording never fails, blocks or
+/// allocates, and attribution covers the whole run regardless of
+/// capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CritWindow {
     /// Backing storage, allocated once; `buf.capacity()` never changes.
     buf: Vec<CritNode>,
     /// Attribution folded in from flushed segments.
     acc: CritAccum,
+    /// In-flight nodes by RUU ring slot, stamped from dispatch to
+    /// commit; grows to the ring's length as the first lap is
+    /// dispatched and never beyond (empty unless built by
+    /// [`Probe::with_ruu_slots`]).
+    stamps: Vec<CritNode>,
 }
 
 impl CritWindow {
@@ -493,7 +501,7 @@ impl CritWindow {
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "a critical-path window needs at least one slot");
-        CritWindow { buf: Vec::with_capacity(capacity), acc: CritAccum::new() }
+        CritWindow { buf: Vec::with_capacity(capacity), acc: CritAccum::new(), stamps: Vec::new() }
     }
 
     /// Appends one retirement. A full buffer is first walked into the
@@ -558,6 +566,54 @@ impl CritWindow {
 impl Default for CritWindow {
     fn default() -> Self {
         CritWindow::with_capacity(DEFAULT_CRIT_WINDOW_CAPACITY)
+    }
+}
+
+impl Probe for CritWindow {
+    fn with_ruu_slots(slots: usize) -> Self {
+        CritWindow { stamps: Vec::with_capacity(slots), ..CritWindow::default() }
+    }
+
+    #[inline]
+    fn edge_dispatch(&mut self, slot: usize, now: Cycle) {
+        let s =
+            CritNode { dispatch: now, ready: now, issue: now, complete: now, ..Default::default() };
+        if slot == self.stamps.len() {
+            self.stamps.push(s); // first lap: within capacity
+        } else {
+            self.stamps[slot] = s;
+        }
+    }
+
+    #[inline]
+    fn edge_wake(&mut self, slot: usize, now: Cycle, producer_back: u32) {
+        let s = &mut self.stamps[slot];
+        s.ready = now;
+        s.producer_back = producer_back;
+    }
+
+    #[inline]
+    fn edge_issue(&mut self, slot: usize, now: Cycle, fill: FillKind) {
+        let s = &mut self.stamps[slot];
+        s.issue = now;
+        s.fill = fill;
+    }
+
+    #[inline]
+    fn edge_complete(&mut self, slot: usize, now: Cycle) {
+        self.stamps[slot].complete = now;
+    }
+
+    #[inline]
+    fn edge_sent(&mut self, slot: usize, sent: Cycle) {
+        self.stamps[slot].sent = sent;
+    }
+
+    #[inline]
+    fn edge_commit(&mut self, slot: usize, pc: u64, now: Cycle) -> Option<Cycle> {
+        let s = CritNode { pc, commit: now, ..self.stamps[slot] };
+        self.edge_retire(s);
+        (s.fill == FillKind::RemoteFill && s.sent != UNKNOWN_SEND).then_some(s.sent)
     }
 }
 

@@ -17,15 +17,20 @@
 //!
 //! # The zero-cost guarantee
 //!
-//! [`Probe`] has two implementations: [`Recorder`] (a ring buffer) and
-//! [`NoopProbe`] (a zero-sized type whose `record` is an inlined empty
-//! default). Consumer crates hold a `Probe` alias switched by their own
-//! `obs` cargo feature, so with the feature off every call site
-//! monomorphises against the ZST and compiles to nothing — no branch,
-//! no field, no cache pressure. With the feature on, recording is a
-//! bounds-free slot write into a buffer allocated at construction: the
+//! [`Probe`] has one implementation per structure it can feed, and each
+//! owner holds only the ones it writes: [`Recorder`] is an event ring
+//! and nothing else (core, memory side, interconnect, system);
+//! [`CycleLedger`] is one node's stall buckets and per-PC profile (held
+//! by whoever charges the node's cycles); [`CritWindow`] is one core's
+//! per-slot critical-path stamps and retirement segment. [`NoopProbe`]
+//! is a zero-sized type whose hooks are all inlined empty defaults.
+//! Consumer crates hold each field behind a crate-local alias switched
+//! by their own `obs` cargo feature, so with the feature off every call
+//! site monomorphises against the ZST and compiles to nothing — no
+//! branch, no field, no cache pressure. With the feature on, every hook
+//! is a constant-time write into storage allocated at construction: the
 //! cycle loop still allocates nothing (ds-lint rule a1 polices the
-//! recorder in `ring.rs` like any other hot module).
+//! `record*`, `charge*` and `edge*` paths like any other hot module).
 
 pub mod account;
 pub mod critpath;
@@ -35,7 +40,8 @@ mod ring;
 pub mod timeline;
 
 pub use account::{
-    top_hot_pcs, CycleAccount, HotPc, PcProfile, PcStallKind, StallBucket, BUCKET_COUNT,
+    top_hot_pcs, CycleAccount, CycleLedger, HotPc, PcProfile, PcStallKind, StallBucket,
+    StallCharge, BUCKET_COUNT,
 };
 pub use critpath::{
     CritNode, CritPathNodeReport, CritPathReport, CritWindow, EdgeClass, EdgeKind, FillKind,
@@ -190,40 +196,67 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// The recording interface the simulation crates call. Default methods
-/// are no-ops, so the disabled configuration ([`NoopProbe`]) costs
-/// nothing.
+/// The recording interface the simulation crates call. Every owner
+/// implements only the hooks whose structure it holds — [`Recorder`]
+/// `record` (its event ring), [`CycleLedger`] `charge` (its stall
+/// buckets and PC profile), [`CritWindow`] the `edge_*` family (its
+/// per-slot stamps and retirement segment) — and inherits empty
+/// defaults for the rest, so the disabled configuration
+/// ([`NoopProbe`]) costs nothing.
 pub trait Probe {
+    /// Builds the probe a core with an RUU ring of `slots` slots owns
+    /// (the critical-path stamps are kept per slot). Construction only.
+    fn with_ruu_slots(slots: usize) -> Self
+    where
+        Self: Sized + Default,
+    {
+        let _ = slots;
+        Self::default()
+    }
+
     /// Records one event.
     #[inline(always)]
     fn record(&mut self, _cycle: Cycle, _kind: EventKind) {}
 
-    /// Charges one cycle to a stall bucket (top-down cycle accounting).
+    /// Charges `n` cycles to one stall bucket, and the memory-wait ones
+    /// to the PC at the head of the commit window when the charge names
+    /// one. `n > 1` is the batch form the event-horizon engine uses for
+    /// skipped quiescent ranges; it must equal `n` single charges.
     #[inline(always)]
-    fn charge(&mut self, _bucket: StallBucket) {}
+    fn charge(&mut self, _charge: StallCharge, _n: u64) {}
 
-    /// Charges one memory-wait cycle to the static PC at the head of
-    /// the commit window.
+    /// RUU ring slot `slot` took a new instruction at `now`.
     #[inline(always)]
-    fn charge_pc(&mut self, _pc: u64, _kind: PcStallKind) {}
+    fn edge_dispatch(&mut self, _slot: usize, _now: Cycle) {}
 
-    /// Charges `n` cycles to one stall bucket at once — the batch form
-    /// the event-horizon engine uses for skipped quiescent ranges.
-    /// Implementations must make this equivalent to `n` calls to
-    /// [`Probe::charge`].
+    /// The completion of the instruction `producer_back` retirements
+    /// older made the instruction in `slot` ready at `now` (its last
+    /// arrival).
     #[inline(always)]
-    fn charge_many(&mut self, _bucket: StallBucket, _n: u64) {}
+    fn edge_wake(&mut self, _slot: usize, _now: Cycle, _producer_back: u32) {}
 
-    /// Charges `n` memory-wait cycles to one PC at once; must be
-    /// equivalent to `n` calls to [`Probe::charge_pc`].
+    /// The instruction in `slot` issued at `now`; `fill` says what will
+    /// produce its completion.
     #[inline(always)]
-    fn charge_pc_many(&mut self, _pc: u64, _kind: PcStallKind, _n: u64) {}
+    fn edge_issue(&mut self, _slot: usize, _now: Cycle, _fill: FillKind) {}
 
-    /// Records one retirement's last-arrival critical-path node (see
-    /// [`critpath`]). Called by the core once per committed
-    /// instruction; guard construction with [`Probe::enabled`].
+    /// The instruction in `slot` completed at `now`.
     #[inline(always)]
-    fn edge_retire(&mut self, _node: CritNode) {}
+    fn edge_complete(&mut self, _slot: usize, _now: Cycle) {}
+
+    /// The remote data the load in `slot` waits for entered the
+    /// sender's output queue at `sent`.
+    #[inline(always)]
+    fn edge_sent(&mut self, _slot: usize, _sent: Cycle) {}
+
+    /// The instruction in `slot`, at `pc`, retired at `now`: its
+    /// last-arrival graph node joins the critical-path window (see
+    /// [`critpath`]). Returns the send stamp of a remote fill, so the
+    /// caller can close the fill's trace flow.
+    #[inline(always)]
+    fn edge_commit(&mut self, _slot: usize, _pc: u64, _now: Cycle) -> Option<Cycle> {
+        None
+    }
 
     /// True when events are actually retained (lets callers skip
     /// expensive event *construction*, not just recording).

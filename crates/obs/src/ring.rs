@@ -1,14 +1,12 @@
 //! The pre-allocated event ring and the instrumented [`Probe`].
 //!
-//! This file is a ds-lint hot module: `record*` and `edge*` functions
-//! here run inside the simulator's cycle loop when the `obs` feature is
-//! on, so rule a1 (no allocation) applies to them exactly as it does to
+//! This file is a ds-lint hot module: `record*` functions here run
+//! inside the simulator's cycle loop when the `obs` feature is on, so
+//! rule a1 (no allocation) applies to them exactly as it does to
 //! `OooCore::step`. All storage is allocated once at construction;
 //! recording is a slot write plus two index updates.
 
-use crate::account::{CycleAccount, PcProfile, PcStallKind, StallBucket};
-use crate::critpath::CritWindow;
-use crate::{CritNode, Cycle, Event, EventKind, Probe, DEFAULT_RING_CAPACITY};
+use crate::{Cycle, Event, EventKind, Probe, DEFAULT_RING_CAPACITY};
 
 /// A fixed-capacity ring of [`Event`]s. When full, the oldest event is
 /// overwritten and [`EventRing::dropped`] counts the loss — recording
@@ -83,15 +81,12 @@ impl Default for EventRing {
     }
 }
 
-/// The instrumented probe: records into an owned [`EventRing`]. This is
-/// what consumer crates alias `Probe` types to when their `obs` feature
-/// is on.
+/// The instrumented event probe: an owned [`EventRing`] and nothing
+/// else. This is what consumer crates alias their event `Probe` types
+/// to when their `obs` feature is on.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Recorder {
     ring: EventRing,
-    account: CycleAccount,
-    pcs: PcProfile,
-    crit: CritWindow,
 }
 
 impl Recorder {
@@ -101,34 +96,12 @@ impl Recorder {
     ///
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
-        Recorder {
-            ring: EventRing::with_capacity(capacity),
-            account: CycleAccount::default(),
-            pcs: PcProfile::default(),
-            crit: CritWindow::default(),
-        }
+        Recorder { ring: EventRing::with_capacity(capacity) }
     }
 
     /// The recorded events.
     pub fn ring(&self) -> &EventRing {
         &self.ring
-    }
-
-    /// The critical-path window accumulated through
-    /// [`Probe::edge_retire`].
-    pub fn crit_window(&self) -> &CritWindow {
-        &self.crit
-    }
-
-    /// The cycle ledger accumulated through [`Probe::charge`].
-    pub fn account(&self) -> &CycleAccount {
-        &self.account
-    }
-
-    /// The per-PC memory-wait profile accumulated through
-    /// [`Probe::charge_pc`].
-    pub fn pc_profile(&self) -> &PcProfile {
-        &self.pcs
     }
 }
 
@@ -136,31 +109,6 @@ impl Probe for Recorder {
     #[inline]
     fn record(&mut self, cycle: Cycle, kind: EventKind) {
         self.ring.record(Event { cycle, kind });
-    }
-
-    #[inline]
-    fn charge(&mut self, bucket: StallBucket) {
-        self.account.charge(bucket);
-    }
-
-    #[inline]
-    fn charge_pc(&mut self, pc: u64, kind: PcStallKind) {
-        self.pcs.charge_pc(pc, kind);
-    }
-
-    #[inline]
-    fn charge_many(&mut self, bucket: StallBucket, n: u64) {
-        self.account.charge_many(bucket, n);
-    }
-
-    #[inline]
-    fn charge_pc_many(&mut self, pc: u64, kind: PcStallKind, n: u64) {
-        self.pcs.charge_pc_many(pc, kind, n);
-    }
-
-    #[inline]
-    fn edge_retire(&mut self, node: CritNode) {
-        self.crit.edge_retire(node);
     }
 
     #[inline]

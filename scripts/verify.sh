@@ -68,6 +68,7 @@ cargo test -p ds-core --features audit -q
 echo "== cargo test --features obs (instrumented build: goldens must stay byte-identical)"
 cargo test --features obs -q
 cargo test -p ds-core --features obs -q
+cargo test -p ds-cpu --features obs -q
 cargo test -p ds-net --features obs -q
 
 echo "== obs smoke: ds-bench figure7_ipc --json/--trace-out, validated by obs_validate"
