@@ -22,15 +22,17 @@
 //! program.
 //!
 //! `--json` writes a `ds-chaos-result/v1` document (validated by
-//! `obs_validate`); the process exits non-zero when any run diverges
-//! or deadlocks, so the binary doubles as the CI chaos gate.
+//! `obs_validate`); the process exits 1 when any run diverges or
+//! deadlocks, so the binary doubles as the CI chaos gate. A bad command
+//! line or an unwritable `--json` path is one `ds-chaos: …` line on
+//! stderr and exit 2, before any simulation runs.
 
-use ds_bench::report::flag_value;
 use ds_bench::{baseline_config, runner};
 use ds_core::{DsConfig, DsSystem};
 use ds_net::{FabricKind, FaultKind, FaultPlan, FaultRule, FaultStats, StallRule};
 use ds_stats::Table;
-use ds_workloads::by_name;
+use ds_workloads::{by_name, Workload};
+use std::fs::File;
 use std::process::ExitCode;
 
 const NODES: usize = 4;
@@ -42,12 +44,6 @@ struct PlanSpec {
     plan: FaultPlan,
     /// Part of the `--quick` subset.
     quick: bool,
-}
-
-impl std::fmt::Debug for PlanSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.name)
-    }
 }
 
 /// The grid. Drop rules are unbounded — recovery must come from the
@@ -183,14 +179,53 @@ fn render_json(
     s
 }
 
+/// A checked command line.
+#[derive(Debug)]
+struct Invocation {
+    quick: bool,
+    workload: Workload,
+    json: Option<String>,
+}
+
+/// The value after a flag; a following flag is not one.
+fn operand<'a>(args: &mut impl Iterator<Item = &'a String>) -> Option<&'a String> {
+    args.next().filter(|v| !v.starts_with("--"))
+}
+
+fn parse(args: &[String]) -> Result<Invocation, String> {
+    let (mut quick, mut workload, mut json) = (false, "compress", None);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            // Read where it is used, by `runner::parallel_requested`.
+            "--parallel" => {}
+            "--workload" => workload = operand(&mut args).ok_or("--workload needs a name")?,
+            "--json" => json = Some(operand(&mut args).ok_or("--json needs a path")?.clone()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            _ => return Err(format!("unexpected argument `{arg}`")),
+        }
+    }
+    let workload = by_name(workload).ok_or_else(|| format!("unknown workload `{workload}`"))?;
+    Ok(Invocation { quick, workload, json })
+}
+
 fn main() -> ExitCode {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let workload = flag_value("--workload").unwrap_or_else(|| "compress".to_string());
-    let Some(w) = by_name(&workload) else {
-        eprintln!("ds-chaos: unknown workload {workload:?}");
-        return ExitCode::from(2);
-    };
-    let prog = (w.build)(ds_workloads::Scale::Tiny);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    run(&args).unwrap_or_else(|e| {
+        eprintln!("ds-chaos: {e}");
+        ExitCode::from(2)
+    })
+}
+
+fn run(args: &[String]) -> Result<ExitCode, String> {
+    let inv = parse(args)?;
+    // An unwritable path should cost no simulation time.
+    if let Some(path) = &inv.json {
+        File::create(path).map_err(|e| format!("{path}: {e}"))?;
+    }
+    let workload = inv.workload.name;
+    let prog = (inv.workload.build)(ds_workloads::Scale::Tiny);
 
     println!("ds-chaos: fault-injection matrix ({workload}, {NODES} nodes)");
     println!();
@@ -208,10 +243,10 @@ fn main() -> ExitCode {
     };
 
     let mut grid = chaos_grid();
-    if quick {
+    if inv.quick {
         grid.retain(|s| s.quick);
     }
-    let outcomes = runner::map(grid.iter().collect(), |spec| {
+    let outcomes = runner::map(&grid, |spec| {
         let mut config = chaos_config(spec.fabric);
         config.fault_plan = spec.plan.clone();
         config.bshr_timeout_cycles = Some(2_000);
@@ -265,16 +300,67 @@ fn main() -> ExitCode {
     println!("broadcasts carry no data values, so every plan must converge to the");
     println!("fault-free architectural state; only the cycle counts may move.");
 
-    if let Some(path) = flag_value("--json") {
-        let doc = render_json(&workload, &baselines[0], &rows);
-        std::fs::write(&path, doc)
-            .unwrap_or_else(|e| panic!("cannot write --json {path}: {e}"));
+    if let Some(path) = &inv.json {
+        let doc = render_json(workload, &baselines[0], &rows);
+        std::fs::write(path, doc).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("wrote {path}");
     }
 
     if failures > 0 {
         eprintln!("ds-chaos: {failures} of {} plans diverged or deadlocked", rows.len());
-        return ExitCode::from(1);
+        return Ok(ExitCode::from(1));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn rejected(line: &str) -> String {
+        parse(&args(line)).expect_err(line)
+    }
+
+    #[test]
+    fn accepts_the_four_flags_in_any_order() {
+        let inv = parse(&args("--json out.json --parallel --workload li --quick")).unwrap();
+        assert!(inv.quick);
+        assert_eq!(inv.workload.name, "li");
+        assert_eq!(inv.json.as_deref(), Some("out.json"));
+        let default = parse(&[]).unwrap();
+        assert!(!default.quick);
+        assert_eq!(default.workload.name, "compress");
+        assert_eq!(default.json, None);
+    }
+
+    #[test]
+    fn a_typoed_flag_is_rejected_not_ignored() {
+        // Not silently the full grid.
+        assert_eq!(rejected("--quik"), "unknown flag `--quik`");
+        assert_eq!(rejected("--quick compress"), "unexpected argument `compress`");
+    }
+
+    #[test]
+    fn a_flag_missing_its_value_is_rejected() {
+        assert_eq!(rejected("--json"), "--json needs a path");
+        // A following flag is not a path: no file called `--quick`.
+        assert_eq!(rejected("--json --quick"), "--json needs a path");
+        assert_eq!(rejected("--quick --workload"), "--workload needs a name");
+    }
+
+    #[test]
+    fn an_unknown_workload_is_rejected() {
+        assert_eq!(rejected("--workload compres"), "unknown workload `compres`");
+    }
+
+    #[test]
+    fn an_unwritable_json_path_is_an_error_before_the_grid_runs() {
+        // The full grid would take seconds: the error must come first.
+        let e = run(&args("--json /nonexistent-dir/chaos.json")).unwrap_err();
+        assert!(e.starts_with("/nonexistent-dir/chaos.json: "), "{e}");
+    }
 }

@@ -4,9 +4,8 @@
 //! other two print one table with the variants as columns.
 
 use crate::report::Report;
-use crate::{baseline_config, expect_no_deadlock, run_datascalar, run_traditional, runner, Budget};
+use crate::{baseline_config, run_datascalar, run_traditional, runner, Budget, System};
 use ds_asm::Program;
-use ds_core::{DsConfig, DsSystem, RunResult, TraditionalConfig, TraditionalSystem};
 use ds_cpu::BranchModel;
 use ds_mem::{TlbConfig, WritePolicy};
 use ds_net::FabricKind;
@@ -25,7 +24,7 @@ fn sweep<W: Sync, V: Sync, T: Send>(
 ) -> Vec<T> {
     let pairs: Vec<(usize, usize)> =
         (0..workloads.len()).flat_map(|wi| (0..variants.len()).map(move |vi| (wi, vi))).collect();
-    runner::map(pairs, |&(wi, vi)| {
+    runner::map(&pairs, |&(wi, vi)| {
         let (name, w) = &workloads[wi];
         job(name, w, &variants[vi])
     })
@@ -59,14 +58,6 @@ fn named(names: &[&str]) -> Vec<Workload> {
     names.iter().map(|n| by_name(n).expect("registered")).collect()
 }
 
-fn run_ds(config: DsConfig, prog: &Program, what: &str) -> RunResult {
-    expect_no_deadlock(DsSystem::new(config, prog).run(), what)
-}
-
-fn run_trad(config: DsConfig, prog: &Program, what: &str) -> RunResult {
-    expect_no_deadlock(TraditionalSystem::new(&TraditionalConfig { base: config }, prog).run(), what)
-}
-
 /// Ablation: static replication fraction.
 ///
 /// The paper's §2/§3.2 lever: replicating heavily-used pages trades
@@ -77,7 +68,7 @@ pub fn replication(budget: Budget, r: &mut Report) {
     r.heading(budget, "Ablation: static replication fraction (DataScalar x2)");
     let config0 = baseline_config(2, budget.max_insts);
     // Profiling each workload is itself an independent job.
-    let prepped = runner::map(named(&["compress", "mgrid", "go"]), |w| {
+    let prepped = runner::map(&named(&["compress", "mgrid", "go"]), |w| {
         let prog = (w.build)(budget.scale);
         let profile = PageProfile::collect(&prog, config0.page_bytes, budget.max_insts * 4);
         let ranked: Vec<u64> = profile.sorted_pages().into_iter().map(|(v, _)| v).collect();
@@ -92,7 +83,7 @@ pub fn replication(budget: Budget, r: &mut Report) {
             let count = (ranked.len() as u64 * percent_repl / 100) as usize;
             let mut config = config0.clone();
             config.replicated_vpns = ranked.iter().take(count).copied().collect();
-            let run = run_ds(config, prog, name);
+            let run = System::DataScalar.run(config, prog, name);
             [
                 format!("{percent_repl}%"),
                 ratio(run.ipc()),
@@ -127,7 +118,7 @@ pub fn write_policy(budget: Budget, r: &mut Report) {
     let results = sweep(&progs, &policies, |name, prog, &policy| {
         let mut config = baseline_config(2, budget.max_insts);
         config.dcache.write_policy = policy;
-        run_ds(config, prog, name)
+        System::DataScalar.run(config, prog, name)
     });
     for ((name, _), runs) in progs.iter().zip(results.chunks(policies.len())) {
         let (noalloc, alloc) = (&runs[0], &runs[1]);
@@ -161,7 +152,7 @@ pub fn bshr(budget: Budget, r: &mut Report) {
             let mut config = baseline_config(2, budget.max_insts);
             config.bshr_entries = entries;
             config.bshr_access_cycles = access;
-            let run = run_ds(config, prog, name);
+            let run = System::DataScalar.run(config, prog, name);
             let occ = run.nodes.iter().map(|n| n.bshr.max_occupancy).max().unwrap_or(0);
             let ovf: u64 = run.nodes.iter().map(|n| n.bshr.overflows).sum();
             [
@@ -228,8 +219,8 @@ pub fn tlb(budget: Budget, r: &mut Report) {
                 assoc: n,
                 page_bytes: config.page_bytes,
             });
-            let ds = run_ds(config.clone(), prog, name);
-            let trad = run_trad(config, prog, name);
+            let ds = System::DataScalar.run(config.clone(), prog, name);
+            let trad = System::Traditional.run(config, prog, name);
             [
                 entries.map_or("perfect".to_string(), |n| n.to_string()),
                 ratio(ds.ipc()),
@@ -260,7 +251,7 @@ pub fn blocks(budget: Budget, r: &mut Report) {
         |name, prog, &block| {
             let mut config = baseline_config(2, budget.max_insts);
             config.dist_block_pages = block;
-            let run = run_ds(config, prog, name);
+            let run = System::DataScalar.run(config, prog, name);
             [
                 block.to_string(),
                 ratio(run.ipc()),
@@ -296,7 +287,7 @@ pub fn interconnect(budget: Budget, r: &mut Report) {
             config.bus.clock_divisor = 1;
             config.bus.width_bytes = 64;
         }
-        run_ds(config, prog, name).ipc()
+        System::DataScalar.run(config, prog, name).ipc()
     });
     for ((name, _), ipc) in progs.iter().zip(ipcs.chunks(variants.len())) {
         let (bus, ring, optical) = (ipc[0], ipc[1], ipc[2]);
@@ -340,8 +331,8 @@ pub fn branch(budget: Budget, r: &mut Report) {
         |name, prog, &(model_name, model)| {
             let mut config = baseline_config(2, budget.max_insts);
             config.core.branch = model;
-            let ds = run_ds(config.clone(), prog, name);
-            let trad = run_trad(config, prog, name);
+            let ds = System::DataScalar.run(config.clone(), prog, name);
+            let trad = System::Traditional.run(config, prog, name);
             let s = &ds.nodes[0].core;
             let rate = if s.branches == 0 {
                 0.0

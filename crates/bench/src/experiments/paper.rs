@@ -345,7 +345,7 @@ pub fn figure8_sensitivity(mut budget: Budget, r: &mut Report) {
         })
         .collect();
     let mut points =
-        runner::map(jobs, |&(wi, ai, ki)| sweep_point(&ws[wi], axes[ai].1[ki], budget)).into_iter();
+        runner::map(&jobs, |&(wi, ai, ki)| sweep_point(&ws[wi], axes[ai].1[ki], budget)).into_iter();
     for name in names {
         r.line(format!("\n=== {name} ==="));
         for (axis, knobs) in &axes {

@@ -28,6 +28,7 @@
 //! The shared runners live here so integration tests, the ledger in
 //! `benchmark/` and the experiments measure exactly the same way.
 
+use ds_asm::Program;
 use ds_core::{DsConfig, DsSystem, PerfectSystem, RunResult, TraditionalConfig, TraditionalSystem};
 use ds_cpu::ExecError;
 use ds_workloads::{figure7_set, Scale, Workload};
@@ -78,28 +79,63 @@ pub fn expect_no_deadlock(run: Result<RunResult, ExecError>, what: &str) -> RunR
     r
 }
 
+/// The three machines the paper compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum System {
+    /// The perfect-data-cache upper bound (one node).
+    Perfect,
+    /// DataScalar: every node holds a share of memory and broadcasts it.
+    DataScalar,
+    /// A traditional processor with a `1/nodes` share of memory on-chip.
+    Traditional,
+}
+
+impl System {
+    /// Runs `prog` on this machine, its node count taken from
+    /// `config.nodes`, through [`expect_no_deadlock`] (`what` names the
+    /// run in the panic).
+    pub fn run(self, config: DsConfig, prog: &Program, what: &str) -> RunResult {
+        let run = match self {
+            System::Perfect => PerfectSystem::new(&config, prog).run(),
+            System::DataScalar => DsSystem::new(config, prog).run(),
+            System::Traditional => {
+                TraditionalSystem::new(&TraditionalConfig { base: config }, prog).run()
+            }
+        };
+        expect_no_deadlock(run, what)
+    }
+}
+
+/// Figure 7's five systems and their node counts, in the order of
+/// [`Figure7Row`]'s bars.
+pub const FIGURE7: [(System, usize); 5] = [
+    (System::Perfect, 1),
+    (System::DataScalar, 2),
+    (System::DataScalar, 4),
+    (System::Traditional, 2),
+    (System::Traditional, 4),
+];
+
+/// Builds `w` at the budget's scale and runs it on `system` in the
+/// Figure 7 baseline configuration for `nodes` nodes.
+fn run_baseline(w: &Workload, system: System, nodes: usize, budget: Budget) -> RunResult {
+    let prog = (w.build)(budget.scale);
+    system.run(baseline_config(nodes, budget.max_insts), &prog, w.name)
+}
+
 /// IPC of the DataScalar system with `nodes` nodes.
 pub fn run_datascalar(w: &Workload, nodes: usize, budget: Budget) -> RunResult {
-    let prog = (w.build)(budget.scale);
-    let config = baseline_config(nodes, budget.max_insts);
-    let mut sys = DsSystem::new(config, &prog);
-    expect_no_deadlock(sys.run(), w.name)
+    run_baseline(w, System::DataScalar, nodes, budget)
 }
 
 /// IPC of the traditional system with a `1/nodes` on-chip share.
 pub fn run_traditional(w: &Workload, nodes: usize, budget: Budget) -> RunResult {
-    let prog = (w.build)(budget.scale);
-    let config = TraditionalConfig { base: baseline_config(nodes, budget.max_insts) };
-    let mut sys = TraditionalSystem::new(&config, &prog);
-    expect_no_deadlock(sys.run(), w.name)
+    run_baseline(w, System::Traditional, nodes, budget)
 }
 
 /// IPC of the perfect-data-cache upper bound.
 pub fn run_perfect(w: &Workload, budget: Budget) -> RunResult {
-    let prog = (w.build)(budget.scale);
-    let config = baseline_config(1, budget.max_insts);
-    let mut sys = PerfectSystem::new(&config, &prog);
-    expect_no_deadlock(sys.run(), w.name)
+    run_baseline(w, System::Perfect, 1, budget)
 }
 
 /// One Figure 7 group: the five bars for one benchmark.
@@ -119,45 +155,31 @@ pub struct Figure7Row {
     pub trad_quarter: f64,
 }
 
+impl Figure7Row {
+    /// The row for `name` from its IPCs in [`FIGURE7`] order.
+    pub(crate) fn new(name: &str, [perfect, ds2, ds4, trad_half, trad_quarter]: [f64; 5]) -> Self {
+        Figure7Row { name: name.to_string(), perfect, ds2, ds4, trad_half, trad_quarter }
+    }
+}
+
 /// Runs all five systems of Figure 7 for one benchmark.
 pub fn figure7_row(w: &Workload, budget: Budget) -> Figure7Row {
-    Figure7Row {
-        name: w.name.to_string(),
-        perfect: run_perfect(w, budget).ipc(),
-        ds2: run_datascalar(w, 2, budget).ipc(),
-        ds4: run_datascalar(w, 4, budget).ipc(),
-        trad_half: run_traditional(w, 2, budget).ipc(),
-        trad_quarter: run_traditional(w, 4, budget).ipc(),
-    }
+    let ipc = |(system, nodes)| run_baseline(w, system, nodes, budget).ipc();
+    Figure7Row::new(w.name, FIGURE7.map(ipc))
 }
 
 /// All Figure 7 rows, one simulation per (benchmark × system) job —
 /// fanned across threads when `--parallel` is given, with identical
-/// results either way.
+/// results either way. Each job builds its own program.
 pub fn figure7_rows(budget: Budget) -> Vec<Figure7Row> {
     let set = figure7_set();
-    let jobs: Vec<(usize, usize)> =
-        (0..set.len()).flat_map(|wi| (0..5).map(move |sys| (wi, sys))).collect();
-    let ipcs = runner::map(jobs, |&(wi, sys)| {
-        let w = &set[wi];
-        match sys {
-            0 => run_perfect(w, budget).ipc(),
-            1 => run_datascalar(w, 2, budget).ipc(),
-            2 => run_datascalar(w, 4, budget).ipc(),
-            3 => run_traditional(w, 2, budget).ipc(),
-            _ => run_traditional(w, 4, budget).ipc(),
-        }
-    });
+    let jobs: Vec<(&Workload, &(System, usize))> =
+        set.iter().flat_map(|w| FIGURE7.iter().map(move |s| (w, s))).collect();
+    let ipcs =
+        runner::map(&jobs, |&(w, &(system, nodes))| run_baseline(w, system, nodes, budget).ipc());
     set.iter()
-        .enumerate()
-        .map(|(wi, w)| Figure7Row {
-            name: w.name.to_string(),
-            perfect: ipcs[wi * 5],
-            ds2: ipcs[wi * 5 + 1],
-            ds4: ipcs[wi * 5 + 2],
-            trad_half: ipcs[wi * 5 + 3],
-            trad_quarter: ipcs[wi * 5 + 4],
-        })
+        .zip(ipcs.chunks_exact(FIGURE7.len()))
+        .map(|(w, ipcs)| Figure7Row::new(w.name, ipcs.try_into().expect("one IPC per system")))
         .collect()
 }
 
@@ -197,8 +219,7 @@ mod tests {
         let b = Budget::quick();
         let mut config = baseline_config(2, b.max_insts);
         config.watchdog_cycles = 20;
-        let mut sys = TraditionalSystem::new(&TraditionalConfig { base: config }, &(w.build)(b.scale));
-        expect_no_deadlock(sys.run(), w.name);
+        System::Traditional.run(config, &(w.build)(b.scale), w.name);
     }
 
     #[test]

@@ -240,17 +240,6 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// The operand of `flag` in argv (`--json out.json` → `Some("out.json")`).
-pub fn flag_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
 /// Renders one [`TimelineReport`] as a JSON object. Interval rows are
 /// compact numeric arrays in the fixed layout
 /// `[start, len, committed, sends, arrives, bshr_occ_hw, skipped,

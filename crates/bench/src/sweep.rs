@@ -5,8 +5,8 @@
 //! width, and RUU entries — for go and compress, across all five
 //! systems.
 
-use crate::{baseline_config, expect_no_deadlock, Budget};
-use ds_core::{DsConfig, DsSystem, PerfectSystem, TraditionalConfig, TraditionalSystem};
+use crate::{baseline_config, Budget, Figure7Row, FIGURE7};
+use ds_core::DsConfig;
 use ds_workloads::Workload;
 
 /// Which knob a sweep varies.
@@ -73,47 +73,18 @@ pub fn figure8_axes() -> Vec<(&'static str, Vec<Knob>)> {
     ]
 }
 
-/// The five IPCs at one sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepPoint {
-    /// Perfect data cache.
-    pub perfect: f64,
-    /// DataScalar, 2 nodes.
-    pub ds2: f64,
-    /// DataScalar, 4 nodes.
-    pub ds4: f64,
-    /// Traditional, 1/2 on-chip.
-    pub trad_half: f64,
-    /// Traditional, 1/4 on-chip.
-    pub trad_quarter: f64,
-}
-
-/// Evaluates all five systems at one knob setting.
-pub fn sweep_point(w: &Workload, knob: Knob, budget: Budget) -> SweepPoint {
+/// Evaluates all five Figure 7 systems at one knob setting, on one
+/// build of the program.
+pub fn sweep_point(w: &Workload, knob: Knob, budget: Budget) -> Figure7Row {
     let prog = (w.build)(budget.scale);
-    let run_ds = |nodes: usize| {
-        let mut c = baseline_config(nodes, budget.max_insts);
-        knob.apply(&mut c);
-        expect_no_deadlock(DsSystem::new(c, &prog).run(), w.name).ipc()
-    };
-    let run_trad = |nodes: usize| {
-        let mut c = baseline_config(nodes, budget.max_insts);
-        knob.apply(&mut c);
-        let mut sys = TraditionalSystem::new(&TraditionalConfig { base: c }, &prog);
-        expect_no_deadlock(sys.run(), w.name).ipc()
-    };
-    let perfect = {
-        let mut c = baseline_config(1, budget.max_insts);
-        knob.apply(&mut c);
-        expect_no_deadlock(PerfectSystem::new(&c, &prog).run(), w.name).ipc()
-    };
-    SweepPoint {
-        perfect,
-        ds2: run_ds(2),
-        ds4: run_ds(4),
-        trad_half: run_trad(2),
-        trad_quarter: run_trad(4),
-    }
+    Figure7Row::new(
+        w.name,
+        FIGURE7.map(|(system, nodes)| {
+            let mut config = baseline_config(nodes, budget.max_insts);
+            knob.apply(&mut config);
+            system.run(config, &prog, w.name).ipc()
+        }),
+    )
 }
 
 #[cfg(test)]
@@ -142,6 +113,21 @@ mod tests {
         let axes = figure8_axes();
         assert_eq!(axes.len(), 5);
         assert!(axes.iter().all(|(_, pts)| pts.len() == 5));
+    }
+
+    #[test]
+    fn the_baseline_sweep_point_is_the_figure7_row() {
+        // Figure 8's RUU axis passes through the baseline configuration:
+        // the same five runs as Figure 7, through the same path.
+        let w = by_name("go").unwrap();
+        let b = Budget::quick();
+        let point = sweep_point(&w, Knob::RuuEntries(256), b);
+        let row = crate::figure7_row(&w, b);
+        let bits = |r: &Figure7Row| {
+            [r.perfect, r.ds2, r.ds4, r.trad_half, r.trad_quarter].map(f64::to_bits)
+        };
+        assert_eq!(point.name, row.name);
+        assert_eq!(bits(&point), bits(&row));
     }
 
     #[test]

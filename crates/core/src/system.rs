@@ -433,27 +433,6 @@ impl DsSystem {
         crate::node::timeline_report(&self.machine.nodes)
     }
 
-    /// Renders the merged system timeline's phases in the flamegraph
-    /// folded-stacks text format, rooted at the phase index
-    /// (`phase0;committing 523` lines, one per phase/bucket). Kept
-    /// separate from [`DsSystem::folded_stacks`]: these weights sum to
-    /// the *retained* node-cycles (intervals a wrapped ring overwrote
-    /// are gone), summed across nodes per phase.
-    pub fn phase_folded(&self) -> String {
-        use std::fmt::Write as _;
-        let merged = self.timeline_report().merged();
-        let mut out = String::new();
-        for (i, p) in merged.phases.iter().enumerate() {
-            for b in ds_obs::StallBucket::ALL {
-                let cycles = p.buckets[b as usize];
-                if cycles > 0 {
-                    let _ = writeln!(out, "phase{i};{} {cycles}", b.label());
-                }
-            }
-        }
-        out
-    }
-
     /// Renders the per-node critical-path attribution in the
     /// flamegraph folded-stacks text format, rooted at `crit` (kept
     /// separate from [`DsSystem::folded_stacks`], whose per-node leaves

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full verification: build, published-results check, tests, invariant
-# lint, audit, instrumented build, chaos matrix, clippy, and a smoke run
-# of the benchmark (ds-ledger, benchmark/).
+# Full verification: build, published-results check, --parallel output
+# check, tests, invariant lint, audit, instrumented build, chaos matrix,
+# clippy, and a smoke run of the benchmark (ds-ledger, benchmark/).
 #
 # Usage: scripts/verify.sh [--fast]
 #
@@ -57,6 +57,16 @@ echo "== results/*.txt are what ds-bench prints (regen_results.sh --check)"
 # come from the plain build.
 scripts/regen_results.sh --check
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+echo "== ds-bench --parallel prints what the sequential run prints"
+# The runner hands results back in input order, so the two runs must
+# match byte for byte.
+target/release/ds-bench figure7_ipc --quick > "$tmp/fig7.seq.txt"
+target/release/ds-bench figure7_ipc --quick --parallel > "$tmp/fig7.par.txt"
+cmp "$tmp/fig7.seq.txt" "$tmp/fig7.par.txt"
+
 echo "== cargo test"
 cargo test --workspace -q
 
@@ -73,33 +83,31 @@ cargo test -p ds-net --features obs -q
 
 echo "== obs smoke: ds-bench figure7_ipc --json/--trace-out, validated by obs_validate"
 cargo build -q --release -p ds-bench --features obs --bin ds-bench
-obs_tmp="$(mktemp -d)"
-trap 'rm -rf "$obs_tmp"' EXIT
 target/release/ds-bench figure7_ipc --quick \
-    --json "$obs_tmp/fig7.json" --trace-out "$obs_tmp/trace.json" > /dev/null
+    --json "$tmp/fig7.json" --trace-out "$tmp/trace.json" > /dev/null
 # obs_validate checks schema members, trace flow-id pairing, and the
 # critpath section (class shares in range, summing to ~1 per system).
 cargo run -q --release -p ds-obs --bin obs_validate -- \
-    "$obs_tmp/fig7.json" "$obs_tmp/trace.json"
+    "$tmp/fig7.json" "$tmp/trace.json"
 # An instrumented figure7 run must actually attribute a critical path:
 # an empty critpath member means the edge hooks silently stopped firing.
-grep -q '"critpath":{"' "$obs_tmp/fig7.json" || {
+grep -q '"critpath":{"' "$tmp/fig7.json" || {
     echo "verify: ds-bench figure7_ipc --json carries no critpath entries" >&2
     exit 1
 }
 # ...and record a timeline (same silent-death guard for the sampler).
-grep -q '"timeline":{"' "$obs_tmp/fig7.json" || {
+grep -q '"timeline":{"' "$tmp/fig7.json" || {
     echo "verify: ds-bench figure7_ipc --json carries no timeline entries" >&2
     exit 1
 }
 
 echo "== ds-dash smoke: render the dashboard, re-validate its embedded payload"
 cargo build -q --release -p ds-obs --bin ds-dash
-target/release/ds-dash --json "$obs_tmp/fig7.json" \
-    --out "$obs_tmp/dash.html" 2> /dev/null
+target/release/ds-dash --json "$tmp/fig7.json" \
+    --out "$tmp/dash.html" 2> /dev/null
 # obs_validate extracts the ds-dash-data payload and re-checks every
 # embedded document (timeline interval sums included).
-cargo run -q --release -p ds-obs --bin obs_validate -- "$obs_tmp/dash.html"
+cargo run -q --release -p ds-obs --bin obs_validate -- "$tmp/dash.html"
 
 echo "== chaos gate: ds_chaos fault matrix, validated by obs_validate"
 # The quick grid: every fault plan must recover to the fault-free
@@ -107,8 +115,8 @@ echo "== chaos gate: ds_chaos fault matrix, validated by obs_validate"
 # non-zero on any diverged/deadlocked run; obs_validate re-checks the
 # emitted ds-chaos-result/v1 document independently.
 cargo build -q --release -p ds-bench --bin ds_chaos
-target/release/ds_chaos --quick --parallel --json "$obs_tmp/chaos.json" > /dev/null
-cargo run -q --release -p ds-obs --bin obs_validate -- "$obs_tmp/chaos.json"
+target/release/ds_chaos --quick --parallel --json "$tmp/chaos.json" > /dev/null
+cargo run -q --release -p ds-obs --bin obs_validate -- "$tmp/chaos.json"
 
 echo "== cargo clippy (deny warnings)"
 cargo clippy --all-targets -- -D warnings
