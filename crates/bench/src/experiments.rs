@@ -9,6 +9,7 @@ use crate::report::Report;
 use crate::Budget;
 
 mod ablations;
+mod chaos;
 mod paper;
 mod section5;
 
@@ -26,7 +27,8 @@ pub struct Experiment {
     pub run: fn(Budget, &mut Report),
 }
 
-/// Every experiment, paper order first.
+/// Every experiment, paper order first, then the ablations and the
+/// fault-injection gate.
 pub const EXPERIMENTS: &[Experiment] = &[
     row("figure1_mmm", "Figure 1 — synchronous-ESP MMM timeline", paper::figure1_mmm),
     row("figure3_chain", "Figure 3 — serialized off-chip crossings", paper::figure3_chain),
@@ -45,6 +47,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     row("ablation_blocks", "A6 — round-robin distribution block size", ablations::blocks),
     row("ablation_interconnect", "A7 — bus vs ring vs optical interconnect", ablations::interconnect),
     row("ablation_branch", "A8 — perfect vs bimodal vs static branch prediction", ablations::branch),
+    row("chaos_matrix", "Fault-injection matrix — hardened ESP recovers from every plan", chaos::chaos_matrix),
 ];
 
 const fn row(name: &'static str, about: &'static str, run: fn(Budget, &mut Report)) -> Experiment {

@@ -24,6 +24,7 @@
 //! | `ablation_blocks` | A6 — round-robin distribution block size |
 //! | `ablation_interconnect` | A7 — bus vs ring vs optical interconnect |
 //! | `ablation_branch` | A8 — perfect vs bimodal vs static branch prediction |
+//! | `chaos_matrix` | Fault-injection matrix — hardened ESP recovers from every plan |
 //!
 //! The shared runners live here so integration tests, the ledger in
 //! `benchmark/` and the experiments measure exactly the same way.

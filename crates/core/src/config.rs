@@ -43,9 +43,6 @@ pub struct DsConfig {
     /// Communicated pages are distributed round-robin in blocks of this
     /// many pages (the paper's §3.2 distribution size).
     pub dist_block_pages: u64,
-    /// Replicate the text segment at every node (§4.2 does; it removes
-    /// the need for an instruction CUB).
-    pub replicate_text: bool,
     /// Additional virtual page numbers to replicate statically (e.g.
     /// chosen by profiling, as in §3.2).
     pub replicated_vpns: Vec<u64>,
@@ -98,7 +95,6 @@ impl Default for DsConfig {
             queue_penalty: 2,
             page_bytes: 4096,
             dist_block_pages: 1,
-            replicate_text: true,
             replicated_vpns: Vec::new(),
             tlb: None,
             tlb_walk_cycles: 9,
@@ -154,8 +150,12 @@ mod tests {
         assert_eq!(c.memory.access_cycles, 8);
         assert_eq!(c.bus.width_bytes, 8);
         assert_eq!(c.bus.clock_divisor, 10);
-        assert!(c.replicate_text);
         c.validate();
+        // Text is replicated at every node (§4.2), so instruction
+        // fetches never need a CUB.
+        let prog = ds_asm::assemble(".text\nmain: halt\n").unwrap();
+        let sys = crate::DsSystem::new(DsConfig::with_nodes(2), &prog);
+        assert_eq!(sys.page_table().classify(prog.entry), ds_mem::PageClass::Replicated);
     }
 
     #[test]

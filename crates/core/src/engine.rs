@@ -46,16 +46,16 @@ pub(crate) trait Machine {
 }
 
 /// The page distribution every machine places `program` by: its
-/// regions, text replicated if configured, the statically replicated
-/// pages, and the rest dealt round-robin across `config.nodes`.
+/// regions, text replicated at every node (§4.2: instruction fetches
+/// are always served locally, so no instruction CUB is needed), the
+/// statically replicated pages, and the rest dealt round-robin across
+/// `config.nodes`.
 pub(crate) fn page_distribution(config: &DsConfig, program: &Program) -> PageTableBuilder {
     let mut ptb = PageTableBuilder::new(config.page_bytes, config.nodes);
     for (start, end, seg) in program.regions() {
         ptb.add_region(start, end, seg);
     }
-    if config.replicate_text {
-        ptb.replicate_segment(Segment::Text);
-    }
+    ptb.replicate_segment(Segment::Text);
     for &vpn in &config.replicated_vpns {
         ptb.replicate_page_of(vpn * config.page_bytes);
     }

@@ -1,26 +1,13 @@
-//! The acceptance gate: the real workspace must lint clean. Any rule
-//! violation introduced by a future PR fails `cargo test` here with the
-//! same file:line diagnostics `scripts/verify.sh` prints.
+//! The linter against real and doctored trees: the paths and catalog it
+//! relies on exist, and a seeded violation fails the binary. That the
+//! real workspace lints clean is asserted once, by the root package's
+//! `tests/lint_clean.rs`, and by `scripts/verify.sh` running the binary.
 
 use std::path::Path;
 use std::process::Command;
 
 fn workspace_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-}
-
-#[test]
-fn workspace_lints_clean() {
-    let out = Command::new(env!("CARGO_BIN_EXE_ds-lint"))
-        .arg(workspace_root())
-        .output()
-        .expect("run ds-lint");
-    assert!(
-        out.status.success(),
-        "ds-lint found violations:\n{}{}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
 }
 
 #[test]

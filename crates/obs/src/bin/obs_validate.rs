@@ -18,21 +18,18 @@
 //!   `id="ds-dash-data"` JSON payload must parse, and every embedded
 //!   result document is re-checked as if passed directly — the numbers
 //!   behind the pictures stay auditable.
-//! * `ds-chaos-result/v1`: fault-matrix reports — every run must carry
-//!   its plan label, fault counters, and the two verdicts
-//!   (`matches_baseline`, `watchdog_fired`); a run that diverged from
-//!   the fault-free baseline or tripped the watchdog fails validation.
 //!
-//! Anything else — a `.jsonl` path, JSON with neither a `schema` member
-//! nor `traceEvents` — is an error, not a pass.
+//! Anything else — a `.jsonl` path, an unknown `schema`, JSON with
+//! neither a `schema` member nor `traceEvents` — is an error, not a
+//! pass.
 //!
 //! Exit status: 0 when every file parses (and passes its schema
 //! check), 1 otherwise.
 
 use ds_obs::json::{self, Value};
 
-const UNRECOGNISED: &str = "unrecognised document (expected ds-bench-result/v1, \
-     ds-chaos-result/v1, a Perfetto trace, or a ds-dash .html)";
+const UNRECOGNISED: &str =
+    "unrecognised document (expected ds-bench-result/v1, a Perfetto trace, or a ds-dash .html)";
 
 fn check(path: &str) -> Result<(), String> {
     if path.ends_with(".jsonl") {
@@ -49,7 +46,6 @@ fn check(path: &str) -> Result<(), String> {
 fn check_value(v: &Value) -> Result<(), String> {
     match v.get("schema").and_then(Value::as_str) {
         Some("ds-bench-result/v1") => check_bench_result(v),
-        Some("ds-chaos-result/v1") => check_chaos_result(v),
         Some(other) => Err(format!("unknown schema `{other}`")),
         None if v.get("traceEvents").is_some() => check_trace(v),
         None => Err(UNRECOGNISED.into()),
@@ -111,66 +107,6 @@ fn check_bench_result(v: &Value) -> Result<(), String> {
     }
     check_critpath_member(v)?;
     check_timeline_member(v)
-}
-
-/// Validates a `ds-chaos-result/v1` fault-matrix report. Beyond shape,
-/// the verdicts themselves are load-bearing: a run whose architectural
-/// state diverged from the fault-free baseline, or whose watchdog
-/// fired, is a failed experiment and fails the gate here too (defense
-/// in depth — the `ds-chaos` binary already exits non-zero).
-fn check_chaos_result(v: &Value) -> Result<(), String> {
-    let baseline = v.get("baseline").ok_or("ds-chaos-result/v1 document lacks `baseline`")?;
-    for key in ["cycles", "committed"] {
-        if baseline.get(key).and_then(Value::as_f64).is_none() {
-            return Err(format!("`baseline` lacks number `{key}`"));
-        }
-    }
-    if v.get("workload").and_then(Value::as_str).is_none() {
-        return Err("ds-chaos-result/v1 document lacks string `workload`".into());
-    }
-    let runs = v
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("ds-chaos-result/v1 document lacks `runs` array")?;
-    if runs.is_empty() {
-        return Err("`runs` is empty — the fault matrix did not run".into());
-    }
-    for (i, run) in runs.iter().enumerate() {
-        let plan = run
-            .get("plan")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("run {i} lacks string `plan`"))?;
-        for key in ["cycles", "committed"] {
-            if run.get(key).and_then(Value::as_f64).is_none() {
-                return Err(format!("run `{plan}` lacks number `{key}`"));
-            }
-        }
-        let faults = run
-            .get("faults")
-            .ok_or_else(|| format!("run `{plan}` lacks `faults`"))?;
-        for key in ["dropped", "delayed", "duplicated", "reordered"] {
-            if faults.get(key).and_then(Value::as_f64).is_none() {
-                return Err(format!("run `{plan}` faults lack number `{key}`"));
-            }
-        }
-        match run.get("matches_baseline") {
-            Some(Value::Bool(true)) => {}
-            Some(Value::Bool(false)) => {
-                return Err(format!(
-                    "run `{plan}` diverged from the fault-free baseline"
-                ))
-            }
-            _ => return Err(format!("run `{plan}` lacks bool `matches_baseline`")),
-        }
-        match run.get("watchdog_fired") {
-            Some(Value::Bool(false)) => {}
-            Some(Value::Bool(true)) => {
-                return Err(format!("run `{plan}` tripped the forward-progress watchdog"))
-            }
-            _ => return Err(format!("run `{plan}` lacks bool `watchdog_fired`")),
-        }
-    }
-    Ok(())
 }
 
 /// Checks the `critpath` member of a `ds-bench-result/v1` document:
@@ -414,6 +350,9 @@ mod tests {
         // against, and a `.jsonl` path is no shape at all.
         assert_eq!(check_value(&good).unwrap_err(), UNRECOGNISED);
         assert_eq!(check("history.jsonl").unwrap_err(), UNRECOGNISED);
+        // Nor does a schema this validator does not know.
+        let unknown = json::parse(r#"{"schema": "ds-bench-result/v2", "tables": []}"#).unwrap();
+        assert_eq!(check_value(&unknown).unwrap_err(), "unknown schema `ds-bench-result/v2`");
         assert!(check_critpath_member(&json::parse(r#"{"critpath": null}"#).unwrap()).is_ok());
         assert!(check_critpath_member(&json::parse(r#"{"other": 1}"#).unwrap()).is_ok());
 
@@ -483,53 +422,6 @@ mod tests {
         )
         .unwrap();
         assert!(check_timeline_member(&no_nodes).unwrap_err().contains("lacks `nodes`"));
-    }
-
-    #[test]
-    fn chaos_result_shapes_and_verdicts() {
-        let good = json::parse(
-            r#"{"schema": "ds-chaos-result/v1", "workload": "compress",
-                "baseline": {"cycles": 1000, "committed": 500},
-                "runs": [{"plan": "drop-every-3/bus", "cycles": 1200,
-                          "committed": 500,
-                          "faults": {"dropped": 4, "delayed": 0,
-                                     "duplicated": 0, "reordered": 0},
-                          "matches_baseline": true,
-                          "watchdog_fired": false}]}"#,
-        )
-        .unwrap();
-        assert!(check_value(&good).is_ok());
-
-        let diverged = json::parse(
-            r#"{"schema": "ds-chaos-result/v1", "workload": "compress",
-                "baseline": {"cycles": 1000, "committed": 500},
-                "runs": [{"plan": "p", "cycles": 1, "committed": 1,
-                          "faults": {"dropped": 0, "delayed": 0,
-                                     "duplicated": 0, "reordered": 0},
-                          "matches_baseline": false,
-                          "watchdog_fired": false}]}"#,
-        )
-        .unwrap();
-        assert!(check_value(&diverged).unwrap_err().contains("diverged"));
-
-        let fired = json::parse(
-            r#"{"schema": "ds-chaos-result/v1", "workload": "compress",
-                "baseline": {"cycles": 1000, "committed": 500},
-                "runs": [{"plan": "p", "cycles": 1, "committed": 1,
-                          "faults": {"dropped": 0, "delayed": 0,
-                                     "duplicated": 0, "reordered": 0},
-                          "matches_baseline": true,
-                          "watchdog_fired": true}]}"#,
-        )
-        .unwrap();
-        assert!(check_value(&fired).unwrap_err().contains("watchdog"));
-
-        let empty = json::parse(
-            r#"{"schema": "ds-chaos-result/v1", "workload": "w",
-                "baseline": {"cycles": 1, "committed": 1}, "runs": []}"#,
-        )
-        .unwrap();
-        assert!(check_value(&empty).unwrap_err().contains("empty"));
     }
 
     #[test]

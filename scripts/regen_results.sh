@@ -3,7 +3,7 @@
 # current source: each file is the full-budget output of the ds-bench
 # experiment it is named after. Deterministic; measured on a 2-vCPU
 # host: ~22 s to rebuild ds-bench after a simulation-crate edit (one
-# fat-LTO link), then ~31 s to run all 17.
+# fat-LTO link), then ~31 s to run all 18.
 #
 # Usage: scripts/regen_results.sh [--check]
 #

@@ -162,9 +162,10 @@ fn registry_results_and_docs_name_the_same_experiments() {
 fn budget_free_experiments_print_their_committed_results() {
     use ds_bench::experiments::find;
     use ds_bench::{report::Report, Budget};
-    // The first published numbers pinned by tier-1 rather than only by
-    // scripts/regen_results.sh --check.
-    for name in ["figure1_mmm", "figure3_chain"] {
+    // The published numbers pinned by tier-1 rather than only by
+    // scripts/regen_results.sh --check. `chaos_matrix` also panics on
+    // any diverged or deadlocked plan, so this is the chaos gate too.
+    for name in ["figure1_mmm", "figure3_chain", "chaos_matrix"] {
         let exp = find(name).expect("registered");
         let mut report = Report::new(exp.name);
         (exp.run)(Budget::full(), &mut report);
