@@ -21,6 +21,9 @@ fn main() {
     }
 }
 
+/// What renders the `--trace-out` document at a budget.
+type RenderTrace = fn(Budget) -> String;
+
 /// A checked command line.
 #[derive(Debug)]
 struct Invocation {
@@ -28,7 +31,7 @@ struct Invocation {
     budget: Budget,
     json: Option<String>,
     /// The `--trace-out` path and what renders the trace.
-    trace: Option<(String, fn(Budget) -> String)>,
+    trace: Option<(String, RenderTrace)>,
 }
 
 /// `reason`, then the synopsis and the registered experiments.

@@ -1154,7 +1154,7 @@ mod tests {
             pages.insert(p);
             for l in 0..page / line_bytes {
                 let line = heap + p * page + l * line_bytes;
-                lines.extend(std::iter::repeat(line).take(1 + (line / line_bytes % 3) as usize));
+                lines.extend(std::iter::repeat_n(line, 1 + (line / line_bytes % 3) as usize));
             }
         }
         assert!(lines.len() > 40_000);

@@ -29,6 +29,20 @@ pub struct ExecRecord {
 }
 
 impl ExecRecord {
+    /// A placeholder record (a `nop` at address 0): the slot a caller
+    /// hands [`FuncCore::step_into`] or
+    /// [`InstFeed::copy_record`](crate::InstFeed::copy_record) to
+    /// overwrite.
+    pub const BLANK: ExecRecord = ExecRecord {
+        icount: 0,
+        pc: 0,
+        inst: Inst { op: Opcode::Nop, rd: 0, rs: 0, rt: 0, imm: 0 },
+        next_pc: 0,
+        taken: false,
+        mem_addr: 0,
+        mem_bytes: 0,
+    };
+
     /// True when this record is a load.
     pub fn is_load(&self) -> bool {
         self.inst.op.is_load()
@@ -185,15 +199,34 @@ impl FuncCore {
 
     /// Executes one instruction, mutating architectural state and
     /// memory, and returns its [`ExecRecord`]. Returns `None` once
-    /// halted.
+    /// halted. A wrapper over [`FuncCore::step_into`].
     ///
     /// # Errors
     ///
     /// [`ExecError::BadInstruction`] if the word at the PC does not
     /// decode — the functional machine does not execute garbage.
     pub fn step(&mut self, mem: &mut MemImage) -> Result<Option<ExecRecord>, ExecError> {
+        let mut rec = ExecRecord::BLANK;
+        Ok(self.step_into(mem, &mut rec)?.then_some(rec))
+    }
+
+    /// Executes one instruction, mutating architectural state and
+    /// memory, and writes its [`ExecRecord`] into `out`, field by
+    /// field. Returns false, leaving `out` as it was, once halted.
+    ///
+    /// This is how [`TraceSource`](crate::TraceSource) fills its
+    /// window: the record is written once, in the slot it lives in,
+    /// instead of being returned through a `Result<Option<_>>` and
+    /// moved there.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::BadInstruction`] if the word at the PC does not
+    /// decode; `out` and the architectural state are left as they
+    /// were.
+    pub fn step_into(&mut self, mem: &mut MemImage, out: &mut ExecRecord) -> Result<bool, ExecError> {
         if self.halted {
-            return Ok(None);
+            return Ok(false);
         }
         let pc = self.pc;
         let slot = dcache_index(pc);
@@ -334,18 +367,16 @@ impl FuncCore {
             }
             Nop => {}
         }
-        let rec = ExecRecord {
-            icount: self.icount,
-            pc,
-            inst,
-            next_pc,
-            taken,
-            mem_addr,
-            mem_bytes,
-        };
+        out.icount = self.icount;
+        out.pc = pc;
+        out.inst = inst;
+        out.next_pc = next_pc;
+        out.taken = taken;
+        out.mem_addr = mem_addr;
+        out.mem_bytes = mem_bytes;
         self.pc = next_pc;
         self.icount += 1;
-        Ok(Some(rec))
+        Ok(true)
     }
 
     /// Runs until halt or until `max_insts` more instructions execute.
@@ -622,6 +653,42 @@ mod tests {
         let err = cpu.step(&mut mem).unwrap_err();
         assert!(matches!(err, ExecError::BadInstruction { pc: 0x1000, .. }));
         assert!(err.to_string().contains("0x1000"));
+    }
+
+    /// The in-place writer and its by-value wrapper are one machine:
+    /// the same records, and the same state left behind.
+    #[test]
+    fn step_and_step_into_agree_on_a_tiny_workload() {
+        let w = ds_workloads::by_name("compress").expect("registered workload");
+        let prog = (w.build)(ds_workloads::Scale::Tiny);
+        let fresh = || {
+            let mut mem = MemImage::new();
+            prog.load(&mut mem);
+            (FuncCore::with_stack(prog.entry, prog.stack_top), mem)
+        };
+        let (mut by_value, mut mem_a) = fresh();
+        let (mut in_place, mut mem_b) = fresh();
+        let mut slot = ExecRecord::BLANK;
+        let mut stores = Vec::new();
+        while let Some(rec) = by_value.step(&mut mem_a).unwrap() {
+            assert!(in_place.step_into(&mut mem_b, &mut slot).unwrap());
+            assert_eq!(slot, rec);
+            if rec.is_store() {
+                stores.push(rec.mem_addr & !7);
+            }
+        }
+        let last = slot;
+        assert!(!in_place.step_into(&mut mem_b, &mut slot).unwrap(), "both halted");
+        assert_eq!(slot, last, "a halted core leaves the slot as it was");
+        assert!(last.icount > 30_000 && !stores.is_empty());
+        assert_eq!((in_place.pc(), in_place.icount()), (by_value.pc(), by_value.icount()));
+        for r in 0..32 {
+            assert_eq!(in_place.ireg(r), by_value.ireg(r), "r{r}");
+            assert_eq!(in_place.freg(r).to_bits(), by_value.freg(r).to_bits(), "f{r}");
+        }
+        for addr in stores {
+            assert_eq!(mem_b.read_u64(addr), mem_a.read_u64(addr), "memory at {addr:#x}");
+        }
     }
 
     #[test]

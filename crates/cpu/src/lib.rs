@@ -12,7 +12,10 @@
 //!   assume perfect branch prediction, so all nodes fetch the identical
 //!   architected path; the trace source materialises that path once and
 //!   lets each node consume it at its own pace (the skew between
-//!   cursors *is* datathreading).
+//!   cursors *is* datathreading). The functional core writes each
+//!   record once, into the trace's window, and each node's fetch copies
+//!   it once, through [`InstFeed::copy_record`], on its way into the
+//!   node's RUU.
 //! * [`OooCore`] — the out-of-order timing core: 8-wide fetch/issue/
 //!   commit, a 256-entry Register Update Unit, a load/store queue with
 //!   store-to-load forwarding, per-class functional units, and

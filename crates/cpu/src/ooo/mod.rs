@@ -808,13 +808,11 @@ impl OooCore {
                 }
                 break;
             }
-            let rec = match feed.fetch_record(self.next_fetch)? {
-                Some(r) => r,
-                None => {
-                    self.fetch_done = true;
-                    break;
-                }
-            };
+            let mut rec = ExecRecord::BLANK;
+            if !feed.copy_record(self.next_fetch, &mut rec)? {
+                self.fetch_done = true;
+                break;
+            }
             let info = OpInfo::of(rec.inst.op);
             if info.is_mem && self.mem_in_window >= self.config.lsq_entries {
                 self.stats.lsq_full_stalls += 1;
@@ -920,7 +918,7 @@ impl OooCore {
                 }
             }
         }
-        self.window.dispatch(*rec, &producers[..np], lane);
+        self.window.dispatch(rec, &producers[..np], lane);
         self.crit.edge_dispatch(self.window.slot(tag), now);
         // Record the rename-table destination.
         match info.dest {

@@ -213,9 +213,7 @@ fn in_order_commit_of_mem_ops() {
 
 #[test]
 fn window_capacity_limits_runahead() {
-    let mut small = OooConfig::default();
-    small.ruu_entries = 4;
-    small.lsq_entries = 2;
+    let small = OooConfig { ruu_entries: 4, lsq_entries: 2, ..OooConfig::default() };
     let prog: Vec<Inst> = (0..32)
         .map(|k| Inst::rri(Opcode::Addi, reg::T0 + (k % 4) as u8, reg::ZERO, k))
         .chain([Inst::halt()])
@@ -287,8 +285,7 @@ fn misprediction_stalls_cost_cycles() {
     };
     let run = |model: BranchModel| {
         let mut trace = trace_of(&prog);
-        let mut config = OooConfig::default();
-        config.branch = model;
+        let config = OooConfig { branch: model, ..OooConfig::default() };
         let mut core = OooCore::new(config, 32);
         let mut ms = PerfectMem::new();
         let cycles = run_to_completion(&mut core, &mut ms, &mut trace, |_, _, _| {});
@@ -321,8 +318,7 @@ fn predictable_loops_barely_suffer() {
         .collect();
     let run = |model: BranchModel| {
         let mut trace = trace_of(&prog);
-        let mut config = OooConfig::default();
-        config.branch = model;
+        let config = OooConfig { branch: model, ..OooConfig::default() };
         let mut core = OooCore::new(config, 32);
         let mut ms = PerfectMem::new();
         run_to_completion(&mut core, &mut ms, &mut trace, |_, _, _| {})

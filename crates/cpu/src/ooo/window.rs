@@ -71,6 +71,20 @@ pub(super) struct RuuEntry {
     pub fill_line: u64,
 }
 
+impl RuuEntry {
+    /// What a ring slot holds before its first dispatch overwrites it.
+    const VACANT: RuuEntry = RuuEntry {
+        rec: ExecRecord::BLANK,
+        state: EState::Done,
+        cons_head: NIL,
+        next: [NIL; MAX_EDGES],
+        issue_hit: None,
+        lane: 0,
+        pending_remote: false,
+        fill_line: 0,
+    };
+}
+
 /// Fixed-capacity bitmaps of ready ring slots, one per issue lane.
 ///
 /// The scheduler's working set is bounded by the ring, so a few machine
@@ -192,25 +206,31 @@ impl Window {
         (!self.is_empty()).then(|| &self.entries[self.slot(self.base_tag)])
     }
 
-    /// Writes the next instruction into its ring slot, hanging it on
-    /// the wake-up list of every producer that has not finished.
-    /// `rec.icount` must be the next tag in sequence and the ring must
-    /// have a free slot.
-    pub fn dispatch(&mut self, rec: ExecRecord, producers: &[RuuTag], lane: u8) {
+    /// Writes the next instruction into its ring slot, in place,
+    /// hanging it on the wake-up list of every producer that has not
+    /// finished. `rec.icount` must be the next tag in sequence and the
+    /// ring must have a free slot.
+    pub fn dispatch(&mut self, rec: &ExecRecord, producers: &[RuuTag], lane: u8) {
         let tag = rec.icount;
         debug_assert_eq!(tag, self.next_tag);
         debug_assert!(self.len() <= self.mask as usize);
         debug_assert!(producers.len() <= MAX_EDGES);
         let slot = self.slot(tag);
-        let mut next = [NIL; MAX_EDGES];
+        if slot == self.entries.len() {
+            self.entries.push(RuuEntry::VACANT); // first lap: within capacity
+        }
+        // The links are written into the entry, not gathered in a local
+        // array and copied in: that copy reads 16 bytes just stored 4 at
+        // a time, a load that waits for the stores to drain.
+        self.entries[slot].next = [NIL; MAX_EDGES];
         let mut deps = 0;
         for &p in producers {
-            if let Some(pe) = self.get_mut(p) {
-                if pe.state != EState::Done {
-                    next[deps] = pe.cons_head;
-                    pe.cons_head = (slot as u32) << EDGE_BITS | deps as u32;
-                    deps += 1;
-                }
+            let Some(pe) = self.get_mut(p) else { continue };
+            if pe.state != EState::Done {
+                let link = (slot as u32) << EDGE_BITS | deps as u32;
+                let after = std::mem::replace(&mut pe.cons_head, link);
+                self.entries[slot].next[deps] = after;
+                deps += 1;
             }
         }
         let state = if deps == 0 {
@@ -219,21 +239,15 @@ impl Window {
         } else {
             EState::Waiting(deps as u32)
         };
-        let entry = RuuEntry {
-            rec,
-            state,
-            cons_head: NIL,
-            next,
-            issue_hit: None,
-            lane,
-            pending_remote: false,
-            fill_line: 0,
-        };
-        if slot == self.entries.len() {
-            self.entries.push(entry); // first lap: within capacity
-        } else {
-            self.entries[slot] = entry;
-        }
+        // Every other field, where it lives.
+        let entry = &mut self.entries[slot];
+        entry.rec = *rec;
+        entry.state = state;
+        entry.cons_head = NIL;
+        entry.issue_hit = None;
+        entry.lane = lane;
+        entry.pending_remote = false;
+        entry.fill_line = 0;
         self.next_tag = tag + 1;
     }
 
@@ -389,6 +403,13 @@ mod tests {
         assert_eq!(std::mem::size_of::<RuuEntry>(), 96);
     }
 
+    /// Every node copies one record per instruction out of the trace
+    /// into its entry: a field added to the record is paid there.
+    #[test]
+    fn exec_record_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<ExecRecord>(), 56);
+    }
+
     #[test]
     fn ring_wraps_without_moving_entries() {
         let mut w = Window::new(6); // 8 slots
@@ -399,7 +420,7 @@ mod tests {
                 assert_eq!(w.head().unwrap().rec.icount, tag - 6);
                 drain_head(&mut w);
             }
-            w.dispatch(rec(tag), &[], 0);
+            w.dispatch(&rec(tag), &[], 0);
             assert_eq!(w.get_mut(tag).unwrap().rec.icount, tag);
             assert!(w.get_mut(tag + 1).is_none(), "not dispatched yet");
         }
@@ -419,17 +440,17 @@ mod tests {
         let mut w = Window::new(8);
         // Advance the head to slot 5 so the window straddles the wrap.
         for tag in 0..5 {
-            w.dispatch(rec(tag), &[], 0);
+            w.dispatch(&rec(tag), &[], 0);
             drain_head(&mut w);
         }
         // Tags 5..11 live in slots 5, 6, 7, 0, 1, 2; 5 gates 7 and 9;
         // 6 and 10 wait in lane 3, the rest in lane 0.
-        w.dispatch(rec(5), &[], 0);
-        w.dispatch(rec(6), &[], 3);
-        w.dispatch(rec(7), &[5], 0);
-        w.dispatch(rec(8), &[], 0);
-        w.dispatch(rec(9), &[5], 0);
-        w.dispatch(rec(10), &[], 3);
+        w.dispatch(&rec(5), &[], 0);
+        w.dispatch(&rec(6), &[], 3);
+        w.dispatch(&rec(7), &[5], 0);
+        w.dispatch(&rec(8), &[], 0);
+        w.dispatch(&rec(9), &[5], 0);
+        w.dispatch(&rec(10), &[], 3);
         assert_eq!(w.ready_lanes(), 0b1001);
         assert_eq!(sweep(&mut w, !0), [5, 6, 8, 10]);
         assert_eq!(sweep(&mut w, 0b0001), [5, 8]);
@@ -451,11 +472,11 @@ mod tests {
     fn a_full_ring_is_swept_once_per_slot() {
         let mut w = Window::new(128);
         for tag in 0..70 {
-            w.dispatch(rec(tag), &[], 0);
+            w.dispatch(&rec(tag), &[], 0);
             drain_head(&mut w);
         }
         for tag in 70..198 {
-            w.dispatch(rec(tag), &[], (tag % 8) as u8);
+            w.dispatch(&rec(tag), &[], (tag % 8) as u8);
         }
         assert_eq!(w.len(), 128);
         assert_eq!(sweep(&mut w, !0), (70..198).collect::<Vec<_>>());
@@ -464,15 +485,15 @@ mod tests {
     #[test]
     fn wake_up_follows_every_edge_and_only_unfinished_producers() {
         let mut w = Window::new(16);
-        w.dispatch(rec(0), &[], 0);
-        w.dispatch(rec(1), &[], 0);
-        w.dispatch(rec(2), &[], 0);
+        w.dispatch(&rec(0), &[], 0);
+        w.dispatch(&rec(1), &[], 0);
+        w.dispatch(&rec(2), &[], 0);
         assert!(w.complete(2, 1, &mut NoopProbe));
         // 3 waits on 0 and 1; 2 is done and must not count.
-        w.dispatch(rec(3), &[0, 1, 2], 0);
+        w.dispatch(&rec(3), &[0, 1, 2], 0);
         // 4 and 5 share producer 0 with 3: one list, three members.
-        w.dispatch(rec(4), &[0], 0);
-        w.dispatch(rec(5), &[1, 0], 0);
+        w.dispatch(&rec(4), &[0], 0);
+        w.dispatch(&rec(5), &[1, 0], 0);
         assert_eq!(state(&mut w, 3), EState::Waiting(2));
         assert_eq!(state(&mut w, 4), EState::Waiting(1));
         assert_eq!(state(&mut w, 5), EState::Waiting(2));
@@ -490,14 +511,14 @@ mod tests {
     #[test]
     fn a_reused_slot_starts_with_an_empty_list() {
         let mut w = Window::new(2);
-        w.dispatch(rec(0), &[], 0);
-        w.dispatch(rec(1), &[0], 0);
+        w.dispatch(&rec(0), &[], 0);
+        w.dispatch(&rec(1), &[0], 0);
         drain_head(&mut w);
         drain_head(&mut w);
         // Tag 2 reuses tag 0's slot; tag 3 must hang on tag 2, not on
         // anything tag 0 left behind.
-        w.dispatch(rec(2), &[], 0);
-        w.dispatch(rec(3), &[2], 0);
+        w.dispatch(&rec(2), &[], 0);
+        w.dispatch(&rec(3), &[2], 0);
         assert_eq!(state(&mut w, 3), EState::Waiting(1));
         assert!(w.complete(2, 1, &mut NoopProbe));
         assert_eq!(state(&mut w, 3), EState::Ready);

@@ -1,4 +1,13 @@
 //! Demand-driven committed-instruction stream shared by all nodes.
+//!
+//! Each record crosses the per-instruction path as one field-by-field
+//! write, by [`FuncCore::step_into`] into a new back slot of the
+//! window, plus one copy per node, by [`InstFeed::copy_record`] into
+//! the slot the fetch stage hands in. No `Result<Option<ExecRecord>>`
+//! moves by value on the way: returned that way, the 7 bytes behind the
+//! `taken` flag were copied with overlapping narrow moves whose loads
+//! waited on the stores before them (DESIGN.md §8, "The record
+//! hand-off").
 
 use crate::exec::{ExecError, ExecRecord, FuncCore};
 use ds_mem::MemImage;
@@ -10,7 +19,8 @@ use std::collections::VecDeque;
 /// paper's timing simulations assume perfect branch prediction, so every
 /// node's fetch stream is the same sequence of [`ExecRecord`]s. A
 /// `TraceSource` materialises that sequence once, on demand, from a
-/// [`FuncCore`]; each consumer indexes it by instruction number, and
+/// [`FuncCore`] that writes each record straight into the window; each
+/// consumer indexes it by instruction number, and
 /// [`TraceSource::trim`] releases records every consumer has passed.
 ///
 /// The *skew* between consumers' cursors is exactly the paper's
@@ -69,18 +79,44 @@ impl TraceSource {
     ///
     /// Panics if `idx` has already been trimmed away — consumers must
     /// not read behind the trim point.
+    #[inline]
     pub fn get(&mut self, idx: u64) -> Result<Option<&ExecRecord>, ExecError> {
         assert!(idx >= self.base, "instruction {idx} already trimmed (base {})", self.base);
+        let off = (idx - self.base) as usize;
+        // Every node after the first, and every re-read after an I-line
+        // stall, finds its record already generated.
+        if off >= self.window.len() {
+            let grown = self.extend_to(idx);
+            // The window grows only here and trims only shrink it, so
+            // this is the one place the high-water mark can move.
+            self.max_window = self.max_window.max(self.window.len());
+            grown?;
+        }
+        Ok(self.window.get(off))
+    }
+
+    /// Generates records until instruction `idx` is in the window or
+    /// the program has halted. The functional core writes each record
+    /// straight into a new back slot of the window; a slot is pushed
+    /// only for an instruction that executes, so the window's capacity
+    /// history is that of pushing finished records.
+    #[inline(never)]
+    fn extend_to(&mut self, idx: u64) -> Result<(), ExecError> {
         while self.end.is_none() && self.base + self.window.len() as u64 <= idx {
-            match self.core.step(&mut self.mem)? {
-                Some(rec) => self.window.push_back(rec),
-                None => self.end = Some(self.base + self.window.len() as u64),
+            if self.core.halted() {
+                self.end = Some(self.base + self.window.len() as u64);
+                break;
+            }
+            self.window.push_back(ExecRecord::BLANK);
+            let back = self.window.len() - 1;
+            if let Err(e) = self.core.step_into(&mut self.mem, &mut self.window[back]) {
+                // Leave no placeholder behind: the error repeats on the
+                // next read, as the core has not moved.
+                self.window.pop_back();
+                return Err(e);
             }
         }
-        if self.window.len() > self.max_window {
-            self.max_window = self.window.len();
-        }
-        Ok(self.window.get((idx - self.base) as usize))
+        Ok(())
     }
 
     /// Drops all records before `min_idx` (the minimum over all
@@ -125,6 +161,12 @@ impl TraceSource {
 /// The fetch stage's instruction supply: the engine feeds the
 /// out-of-order cores straight from a demand-extended [`TraceSource`];
 /// layer benchmarks and tests substitute a canned stream.
+///
+/// The fetch stage reads through [`InstFeed::copy_record`], which
+/// `TraceSource` implements as one copy out of its window into the
+/// caller's slot. [`InstFeed::fetch_record`] is the by-value form a
+/// feed without a window of its own (a canned stream) implements; the
+/// default `copy_record` goes through it.
 pub trait InstFeed {
     /// The record of instruction `idx`, or `None` if the program halts
     /// before it.
@@ -133,12 +175,33 @@ pub trait InstFeed {
     ///
     /// Propagates functional-execution errors.
     fn fetch_record(&mut self, idx: u64) -> Result<Option<ExecRecord>, ExecError>;
+
+    /// Copies the record of instruction `idx` into `out` and returns
+    /// true, or returns false, leaving `out` as it was, if the program
+    /// halts before it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates functional-execution errors.
+    #[inline]
+    fn copy_record(&mut self, idx: u64, out: &mut ExecRecord) -> Result<bool, ExecError> {
+        let Some(rec) = self.fetch_record(idx)? else { return Ok(false) };
+        *out = rec;
+        Ok(true)
+    }
 }
 
 impl InstFeed for TraceSource {
     #[inline]
     fn fetch_record(&mut self, idx: u64) -> Result<Option<ExecRecord>, ExecError> {
         Ok(self.get(idx)?.copied())
+    }
+
+    #[inline]
+    fn copy_record(&mut self, idx: u64, out: &mut ExecRecord) -> Result<bool, ExecError> {
+        let Some(rec) = self.get(idx)? else { return Ok(false) };
+        *out = *rec;
+        Ok(true)
     }
 }
 
@@ -217,5 +280,51 @@ mod tests {
         mem.write_u64(0x1000, u64::MAX);
         let mut t = TraceSource::new(FuncCore::new(0x1000), mem);
         assert!(t.get(0).is_err());
+    }
+
+    #[test]
+    fn a_bad_instruction_leaves_no_placeholder_behind() {
+        let mut mem = MemImage::new();
+        mem.write_u64(0x1000, Inst::nop().encode());
+        mem.write_u64(0x1008, Inst::nop().encode());
+        mem.write_u64(0x1010, u64::MAX);
+        let mut t = TraceSource::new(FuncCore::new(0x1000), mem);
+        assert!(t.get(1).unwrap().is_some());
+        assert_eq!(t.window_len(), 2);
+        let err = t.get(2).unwrap_err();
+        assert!(matches!(err, ExecError::BadInstruction { pc: 0x1010, .. }));
+        assert_eq!(t.window_len(), 2, "no slot left for the failed instruction");
+        assert_eq!(t.get(5).unwrap_err(), err, "the error repeats");
+        assert_eq!(t.window_len(), 2);
+        assert_eq!(t.known_len(), None);
+    }
+
+    /// A feed that implements only the by-value method, so it copies
+    /// through `InstFeed`'s default.
+    struct ByValue(TraceSource);
+
+    impl InstFeed for ByValue {
+        fn fetch_record(&mut self, idx: u64) -> Result<Option<ExecRecord>, ExecError> {
+            self.0.fetch_record(idx)
+        }
+    }
+
+    #[test]
+    fn the_default_copy_and_the_window_copy_agree() {
+        let mut by_value = ByValue(counted_loop());
+        let mut window = counted_loop();
+        let (mut a, mut b) = (ExecRecord::BLANK, ExecRecord::BLANK);
+        let mut idx = 0;
+        while by_value.copy_record(idx, &mut a).unwrap() {
+            assert!(window.copy_record(idx, &mut b).unwrap());
+            assert_eq!(a, b);
+            assert_eq!(a.icount, idx);
+            idx += 1;
+        }
+        assert_eq!(idx, 8, "addi, (addi, bne) x3, halt");
+        assert_eq!(a.inst.op, Opcode::Halt);
+        assert!(!window.copy_record(idx, &mut b).unwrap(), "both streams end at the halt");
+        assert_eq!(b, a, "the end of the stream leaves the slot as it was");
+        assert_eq!((by_value.0.known_len(), window.known_len()), (Some(8), Some(8)));
     }
 }

@@ -22,7 +22,7 @@ impl MemSystem for ChaoticMem {
     fn load_issued(&mut self, _r: &ExecRecord, now: Cycle, tag: RuuTag) -> (LoadResponse, bool) {
         let lat = self.latencies[self.next % self.latencies.len()];
         self.next += 1;
-        if lat % 2 == 0 {
+        if lat.is_multiple_of(2) {
             (LoadResponse::Ready(now + 1 + lat), true)
         } else {
             self.pending.push((tag, now + 1 + lat));
@@ -87,9 +87,11 @@ proptest! {
         ruu_exp in 2u32..8,
     ) {
         let (mut trace, want) = build_program(&ops, loops);
-        let mut config = OooConfig::default();
-        config.ruu_entries = 1 << ruu_exp;
-        config.lsq_entries = ((1 << ruu_exp) / 2).max(1);
+        let config = OooConfig {
+            ruu_entries: 1 << ruu_exp,
+            lsq_entries: ((1 << ruu_exp) / 2).max(1),
+            ..OooConfig::default()
+        };
         let mut core = OooCore::new(config, 32);
         let mut ms = ChaoticMem {
             latencies,

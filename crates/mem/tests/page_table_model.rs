@@ -172,7 +172,7 @@ proptest! {
 
         // Probes: random addresses over and past the layout (scaled to
         // the page size), every region edge, and the address extremes.
-        let mut addrs: Vec<Addr> = probes.iter().map(|&p| p * ps >> 12).collect();
+        let mut addrs: Vec<Addr> = probes.iter().map(|&p| (p * ps) >> 12).collect();
         for &(start, end, _) in &layout.regions {
             addrs.extend([start, end - 1, end, start.saturating_sub(ps), end + ps]);
         }

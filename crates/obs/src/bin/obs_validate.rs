@@ -332,6 +332,27 @@ fn check_trace(v: &Value) -> Result<(), String> {
     Ok(())
 }
 
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.is_empty() {
+        eprintln!("usage: obs_validate <file.json>...");
+        std::process::exit(2);
+    }
+    let mut failed = false;
+    for path in &args {
+        match check(path) {
+            Ok(()) => println!("{path}: ok"),
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                failed = true;
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,26 +480,5 @@ mod tests {
         )
         .unwrap();
         assert!(check_trace(&dangling).unwrap_err().contains("no matching"));
-    }
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("usage: obs_validate <file.json>...");
-        std::process::exit(2);
-    }
-    let mut failed = false;
-    for path in &args {
-        match check(path) {
-            Ok(()) => println!("{path}: ok"),
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        std::process::exit(1);
     }
 }

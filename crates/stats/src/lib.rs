@@ -62,6 +62,6 @@ mod tests {
     #[test]
     fn ratio_formats_two_decimals() {
         assert_eq!(ratio(0.5), "0.50");
-        assert_eq!(ratio(3.14159), "3.14");
+        assert_eq!(ratio(1.23456), "1.23");
     }
 }

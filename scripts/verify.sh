@@ -112,8 +112,8 @@ target/release/ds-dash --json "$tmp/fig7.json" \
 # embedded document (timeline interval sums included).
 cargo run -q --release -p ds-obs --bin obs_validate -- "$tmp/dash.html"
 
-echo "== cargo clippy (deny warnings)"
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy over the workspace (deny warnings)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== ds-ledger smoke: the benchmark builds against crates/* and its output checks pass"
 # No host-time gating (--quick): a public-API change that breaks the

@@ -14,7 +14,7 @@
 
 use datascalar::core_model::RunResult;
 use datascalar::trace::{measure_traffic, TrafficConfig};
-use datascalar::workloads::{by_name, Workload};
+use datascalar::workloads::{by_name, Scale, Workload};
 use datascalar::core_model::{DsSystem, TraditionalConfig, TraditionalSystem};
 use datascalar::mem::{TlbConfig, WritePolicy};
 use datascalar::net::FabricKind;
@@ -206,20 +206,63 @@ fn ds_variants_pinned() {
     );
 }
 
+/// The trace window's high-water mark on one DataScalar machine: the
+/// worst node skew plus the in-flight window, in records.
+fn high_water(name: &str, scale: Scale, nodes: usize, fabric: FabricKind, max_insts: u64) -> (usize, u64) {
+    let w = by_name(name).expect("registered workload");
+    let prog = (w.build)(scale);
+    let mut config = baseline_config(nodes, max_insts);
+    config.interconnect = fabric;
+    let r = DsSystem::new(config, &prog).run().expect("workload executes");
+    assert!(r.deadlock.is_none(), "{name}: DataScalar run wedged");
+    (r.trace_window_high_water, r.committed)
+}
+
+/// (kernel, nodes, fabric, high-water mark) at `Budget::quick()`: the
+/// DataScalar runs the fingerprints above pin.
+const GOLDEN_HIGH_WATER_QUICK: &[(&str, usize, FabricKind, usize)] = &[
+    ("compress", 2, FabricKind::Bus, 4766),
+    ("compress", 4, FabricKind::Bus, 3706),
+    ("go", 2, FabricKind::Bus, 3085),
+    ("go", 4, FabricKind::Bus, 3085),
+    ("li", 2, FabricKind::Bus, 3120),
+    ("wave5", 4, FabricKind::Ring, 4455),
+];
+
+/// (kernel, scale, nodes, fabric, commit budget, high-water mark): the
+/// four simulation workloads of the benchmark (`benchmark/src/spec.rs`),
+/// whose ledger reports the mark as `cpu.trace_window_high_water`.
+const GOLDEN_HIGH_WATER_LEDGER: &[(&str, Scale, usize, FabricKind, u64, usize)] = &[
+    ("go", Scale::Small, 2, FabricKind::Bus, 1_500_000, 5709),
+    ("li", Scale::Full, 2, FabricKind::Bus, 1_000_000, 3331),
+    ("compress", Scale::Full, 2, FabricKind::Bus, 1_500_000, 3148),
+    ("wave5", Scale::Small, 4, FabricKind::Ring, 500_000, 5595),
+];
+
 #[test]
 fn trace_window_high_water_is_tracked_and_bounded() {
-    let w = by_name("compress").expect("registered workload");
-    let r = run_datascalar(&w, 2, Budget::quick());
-    assert!(r.trace_window_high_water > 0, "high-water mark never recorded");
-    // The window is bounded by worst-case node skew plus the in-flight
-    // OoO window; for these budgets that stays far below the full
-    // committed stream (which would indicate trimming stopped working).
-    assert!(
-        r.trace_window_high_water < r.committed as usize,
-        "trace window grew to the whole stream ({} of {} insts) — trim is broken",
-        r.trace_window_high_water,
-        r.committed
-    );
+    let b = Budget::quick();
+    for &(name, nodes, fabric, want) in GOLDEN_HIGH_WATER_QUICK {
+        let (hw, committed) = high_water(name, b.scale, nodes, fabric, b.max_insts);
+        // The window is bounded by worst-case node skew plus the
+        // in-flight OoO window; for these budgets that stays far below
+        // the full committed stream (which would indicate trimming
+        // stopped working).
+        assert!(hw > 0, "{name}/ds{nodes}: high-water mark never recorded");
+        assert!(
+            hw < committed as usize,
+            "{name}/ds{nodes}: trace window grew to the whole stream ({hw} of {committed} insts) — trim is broken"
+        );
+        assert_eq!(hw, want, "{name}/ds{nodes}/{fabric:?}: trace window high-water mark changed");
+    }
+}
+
+#[test]
+fn trace_window_high_water_pinned_on_the_benchmark_workloads() {
+    for &(name, scale, nodes, fabric, max_insts, want) in GOLDEN_HIGH_WATER_LEDGER {
+        let (hw, _) = high_water(name, scale, nodes, fabric, max_insts);
+        assert_eq!(hw, want, "{name}/ds{nodes}/{fabric:?}: trace window high-water mark changed");
+    }
 }
 
 #[test]
@@ -251,4 +294,14 @@ fn print_golden_stats() {
     }
     println!("li ds2 bus: \"{}\"", ds_variant_fingerprint("li", 2, FabricKind::Bus));
     println!("wave5 ds4 ring: \"{}\"", ds_variant_fingerprint("wave5", 4, FabricKind::Ring));
+    let b = Budget::quick();
+    println!("== trace window high-water marks ==");
+    for &(name, nodes, fabric, _) in GOLDEN_HIGH_WATER_QUICK {
+        let (hw, _) = high_water(name, b.scale, nodes, fabric, b.max_insts);
+        println!("    (\"{name}\", {nodes}, FabricKind::{fabric:?}, {hw}),");
+    }
+    for &(name, scale, nodes, fabric, max_insts, _) in GOLDEN_HIGH_WATER_LEDGER {
+        let (hw, _) = high_water(name, scale, nodes, fabric, max_insts);
+        println!("    (\"{name}\", Scale::{scale:?}, {nodes}, FabricKind::{fabric:?}, {max_insts}, {hw}),");
+    }
 }
