@@ -354,7 +354,18 @@ mod tests {
 
     #[test]
     fn li_values_execute_correctly() {
-        for &v in &[0i64, 1, -1, 12345, -12345, 0x7fff_ffff, 0x8000_0000, 0xdead_beef_cafe, i64::MIN, i64::MAX] {
+        for &v in &[
+            0i64,
+            1,
+            -1,
+            12345,
+            -12345,
+            0x7fff_ffff,
+            0x8000_0000,
+            0xdead_beef_cafe,
+            i64::MIN,
+            i64::MAX,
+        ] {
             let mut b = ProgBuilder::new();
             b.li(reg::T0, v);
             b.halt();

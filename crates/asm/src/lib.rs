@@ -36,4 +36,6 @@ mod program;
 pub use builder::{DataRef, Label, ProgBuilder};
 pub use error::AsmError;
 pub use parser::assemble;
-pub use program::{Program, DEFAULT_DATA_BASE, DEFAULT_STACK_BYTES, DEFAULT_STACK_TOP, DEFAULT_TEXT_BASE};
+pub use program::{
+    Program, DEFAULT_DATA_BASE, DEFAULT_STACK_BYTES, DEFAULT_STACK_TOP, DEFAULT_TEXT_BASE,
+};

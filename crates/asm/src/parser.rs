@@ -91,11 +91,7 @@ fn preprocess(source: &str) -> Vec<Line> {
                 Some(sp) => (&rest[..sp], rest[sp..].trim()),
                 None => (rest, ""),
             };
-            let operands = if ops.is_empty() {
-                Vec::new()
-            } else {
-                split_operands(ops)
-            };
+            let operands = if ops.is_empty() { Vec::new() } else { split_operands(ops) };
             (Some(m.to_ascii_lowercase()), operands)
         };
         if head.is_none() && labels.is_empty() {
@@ -177,11 +173,8 @@ fn pass1(lines: &[Line]) -> Result<BTreeMap<String, u64>, AsmError> {
                     Some("word32") => pad_to(data_off, 4),
                     Some("word") | Some("double") => pad_to(data_off, 8),
                     Some("align") => {
-                        let n = line
-                            .operands
-                            .first()
-                            .and_then(|s| parse_number(s))
-                            .unwrap_or(8) as u64;
+                        let n =
+                            line.operands.first().and_then(|s| parse_number(s)).unwrap_or(8) as u64;
                         if n.is_power_of_two() {
                             pad_to(data_off, n)
                         } else {
@@ -206,7 +199,8 @@ fn pass1(lines: &[Line]) -> Result<BTreeMap<String, u64>, AsmError> {
                         return Err(AsmError::new(line.number, ".equ needs name, value"));
                     }
                     let v = parse_number(&line.operands[1])
-                        .ok_or_else(|| AsmError::new(line.number, "bad .equ value"))? as u64;
+                        .ok_or_else(|| AsmError::new(line.number, "bad .equ value"))?
+                        as u64;
                     define(&line.operands[0], v, line.number)?;
                 }
                 _ => {
@@ -282,9 +276,7 @@ fn inst_size(mnemonic: &str, ops: &[String], line: usize) -> Result<usize, AsmEr
     Ok(match mnemonic {
         "la" => 2,
         "li" => {
-            let imm = ops
-                .get(1)
-                .ok_or_else(|| AsmError::new(line, "li needs register, value"))?;
+            let imm = ops.get(1).ok_or_else(|| AsmError::new(line, "li needs register, value"))?;
             match parse_number(imm) {
                 Some(v) => expand_li(0, v).len(),
                 None => 2, // symbol: worst case, padded with nop if short
@@ -366,8 +358,7 @@ fn parse_ireg(s: &str, line: usize) -> Result<u8, AsmError> {
 }
 
 fn parse_freg(s: &str, line: usize) -> Result<u8, AsmError> {
-    reg::parse_fp(s.trim())
-        .ok_or_else(|| AsmError::new(line, format!("unknown fp register `{s}`")))
+    reg::parse_fp(s.trim()).ok_or_else(|| AsmError::new(line, format!("unknown fp register `{s}`")))
 }
 
 /// Parses `disp(base)` memory operands.
@@ -376,21 +367,16 @@ fn parse_mem_operand(
     symbols: &BTreeMap<String, u64>,
     line: usize,
 ) -> Result<(i32, u8), AsmError> {
-    let open = s
-        .find('(')
-        .ok_or_else(|| AsmError::new(line, format!("expected disp(reg), got `{s}`")))?;
+    let open =
+        s.find('(').ok_or_else(|| AsmError::new(line, format!("expected disp(reg), got `{s}`")))?;
     let close = s
         .rfind(')')
         .ok_or_else(|| AsmError::new(line, "unbalanced parentheses in memory operand"))?;
     let disp_txt = s[..open].trim();
-    let disp = if disp_txt.is_empty() {
-        0
-    } else {
-        resolve_value(disp_txt, symbols, line)?
-    };
+    let disp = if disp_txt.is_empty() { 0 } else { resolve_value(disp_txt, symbols, line)? };
     let base = parse_ireg(&s[open + 1..close], line)?;
-    let disp = i32::try_from(disp)
-        .map_err(|_| AsmError::new(line, "displacement out of 32-bit range"))?;
+    let disp =
+        i32::try_from(disp).map_err(|_| AsmError::new(line, "displacement out of 32-bit range"))?;
     Ok((disp, base))
 }
 
@@ -494,9 +480,8 @@ fn emit_data(
         "double" => {
             pad(data, 8);
             for op in ops {
-                let v: f64 = op
-                    .parse()
-                    .map_err(|_| AsmError::new(line, format!("bad double `{op}`")))?;
+                let v: f64 =
+                    op.parse().map_err(|_| AsmError::new(line, format!("bad double `{op}`")))?;
                 data.extend_from_slice(&v.to_bits().to_le_bytes());
             }
         }
@@ -531,7 +516,10 @@ fn emit_inst(
 ) -> Result<(), AsmError> {
     let need = |k: usize| -> Result<(), AsmError> {
         if ops.len() != k {
-            Err(AsmError::new(line, format!("`{mnemonic}` expects {k} operands, got {}", ops.len())))
+            Err(AsmError::new(
+                line,
+                format!("`{mnemonic}` expects {k} operands, got {}", ops.len()),
+            ))
         } else {
             Ok(())
         }
@@ -923,10 +911,8 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines() {
-        let prog = assemble(
-            "# leading comment\n.text\n  nop ; trailing\n  halt # done\n\n",
-        )
-        .unwrap();
+        let prog =
+            assemble("# leading comment\n.text\n  nop ; trailing\n  halt # done\n\n").unwrap();
         assert_eq!(prog.text.len(), 2);
     }
 

@@ -123,10 +123,7 @@ mod tests {
 
     fn sample() -> Program {
         let mut p = Program::new();
-        p.text = vec![
-            Inst::rri(Opcode::Addi, reg::T0, reg::ZERO, 1),
-            Inst::halt(),
-        ];
+        p.text = vec![Inst::rri(Opcode::Addi, reg::T0, reg::ZERO, 1), Inst::halt()];
         p.data = vec![1, 2, 3, 4];
         p.bss_bytes = 100;
         p.heap_bytes = 8192;
@@ -157,10 +154,7 @@ mod tests {
         let p = sample();
         let regions = p.regions();
         let segs: Vec<Segment> = regions.iter().map(|r| r.2).collect();
-        assert_eq!(
-            segs,
-            vec![Segment::Text, Segment::Global, Segment::Heap, Segment::Stack]
-        );
+        assert_eq!(segs, vec![Segment::Text, Segment::Global, Segment::Heap, Segment::Stack]);
         for (start, end, _) in regions {
             assert!(end > start);
         }

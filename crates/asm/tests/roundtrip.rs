@@ -9,11 +9,7 @@ use ds_isa::{Inst, Opcode};
 use proptest::prelude::*;
 
 fn roundtrippable_opcode() -> impl Strategy<Value = Opcode> {
-    let ops: Vec<Opcode> = Opcode::ALL
-        .iter()
-        .copied()
-        .filter(|op| !op.is_control())
-        .collect();
+    let ops: Vec<Opcode> = Opcode::ALL.iter().copied().filter(|op| !op.is_control()).collect();
     prop::sample::select(ops)
 }
 

@@ -106,13 +106,8 @@ pub fn replication(budget: Budget, r: &mut Report) {
 /// two-node DataScalar machine.
 pub fn write_policy(budget: Budget, r: &mut Report) {
     r.heading(budget, "Ablation: write-no-allocate vs write-allocate (DataScalar x2)");
-    let mut t = Table::new(&[
-        "benchmark",
-        "no-alloc IPC",
-        "alloc IPC",
-        "no-alloc bcasts",
-        "alloc bcasts",
-    ]);
+    let mut t =
+        Table::new(&["benchmark", "no-alloc IPC", "alloc IPC", "no-alloc bcasts", "alloc bcasts"]);
     let progs = programs(&figure7_set(), budget);
     let policies = [WritePolicy::WriteBackNoAllocate, WritePolicy::WriteBackAllocate];
     let results = sweep(&progs, &policies, |name, prog, &policy| {
@@ -214,11 +209,8 @@ pub fn tlb(budget: Budget, r: &mut Report) {
         ["TLB", "DS IPC", "trad IPC", "DS/trad"],
         |name, prog, &entries| {
             let mut config = baseline_config(2, budget.max_insts);
-            config.tlb = entries.map(|n| TlbConfig {
-                entries: n,
-                assoc: n,
-                page_bytes: config.page_bytes,
-            });
+            config.tlb =
+                entries.map(|n| TlbConfig { entries: n, assoc: n, page_bytes: config.page_bytes });
             let ds = System::DataScalar.run(config.clone(), prog, name);
             let trad = System::Traditional.run(config, prog, name);
             [
@@ -334,11 +326,8 @@ pub fn branch(budget: Budget, r: &mut Report) {
             let ds = System::DataScalar.run(config.clone(), prog, name);
             let trad = System::Traditional.run(config, prog, name);
             let s = &ds.nodes[0].core;
-            let rate = if s.branches == 0 {
-                0.0
-            } else {
-                s.branch_mispredicts as f64 / s.branches as f64
-            };
+            let rate =
+                if s.branches == 0 { 0.0 } else { s.branch_mispredicts as f64 / s.branches as f64 };
             [
                 model_name.to_string(),
                 ratio(ds.ipc()),
@@ -360,9 +349,13 @@ mod tests {
     #[test]
     fn grid_prints_one_table_per_workload_with_rows_in_variant_order() {
         let mut r = Report::new("unit_test");
-        grid(&mut r, &[("alpha", 10), ("beta", 20)], &[1, 2, 3], ["variant", "sum"], |name, w, v| {
-            [format!("{name}{v}"), (w + v).to_string()]
-        });
+        grid(
+            &mut r,
+            &[("alpha", 10), ("beta", 20)],
+            &[1, 2, 3],
+            ["variant", "sum"],
+            |name, w, v| [format!("{name}{v}"), (w + v).to_string()],
+        );
         let table = |rows: [[&str; 2]; 3]| {
             let mut t = Table::new(&["variant", "sum"]);
             for row in rows {
@@ -375,7 +368,11 @@ mod tests {
         assert_eq!(r.to_string(), format!("=== alpha ===\n{alpha}\n=== beta ===\n{beta}\n"));
         // The document titles each table with its workload.
         let doc = ds_obs::json::parse(&r.render()).expect("valid JSON");
-        let titles: Vec<_> = doc.get("tables").and_then(|v| v.as_array()).unwrap().iter()
+        let titles: Vec<_> = doc
+            .get("tables")
+            .and_then(|v| v.as_array())
+            .unwrap()
+            .iter()
             .map(|t| t.get("title").and_then(|v| v.as_str()).unwrap())
             .collect();
         assert_eq!(titles, ["alpha", "beta"]);

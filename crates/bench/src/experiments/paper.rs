@@ -116,7 +116,8 @@ pub fn table1_traffic(budget: Budget, r: &mut Report) {
         config.max_insts
     ));
     r.line("");
-    let mut t = Table::new(&["benchmark", "traffic (bytes)", "transactions", "fills", "writebacks"]);
+    let mut t =
+        Table::new(&["benchmark", "traffic (bytes)", "transactions", "fills", "writebacks"]);
     for w in table1_set() {
         let prog = (w.build)(budget.scale);
         let m = measure_traffic(&prog, &config);
@@ -176,11 +177,7 @@ pub fn table2_datathreads(budget: Budget, r: &mut Report) {
         // capped at a third of the declared pages so no segment is
         // wholly contained at one node.
         let profile = PageProfile::collect(&prog, PAGE, max_insts);
-        let declared: u64 = prog
-            .regions()
-            .iter()
-            .map(|(s, e, _)| (e - s).div_ceil(PAGE))
-            .sum();
+        let declared: u64 = prog.regions().iter().map(|(s, e, _)| (e - s).div_ceil(PAGE)).sum();
         let replicated = select_hot_pages(
             &profile,
             // Replication budget: half the declared pages, capped at a
@@ -327,10 +324,7 @@ pub fn figure8_sensitivity(mut budget: Budget, r: &mut Report) {
     // regenerable in minutes.
     budget.max_insts = budget.max_insts.min(150_000);
     r.budget(budget);
-    r.line(format!(
-        "Figure 8: sensitivity analysis ({} instructions per run)",
-        budget.max_insts
-    ));
+    r.line(format!("Figure 8: sensitivity analysis ({} instructions per run)", budget.max_insts));
     let names = ["go", "compress"];
     let ws: Vec<_> = names.iter().map(|n| by_name(n).expect("registered workload")).collect();
     let axes = figure8_axes();
@@ -345,18 +339,12 @@ pub fn figure8_sensitivity(mut budget: Budget, r: &mut Report) {
         })
         .collect();
     let mut points =
-        runner::map(&jobs, |&(wi, ai, ki)| sweep_point(&ws[wi], axes[ai].1[ki], budget)).into_iter();
+        runner::map(&jobs, |&(wi, ai, ki)| sweep_point(&ws[wi], axes[ai].1[ki], budget))
+            .into_iter();
     for name in names {
         r.line(format!("\n=== {name} ==="));
         for (axis, knobs) in &axes {
-            let mut t = Table::new(&[
-                axis,
-                "perfect",
-                "DS x2",
-                "DS x4",
-                "trad 1/2",
-                "trad 1/4",
-            ]);
+            let mut t = Table::new(&[axis, "perfect", "DS x2", "DS x4", "trad 1/2", "trad 1/4"]);
             for (knob, p) in knobs.iter().zip(&mut points) {
                 t.row(&[
                     knob.label(),

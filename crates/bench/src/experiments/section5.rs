@@ -18,13 +18,8 @@ pub fn result_comm(budget: Budget, r: &mut Report) {
     const NODES: usize = 4;
     const PAGE: u64 = 4096;
     r.heading(budget, format!("Section 5.1: result-communication upper bound ({NODES} nodes)"));
-    let mut t = Table::new(&[
-        "benchmark",
-        "operand bcasts",
-        "result bcasts",
-        "mean run",
-        "max savings",
-    ]);
+    let mut t =
+        Table::new(&["benchmark", "operand bcasts", "result bcasts", "mean run", "max savings"]);
     for w in table1_set() {
         let prog = (w.build)(budget.scale);
         let mut ptb = PageTableBuilder::new(PAGE, NODES);

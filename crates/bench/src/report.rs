@@ -483,7 +483,8 @@ mod tests {
         }
         ring.note_occ(3);
         ring.sample_close(ds_obs::SAMPLE_INTERVAL, 2048, 7, 5, &acct);
-        let t = TimelineReport { interval_cycles: ds_obs::SAMPLE_INTERVAL, nodes: vec![ring.report()] };
+        let t =
+            TimelineReport { interval_cycles: ds_obs::SAMPLE_INTERVAL, nodes: vec![ring.report()] };
         let mut r = Report::new("unit_test");
         r.timeline("compress/ds2", &t);
         let doc = ds_obs::json::parse(&r.render()).expect("valid JSON");
@@ -502,7 +503,7 @@ mod tests {
         assert_eq!(row[1].as_f64(), Some(ds_obs::SAMPLE_INTERVAL as f64)); // len
         assert_eq!(row[2].as_f64(), Some(2048.0)); // committed
         assert_eq!(row[5].as_f64(), Some(3.0)); // bshr_occ_hw
-        // Bucket columns sum to the interval length.
+                                                // Bucket columns sum to the interval length.
         let bucket_sum: f64 = row[7..].iter().map(|v| v.as_f64().unwrap()).sum();
         assert_eq!(bucket_sum, ds_obs::SAMPLE_INTERVAL as f64);
         let phases = nodes[0].get("phases").and_then(|v| v.as_array()).unwrap();

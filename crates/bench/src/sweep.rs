@@ -56,20 +56,11 @@ impl Knob {
 /// The paper's five sweep axes with our parameter points.
 pub fn figure8_axes() -> Vec<(&'static str, Vec<Knob>)> {
     vec![
-        (
-            "dcache size",
-            [4096u64, 8192, 16384, 32768, 65536].map(Knob::CacheSize).to_vec(),
-        ),
-        (
-            "memory access time",
-            [4u64, 8, 16, 32, 64].map(Knob::MemoryAccess).to_vec(),
-        ),
+        ("dcache size", [4096u64, 8192, 16384, 32768, 65536].map(Knob::CacheSize).to_vec()),
+        ("memory access time", [4u64, 8, 16, 32, 64].map(Knob::MemoryAccess).to_vec()),
         ("bus clock divisor", [2u64, 5, 10, 20, 40].map(Knob::BusClock).to_vec()),
         ("bus width", [2u64, 4, 8, 16, 32].map(Knob::BusWidth).to_vec()),
-        (
-            "RUU entries",
-            [32usize, 64, 128, 256, 512].map(Knob::RuuEntries).to_vec(),
-        ),
+        ("RUU entries", [32usize, 64, 128, 256, 512].map(Knob::RuuEntries).to_vec()),
     ]
 }
 

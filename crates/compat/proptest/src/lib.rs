@@ -498,9 +498,7 @@ pub mod prop {
 /// The catch-all import, mirroring `proptest::prelude`.
 pub mod prelude {
     pub use super::prop;
-    pub use super::{
-        any, Arbitrary, BoxedStrategy, Just, ProptestConfig, Strategy, Union,
-    };
+    pub use super::{any, Arbitrary, BoxedStrategy, Just, ProptestConfig, Strategy, Union};
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
 }
 
@@ -603,8 +601,7 @@ mod tests {
     fn tree_strategy() -> impl Strategy<Value = Tree> {
         let leaf = (0i64..100).prop_map(Tree::Leaf);
         leaf.prop_recursive(4, 16, 2, |inner| {
-            (inner.clone(), inner)
-                .prop_map(|(a, b)| Tree::Node(Box::new(a), Box::new(b)))
+            (inner.clone(), inner).prop_map(|(a, b)| Tree::Node(Box::new(a), Box::new(b)))
         })
     }
 

@@ -122,10 +122,7 @@ impl DsConfig {
     /// smaller than a cache line, ...). Called by the system builders.
     pub fn validate(&self) {
         assert!(self.nodes >= 1, "need at least one node");
-        assert!(
-            self.page_bytes >= self.dcache.line_bytes,
-            "pages must be at least one cache line"
-        );
+        assert!(self.page_bytes >= self.dcache.line_bytes, "pages must be at least one cache line");
         assert!(self.page_bytes.is_power_of_two(), "page size must be a power of two");
         assert!(self.dist_block_pages >= 1, "distribution block must be positive");
         assert!(self.bshr_entries >= 1, "need at least one BSHR entry");

@@ -51,10 +51,10 @@ pub mod bshr;
 pub mod config;
 pub mod cub;
 pub mod datathread;
+mod engine;
 pub mod hybrid;
 pub mod linemap;
 pub mod mmm;
-mod engine;
 mod node;
 mod pending;
 pub mod perfect;

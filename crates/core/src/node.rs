@@ -420,14 +420,12 @@ impl MemSide {
 
     /// Records a DCUB insertion (occupancy sampled after the push).
     fn record_dcub_push(&mut self, line: u64, now: Cycle) {
-        self.probe
-            .record(now, EventKind::DcubPush { line, occ: self.dcub.occupancy() as u32 });
+        self.probe.record(now, EventKind::DcubPush { line, occ: self.dcub.occupancy() as u32 });
     }
 
     /// Records a DCUB removal (occupancy sampled after the drain).
     fn record_dcub_drain(&mut self, line: u64, now: Cycle) {
-        self.probe
-            .record(now, EventKind::DcubDrain { line, occ: self.dcub.occupancy() as u32 });
+        self.probe.record(now, EventKind::DcubDrain { line, occ: self.dcub.occupancy() as u32 });
     }
 }
 
@@ -529,7 +527,13 @@ impl MemSystem for MemSide {
             match self.canon.access(addr, AccessKind::Write) {
                 CacheOutcome::Hit => {
                     #[cfg(feature = "audit")]
-                    self.audit_commit(rec.icount, line, true, crate::audit::CommitOutcome::Hit, None);
+                    self.audit_commit(
+                        rec.icount,
+                        line,
+                        true,
+                        crate::audit::CommitOutcome::Hit,
+                        None,
+                    );
                 }
                 CacheOutcome::Miss { allocated: false, .. } => {
                     #[cfg(feature = "audit")]
@@ -675,15 +679,16 @@ impl Node {
     /// in fault-free runs, so this is one length check.
     #[inline]
     pub(crate) fn stalled_until(&self, now: Cycle) -> Option<Cycle> {
-        self.stalls
-            .iter()
-            .find(|&&(start, end)| start <= now && now < end)
-            .map(|&(_, end)| end)
+        self.stalls.iter().find(|&&(start, end)| start <= now && now < end).map(|&(_, end)| end)
     }
 
     /// Advances the node one cycle. A chaos-stalled cycle suppresses
     /// the tick entirely (the cycle is still charged by the caller).
-    pub(crate) fn step(&mut self, trace: &mut TraceSource, now: Cycle) -> Result<(), ds_cpu::ExecError> {
+    pub(crate) fn step(
+        &mut self,
+        trace: &mut TraceSource,
+        now: Cycle,
+    ) -> Result<(), ds_cpu::ExecError> {
         if !self.stalls.is_empty() && self.stalled_until(now).is_some() {
             return Ok(());
         }
@@ -819,7 +824,14 @@ impl Node {
                 debug_assert_eq!(self.ms.pt.classify(line), PageClass::Owned(self.ms.id));
                 self.ms.stats.degraded_responses += 1;
                 let ms = &mut self.ms;
-                serve_request(&mut ms.mem, msg, ms.line_bytes, ms.queue_penalty, now, &mut ms.outgoing);
+                serve_request(
+                    &mut ms.mem,
+                    msg,
+                    ms.line_bytes,
+                    ms.queue_penalty,
+                    now,
+                    &mut ms.outgoing,
+                );
             }
             MsgKind::Response => {
                 // The answer to a request (every remote line of a
@@ -875,10 +887,9 @@ impl Node {
                 self.ms.send(MsgKind::Request, e.line, 0, owner, now);
             } else {
                 self.ms.stats.retransmit_requests += 1;
-                self.ms.probe.record(
-                    now,
-                    EventKind::RetransmitRequest { line: e.line, retry: e.retries },
-                );
+                self.ms
+                    .probe
+                    .record(now, EventKind::RetransmitRequest { line: e.line, retry: e.retries });
                 let ready = now + self.ms.queue_penalty;
                 self.ms.outgoing.push(
                     ready,

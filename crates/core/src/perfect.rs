@@ -237,10 +237,9 @@ mod tests {
 
     #[test]
     fn respects_instruction_cap() {
-        let prog = assemble(
-            ".text\nmain: li t0, 100000\nloop: addi t0, t0, -1\n bnez t0, loop\n halt\n",
-        )
-        .unwrap();
+        let prog =
+            assemble(".text\nmain: li t0, 100000\nloop: addi t0, t0, -1\n bnez t0, loop\n halt\n")
+                .unwrap();
         let config = DsConfig { max_insts: Some(500), ..Default::default() };
         let mut sys = PerfectSystem::new(&config, &prog);
         let r = sys.run().unwrap();

@@ -300,8 +300,7 @@ impl DsMachine {
         loop {
             launch_and_deliver(&mut self.nodes, &mut self.bus, t, &mut deliveries);
             t += 1;
-            let quiescent = self.bus.is_idle()
-                && self.nodes.iter().all(|n| n.outgoing_is_empty());
+            let quiescent = self.bus.is_idle() && self.nodes.iter().all(|n| n.outgoing_is_empty());
             if quiescent {
                 break;
             }
@@ -401,19 +400,13 @@ impl DsSystem {
                         for e in profile.entries() {
                             let n = if remote { e.remote_wait } else { e.local_wait };
                             if n > 0 {
-                                let _ = writeln!(
-                                    out,
-                                    "node{i};{};0x{:x} {n}",
-                                    b.label(),
-                                    e.pc
-                                );
+                                let _ = writeln!(out, "node{i};{};0x{:x} {n}", b.label(), e.pc);
                                 attributed += n;
                             }
                         }
                         let rest = cycles - attributed;
                         if rest > 0 {
-                            let _ =
-                                writeln!(out, "node{i};{};(overflow) {rest}", b.label());
+                            let _ = writeln!(out, "node{i};{};(overflow) {rest}", b.label());
                         }
                     }
                     _ => {
@@ -476,7 +469,11 @@ impl DsSystem {
             sources.push(TraceSource { pid: i as u32, name: &names[i], ring: node.core_events() });
         }
         sources.push(TraceSource { pid: n, name: "system", ring: self.machine.probe.ring() });
-        sources.push(TraceSource { pid: n + 1, name: "interconnect", ring: self.machine.bus.events() });
+        sources.push(TraceSource {
+            pid: n + 1,
+            name: "interconnect",
+            ring: self.machine.bus.events(),
+        });
         // Stall-bucket occupancy counter tracks, one sample per closed
         // timeline interval (they live outside the event rings).
         let mut extras: Vec<String> = Vec::new();
@@ -529,10 +526,7 @@ impl DsSystem {
             self.machine.audit.aligned(),
             "audit: nodes finished with different mem-commit counts"
         );
-        assert!(
-            self.correspondence_holds(),
-            "audit: canonical caches differ at end of run"
-        );
+        assert!(self.correspondence_holds(), "audit: canonical caches differ at end of run");
         let sent: Vec<u64> = self.machine.nodes.iter().map(|n| n.stats().broadcasts_sent).collect();
         let total: u64 = sent.iter().sum();
         for (i, node) in self.machine.nodes.iter().enumerate() {
@@ -559,7 +553,8 @@ impl DsSystem {
     /// ledger checks). Exposed so tests can prove the auditor actually
     /// ran.
     pub fn audit_checks(&self) -> u64 {
-        self.machine.audit.checks() + self.machine.nodes.iter().map(|n| n.ms.audit.checks()).sum::<u64>()
+        self.machine.audit.checks()
+            + self.machine.nodes.iter().map(|n| n.ms.audit.checks()).sum::<u64>()
     }
 }
 
@@ -660,10 +655,7 @@ mod tests {
                 .filter(|&(j, _)| j != i)
                 .map(|(_, m)| m.broadcasts_sent)
                 .sum();
-            assert_eq!(
-                n.bshr.arrivals, others_sent,
-                "node {i} must receive every peer broadcast"
-            );
+            assert_eq!(n.bshr.arrivals, others_sent, "node {i} must receive every peer broadcast");
         }
         drop(sys);
     }

@@ -264,7 +264,8 @@ mod tests {
 
     #[test]
     fn smaller_onchip_share_is_slower() {
-        let mut half = TraditionalSystem::new(&TraditionalConfig::with_onchip_share(2), &strided_prog());
+        let mut half =
+            TraditionalSystem::new(&TraditionalConfig::with_onchip_share(2), &strided_prog());
         let r_half = half.run().unwrap();
         let mut quarter =
             TraditionalSystem::new(&TraditionalConfig::with_onchip_share(4), &strided_prog());

@@ -67,7 +67,13 @@ impl Predictor {
             BranchModel::TwoBit { table_bits, .. } => vec![1u8; 1 << table_bits],
             _ => Vec::new(),
         };
-        Predictor { model, counters: table, btb: std::collections::BTreeMap::new(), branches: 0, mispredicts: 0 }
+        Predictor {
+            model,
+            counters: table,
+            btb: std::collections::BTreeMap::new(),
+            branches: 0,
+            mispredicts: 0,
+        }
     }
 
     /// The model in use.

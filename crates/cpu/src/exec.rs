@@ -224,7 +224,11 @@ impl FuncCore {
     /// [`ExecError::BadInstruction`] if the word at the PC does not
     /// decode; `out` and the architectural state are left as they
     /// were.
-    pub fn step_into(&mut self, mem: &mut MemImage, out: &mut ExecRecord) -> Result<bool, ExecError> {
+    pub fn step_into(
+        &mut self,
+        mem: &mut MemImage,
+        out: &mut ExecRecord,
+    ) -> Result<bool, ExecError> {
         if self.halted {
             return Ok(false);
         }
@@ -278,9 +282,7 @@ impl FuncCore {
             Slti => self.set_ireg(inst.rd, ((rs as i64) < simm) as u64),
             Slli => self.set_ireg(inst.rd, rs.wrapping_shl(inst.imm as u32 & 63)),
             Srli => self.set_ireg(inst.rd, rs.wrapping_shr(inst.imm as u32 & 63)),
-            Srai => {
-                self.set_ireg(inst.rd, ((rs as i64).wrapping_shr(inst.imm as u32 & 63)) as u64)
-            }
+            Srai => self.set_ireg(inst.rd, ((rs as i64).wrapping_shr(inst.imm as u32 & 63)) as u64),
             Lui => self.set_ireg(inst.rd, zimm << 32),
             Lb | Lbu | Lh | Lhu | Lw | Lwu | Ld | Fld => {
                 mem_addr = rs.wrapping_add_signed(simm);
@@ -445,7 +447,7 @@ mod tests {
         let cpu = run_prog(&[
             Inst::rri(Opcode::Addi, T0, ZERO, -1),
             Inst::rri(Opcode::Addi, T1, ZERO, 1),
-            Inst::rrr(Opcode::Slt, T2, T0, T1),  // -1 < 1 signed
+            Inst::rrr(Opcode::Slt, T2, T0, T1), // -1 < 1 signed
             Inst::rrr(Opcode::Sltu, reg::T3, T0, T1), // MAX < 1 unsigned? no
             Inst::halt(),
         ]);
@@ -598,11 +600,11 @@ mod tests {
                 Inst::rri(Opcode::Addi, T0, ZERO, 0x2000),
                 Inst::load(Opcode::Fld, 1, T0, 0),
                 Inst::load(Opcode::Fld, 2, T0, 8),
-                Inst::rrr(Opcode::Fadd, 3, 1, 2),   // 10
-                Inst::rrr(Opcode::Fmul, 4, 1, 2),   // 16
-                Inst::rrr(Opcode::Fdiv, 5, 2, 1),   // 4
-                Inst::rrr(Opcode::Fsqrt, 6, 5, 0),  // 2
-                Inst::rrr(Opcode::Flt, T1, 1, 2),   // 1
+                Inst::rrr(Opcode::Fadd, 3, 1, 2),  // 10
+                Inst::rrr(Opcode::Fmul, 4, 1, 2),  // 16
+                Inst::rrr(Opcode::Fdiv, 5, 2, 1),  // 4
+                Inst::rrr(Opcode::Fsqrt, 6, 5, 0), // 2
+                Inst::rrr(Opcode::Flt, T1, 1, 2),  // 1
                 Inst::store(Opcode::Fsd, 3, T0, 16),
                 Inst::halt(),
             ],

@@ -362,8 +362,13 @@ impl OooCore {
         debug_assert!(FU_CLASSES.iter().enumerate().all(|(i, &c)| c as usize == i));
         OooCore {
             config,
-            fu_busy: FU_CLASSES
-                .map(|c| if c.is_pipelined() { Vec::new() } else { vec![0; config.fu.count(c)] }),
+            fu_busy: FU_CLASSES.map(|c| {
+                if c.is_pipelined() {
+                    Vec::new()
+                } else {
+                    vec![0; config.fu.count(c)]
+                }
+            }),
             window: Window::new(config.ruu_entries),
             next_fetch: 0,
             fetch_done: false,

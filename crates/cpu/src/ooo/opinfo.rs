@@ -123,7 +123,8 @@ mod tests {
             assert_eq!(info.class, op.fu_class(), "{op:?}");
             assert_eq!(u64::from(info.latency), op.latency(), "{op:?}");
             assert_eq!(info.dest == Dest::Fp, op.writes_freg(), "{op:?}");
-            let (int, fp) = (SRC_INT_RS | SRC_INT_RT | SRC_INT_RD, SRC_FP_RS | SRC_FP_RT | SRC_FP_RD);
+            let (int, fp) =
+                (SRC_INT_RS | SRC_INT_RT | SRC_INT_RD, SRC_FP_RS | SRC_FP_RT | SRC_FP_RD);
             assert_eq!(info.srcs & !(int | fp), 0, "{op:?}");
             // Only a store's base register mixes the two files.
             assert_eq!(info.srcs & fp != 0, op.reads_fregs(), "{op:?}");

@@ -238,8 +238,7 @@ fn icache_stall_blocks_fetch() {
             now + 10
         }
     }
-    let prog: Vec<Inst> =
-        (0..8).map(|_| Inst::nop()).chain([Inst::halt()]).collect();
+    let prog: Vec<Inst> = (0..8).map(|_| Inst::nop()).chain([Inst::halt()]).collect();
     let mut trace = trace_of(&prog);
     let mut core = OooCore::new(OooConfig::default(), 32);
     let mut ms = SlowFetch;
@@ -292,8 +291,7 @@ fn misprediction_stalls_cost_cycles() {
         (cycles, core.stats().branch_mispredicts, core.committed())
     };
     let (perfect_cycles, perfect_miss, n1) = run(BranchModel::Perfect);
-    let (pred_cycles, pred_miss, n2) =
-        run(BranchModel::TwoBit { table_bits: 10, penalty: 8 });
+    let (pred_cycles, pred_miss, n2) = run(BranchModel::TwoBit { table_bits: 10, penalty: 8 });
     assert_eq!(n1, n2, "same committed stream");
     assert_eq!(perfect_miss, 0);
     assert!(pred_miss > 20, "alternating branch must mispredict, got {pred_miss}");
@@ -453,15 +451,10 @@ impl MemSystem for PatternMem {
 /// chain with fdiv/fsqrt, conversions, compares and fld/fsd.
 fn pinned_programs() -> [Vec<Inst>; 3] {
     use reg::*;
-    let mut int_loop = vec![
-        Inst::rri(Opcode::Addi, S0, ZERO, 40),
-        Inst::rri(Opcode::Addi, T0, ZERO, 977),
-    ];
+    let mut int_loop =
+        vec![Inst::rri(Opcode::Addi, S0, ZERO, 40), Inst::rri(Opcode::Addi, T0, ZERO, 977)];
     // loop body (offsets relative to its first instruction)
-    int_loop.extend([
-        Inst::rrr(Opcode::Mul, T1, T0, S0),
-        Inst::rri(Opcode::Addi, T2, T1, 13),
-    ]);
+    int_loop.extend([Inst::rrr(Opcode::Mul, T1, T0, S0), Inst::rri(Opcode::Addi, T2, T1, 13)]);
     int_loop.extend((0..12).map(|k| Inst::rri(Opcode::Xori, T3 + (k % 4), T2, k as i32)));
     int_loop.extend([
         Inst::rrr(Opcode::Div, T7, T1, S0),
@@ -475,10 +468,8 @@ fn pinned_programs() -> [Vec<Inst>; 3] {
         Inst::halt(),
     ]);
 
-    let mut mem_mix = vec![
-        Inst::rri(Opcode::Addi, S0, ZERO, 0x4000),
-        Inst::rri(Opcode::Addi, S1, ZERO, 48),
-    ];
+    let mut mem_mix =
+        vec![Inst::rri(Opcode::Addi, S0, ZERO, 0x4000), Inst::rri(Opcode::Addi, S1, ZERO, 48)];
     mem_mix.extend([
         Inst::load(Opcode::Ld, T0, S0, 0),
         Inst::rri(Opcode::Addi, T1, T0, 3),
@@ -486,8 +477,8 @@ fn pinned_programs() -> [Vec<Inst>; 3] {
         Inst::load(Opcode::Lb, T2, S0, 9),  // covered: forwards
         Inst::load(Opcode::Ld, T3, S0, 8),  // partial: blocks
         Inst::store(Opcode::Sw, T2, S0, 2048),
-        Inst::load(Opcode::Lw, T4, S0, 2048), // forwards
-        Inst::load(Opcode::Ld, T5, S0, 2048), // partial
+        Inst::load(Opcode::Lw, T4, S0, 2048),  // forwards
+        Inst::load(Opcode::Ld, T5, S0, 2048),  // partial
         Inst::load(Opcode::Lhu, T6, S0, 4096), // same bucket, no store
         Inst::store(Opcode::Sb, T6, S0, 17),
         Inst::store(Opcode::Sh, T5, S0, 24),

@@ -255,10 +255,7 @@ impl Opcode {
     /// True when `rd` names a floating-point destination register.
     pub const fn writes_freg(self) -> bool {
         use Opcode::*;
-        matches!(
-            self,
-            Fld | Fadd | Fsub | Fmul | Fdiv | Fsqrt | Fmov | Fneg | Fabs | Fcvtdw
-        )
+        matches!(self, Fld | Fadd | Fsub | Fmul | Fdiv | Fsqrt | Fmov | Fneg | Fabs | Fcvtdw)
     }
 
     /// True when the register sources (`rs`/`rt`) are floating-point
@@ -267,8 +264,7 @@ impl Opcode {
         use Opcode::*;
         matches!(
             self,
-            Fadd | Fsub | Fmul | Fdiv | Fsqrt | Fmov | Fneg | Fabs | Feq | Flt | Fle | Fcvtwd
-                | Fsd
+            Fadd | Fsub | Fmul | Fdiv | Fsqrt | Fmov | Fneg | Fabs | Feq | Flt | Fle | Fcvtwd | Fsd
         )
     }
 }

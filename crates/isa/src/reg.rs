@@ -63,8 +63,8 @@ pub const K3: Reg = 31;
 
 const NAMES: [&str; 32] = [
     "zero", "ra", "sp", "gp", "a0", "a1", "a2", "a3", "v0", "v1", "t0", "t1", "t2", "t3", "t4",
-    "t5", "t6", "t7", "t8", "t9", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "k0", "k1",
-    "k2", "k3",
+    "t5", "t6", "t7", "t8", "t9", "s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7", "k0", "k1", "k2",
+    "k3",
 ];
 
 /// The ABI name of integer register `r`.

@@ -91,12 +91,14 @@ impl Codegen {
                     };
                     let addr = self.b.addr_of(dref);
                     self.b.symbol(g.name.clone(), addr);
-                    let prev = self.globals.insert(
-                        g.name.clone(),
-                        GlobalInfo { ty: g.ty, addr, array_len: g.array },
-                    );
+                    let prev = self
+                        .globals
+                        .insert(g.name.clone(), GlobalInfo { ty: g.ty, addr, array_len: g.array });
                     if prev.is_some() {
-                        return Err(LangError::new(g.line, format!("duplicate global `{}`", g.name)));
+                        return Err(LangError::new(
+                            g.line,
+                            format!("duplicate global `{}`", g.name),
+                        ));
                     }
                 }
                 Item::Function(f) => {
@@ -110,7 +112,10 @@ impl Codegen {
                         },
                     );
                     if prev.is_some() {
-                        return Err(LangError::new(f.line, format!("duplicate function `{}`", f.name)));
+                        return Err(LangError::new(
+                            f.line,
+                            format!("duplicate function `{}`", f.name),
+                        ));
                     }
                 }
             }
@@ -146,7 +151,7 @@ impl Codegen {
         // Frame size: params + every local declared anywhere in the body.
         let frame_slots = f.params.len() + count_locals(&f.body);
         let frame_bytes = (frame_slots as i32 + 2) * 8; // + ra + old fp
-        // Prologue.
+                                                        // Prologue.
         self.b.inst(Inst::rri(Opcode::Addi, reg::SP, reg::SP, -frame_bytes));
         self.b.inst(Inst::store(Opcode::Sd, reg::RA, reg::SP, frame_bytes - 8));
         self.b.inst(Inst::store(Opcode::Sd, FP, reg::SP, frame_bytes - 16));
@@ -233,11 +238,10 @@ impl Codegen {
                 Err(LangError::new(*line, format!("assignment to undefined variable `{name}`")))
             }
             Stmt::AssignIndex(name, idx, e, line) => {
-                let g = self
-                    .globals
-                    .get(name)
-                    .copied()
-                    .ok_or_else(|| LangError::new(*line, format!("undefined array `{name}`")))?;
+                let g =
+                    self.globals.get(name).copied().ok_or_else(|| {
+                        LangError::new(*line, format!("undefined array `{name}`"))
+                    })?;
                 if g.array_len.is_none() {
                     return Err(LangError::new(*line, format!("`{name}` is not an array")));
                 }
@@ -334,11 +338,10 @@ impl Codegen {
                 Err(LangError::new(*line, format!("undefined variable `{name}`")))
             }
             Expr::Index(name, idx, line) => {
-                let g = self
-                    .globals
-                    .get(name)
-                    .copied()
-                    .ok_or_else(|| LangError::new(*line, format!("undefined array `{name}`")))?;
+                let g =
+                    self.globals.get(name).copied().ok_or_else(|| {
+                        LangError::new(*line, format!("undefined array `{name}`"))
+                    })?;
                 if g.array_len.is_none() {
                     return Err(LangError::new(*line, format!("`{name}` is not an array")));
                 }
@@ -353,15 +356,18 @@ impl Codegen {
                 Ok(g.ty)
             }
             Expr::Call(name, args, line) => {
-                let info = self
-                    .funcs
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| LangError::new(*line, format!("undefined function `{name}`")))?;
+                let info =
+                    self.funcs.get(name).cloned().ok_or_else(|| {
+                        LangError::new(*line, format!("undefined function `{name}`"))
+                    })?;
                 if args.len() != info.params.len() {
                     return Err(LangError::new(
                         *line,
-                        format!("`{name}` takes {} arguments, got {}", info.params.len(), args.len()),
+                        format!(
+                            "`{name}` takes {} arguments, got {}",
+                            info.params.len(),
+                            args.len()
+                        ),
                     ));
                 }
                 for (arg, want) in args.iter().zip(&info.params) {
@@ -428,7 +434,13 @@ impl Codegen {
         }
     }
 
-    fn emit_binary(&mut self, op: BinOp, lhs: &Expr, rhs: &Expr, line: usize) -> Result<Type, LangError> {
+    fn emit_binary(
+        &mut self,
+        op: BinOp,
+        lhs: &Expr,
+        rhs: &Expr,
+        line: usize,
+    ) -> Result<Type, LangError> {
         // Short-circuit logicals first (control flow, not data flow).
         if matches!(op, BinOp::LogAnd | BinOp::LogOr) {
             let take_rhs = self.b.label();
@@ -466,7 +478,11 @@ impl Codegen {
         if lty != rty {
             return Err(LangError::new(
                 line,
-                format!("type error: `{}` vs `{}` (use int()/float() casts)", lty.name(), rty.name()),
+                format!(
+                    "type error: `{}` vs `{}` (use int()/float() casts)",
+                    lty.name(),
+                    rty.name()
+                ),
             ));
         }
         if op.int_only() && lty == Type::Float {
@@ -626,7 +642,11 @@ fn expect_type(want: Type, got: Type, line: usize) -> Result<(), LangError> {
     } else {
         Err(LangError::new(
             line,
-            format!("type error: expected `{}`, got `{}` (use int()/float())", want.name(), got.name()),
+            format!(
+                "type error: expected `{}`, got `{}` (use int()/float())",
+                want.name(),
+                got.name()
+            ),
         ))
     }
 }
@@ -652,7 +672,11 @@ mod tests {
     fn count_locals_recurses() {
         use crate::lexer::lex;
         use crate::parser::parse;
-        let ast = parse(&lex("int main() { int a; if (1) { int b; } while (0) { int c; int d; } return 0; }").unwrap()).unwrap();
+        let ast = parse(
+            &lex("int main() { int a; if (1) { int b; } while (0) { int c; int d; } return 0; }")
+                .unwrap(),
+        )
+        .unwrap();
         let Item::Function(f) = &ast.items[0] else { panic!() };
         assert_eq!(count_locals(&f.body), 4);
     }
@@ -670,9 +694,7 @@ mod tests {
 
     #[test]
     fn shadowing_in_nested_scopes() {
-        let v = run_dsc(
-            "int main() { int x; x = 1; if (1) { int x; x = 9; } return x; }",
-        );
+        let v = run_dsc("int main() { int x; x = 1; if (1) { int x; x = 9; } return x; }");
         assert_eq!(v, 1, "inner x must not clobber outer x");
     }
 
@@ -687,7 +709,10 @@ mod tests {
     #[test]
     fn duplicate_declarations_rejected() {
         assert!(crate::compile("int x; int x; int main() { return 0; }").is_err());
-        assert!(crate::compile("int f() { return 0; } int f() { return 1; } int main() { return 0; }").is_err());
+        assert!(crate::compile(
+            "int f() { return 0; } int f() { return 1; } int main() { return 0; }"
+        )
+        .is_err());
         assert!(crate::compile("int main() { int a; int a; return 0; }").is_err());
     }
 

@@ -27,8 +27,8 @@ pub enum Tok {
 }
 
 const PUNCTS: &[&str] = &[
-    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "(", ")", "{", "}", "[", "]", ";", ",",
-    "+", "-", "*", "/", "%", "<", ">", "=", "!", "~", "&", "|", "^",
+    "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "(", ")", "{", "}", "[", "]", ";", ",", "+",
+    "-", "*", "/", "%", "<", ">", "=", "!", "~", "&", "|", "^",
 ];
 
 /// Tokenises DSC source.

@@ -93,8 +93,9 @@ impl<'a> Parser<'a> {
     }
 
     fn expect_type(&mut self) -> Result<Type, LangError> {
-        self.try_type()
-            .ok_or_else(|| LangError::new(self.line(), format!("expected a type, found {}", self.describe())))
+        self.try_type().ok_or_else(|| {
+            LangError::new(self.line(), format!("expected a type, found {}", self.describe()))
+        })
     }
 
     // ---- items ------------------------------------------------------
@@ -374,10 +375,7 @@ impl<'a> Parser<'a> {
     }
 
     fn multiplicative(&mut self) -> Result<Expr, LangError> {
-        self.binary_level(
-            &[("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Rem)],
-            Self::unary,
-        )
+        self.binary_level(&[("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Rem)], Self::unary)
     }
 
     fn unary(&mut self) -> Result<Expr, LangError> {
@@ -433,10 +431,9 @@ impl<'a> Parser<'a> {
                 }
                 Ok(Expr::Var(name, line))
             }
-            other => Err(LangError::new(
-                line,
-                format!("expected an expression, found `{other:?}`"),
-            )),
+            other => {
+                Err(LangError::new(line, format!("expected an expression, found `{other:?}`")))
+            }
         }
     }
 }

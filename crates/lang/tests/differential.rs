@@ -74,10 +74,7 @@ impl E {
 }
 
 fn expr_strategy() -> impl Strategy<Value = E> {
-    let leaf = prop_oneof![
-        (-1000i64..1000).prop_map(E::Lit),
-        (0usize..NVARS).prop_map(E::Var),
-    ];
+    let leaf = prop_oneof![(-1000i64..1000).prop_map(E::Lit), (0usize..NVARS).prop_map(E::Var),];
     leaf.prop_recursive(5, 64, 3, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| E::Add(Box::new(a), Box::new(b))),

@@ -164,16 +164,9 @@ mod tests {
         let roots = w.roots_by_prefix(&["step"]);
         assert_eq!(roots.len(), 1);
         let parent = w.reach(&roots);
-        let reached: Vec<String> = w
-            .fns
-            .iter()
-            .filter(|f| parent[f.id].is_some())
-            .map(|f| f.qualified())
-            .collect();
-        assert_eq!(
-            reached,
-            vec!["Node::step", "Node::helper", "free_fn", "Other::assoc"]
-        );
+        let reached: Vec<String> =
+            w.fns.iter().filter(|f| parent[f.id].is_some()).map(|f| f.qualified()).collect();
+        assert_eq!(reached, vec!["Node::step", "Node::helper", "free_fn", "Other::assoc"]);
         let assoc = w.fns.iter().find(|f| f.name == "assoc").unwrap().id;
         assert_eq!(
             w.chain(&parent, assoc),

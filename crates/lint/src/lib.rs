@@ -122,11 +122,7 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file, self.line, self.rule, self.message
-        )?;
+        write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule, self.message)?;
         if self.via.len() > 1 {
             write!(f, "\n    via: {}", self.via.join(" -> "))?;
         }
@@ -246,10 +242,7 @@ pub fn parse_directives(file: &str, raw: &str, cleaned: &str) -> (Vec<Allow>, Ve
             _ => {
                 // Comment-only line (nothing survives stripping) → the
                 // allow applies to the next line with code on it.
-                let own_code = clean_lines
-                    .get(idx)
-                    .map(|l| !l.trim().is_empty())
-                    .unwrap_or(false);
+                let own_code = clean_lines.get(idx).map(|l| !l.trim().is_empty()).unwrap_or(false);
                 let target = if own_code {
                     lineno
                 } else {
@@ -393,16 +386,9 @@ fn check_d1(cleaned: &str, out: &mut Vec<Candidate>) {
         }
     }
     for name in &tracked {
-        for method in [
-            "iter",
-            "iter_mut",
-            "into_iter",
-            "keys",
-            "values",
-            "values_mut",
-            "drain",
-            "retain",
-        ] {
+        for method in
+            ["iter", "iter_mut", "into_iter", "keys", "values", "values_mut", "drain", "retain"]
+        {
             for at in method_calls(cleaned, method) {
                 if receiver_before(cleaned, at).as_deref() == Some(name) {
                     out.push(Candidate {
@@ -424,10 +410,7 @@ fn check_d1(cleaned: &str, out: &mut Vec<Candidate>) {
                 .or_else(|| before.strip_suffix('&'))
                 .unwrap_or(before)
                 .trim_end();
-            let seg_start = before
-                .rfind([';', '{', '}'])
-                .map(|p| p + 1)
-                .unwrap_or(0);
+            let seg_start = before.rfind([';', '{', '}']).map(|p| p + 1).unwrap_or(0);
             if before.ends_with(" in") && !word_occurrences(&before[seg_start..], "for").is_empty()
             {
                 out.push(Candidate {
@@ -473,10 +456,8 @@ fn binding_before(cleaned: &str, ty_at: usize) -> Option<String> {
 
 fn last_ident(text: &str) -> Option<String> {
     let trimmed = text.trim_end();
-    let start = trimmed
-        .rfind(|c: char| !c.is_ascii_alphanumeric() && c != '_')
-        .map(|p| p + 1)
-        .unwrap_or(0);
+    let start =
+        trimmed.rfind(|c: char| !c.is_ascii_alphanumeric() && c != '_').map(|p| p + 1).unwrap_or(0);
     let ident = &trimmed[start..];
     if ident.is_empty() || ident.chars().next().is_some_and(|c| c.is_ascii_digit()) {
         None
@@ -496,11 +477,26 @@ fn check_d2(cleaned: &str, out: &mut Vec<Candidate>) {
     const THREADED: &str =
         "simulation crates are single-threaded; host parallelism lives in ds_bench::runner";
     let tokens: [(&str, &str); 9] = [
-        ("Instant", "wall-clock time in a simulation crate: cycle counts must not depend on host timing"),
-        ("SystemTime", "wall-clock time in a simulation crate: cycle counts must not depend on host timing"),
-        ("thread_rng", "ambient randomness in a simulation crate: seed explicitly so runs are reproducible"),
-        ("from_entropy", "ambient randomness in a simulation crate: seed explicitly so runs are reproducible"),
-        ("RandomState", "per-process hasher state in a simulation crate: breaks cross-run determinism"),
+        (
+            "Instant",
+            "wall-clock time in a simulation crate: cycle counts must not depend on host timing",
+        ),
+        (
+            "SystemTime",
+            "wall-clock time in a simulation crate: cycle counts must not depend on host timing",
+        ),
+        (
+            "thread_rng",
+            "ambient randomness in a simulation crate: seed explicitly so runs are reproducible",
+        ),
+        (
+            "from_entropy",
+            "ambient randomness in a simulation crate: seed explicitly so runs are reproducible",
+        ),
+        (
+            "RandomState",
+            "per-process hasher state in a simulation crate: breaks cross-run determinism",
+        ),
         ("thread", THREADED),
         ("Mutex", THREADED),
         ("RwLock", THREADED),
@@ -508,11 +504,7 @@ fn check_d2(cleaned: &str, out: &mut Vec<Candidate>) {
     ];
     for (tok, msg) in tokens {
         for at in word_occurrences(cleaned, tok) {
-            out.push(Candidate {
-                offset: at,
-                rule: Rule::D2,
-                message: format!("`{tok}`: {msg}"),
-            });
+            out.push(Candidate { offset: at, rule: Rule::D2, message: format!("`{tok}`: {msg}") });
         }
     }
     for at in occurrences(cleaned, "rand::random") {
@@ -580,11 +572,7 @@ pub fn parse_opcode_table(opcode_src: &str) -> Vec<OpcodeEntry> {
             i += 1;
         }
         if let (false, Some(mnemonic)) = (variant.is_empty(), mnemonic) {
-            entries.push(OpcodeEntry {
-                variant,
-                mnemonic,
-                line: index.line_of(entry_at),
-            });
+            entries.push(OpcodeEntry { variant, mnemonic, line: index.line_of(entry_at) });
         }
     }
     entries
@@ -850,14 +838,8 @@ pub fn rule_counts(diags: &[Diagnostic]) -> BTreeMap<&'static str, usize> {
 mod tests {
     use super::*;
 
-    const SIM: FileClass = FileClass {
-        sim_crate: true,
-        hot_module: false,
-    };
-    const HOT: FileClass = FileClass {
-        sim_crate: true,
-        hot_module: true,
-    };
+    const SIM: FileClass = FileClass { sim_crate: true, hot_module: false };
+    const HOT: FileClass = FileClass { sim_crate: true, hot_module: true };
 
     fn rules(diags: &[Diagnostic]) -> Vec<Rule> {
         diags.iter().map(|d| d.rule).collect()
@@ -870,9 +852,7 @@ mod tests {
         let diags = lint_source("x.rs", src, SIM);
         assert!(diags.iter().any(|d| d.rule == Rule::D1 && d.line == 1));
         assert!(
-            diags
-                .iter()
-                .any(|d| d.rule == Rule::D1 && d.line == 2 && d.message.contains("seq")),
+            diags.iter().any(|d| d.rule == Rule::D1 && d.line == 2 && d.message.contains("seq")),
             "iteration finding expected: {diags:?}"
         );
     }
@@ -911,7 +891,8 @@ mod tests {
         assert_eq!(rules(&diags), vec![Rule::D2; 4], "{diags:?}");
         assert!(diags.iter().all(|d| d.message.contains("single-threaded")), "{diags:?}");
         // The allowed twin, and names that merely contain a token.
-        let twin = "// ds-lint: allow(d2) fixture: guards a host-side cache, never simulated state\n\
+        let twin =
+            "// ds-lint: allow(d2) fixture: guards a host-side cache, never simulated state\n\
                     static HITS: AtomicU64 = AtomicU64::new(0);\n\
                     fn datathread_len(threads: usize) -> usize { threads }\n";
         assert!(lint_source("x.rs", twin, SIM).is_empty());
@@ -944,9 +925,14 @@ mod tests {
         }
         // Names that merely resemble a root prefix, and report-time
         // helpers, allocate freely — as does everything below them.
-        for name in
-            ["next_evening", "edgy_but_not_hot", "resample_offline", "uninjected", "chart", "helper"]
-        {
+        for name in [
+            "next_evening",
+            "edgy_but_not_hot",
+            "resample_offline",
+            "uninjected",
+            "chart",
+            "helper",
+        ] {
             let src = format!(
                 "fn {name}(&mut self) {{ let v: Vec<u8> = Vec::new(); below(); }}\n\
                  fn below() {{ let xs: Vec<u8> = (0..4).collect(); }}\n"
@@ -997,7 +983,8 @@ mod tests {
 
     #[test]
     fn allow_on_same_line_suppresses() {
-        let src = "struct S { m: HashMap<u64, u64> } // ds-lint: allow(d1) probe-only, never iterated\n";
+        let src =
+            "struct S { m: HashMap<u64, u64> } // ds-lint: allow(d1) probe-only, never iterated\n";
         assert!(lint_source("x.rs", src, SIM).is_empty());
     }
 
@@ -1036,9 +1023,7 @@ mod tests {
                    fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
         let diags = lint_source("x.rs", src, HOT);
         assert!(
-            diags
-                .iter()
-                .any(|d| d.rule == Rule::Directive && d.message.contains("never closed")),
+            diags.iter().any(|d| d.rule == Rule::Directive && d.message.contains("never closed")),
             "{diags:?}"
         );
     }

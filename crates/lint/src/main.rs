@@ -38,11 +38,8 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         let counts = ds_lint::rule_counts(&report.diagnostics);
-        let breakdown = counts
-            .iter()
-            .map(|(rule, n)| format!("{rule}:{n}"))
-            .collect::<Vec<_>>()
-            .join(" ");
+        let breakdown =
+            counts.iter().map(|(rule, n)| format!("{rule}:{n}")).collect::<Vec<_>>().join(" ");
         eprintln!("ds-lint: {size}; {} finding(s) [{breakdown}]", report.diagnostics.len());
         ExitCode::FAILURE
     }

@@ -474,8 +474,7 @@ mod tests {
                    fn helper() { }\n\
                    impl Borrow<Node> for GuardCell<'_> { fn borrow(&self) -> &Node { &self.0 } }\n";
         let (fns, _) = model(src);
-        let names: Vec<(String, bool)> =
-            fns.iter().map(|f| (f.qualified(), f.has_self)).collect();
+        let names: Vec<(String, bool)> = fns.iter().map(|f| (f.qualified(), f.has_self)).collect();
         assert_eq!(
             names,
             vec![

@@ -53,7 +53,8 @@ pub fn method_calls(text: &str, name: &str) -> Vec<usize> {
             while j < b.len() && (b[j] as char).is_whitespace() {
                 j += 1;
             }
-            if j < b.len() && (b[j] == b'(' || (b[j] == b':' && j + 1 < b.len() && b[j + 1] == b':'))
+            if j < b.len()
+                && (b[j] == b'(' || (b[j] == b':' && j + 1 < b.len() && b[j + 1] == b':'))
             {
                 out.push(at);
             }

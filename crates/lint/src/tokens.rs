@@ -301,11 +301,8 @@ mod tests {
     fn tokenize_idents_puncts_and_strings() {
         let cleaned = strip("fn step(x: u8) { v.push(\"HashMap\"); }");
         let toks = tokenize(&cleaned);
-        let words: Vec<&str> = toks
-            .iter()
-            .filter(|t| t.kind == TokenKind::Ident)
-            .map(|t| t.text(&cleaned))
-            .collect();
+        let words: Vec<&str> =
+            toks.iter().filter(|t| t.kind == TokenKind::Ident).map(|t| t.text(&cleaned)).collect();
         assert_eq!(words, vec!["fn", "step", "x", "u8", "v", "push"]);
         assert!(toks.iter().any(|t| t.kind == TokenKind::Str));
         assert!(toks.iter().any(|t| t.is_punct(b'{')));
@@ -315,9 +312,7 @@ mod tests {
     fn tokenize_lifetimes_and_offsets_round_trip() {
         let cleaned = strip("impl<'a> Foo<'a> { fn f(&'a self) {} }");
         let toks = tokenize(&cleaned);
-        assert!(toks
-            .iter()
-            .any(|t| t.kind == TokenKind::Lifetime && t.text(&cleaned) == "'a"));
+        assert!(toks.iter().any(|t| t.kind == TokenKind::Lifetime && t.text(&cleaned) == "'a"));
         for t in &toks {
             assert!(t.start < t.end && t.end <= cleaned.len());
         }

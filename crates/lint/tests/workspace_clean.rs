@@ -53,10 +53,7 @@ fn seeded_violations_fail_via_the_binary() {
     )
     .expect("write fixture");
 
-    let out = Command::new(env!("CARGO_BIN_EXE_ds-lint"))
-        .arg(&dir)
-        .output()
-        .expect("run ds-lint");
+    let out = Command::new(env!("CARGO_BIN_EXE_ds-lint")).arg(&dir).output().expect("run ds-lint");
     std::fs::remove_dir_all(&dir).ok();
 
     assert!(!out.status.success(), "seeded violations must fail");
@@ -81,16 +78,10 @@ fn seeded_probe_allocation_fails_a1() {
         "pub fn record_event(&mut self) { self.scratch = Vec::new(); }\n",
     )
     .expect("write obs fixture");
-    std::fs::write(
-        trace_src.join("profile.rs"),
-        "use std::collections::HashMap;\n",
-    )
-    .expect("write trace fixture");
+    std::fs::write(trace_src.join("profile.rs"), "use std::collections::HashMap;\n")
+        .expect("write trace fixture");
 
-    let out = Command::new(env!("CARGO_BIN_EXE_ds-lint"))
-        .arg(&dir)
-        .output()
-        .expect("run ds-lint");
+    let out = Command::new(env!("CARGO_BIN_EXE_ds-lint")).arg(&dir).output().expect("run ds-lint");
     std::fs::remove_dir_all(&dir).ok();
 
     assert!(!out.status.success(), "seeded violations must fail");

@@ -63,12 +63,7 @@ impl MainMemory {
     pub fn new(config: MemoryTimingConfig) -> Self {
         assert!(config.banks > 0, "need at least one bank");
         assert!(config.onchip_bus_bytes_per_cycle > 0, "bus must move data");
-        MainMemory {
-            next_free: vec![0; config.banks],
-            config,
-            accesses: 0,
-            busy_conflicts: 0,
-        }
+        MainMemory { next_free: vec![0; config.banks], config, accesses: 0, busy_conflicts: 0 }
     }
 
     /// The timing parameters.
@@ -175,10 +170,7 @@ mod tests {
 
     #[test]
     fn slow_memory_config() {
-        let mut m = MainMemory::new(MemoryTimingConfig {
-            access_cycles: 50,
-            ..Default::default()
-        });
+        let mut m = MainMemory::new(MemoryTimingConfig { access_cycles: 50, ..Default::default() });
         assert_eq!(m.access(0, 32, 0), 51);
     }
 }

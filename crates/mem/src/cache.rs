@@ -283,12 +283,7 @@ mod tests {
 
     fn tiny(assoc: usize, policy: WritePolicy) -> Cache {
         // 4 lines of 32 bytes.
-        Cache::new(CacheConfig {
-            size_bytes: 128,
-            assoc,
-            line_bytes: 32,
-            write_policy: policy,
-        })
+        Cache::new(CacheConfig { size_bytes: 128, assoc, line_bytes: 32, write_policy: policy })
     }
 
     #[test]

@@ -246,12 +246,8 @@ impl PageTableBuilder {
 
     /// Marks every declared page of `segment` replicated.
     pub fn replicate_segment(&mut self, segment: Segment) -> &mut Self {
-        let vpns: Vec<u64> = self
-            .segments
-            .iter()
-            .filter(|(_, &s)| s == segment)
-            .map(|(&v, _)| v)
-            .collect();
+        let vpns: Vec<u64> =
+            self.segments.iter().filter(|(_, &s)| s == segment).map(|(&v, _)| v).collect();
         self.replicated.extend(vpns);
         self
     }
@@ -335,10 +331,7 @@ mod tests {
         let pt = b.build();
         // Global pages 0x10..0x17 cycle 0,1,2,3,0,1,2,3.
         for i in 0..8u64 {
-            assert_eq!(
-                pt.classify(0x1_0000 + i * 4096),
-                PageClass::Owned((i % 4) as usize)
-            );
+            assert_eq!(pt.classify(0x1_0000 + i * 4096), PageClass::Owned((i % 4) as usize));
         }
         // Each segment restarts at node 0.
         assert_eq!(pt.classify(0x2_0000), PageClass::Owned(0));

@@ -35,16 +35,12 @@ impl RefCache {
             set.push((l, d));
             return (true, None);
         }
-        let allocate = kind == AccessKind::Read
-            || self.config.write_policy == WritePolicy::WriteBackAllocate;
+        let allocate =
+            kind == AccessKind::Read || self.config.write_policy == WritePolicy::WriteBackAllocate;
         if !allocate {
             return (false, None);
         }
-        let victim = if set.len() >= self.config.assoc {
-            Some(set.remove(0))
-        } else {
-            None
-        };
+        let victim = if set.len() >= self.config.assoc { Some(set.remove(0)) } else { None };
         set.push((line, kind == AccessKind::Write));
         (false, victim)
     }
@@ -54,10 +50,7 @@ fn config_strategy() -> impl Strategy<Value = CacheConfig> {
     (
         prop_oneof![Just(1usize), Just(2), Just(4)],
         prop_oneof![Just(16u64), Just(32), Just(64)],
-        prop_oneof![
-            Just(WritePolicy::WriteBackAllocate),
-            Just(WritePolicy::WriteBackNoAllocate)
-        ],
+        prop_oneof![Just(WritePolicy::WriteBackAllocate), Just(WritePolicy::WriteBackNoAllocate)],
         1u32..5, // sets exponent
     )
         .prop_map(|(assoc, line, policy, sets_exp)| CacheConfig {

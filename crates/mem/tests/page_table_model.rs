@@ -98,7 +98,10 @@ fn layout_strategy() -> impl Strategy<Value = Layout> {
     (
         4u32..17,
         1usize..6,
-        prop::collection::vec((0u64..4, 1u64..40, 0u64..4096, 0u64..4096, segment_strategy()), 1..6),
+        prop::collection::vec(
+            (0u64..4, 1u64..40, 0u64..4096, 0u64..4096, segment_strategy()),
+            1..6,
+        ),
         prop::collection::vec(0u64..200, 0..6),
         prop::collection::vec(segment_strategy(), 0..3),
         prop::option::of(1u64..5),

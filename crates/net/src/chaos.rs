@@ -334,8 +334,7 @@ impl FaultInjector {
         // Reorder holds release *behind* the next non-empty batch — a
         // later message has now overtaken them — or after the liveness
         // bound.
-        if !self.held.is_empty() && (!out.is_empty() || now >= self.held_since + REORDER_HOLD_MAX)
-        {
+        if !self.held.is_empty() && (!out.is_empty() || now >= self.held_since + REORDER_HOLD_MAX) {
             for d in self.held.drain(..) {
                 out.push(Delivery { at: now, ..d });
             }
@@ -457,8 +456,7 @@ mod tests {
 
     #[test]
     fn reorder_releases_behind_the_next_batch() {
-        let mut inj =
-            FaultInjector::new(&plan_of(FaultRule::broadcasts(FaultKind::Reorder, 1, 1)));
+        let mut inj = FaultInjector::new(&plan_of(FaultRule::broadcasts(FaultKind::Reorder, 1, 1)));
         let mut out = vec![bcast(0, 1, 0)];
         inj.inject_step(0, &mut out);
         assert!(out.is_empty(), "held");
@@ -471,8 +469,7 @@ mod tests {
 
     #[test]
     fn reorder_hold_is_bounded_for_liveness() {
-        let mut inj =
-            FaultInjector::new(&plan_of(FaultRule::broadcasts(FaultKind::Reorder, 1, 1)));
+        let mut inj = FaultInjector::new(&plan_of(FaultRule::broadcasts(FaultKind::Reorder, 1, 1)));
         let mut out = vec![bcast(0, 1, 0)];
         inj.inject_step(0, &mut out);
         assert!(out.is_empty());

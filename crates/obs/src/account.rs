@@ -292,10 +292,7 @@ impl HotPc {
 /// Merges per-node profiles and returns the `n` PCs with the most
 /// combined wait cycles, sorted by (total desc, pc asc) so the table
 /// is deterministic.
-pub fn top_hot_pcs<'a>(
-    profiles: impl IntoIterator<Item = &'a PcProfile>,
-    n: usize,
-) -> Vec<HotPc> {
+pub fn top_hot_pcs<'a>(profiles: impl IntoIterator<Item = &'a PcProfile>, n: usize) -> Vec<HotPc> {
     let mut merged: Vec<HotPc> = Vec::new();
     for p in profiles {
         for e in p.entries() {
@@ -431,11 +428,7 @@ mod tests {
         p.charge_pc(0, PcStallKind::RemoteWait);
         assert_eq!(p.entries().len(), PC_PROFILE_CAPACITY);
         assert_eq!(p.overflow(), (0, 1));
-        let charged: u64 = p
-            .entries()
-            .iter()
-            .map(|e| e.remote_wait + e.local_wait)
-            .sum::<u64>()
+        let charged: u64 = p.entries().iter().map(|e| e.remote_wait + e.local_wait).sum::<u64>()
             + p.overflow().0
             + p.overflow().1;
         assert_eq!(charged, PC_PROFILE_CAPACITY as u64 + 2);

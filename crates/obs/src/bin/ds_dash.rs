@@ -125,8 +125,10 @@ fn render(results: &[ResultDoc]) -> String {
                     render_timeline_entry(&mut out, label, entry);
                 }
             }
-            _ => out.push_str("<p class=\"muted\">no timeline member in this document \
-                               (obs-off run?)</p>\n"),
+            _ => out.push_str(
+                "<p class=\"muted\">no timeline member in this document \
+                               (obs-off run?)</p>\n",
+            ),
         }
     }
 

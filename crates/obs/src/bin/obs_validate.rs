@@ -59,17 +59,12 @@ fn check_value(v: &Value) -> Result<(), String> {
 fn check_dash_html(text: &str) -> Result<(), String> {
     const OPEN: &str = "id=\"ds-dash-data\">";
     let start = text.find(OPEN).ok_or("no embedded ds-dash-data payload")? + OPEN.len();
-    let end = text[start..]
-        .find("</script>")
-        .ok_or("unterminated ds-dash-data payload")?
-        + start;
+    let end = text[start..].find("</script>").ok_or("unterminated ds-dash-data payload")? + start;
     // Undo the `</` -> `<\/` neutralisation the emitter applies.
     let payload = text[start..end].replace("<\\/", "</");
     let p = json::parse(&payload).map_err(|e| format!("payload: {e:?}"))?;
-    let results = p
-        .get("results")
-        .and_then(Value::as_array)
-        .ok_or("payload lacks `results` array")?;
+    let results =
+        p.get("results").and_then(Value::as_array).ok_or("payload lacks `results` array")?;
     for r in results {
         let path = r.get("path").and_then(Value::as_str).unwrap_or("?");
         let doc = r.get("doc").ok_or_else(|| format!("result `{path}` lacks `doc`"))?;
@@ -84,15 +79,9 @@ fn check_bench_result(v: &Value) -> Result<(), String> {
             return Err(format!("ds-bench-result/v1 document lacks `{key}`"));
         }
     }
-    let tables = v
-        .get("tables")
-        .and_then(Value::as_array)
-        .ok_or("`tables` must be an array")?;
+    let tables = v.get("tables").and_then(Value::as_array).ok_or("`tables` must be an array")?;
     for t in tables {
-        let headers = t
-            .get("headers")
-            .and_then(Value::as_array)
-            .ok_or("table lacks `headers`")?;
+        let headers = t.get("headers").and_then(Value::as_array).ok_or("table lacks `headers`")?;
         let rows = t.get("rows").and_then(Value::as_array).ok_or("table lacks `rows`")?;
         for row in rows {
             let row = row.as_array().ok_or("row must be an array")?;
@@ -129,20 +118,15 @@ fn check_critpath_member(v: &Value) -> Result<(), String> {
                 .and_then(Value::as_f64)
                 .ok_or_else(|| format!("critpath `{label}` lacks share `{class}`"))?;
             if !(0.0..=1.0).contains(&share) {
-                return Err(format!(
-                    "critpath `{label}` share `{class}` out of range: {share}"
-                ));
+                return Err(format!("critpath `{label}` share `{class}` out of range: {share}"));
             }
             sum += share;
         }
-        let attributed =
-            entry.get("attributed_cycles").and_then(Value::as_f64).unwrap_or(0.0);
+        let attributed = entry.get("attributed_cycles").and_then(Value::as_f64).unwrap_or(0.0);
         // Shares are printed with 6 decimals, so the sum can be off by
         // a few millionths per class; anything worse is a real bug.
         if attributed > 0.0 && (sum - 1.0).abs() > 1e-3 {
-            return Err(format!(
-                "critpath `{label}` class shares sum to {sum}, expected ~1"
-            ));
+            return Err(format!("critpath `{label}` class shares sum to {sum}, expected ~1"));
         }
         if let Some(d) = entry.get("dropped").and_then(Value::as_f64) {
             if d < 0.0 {
@@ -215,9 +199,8 @@ fn check_timeline_node(label: &str, ni: usize, node: &Value) -> Result<(), Strin
         }
         let mut nums = [0.0f64; 18];
         for (i, cell) in row.iter().enumerate() {
-            nums[i] = cell
-                .as_f64()
-                .ok_or_else(|| ctx(format!("row {ri} column {i} is not a number")))?;
+            nums[i] =
+                cell.as_f64().ok_or_else(|| ctx(format!("row {ri} column {i} is not a number")))?;
         }
         let (start, len) = (nums[0], nums[1]);
         if start <= prev_start {
@@ -260,10 +243,8 @@ fn check_timeline_node(label: &str, ni: usize, node: &Value) -> Result<(), Strin
 }
 
 fn check_trace(v: &Value) -> Result<(), String> {
-    let events = v
-        .get("traceEvents")
-        .and_then(Value::as_array)
-        .ok_or("`traceEvents` must be an array")?;
+    let events =
+        v.get("traceEvents").and_then(Value::as_array).ok_or("`traceEvents` must be an array")?;
     // Monotonically non-decreasing ts per (pid, tid) track, and
     // broadcast flow arrows that actually pair up: every flow step
     // (`ph:"t"`) and end (`ph:"f"`) must name a flow id some start
@@ -289,15 +270,11 @@ fn check_trace(v: &Value) -> Result<(), String> {
             // never fails the gate.
             if e.get("name").and_then(Value::as_str) == Some("ds_dropped_events") {
                 let args = e.get("args");
-                let dropped = args
-                    .and_then(|a| a.get("dropped"))
-                    .and_then(Value::as_f64)
-                    .unwrap_or(0.0);
+                let dropped =
+                    args.and_then(|a| a.get("dropped")).and_then(Value::as_f64).unwrap_or(0.0);
                 if dropped > 0.0 {
-                    let source = args
-                        .and_then(|a| a.get("source"))
-                        .and_then(Value::as_str)
-                        .unwrap_or("?");
+                    let source =
+                        args.and_then(|a| a.get("source")).and_then(Value::as_str).unwrap_or("?");
                     eprintln!(
                         "warning: source `{source}` dropped {dropped:.0} events \
                          (ring over capacity; trace is a suffix of the run)"
@@ -458,9 +435,7 @@ mod tests {
         let bad_doc = html.replace("\"tables\":[],", "");
         assert!(check_dash_html(&bad_doc).unwrap_err().contains("embedded `a.json`"));
 
-        assert!(check_dash_html("<html></html>")
-            .unwrap_err()
-            .contains("no embedded ds-dash-data"));
+        assert!(check_dash_html("<html></html>").unwrap_err().contains("no embedded ds-dash-data"));
     }
 
     #[test]

@@ -178,12 +178,8 @@ impl EdgeKind {
 
 impl EdgeClass {
     /// Every class, in label order.
-    pub const ALL: [EdgeClass; EDGE_CLASS_COUNT] = [
-        EdgeClass::Compute,
-        EdgeClass::Communication,
-        EdgeClass::Structural,
-        EdgeClass::Frontend,
-    ];
+    pub const ALL: [EdgeClass; EDGE_CLASS_COUNT] =
+        [EdgeClass::Compute, EdgeClass::Communication, EdgeClass::Structural, EdgeClass::Frontend];
 
     /// Stable label (JSON keys, folded-stack frames).
     pub fn label(self) -> &'static str {
@@ -313,8 +309,7 @@ impl PcTable {
     /// Occupied entries ranked hottest-first, ties toward the lower PC
     /// (report time; allocation is fine here).
     fn ranked(&self) -> Vec<CritPc> {
-        let mut pcs: Vec<CritPc> =
-            self.slots.iter().copied().filter(|s| s.cycles > 0).collect();
+        let mut pcs: Vec<CritPc> = self.slots.iter().copied().filter(|s| s.cycles > 0).collect();
         pcs.sort_by(|a, b| b.cycles.cmp(&a.cycles).then(a.pc.cmp(&b.pc)));
         pcs.truncate(CRIT_PC_TOP);
         pcs

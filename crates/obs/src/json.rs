@@ -282,8 +282,8 @@ mod tests {
 
     #[test]
     fn parses_nested_documents() {
-        let v = parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny"}, "d": true, "e": null}"#)
-            .unwrap();
+        let v =
+            parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny"}, "d": true, "e": null}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
         assert_eq!(v.get("a").unwrap().as_array().unwrap()[2].as_f64(), Some(-300.0));
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));

@@ -383,8 +383,7 @@ pub fn segment_phases(intervals: &[IntervalSample]) -> Vec<Phase> {
                 open = Some(p);
             }
             Some(p) => {
-                let smoothed =
-                    Signature::over(&intervals[i.saturating_sub(SMOOTH_WINDOW - 1)..=i]);
+                let smoothed = Signature::over(&intervals[i.saturating_sub(SMOOTH_WINDOW - 1)..=i]);
                 if p.intervals as usize >= MIN_PHASE_INTERVALS
                     && smoothed.cuts_from(&Signature::of_phase(p))
                 {
@@ -624,10 +623,8 @@ mod tests {
             dropped: 2,
             ..TimelineNodeReport::default()
         };
-        let mut node1 = TimelineNodeReport {
-            intervals: uniform(4, 0, 500),
-            ..TimelineNodeReport::default()
-        };
+        let mut node1 =
+            TimelineNodeReport { intervals: uniform(4, 0, 500), ..TimelineNodeReport::default() };
         node1.intervals[2].bshr_occ_hw = 9;
         let t = TimelineReport { interval_cycles: SAMPLE_INTERVAL, nodes: vec![node0, node1] };
         let m = t.merged();

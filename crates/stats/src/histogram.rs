@@ -70,11 +70,7 @@ impl Histogram {
         if self.total == 0 {
             return 0.0;
         }
-        let sum: f64 = self
-            .buckets
-            .iter()
-            .map(|(&v, &n)| v as f64 * n as f64)
-            .sum();
+        let sum: f64 = self.buckets.iter().map(|(&v, &n)| v as f64 * n as f64).sum();
         sum / self.total as f64
     }
 

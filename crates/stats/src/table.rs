@@ -30,10 +30,7 @@ impl Table {
     /// Panics if `headers` is empty.
     pub fn new<S: AsRef<str>>(headers: &[S]) -> Self {
         assert!(!headers.is_empty(), "a table needs at least one column");
-        Self {
-            headers: headers.iter().map(|h| h.as_ref().to_string()).collect(),
-            rows: Vec::new(),
-        }
+        Self { headers: headers.iter().map(|h| h.as_ref().to_string()).collect(), rows: Vec::new() }
     }
 
     /// Appends a data row.
@@ -42,13 +39,8 @@ impl Table {
     ///
     /// Panics if the row width does not match the header width.
     pub fn row<S: AsRef<str>>(&mut self, cells: &[S]) -> &mut Self {
-        assert_eq!(
-            cells.len(),
-            self.headers.len(),
-            "row width must match header width"
-        );
-        self.rows
-            .push(cells.iter().map(|c| c.as_ref().to_string()).collect());
+        assert_eq!(cells.len(), self.headers.len(), "row width must match header width");
+        self.rows.push(cells.iter().map(|c| c.as_ref().to_string()).collect());
         self
     }
 

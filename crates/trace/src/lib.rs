@@ -23,6 +23,6 @@ pub mod traffic;
 
 pub use datathread::{measure_datathreads, DatathreadConfig, DatathreadReport};
 pub use profile::{select_hot_pages, select_top_pages, PageProfile};
-pub use stream::{for_each_ref, RefEvent, RefKind};
 pub use result_comm::{measure_result_comm, ResultCommConfig, ResultCommReport};
+pub use stream::{for_each_ref, RefEvent, RefKind};
 pub use traffic::{measure_traffic, TrafficConfig, TrafficReport};

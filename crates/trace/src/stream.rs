@@ -38,11 +38,7 @@ pub struct RefEvent {
 ///
 /// Panics if the program contains undecodable instructions (workload
 /// programs are trusted).
-pub fn for_each_ref(
-    program: &Program,
-    max_insts: u64,
-    mut f: impl FnMut(RefEvent),
-) -> u64 {
+pub fn for_each_ref(program: &Program, max_insts: u64, mut f: impl FnMut(RefEvent)) -> u64 {
     let mut mem = MemImage::new();
     program.load(&mut mem);
     let mut cpu = FuncCore::with_stack(program.entry, program.stack_top);
@@ -59,9 +55,19 @@ pub fn for_each_ref(
             icount: rec.icount,
         });
         if rec.is_load() {
-            f(RefEvent { kind: RefKind::Load, addr: rec.mem_addr, bytes: rec.mem_bytes, icount: rec.icount });
+            f(RefEvent {
+                kind: RefKind::Load,
+                addr: rec.mem_addr,
+                bytes: rec.mem_bytes,
+                icount: rec.icount,
+            });
         } else if rec.is_store() {
-            f(RefEvent { kind: RefKind::Store, addr: rec.mem_addr, bytes: rec.mem_bytes, icount: rec.icount });
+            f(RefEvent {
+                kind: RefKind::Store,
+                addr: rec.mem_addr,
+                bytes: rec.mem_bytes,
+                icount: rec.icount,
+            });
         }
     }
     executed

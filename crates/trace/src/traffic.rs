@@ -25,11 +25,7 @@ pub struct TrafficConfig {
 
 impl Default for TrafficConfig {
     fn default() -> Self {
-        TrafficConfig {
-            cache: CacheConfig::spec95_trace(),
-            header_bytes: 8,
-            max_insts: u64::MAX,
-        }
+        TrafficConfig { cache: CacheConfig::spec95_trace(), header_bytes: 8, max_insts: u64::MAX }
     }
 }
 

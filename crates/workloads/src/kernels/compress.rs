@@ -68,7 +68,7 @@ pub fn build(scale: Scale) -> Program {
     let next = b.label();
     {
         load(&mut b, Opcode::Lbu, reg::T0, reg::S0, 0); // c = *in
-        // state = ((state << 5) ^ c)
+                                                        // state = ((state << 5) ^ c)
         b.inst(Inst::rri(Opcode::Slli, reg::T1, reg::S5, 5));
         rrr(&mut b, Opcode::Xor, reg::S5, reg::T1, reg::T0);
         // h = state & mask; entry = table + h*16

@@ -57,7 +57,7 @@ pub fn build(scale: Scale) -> Program {
     }
     let init = b.dwords(&words);
     let visited = b.space(nodes as u64 + 8); // byte flags (rounded up)
-    // Worst case every edge of every node is pushed before any pop.
+                                             // Worst case every edge of every node is pushed before any pop.
     let stack = b.space(8 * (4 * nodes as u64 + 64));
 
     // Copy the side table into the pool.
@@ -75,7 +75,8 @@ pub fn build(scale: Scale) -> Program {
     b.li(reg::S7, pool_base as i64);
 
     // For each root: clear visited, DFS.
-    let mut root_ids: Vec<u64> = (0..roots as u64).map(|k| k * (nodes as u64 / roots as u64)).collect();
+    let mut root_ids: Vec<u64> =
+        (0..roots as u64).map(|k| k * (nodes as u64 / roots as u64)).collect();
     root_ids.dedup();
     for &root in &root_ids {
         // Clear the visited table.
@@ -96,7 +97,7 @@ pub fn build(scale: Scale) -> Program {
         // Pop.
         addi(&mut b, reg::S2, reg::S2, -8);
         load(&mut b, Opcode::Ld, reg::T2, reg::S2, 0); // node ptr
-        // visited? index = (ptr - pool)/40
+                                                       // visited? index = (ptr - pool)/40
         rrr(&mut b, Opcode::Sub, reg::T3, reg::T2, reg::S7);
         b.li(reg::T4, NODE_BYTES as i64);
         rrr(&mut b, Opcode::Div, reg::T3, reg::T3, reg::T4);

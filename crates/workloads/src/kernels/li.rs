@@ -91,8 +91,7 @@ mod tests {
         let prog = build(Scale::Tiny);
         let (checksum, icount, _) = run(&prog, 3_000_000);
         // Independently compute the expected sum of cars.
-        let per_pass: u64 =
-            (0..2000u64).map(|i| i.wrapping_mul(2654435761) & 0xffff).sum();
+        let per_pass: u64 = (0..2000u64).map(|i| i.wrapping_mul(2654435761) & 0xffff).sum();
         assert_eq!(checksum, per_pass * 6);
         assert!(icount > 30_000);
     }

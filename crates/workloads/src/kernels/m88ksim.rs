@@ -80,7 +80,7 @@ pub fn build(scale: Scale) -> Program {
         load(b, Opcode::Lbu, reg::T1, reg::S4, 1); // a
         load(b, Opcode::Lbu, reg::T2, reg::S4, 2); // b
         load(b, Opcode::Lbu, reg::T3, reg::S4, 3); // c
-        // handler = jumptab[op]
+                                                   // handler = jumptab[op]
         b.inst(Inst::rri(Opcode::Slli, reg::T4, reg::T0, 3));
         rrr(b, Opcode::Add, reg::T4, reg::T4, reg::S3);
         load(b, Opcode::Ld, reg::T4, reg::T4, 0);

@@ -46,13 +46,13 @@ pub fn build(scale: Scale) -> Program {
     b.li(reg::S5, 0); // node index
     counted_loop(&mut b, reg::S4, nkeys as i64, |b| {
         load(b, Opcode::Ld, reg::T0, reg::S0, 0); // key
-        // h = (key ^ (key >> 17)) & mask
+                                                  // h = (key ^ (key >> 17)) & mask
         b.inst(Inst::rri(Opcode::Srli, reg::T1, reg::T0, 17));
         rrr(b, Opcode::Xor, reg::T1, reg::T0, reg::T1);
         rrr(b, Opcode::And, reg::T1, reg::T1, reg::S3);
         b.inst(Inst::rri(Opcode::Slli, reg::T1, reg::T1, 3));
         rrr(b, Opcode::Add, reg::T1, reg::T1, reg::S1); // &bucket
-        // node init
+                                                        // node init
         store(b, Opcode::Sd, reg::T0, reg::S2, 0); // key
         store(b, Opcode::Sd, reg::S5, reg::S2, 8); // val = index
         load(b, Opcode::Ld, reg::T2, reg::T1, 0); // old head

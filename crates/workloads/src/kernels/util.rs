@@ -28,12 +28,7 @@ pub fn random_f64s(seed: u64, n: usize) -> Vec<f64> {
 ///
 /// The body is emitted by the callback. `counter` must not be clobbered
 /// by the body.
-pub fn counted_loop(
-    b: &mut ProgBuilder,
-    counter: u8,
-    n: i64,
-    body: impl FnOnce(&mut ProgBuilder),
-) {
+pub fn counted_loop(b: &mut ProgBuilder, counter: u8, n: i64, body: impl FnOnce(&mut ProgBuilder)) {
     b.li(counter, n);
     let top = b.here();
     body(b);

@@ -67,7 +67,7 @@ pub fn build(scale: Scale) -> Program {
 
     counted_loop(&mut b, reg::S4, ntx as i64, |b| {
         load(b, Opcode::Ld, reg::T0, reg::S0, 0); // target key
-        // Binary search: lo = 0, hi = nrec.
+                                                  // Binary search: lo = 0, hi = nrec.
         b.li(reg::T1, 0);
         b.li(reg::T2, nrec as i64);
         let search = b.here();

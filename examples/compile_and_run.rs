@@ -6,8 +6,8 @@
 //! cargo run --release --example compile_and_run -- prog.dsc  # your program
 //! ```
 
-use datascalar::core_model::{DsConfig, DsSystem, TraditionalConfig, TraditionalSystem};
 use datascalar::compile;
+use datascalar::core_model::{DsConfig, DsSystem, TraditionalConfig, TraditionalSystem};
 
 /// A histogram-equalisation-flavoured demo: bucket counts over
 /// pseudo-random data, then a prefix sum — array-heavy, branchy, and
@@ -73,10 +73,6 @@ fn main() {
     let config = TraditionalConfig::with_onchip_share(2);
     let mut trad = TraditionalSystem::new(&config, &program);
     let trad_r = trad.run().expect("runs");
-    println!(
-        "traditional (1/2)  : {:.2} IPC, {} cycles",
-        trad_r.ipc(),
-        trad_r.cycles
-    );
+    println!("traditional (1/2)  : {:.2} IPC, {} cycles", trad_r.ipc(), trad_r.cycles);
     println!("speedup            : {:.2}x", ds_r.ipc() / trad_r.ipc());
 }

@@ -43,11 +43,8 @@ fn build_walk(owners: &[usize], page_bytes: u64) -> datascalar::Program {
     let base = ds_asm_data_base();
     for w in 0..page_of.len() {
         let this = page_of[w] as u64 * page_bytes / 8;
-        let next_addr = if w + 1 < page_of.len() {
-            base + page_of[w + 1] as u64 * page_bytes
-        } else {
-            0
-        };
+        let next_addr =
+            if w + 1 < page_of.len() { base + page_of[w + 1] as u64 * page_bytes } else { 0 };
         span[this as usize] = next_addr;
     }
     let span_ref = b.dwords(&span);
@@ -112,9 +109,7 @@ fn main() {
     let ds_ratio = spread.iter().map(|s| s.1).max().unwrap() as f64
         / spread.iter().map(|s| s.1).min().unwrap() as f64;
     println!();
-    println!(
-        "worst/best pattern spread: MMM {mmm_ratio:.2}x vs DataScalar {ds_ratio:.2}x —"
-    );
+    println!("worst/best pattern spread: MMM {mmm_ratio:.2}x vs DataScalar {ds_ratio:.2}x —");
     println!("the lock-step machine pays for every lead change; the out-of-order");
     println!("nodes overlap thread migrations with useful work, flattening the cost");
 }

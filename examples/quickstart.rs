@@ -64,11 +64,7 @@ fn main() {
         "  broadcasts={}  requests={}  write traffic={}",
         ds_result.bus.broadcasts, ds_result.bus.requests, ds_result.bus.writes
     );
-    println!(
-        "traditional (1/2)  : {:.2} IPC in {} cycles",
-        trad_result.ipc(),
-        trad_result.cycles
-    );
+    println!("traditional (1/2)  : {:.2} IPC in {} cycles", trad_result.ipc(), trad_result.cycles);
     println!(
         "  broadcasts={}  requests={}  write traffic={}",
         trad_result.bus.broadcasts, trad_result.bus.requests, trad_result.bus.writes

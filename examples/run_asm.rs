@@ -10,7 +10,9 @@
 //!
 //! Without a file argument, runs a built-in demo program.
 
-use datascalar::core_model::{DsConfig, DsSystem, PerfectSystem, TraditionalConfig, TraditionalSystem};
+use datascalar::core_model::{
+    DsConfig, DsSystem, PerfectSystem, TraditionalConfig, TraditionalSystem,
+};
 use datascalar::cpu::FuncCore;
 use datascalar::mem::MemImage;
 use datascalar::{assemble, Program};
@@ -55,11 +57,7 @@ fn main() {
 
     // Mode and node count from the tail of argv.
     let mode = args.iter().find(|a| ["ds", "trad", "perfect"].contains(&a.as_str()));
-    let nodes: usize = args
-        .iter()
-        .rev()
-        .find_map(|a| a.parse().ok())
-        .unwrap_or(2);
+    let nodes: usize = args.iter().rev().find_map(|a| a.parse().ok()).unwrap_or(2);
 
     match mode.map(String::as_str) {
         Some("ds") => {
@@ -109,11 +107,7 @@ fn main() {
             program.load(&mut mem);
             let mut cpu = FuncCore::with_stack(program.entry, program.stack_top);
             cpu.run(&mut mem, 100_000_000).expect("executes");
-            println!(
-                "functional: {} instructions, halted = {}",
-                cpu.icount(),
-                cpu.halted()
-            );
+            println!("functional: {} instructions, halted = {}", cpu.icount(), cpu.halted());
             dump_symbols(&program, &mem);
         }
     }

@@ -27,7 +27,8 @@ fn main() {
 
     // Trace view (Table 1 methodology).
     let prog = (workload.build)(Scale::Small);
-    let trace = measure_traffic(&prog, &TrafficConfig { max_insts: 2_000_000, ..Default::default() });
+    let trace =
+        measure_traffic(&prog, &TrafficConfig { max_insts: 2_000_000, ..Default::default() });
     println!("trace analysis (64 KiB 2-way write-allocate L1, functional):");
     println!("  fills={}  writebacks={}", trace.fills, trace.writebacks);
     println!(
@@ -48,7 +49,10 @@ fn main() {
     println!("timing simulation (16 KiB direct-mapped L1, 200k instructions):");
     println!(
         "  DataScalar x2 : {:>8} bytes in {:>6} transactions ({} broadcasts), {:.2} IPC",
-        ds_r.bus.bytes, ds_r.bus.transactions, ds_r.bus.broadcasts, ds_r.ipc()
+        ds_r.bus.bytes,
+        ds_r.bus.transactions,
+        ds_r.bus.broadcasts,
+        ds_r.ipc()
     );
     println!(
         "  traditional   : {:>8} bytes in {:>6} transactions ({} req / {} resp / {} writes), {:.2} IPC",

@@ -6,7 +6,7 @@
 #
 # Usage: scripts/verify.sh [--fast]
 #
-#   --fast      invariant lint + unit tests only (quick iteration)
+#   --fast      format check + invariant lint + unit tests only (quick iteration)
 #
 # Nothing here gates on host time. Simulator speed is ds-ledger's job:
 # parent-vs-change pairs of `benchmark/run.sh` on the six workloads in
@@ -38,6 +38,11 @@ run_lint() {
         exit 1
     fi
 }
+
+# One style, recorded in rustfmt.toml; a change that is not formatted
+# stops here, in both modes.
+echo "== cargo fmt --all --check"
+cargo fmt --all --check
 
 if [[ "${1:-}" == "--fast" ]]; then
     run_lint

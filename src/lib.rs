@@ -52,8 +52,8 @@ pub use ds_workloads as workloads;
 
 // The types almost every user needs, at the crate root.
 pub use ds_asm::{assemble, ProgBuilder, Program};
-pub use ds_lang::compile;
 pub use ds_core::{
     DsConfig, DsSystem, PerfectSystem, RunResult, TraditionalConfig, TraditionalSystem,
 };
+pub use ds_lang::compile;
 pub use ds_workloads::{by_name, Scale, Workload};

@@ -5,8 +5,8 @@
 //! ambient-state leak into simulated state shows up here as a
 //! first-run/second-run diff.
 
-use ds_bench::{run_datascalar, run_perfect, run_traditional, Budget};
 use datascalar::workloads::by_name;
+use ds_bench::{run_datascalar, run_perfect, run_traditional, Budget};
 
 #[test]
 fn figure7_systems_are_run_to_run_deterministic_on_compress() {

@@ -127,8 +127,9 @@ fn figure8_knobs_move_performance_in_the_right_direction() {
 /// The `| \`name\` | about |` rows of the experiment table in
 /// `crates/bench/src/lib.rs`'s module docs.
 fn documented_experiments() -> Vec<(String, String)> {
-    let lib = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/crates/bench/src/lib.rs"))
-        .expect("crates/bench/src/lib.rs");
+    let lib =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/crates/bench/src/lib.rs"))
+            .expect("crates/bench/src/lib.rs");
     lib.lines()
         .filter_map(|l| l.strip_prefix("//! | `")?.strip_suffix(" |")?.split_once("` | "))
         .map(|(name, about)| (name.to_string(), about.to_string()))
@@ -141,18 +142,20 @@ fn registry_results_and_docs_name_the_same_experiments() {
     let mut registered: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     // The crate docs list the registry, descriptions included, in order.
     let documented = documented_experiments();
-    let rows: Vec<(&str, &str)> = documented.iter().map(|(n, a)| (n.as_str(), a.as_str())).collect();
+    let rows: Vec<(&str, &str)> =
+        documented.iter().map(|(n, a)| (n.as_str(), a.as_str())).collect();
     assert_eq!(rows, EXPERIMENTS.iter().map(|e| (e.name, e.about)).collect::<Vec<_>>());
 
     // Every experiment has a committed output and every committed
     // output has an experiment: regen_results.sh walks results/*.txt,
     // so a missing file is never checked and a stale one never noticed.
-    let mut committed: Vec<String> = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/results"))
-        .expect("results/")
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
-        .map(|p| p.file_stem().unwrap().to_str().unwrap().to_string())
-        .collect();
+    let mut committed: Vec<String> =
+        std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/results"))
+            .expect("results/")
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+            .map(|p| p.file_stem().unwrap().to_str().unwrap().to_string())
+            .collect();
     committed.sort();
     registered.sort();
     assert_eq!(registered, committed);

@@ -13,11 +13,11 @@
 //! `cargo test --test golden_stats -- --ignored --nocapture`.
 
 use datascalar::core_model::RunResult;
-use datascalar::trace::{measure_traffic, TrafficConfig};
-use datascalar::workloads::{by_name, Scale, Workload};
 use datascalar::core_model::{DsSystem, TraditionalConfig, TraditionalSystem};
 use datascalar::mem::{TlbConfig, WritePolicy};
 use datascalar::net::FabricKind;
+use datascalar::trace::{measure_traffic, TrafficConfig};
+use datascalar::workloads::{by_name, Scale, Workload};
 use ds_bench::{baseline_config, run_datascalar, run_perfect, run_traditional, Budget};
 
 /// Every counter that a hot-path change could plausibly disturb,
@@ -208,7 +208,13 @@ fn ds_variants_pinned() {
 
 /// The trace window's high-water mark on one DataScalar machine: the
 /// worst node skew plus the in-flight window, in records.
-fn high_water(name: &str, scale: Scale, nodes: usize, fabric: FabricKind, max_insts: u64) -> (usize, u64) {
+fn high_water(
+    name: &str,
+    scale: Scale,
+    nodes: usize,
+    fabric: FabricKind,
+    max_insts: u64,
+) -> (usize, u64) {
     let w = by_name(name).expect("registered workload");
     let prog = (w.build)(scale);
     let mut config = baseline_config(nodes, max_insts);

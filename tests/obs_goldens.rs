@@ -41,16 +41,10 @@ fn metrics_populated_for_all_five_figure7_systems() {
         let r = run_datascalar(&w, nodes, b);
         let m = r.metrics.as_ref().unwrap_or_else(|| panic!("ds{nodes}: metrics missing"));
         assert!(m.events_recorded > 0, "ds{nodes}: no events recorded");
-        assert!(
-            m.broadcast_latency.total() > 0,
-            "ds{nodes}: no broadcast arrivals observed"
-        );
+        assert!(m.broadcast_latency.total() > 0, "ds{nodes}: no broadcast arrivals observed");
         assert!(m.bshr_occupancy.total() > 0, "ds{nodes}: no BSHR transitions observed");
         assert!(m.commit_burst.total() > 0, "ds{nodes}: no commits observed");
-        assert!(
-            m.datathread_run_cycles.total() > 0,
-            "ds{nodes}: no lead segments observed"
-        );
+        assert!(m.datathread_run_cycles.total() > 0, "ds{nodes}: no lead segments observed");
         assert_accounts_cover(&format!("ds{nodes}"), &r, nodes);
         assert!(!m.hot_pcs.is_empty(), "ds{nodes}: no hot PCs attributed");
     }
@@ -195,10 +189,7 @@ fn critpath_attribution_telescopes_for_all_figure7_systems() {
             assert_eq!(class_sum, n.attributed_cycles, "{label} node {i}: class leak");
             assert_eq!(kind_sum, n.attributed_cycles, "{label} node {i}: kind leak");
             let share_sum: f64 = EdgeClass::ALL.iter().map(|c| n.class_share(*c)).sum();
-            assert!(
-                (share_sum - 1.0).abs() < 1e-12,
-                "{label} node {i}: shares sum to {share_sum}"
-            );
+            assert!((share_sum - 1.0).abs() < 1e-12, "{label} node {i}: shares sum to {share_sum}");
         }
     }
 }
@@ -290,10 +281,7 @@ fn perfetto_trace_is_valid_json_with_monotonic_tracks() {
     // Per-node broadcast, BSHR, commit and stall-counter tracks must
     // exist (the acceptance criterion for `figure7_ipc --trace-out`).
     for track in ["broadcast", "bshr", "commit", "stalls"] {
-        assert!(
-            text.contains(&format!("\"name\":\"{track}\"")),
-            "missing {track} track metadata"
-        );
+        assert!(text.contains(&format!("\"name\":\"{track}\"")), "missing {track} track metadata");
     }
 
     // Every ring reports its drop count; a quick-budget run fits the
@@ -309,10 +297,7 @@ fn perfetto_trace_is_valid_json_with_monotonic_tracks() {
     }
 
     // The stall counter samples carry every bucket label.
-    assert!(
-        text.contains("\"name\":\"stall cycles\""),
-        "missing stall cycles counter events"
-    );
+    assert!(text.contains("\"name\":\"stall cycles\""), "missing stall cycles counter events");
     // ...and, on a run that fits the interval ring, their deltas sum
     // bucket by bucket to the node's whole-run cycle account.
     for (pid, node) in sys.nodes().iter().enumerate() {

@@ -143,10 +143,9 @@ fn skipping_actually_skips() {
     // must report none. li on the traditional machine is one long
     // chain of request round-trips: most of its cycles are skippable.
     let budget = Budget::quick();
-    for (model, workload, nodes, min_share) in [
-        (Model::DataScalar, "compress", 4usize, 0.1),
-        (Model::Traditional, "li", 2, 0.5),
-    ] {
+    for (model, workload, nodes, min_share) in
+        [(Model::DataScalar, "compress", 4usize, 0.1), (Model::Traditional, "li", 2, 0.5)]
+    {
         let mut config = DsConfig::with_nodes(nodes);
         config.max_insts = Some(budget.max_insts);
 

@@ -60,8 +60,7 @@ fn interval_deltas_sum_exactly_to_the_whole_run_ledgers() {
         // Each stall bucket's deltas sum to the node's whole-run ledger.
         let account = &m.node_accounts[ni];
         for b in StallBucket::ALL {
-            let from_intervals: u64 =
-                node.intervals.iter().map(|s| s.buckets[b as usize]).sum();
+            let from_intervals: u64 = node.intervals.iter().map(|s| s.buckets[b as usize]).sum();
             assert_eq!(
                 from_intervals,
                 account.get(b),

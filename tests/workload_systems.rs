@@ -71,11 +71,7 @@ fn perfect_cache_bounds_datascalar() {
         let p = perfect.run().unwrap().ipc();
         let mut ds = DsSystem::new(capped(2), &prog);
         let d = ds.run().unwrap().ipc();
-        assert!(
-            p >= d * 0.98,
-            "{}: perfect ({p:.2}) must bound DataScalar ({d:.2})",
-            w.name
-        );
+        assert!(p >= d * 0.98, "{}: perfect ({p:.2}) must bound DataScalar ({d:.2})", w.name);
     }
 }
 
