@@ -14,6 +14,12 @@
 //! and the panic propagates to the caller. Nor can a job hang: the
 //! engine's forward-progress watchdog ends every wedged simulation, and
 //! [`crate::expect_no_deadlock`] turns its report into that panic.
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "host parallelism lives here, at sweep level: each job is one whole, \
+              single-threaded simulation, and results come back in input order"
+)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

@@ -225,11 +225,12 @@ impl Bshr {
     /// Panics if no wait is outstanding for `line` (callers join via
     /// the DCUB, which tracks pending lines).
     pub fn join_wait(&mut self, line: u64, tag: RuuTag) {
-        self.waits
-            .get_mut(line)
-            // ds-lint: allow(p1) documented Panics contract: callers route through the DCUB, which only joins lines it has seen start_wait for
-            .expect("join_wait requires an outstanding wait")
-            .push(tag);
+        #[expect(
+            clippy::expect_used,
+            reason = "documented Panics contract: callers route through the DCUB, which only \
+                      joins lines it has seen start_wait for"
+        )]
+        self.waits.get_mut(line).expect("join_wait requires an outstanding wait").push(tag);
     }
 
     /// True if a wait is outstanding for `line`.

@@ -91,6 +91,7 @@ pub fn simulate(owners: &[Owner], lead_change_penalty: u64) -> MmmTimeline {
     let mut lead_changes = 0;
     let mut runs = Vec::new();
     let mut clock: u64 = 0;
+    #[expect(clippy::expect_used, reason = "the first word (i == 0) pushes the first run")]
     for (i, &o) in owners.iter().enumerate() {
         if i == 0 {
             runs.push(1);

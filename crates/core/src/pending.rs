@@ -76,11 +76,14 @@ impl PendingQueue {
     }
 
     /// Removes and returns the next message due by `now`, if any.
+    #[expect(
+        clippy::expect_used,
+        reason = "peek above proved the heap non-empty on this same call"
+    )]
     pub(crate) fn pop_due(&mut self, now: Cycle) -> Option<Message> {
         if self.heap.peek()?.ready > now {
             return None;
         }
-        // ds-lint: allow(p1) peek above proved the heap non-empty on this same call
         Some(self.heap.pop().expect("peeked").msg)
     }
 

@@ -485,7 +485,7 @@ impl DsSystem {
 }
 
 /// Commit-time correspondence auditing (docs/protocol.md §3–§5): the
-/// dynamic counterpart of the `ds-lint` static rules. Observational
+/// dynamic counterpart of the static rules (docs/analysis.md). Observational
 /// only — an audit build produces the same cycles and stats.
 #[cfg(feature = "audit")]
 impl DsMachine {

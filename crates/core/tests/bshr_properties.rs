@@ -8,7 +8,7 @@
 use ds_core::bshr::{Arrival, Bshr};
 use ds_core::linemap::LineMap;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 #[derive(Debug, Clone, Copy)]
 enum Event {
@@ -40,7 +40,7 @@ proptest! {
     ) {
         let mut bshr = Bshr::new(16, 2);
         let mut completed: Vec<u64> = Vec::new(); // tags
-        let mut outstanding: HashMap<u64, Vec<u64>> = HashMap::new(); // line -> tags
+        let mut outstanding: BTreeMap<u64, Vec<u64>> = BTreeMap::new(); // line -> tags
         for (i, &ev) in events.iter().enumerate() {
             let tag = i as u64;
             let now = i as u64 * 10;
@@ -101,7 +101,7 @@ proptest! {
     ) {
         let mut bshr = Bshr::new(4, 1);
         let mut last_arrivals = 0;
-        let mut have_wait: std::collections::HashSet<u64> = Default::default();
+        let mut have_wait: BTreeSet<u64> = Default::default();
         for (i, &ev) in events.iter().enumerate() {
             match ev {
                 Event::Request(line) => {

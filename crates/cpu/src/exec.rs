@@ -254,6 +254,8 @@ impl FuncCore {
         let simm = inst.imm as i64;
         let zimm = inst.imm as u32 as u64;
         use Opcode::*;
+        // No wildcard arm: rustc rejects an `Opcode` variant without an
+        // arm here, so the exec unit cannot drift from the opcode table.
         match inst.op {
             Add => self.set_ireg(inst.rd, rs.wrapping_add(rt)),
             Sub => self.set_ireg(inst.rd, rs.wrapping_sub(rt)),
@@ -284,9 +286,13 @@ impl FuncCore {
             Srli => self.set_ireg(inst.rd, rs.wrapping_shr(inst.imm as u32 & 63)),
             Srai => self.set_ireg(inst.rd, ((rs as i64).wrapping_shr(inst.imm as u32 & 63)) as u64),
             Lui => self.set_ireg(inst.rd, zimm << 32),
+            #[expect(
+                clippy::expect_used,
+                reason = "every opcode in this match arm is a load, and ds-isa's \
+                          `mem_width_matches_mnemonics` test pins a mem_width() for each"
+            )]
             Lb | Lbu | Lh | Lhu | Lw | Lwu | Ld | Fld => {
                 mem_addr = rs.wrapping_add_signed(simm);
-                // ds-lint: allow(p1) every opcode in this match arm defines mem_width() in the ISA table; drift is caught by ds-lint x1
                 mem_bytes = inst.op.mem_width().expect("load has width").bytes();
                 match inst.op {
                     Lb => self.set_ireg(inst.rd, mem.read_u8(mem_addr) as i8 as i64 as u64),
@@ -297,12 +303,20 @@ impl FuncCore {
                     Lwu => self.set_ireg(inst.rd, mem.read_u32(mem_addr) as u64),
                     Ld => self.set_ireg(inst.rd, mem.read_u64(mem_addr)),
                     Fld => self.fregs[inst.rd as usize] = mem.read_f64(mem_addr),
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "the enclosing arm admits only the opcodes above"
+                    )]
                     _ => unreachable!(),
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "every opcode in this match arm is a store, and ds-isa's \
+                          `mem_width_matches_mnemonics` test pins a mem_width() for each"
+            )]
             Sb | Sh | Sw | Sd | Fsd => {
                 mem_addr = rs.wrapping_add_signed(simm);
-                // ds-lint: allow(p1) every opcode in this match arm defines mem_width() in the ISA table; drift is caught by ds-lint x1
                 mem_bytes = inst.op.mem_width().expect("store has width").bytes();
                 let value = self.iregs[inst.rd as usize];
                 match inst.op {
@@ -311,6 +325,10 @@ impl FuncCore {
                     Sw => mem.write_u32(mem_addr, value as u32),
                     Sd => mem.write_u64(mem_addr, value),
                     Fsd => mem.write_f64(mem_addr, self.fregs[inst.rd as usize]),
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "the enclosing arm admits only the opcodes above"
+                    )]
                     _ => unreachable!(),
                 }
                 // Self-modifying stores: drop any cached decode of the
@@ -333,6 +351,10 @@ impl FuncCore {
                     Bge => (rs as i64) >= (rt as i64),
                     Bltu => rs < rt,
                     Bgeu => rs >= rt,
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "the enclosing arm admits only the opcodes above"
+                    )]
                     _ => unreachable!(),
                 };
                 if taken {

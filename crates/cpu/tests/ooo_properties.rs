@@ -41,6 +41,7 @@ impl MemSystem for ChaoticMem {
 
 /// Builds a program of interleaved ALU ops, loads, stores and short
 /// loops — structured to halt.
+#[expect(clippy::expect_used, reason = "test helper: a generated program that fails is a bug")]
 fn build_program(ops: &[(u8, u8, i32)], loops: u8) -> (TraceSource, u64) {
     let mut mem = MemImage::new();
     let mut insts: Vec<Inst> = Vec::new();

@@ -287,6 +287,48 @@ mod tests {
         }
     }
 
+    /// The `(byte, mnemonic)` cell pairs of docs/isa.md's opcode map:
+    /// a `0xNN` cell followed by a backquoted mnemonic cell, matched
+    /// whole, so `lw` is not found in a `lwu` row.
+    fn doc_rows(doc: &str) -> Vec<(u8, &str)> {
+        let mut rows = Vec::new();
+        for line in doc.lines().filter(|l| l.starts_with('|')) {
+            let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+            for pair in cells.windows(2) {
+                let hex = pair[0].strip_prefix("0x").map(|h| u8::from_str_radix(h, 16));
+                let mnemonic = pair[1].strip_prefix('`').and_then(|m| m.strip_suffix('`'));
+                if let (Some(Ok(byte)), Some(mnemonic)) = (hex, mnemonic) {
+                    rows.push((byte, mnemonic));
+                }
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn opcode_map_documents_every_opcode() {
+        let rows = doc_rows(include_str!("../../../docs/isa.md"));
+        for &op in Opcode::ALL {
+            let (byte, mnemonic) = (op as u8, op.mnemonic());
+            assert!(
+                rows.contains(&(byte, mnemonic)),
+                "{op:?} (`{mnemonic}`, {byte:#04x}) has no row in docs/isa.md's opcode map"
+            );
+        }
+        assert_eq!(rows.len(), Opcode::ALL.len(), "docs/isa.md maps opcodes the ISA lacks");
+    }
+
+    #[test]
+    fn doc_rows_match_mnemonics_token_by_token() {
+        let rows = doc_rows(
+            "| 0x25 | `lwu` | load | 0x4b | `fcvt.d.w` | convert |
+`lw` in prose
+",
+        );
+        assert_eq!(rows, [(0x25, "lwu"), (0x4b, "fcvt.d.w")]);
+        assert!(!rows.iter().any(|&(_, m)| m == "lw"), "`lw` must not match inside `lwu`");
+    }
+
     #[test]
     fn unknown_byte_rejected() {
         assert_eq!(Opcode::from_u8(0xff), None);
@@ -295,7 +337,7 @@ mod tests {
 
     #[test]
     fn discriminants_are_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &op in Opcode::ALL {
             assert!(seen.insert(op as u8), "duplicate discriminant for {op:?}");
         }
@@ -320,6 +362,10 @@ mod tests {
         assert_eq!(Opcode::Fsd.mem_width(), Some(MemWidth::B8));
         assert_eq!(Opcode::Add.mem_width(), None);
         assert_eq!(MemWidth::B8.bytes(), 8);
+        // FuncCore's load and store arms rely on this.
+        for &op in Opcode::ALL {
+            assert_eq!(op.mem_width().is_some(), op.is_mem(), "{op:?}");
+        }
     }
 
     #[test]

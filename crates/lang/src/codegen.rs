@@ -9,6 +9,11 @@
 //! Naive by design: the output is correct, deterministic, and
 //! load/store-rich — which makes compiled DSC a memory-intensive
 //! workload in its own right.
+#![expect(
+    clippy::disallowed_types,
+    reason = "symbol tables are probed by name and never iterated, so hash order cannot \
+              reach the emitted program"
+)]
 
 use crate::ast::*;
 use crate::error::LangError;

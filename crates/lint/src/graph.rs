@@ -150,7 +150,6 @@ mod tests {
         Workspace::build(vec![SourceFile {
             rel_path: "crates/core/src/x.rs".into(),
             raw: src.into(),
-            class: crate::FileClass { sim_crate: true, hot_module: false },
         }])
     }
 

@@ -1,6 +1,6 @@
 //! The per-file model: function definitions with their impl owners,
-//! allocation/panic fact sites and call sites, extracted from the
-//! shared token stream.
+//! allocation sites and call sites, extracted from the shared token
+//! stream.
 //!
 //! This is deliberately a *lexical* model, not a type-checked one: the
 //! linter over-approximates call resolution by name (see `graph.rs`),
@@ -10,7 +10,7 @@
 //! `verify.sh`.
 
 use crate::tokens::{strip, tokenize, LineIndex, Token, TokenKind};
-use crate::{parse_directives, scan, Allow, Diagnostic, FileClass};
+use crate::{parse_directives, scan, Allow, Diagnostic};
 
 /// One source file handed to the linter.
 #[derive(Debug, Clone)]
@@ -19,25 +19,12 @@ pub struct SourceFile {
     pub rel_path: String,
     /// Raw source text.
     pub raw: String,
-    /// Which rules apply to it.
-    pub class: FileClass,
 }
 
-/// What kind of fact a [`Site`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fact {
-    /// An allocation token (`Vec::new`, `format!`, `.collect()`, ...).
-    Alloc,
-    /// A panic path (`.unwrap()`, `.expect(..)`, `panic!`, `unsafe`).
-    Panic,
-}
-
-/// One fact occurrence.
+/// One allocation token occurrence.
 #[derive(Debug, Clone)]
 pub struct Site {
-    /// What was found.
-    pub fact: Fact,
-    /// The offending token, for the diagnostic (`Vec::new`, `.unwrap()`).
+    /// The offending token, for the diagnostic (`Vec::new`, `.collect()`).
     pub what: String,
     /// Byte offset in the cleaned text.
     pub offset: usize,
@@ -110,35 +97,29 @@ pub struct FileModel {
     pub allows: Vec<Allow>,
     /// Malformed `ds-lint:` directives.
     pub directive_errors: Vec<Diagnostic>,
-    /// Allocation and panic sites, in or out of a function (those
-    /// inside `test_regions` included; `lint` drops them).
+    /// Allocation sites, in or out of a function (those inside
+    /// `test_regions` included; `lint` drops them).
     pub sites: Vec<Site>,
 }
 
-/// How a [`FACT_TOKENS`] needle is matched in cleaned text.
+/// How an [`ALLOC_TOKENS`] needle is matched in cleaned text.
 enum Match {
     /// Plain substring (`Vec::new`, `vec![`).
     Text,
     /// A `.name(` method call.
     Method,
-    /// An identifier-delimited word.
-    Word,
 }
 
-/// The one allocation/panic token table: a1 reports the `Alloc` sites
-/// on the cycle path; p1 the `Panic` sites there and in hot modules.
-const FACT_TOKENS: [(Fact, Match, &str); 11] = [
-    (Fact::Alloc, Match::Text, "Vec::new"),
-    (Fact::Alloc, Match::Text, "vec!["),
-    (Fact::Alloc, Match::Text, "Box::new"),
-    (Fact::Alloc, Match::Text, "String::new"),
-    (Fact::Alloc, Match::Text, "format!"),
-    (Fact::Alloc, Match::Method, "to_vec"),
-    (Fact::Alloc, Match::Method, "collect"),
-    (Fact::Panic, Match::Method, "unwrap"),
-    (Fact::Panic, Match::Method, "expect"),
-    (Fact::Panic, Match::Word, "panic!"),
-    (Fact::Panic, Match::Word, "unsafe"),
+/// The allocation token table: a1 reports these sites on the cycle
+/// path.
+const ALLOC_TOKENS: [(Match, &str); 7] = [
+    (Match::Text, "Vec::new"),
+    (Match::Text, "vec!["),
+    (Match::Text, "Box::new"),
+    (Match::Text, "String::new"),
+    (Match::Text, "format!"),
+    (Match::Method, "to_vec"),
+    (Match::Method, "collect"),
 ];
 
 /// Keywords that can precede `(` without being a call.
@@ -161,17 +142,16 @@ pub fn parse_file(file: &SourceFile, file_idx: usize, fns: &mut Vec<FnDef>) -> F
     collect_fns(&cleaned, &tokens, &impls, &test_regions, file_idx, &index, fns);
     let new_fns = &mut fns[first..];
 
-    // Fact sites, assigned to the innermost containing function.
+    // Allocation sites, assigned to the innermost containing function.
     let mut sites = Vec::new();
-    for (fact, how, needle) in FACT_TOKENS {
+    for (how, needle) in ALLOC_TOKENS {
         let (hits, what) = match how {
             Match::Text => (scan::occurrences(&cleaned, needle), needle.to_string()),
             Match::Method => (scan::method_calls(&cleaned, needle), format!(".{needle}()")),
-            Match::Word => (scan::word_occurrences(&cleaned, needle), needle.to_string()),
         };
         for offset in hits {
             let func = innermost(new_fns, offset).map(|f| first + f);
-            sites.push(Site { fact, what: what.clone(), offset, func });
+            sites.push(Site { what: what.clone(), offset, func });
         }
     }
 
@@ -458,11 +438,7 @@ mod tests {
     use super::*;
 
     fn model(src: &str) -> (Vec<FnDef>, FileModel) {
-        let file = SourceFile {
-            rel_path: "crates/core/src/x.rs".into(),
-            raw: src.into(),
-            class: FileClass { sim_crate: true, hot_module: false },
-        };
+        let file = SourceFile { rel_path: "crates/core/src/x.rs".into(), raw: src.into() };
         let mut fns = Vec::new();
         let fm = parse_file(&file, 0, &mut fns);
         (fns, fm)
@@ -488,14 +464,14 @@ mod tests {
     #[test]
     fn sites_attach_to_the_innermost_fn() {
         let src = "fn outer() { let v: Vec<u8> = Vec::new(); }\n\
-                   fn inner_host() { fn nested() { x.unwrap(); } nested(); }\n";
+                   fn inner_host() { fn nested() { x.to_vec(); } nested(); }\n";
         let (fns, fm) = model(src);
-        let sites_of = |name: &str| -> Vec<Fact> {
+        let sites_of = |name: &str| -> Vec<String> {
             let id = fns.iter().find(|f| f.name == name).unwrap().id;
-            fm.sites.iter().filter(|s| s.func == Some(id)).map(|s| s.fact).collect()
+            fm.sites.iter().filter(|s| s.func == Some(id)).map(|s| s.what.clone()).collect()
         };
-        assert_eq!(sites_of("outer"), vec![Fact::Alloc]);
-        assert_eq!(sites_of("nested"), vec![Fact::Panic]);
+        assert_eq!(sites_of("outer"), vec!["Vec::new"]);
+        assert_eq!(sites_of("nested"), vec![".to_vec()"]);
         assert!(sites_of("inner_host").is_empty(), "nested site must not double-count");
     }
 

@@ -11,32 +11,7 @@
 //! byte offsets and newlines, so every position in the cleaned text
 //! maps 1:1 onto the original file for diagnostics.
 
-pub use crate::tokens::{is_ident, strip, strip_comments, LineIndex};
-
-/// Byte offsets of every occurrence of `word` in `text` delimited by
-/// non-identifier characters on both sides. A trailing `*` makes
-/// `word` a prefix: `Atomic*` matches every identifier that starts
-/// with `Atomic`.
-pub fn word_occurrences(text: &str, word: &str) -> Vec<usize> {
-    let (word, prefix) = match word.strip_suffix('*') {
-        Some(stem) => (stem, true),
-        None => (word, false),
-    };
-    let mut out = Vec::new();
-    let b = text.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = text[from..].find(word) {
-        let at = from + pos;
-        let before_ok = at == 0 || !is_ident(b[at - 1]);
-        let end = at + word.len();
-        let after_ok = prefix || end >= b.len() || !is_ident(b[end]);
-        if before_ok && after_ok {
-            out.push(at);
-        }
-        from = at + word.len().max(1);
-    }
-    out
-}
+pub use crate::tokens::{is_ident, strip, LineIndex};
 
 /// Byte offsets of `.name(` method calls (whitespace allowed between
 /// the name and the parenthesis; `.name_suffix(` does not match).
@@ -161,13 +136,6 @@ mod tests {
         assert_eq!(c.matches('\n').count(), src.matches('\n').count());
         let idx = LineIndex::new(&c);
         assert_eq!(idx.line_of(c.find('b').unwrap()), 4);
-    }
-
-    #[test]
-    fn word_occurrences_respect_boundaries() {
-        let text = "HashMap HashMapX XHashMap x.HashMap<u64>";
-        let hits = word_occurrences(text, "HashMap");
-        assert_eq!(hits.len(), 2);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The lexical layer: comment/string stripping, offset → line
 //! mapping, and a flat token stream.
 //!
-//! The file-scope rules (`scan.rs`) and the call-graph model
-//! (`model.rs`) lex source text through this one module, so a site
-//! reads identically to both. Everything here operates on a *cleaned*
-//! view of the source in which comments and string/char literals are
-//! blanked out with spaces. Blanking preserves byte offsets and
-//! newlines, so every position in the cleaned text maps 1:1 onto the
-//! original file for diagnostics.
+//! The search helpers (`scan.rs`), the directive parser and the
+//! call-graph model (`model.rs`) lex source text through this one
+//! module, so a site reads identically to all of them. Everything here
+//! operates on a *cleaned* view of the source in which comments and
+//! string/char literals are blanked out with spaces. Blanking preserves
+//! byte offsets and newlines, so every position in the cleaned text
+//! maps 1:1 onto the original file for diagnostics.
 //!
 //! The token stream is deliberately coarse: identifiers, single-byte
 //! punctuation, (blanked) string literals and lifetimes. Multi-byte
@@ -19,17 +19,6 @@
 /// spaces (newlines preserved), so token scans cannot match inside
 /// either.
 pub fn strip(source: &str) -> String {
-    strip_impl(source, true)
-}
-
-/// Like [`strip`], but keeps string literal contents (comments are still
-/// blanked). Used to parse the `opcodes!` table, whose mnemonics live in
-/// string literals.
-pub fn strip_comments(source: &str) -> String {
-    strip_impl(source, false)
-}
-
-fn strip_impl(source: &str, blank_strings: bool) -> String {
     let b = source.as_bytes();
     let mut out = Vec::with_capacity(b.len());
     let mut i = 0;
@@ -69,13 +58,8 @@ fn strip_impl(source: &str, blank_strings: bool) -> String {
                 while i < b.len() {
                     match b[i] {
                         b'\\' if i + 1 < b.len() => {
-                            if blank_strings {
-                                out.push(b' ');
-                                out.push(b' ');
-                            } else {
-                                out.push(b[i]);
-                                out.push(b[i + 1]);
-                            }
+                            out.push(b' ');
+                            out.push(b' ');
                             i += 2;
                         }
                         b'"' => {
@@ -88,7 +72,7 @@ fn strip_impl(source: &str, blank_strings: bool) -> String {
                             i += 1;
                         }
                         _ => {
-                            out.push(if blank_strings { b' ' } else { b[i] });
+                            out.push(b' ');
                             i += 1;
                         }
                     }
@@ -125,7 +109,7 @@ fn strip_impl(source: &str, blank_strings: bool) -> String {
                     if b[i] == b'\n' {
                         out.push(b'\n');
                     } else {
-                        out.push(if blank_strings { b' ' } else { b[i] });
+                        out.push(b' ');
                     }
                     i += 1;
                 }

@@ -230,12 +230,12 @@ impl Cache {
         let victim = if set.len() < assoc {
             None
         } else {
-            let (i, _) = set
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                // ds-lint: allow(p1) this branch requires set.len() >= assoc and assoc >= 1 is validated at construction
-                .expect("non-empty set");
+            #[expect(
+                clippy::expect_used,
+                reason = "this branch requires set.len() >= assoc and assoc >= 1 is validated at \
+                          construction"
+            )]
+            let (i, _) = set.iter().enumerate().min_by_key(|(_, l)| l.lru).expect("non-empty set");
             let evicted = set.swap_remove(i);
             let line_base = (evicted.tag * self.num_sets + set_idx as u64) * self.config.line_bytes;
             Some(Victim { line_addr: line_base, dirty: evicted.dirty })

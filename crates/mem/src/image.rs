@@ -2,7 +2,10 @@
 
 use crate::Addr;
 use std::cell::Cell;
-// ds-lint: allow(d1) probe-only chunk index: never iterated, so hash order cannot reach simulated state
+#[expect(
+    clippy::disallowed_types,
+    reason = "probe-only chunk index: never iterated, so hash order cannot reach simulated state"
+)]
 use std::collections::HashMap;
 
 /// Storage granularity of the sparse image (independent of the
@@ -36,7 +39,10 @@ const CHUNK: u64 = 4096;
 #[derive(Debug, Clone, Default)]
 pub struct MemImage {
     chunks: Vec<Box<[u8]>>,
-    // ds-lint: allow(d1) probed by chunk id on the functional hot path (memoized); never iterated
+    #[expect(
+        clippy::disallowed_types,
+        reason = "probed by chunk id on the functional hot path (memoized); never iterated"
+    )]
     index: HashMap<u64, u32>,
     /// Last resolution as `(chunk id, vec index)` — hit on sequential
     /// access.
@@ -75,7 +81,11 @@ impl MemImage {
         let idx = match self.lookup(id) {
             Some(idx) => idx,
             None => {
-                // ds-lint: allow(p1) 2^32 chunks would be 2^48 bytes of simulated memory; the address space is 48-bit so the count cannot overflow
+                #[expect(
+                    clippy::expect_used,
+                    reason = "2^32 chunks would be 2^48 bytes of simulated memory; the address \
+                              space is 48-bit so the count cannot overflow"
+                )]
                 let idx = u32::try_from(self.chunks.len()).expect("chunk count fits u32");
                 // ds-lint: allow(a1) first-touch chunk allocation: one 4 KiB vec per touched chunk for the whole run, amortized to zero on the steady-state cycle path
                 self.chunks.push(vec![0u8; CHUNK as usize].into_boxed_slice());

@@ -174,6 +174,7 @@ impl PageTable {
         let mut counts = [0usize; 4];
         for e in &self.entries {
             if e.class == PageClass::Replicated {
+                #[expect(clippy::unwrap_used, reason = "Segment::ALL lists every segment")]
                 let idx = Segment::ALL.iter().position(|&s| s == e.segment).unwrap();
                 counts[idx] += 1;
             }

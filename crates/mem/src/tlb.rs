@@ -96,12 +96,13 @@ impl Tlb {
         }
         self.misses += 1;
         if entries.len() >= assoc {
-            let (i, _) = entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.lru)
-                // ds-lint: allow(p1) this branch requires entries.len() >= assoc and assoc >= 1 is validated at construction
-                .expect("non-empty set");
+            #[expect(
+                clippy::expect_used,
+                reason = "this branch requires entries.len() >= assoc and assoc >= 1 is validated \
+                          at construction"
+            )]
+            let (i, _) =
+                entries.iter().enumerate().min_by_key(|(_, e)| e.lru).expect("non-empty set");
             entries.swap_remove(i);
         }
         entries.push(TlbEntry { vpn, lru: stamp });

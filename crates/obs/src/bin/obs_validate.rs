@@ -300,7 +300,9 @@ fn check_trace(v: &Value) -> Result<(), String> {
     if dropped_total > 0.0 {
         eprintln!("warning: {dropped_total:.0} events dropped in total across sources");
     }
+    #[expect(clippy::expect_used, reason = "flow ids are JSON numbers, which are never NaN")]
     flow_starts.sort_by(|a, b| a.partial_cmp(b).expect("flow ids are finite"));
+    #[expect(clippy::expect_used, reason = "flow ids are JSON numbers, which are never NaN")]
     for (ph, id) in &flow_refs {
         if flow_starts.binary_search_by(|s| s.partial_cmp(id).expect("finite")).is_err() {
             return Err(format!("flow `{ph}` event id {id} has no matching `s` start"));

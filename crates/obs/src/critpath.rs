@@ -25,9 +25,8 @@
 //! the full segment is walked *then* — allocation-free, into a
 //! pre-allocated accumulator — and cleared, so attribution covers the
 //! whole run with a cache-resident buffer and nothing is ever dropped.
-//! (This file is a ds-lint hot module, and `edge*`/`charge*` functions
-//! root the cycle path a1 and p1 police, so the recording path is
-//! a1-clean all the way down.) The report-time walk only covers the
+//! (`edge*`/`charge*` functions root the cycle path ds-lint's a1
+//! polices, so the recording path is a1-clean all the way down.) The report-time walk only covers the
 //! retained tail segment and folds it into a copy of the accumulator.
 //!
 //! Segment boundaries cost a little precision: a producer retired in an

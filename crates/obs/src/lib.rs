@@ -30,7 +30,7 @@
 //! branch, no field, no cache pressure. With the feature on, every hook
 //! is a constant-time write into storage allocated at construction: the
 //! cycle loop still allocates nothing (ds-lint rule a1 polices the
-//! `record*`, `charge*` and `edge*` paths like any other hot module).
+//! `record*`, `charge*` and `edge*` paths like any other cycle-loop root).
 
 pub mod account;
 pub mod critpath;

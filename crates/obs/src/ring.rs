@@ -1,6 +1,6 @@
 //! The pre-allocated event ring and the instrumented [`Probe`].
 //!
-//! This file is a ds-lint hot module: `record*` functions here run
+//! `record*` functions here root ds-lint's cycle path: they run
 //! inside the simulator's cycle loop when the `obs` feature is on, so
 //! rule a1 (no allocation) applies to them exactly as it does to
 //! `OooCore::step`. All storage is allocated once at construction;

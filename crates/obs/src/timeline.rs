@@ -14,9 +14,9 @@
 //!
 //! The Perfetto `stalls` counter track is rendered from these same
 //! intervals, and the ring follows the same overwrite-oldest +
-//! drop-counter discipline as [`crate::EventRing`]: this file is a
-//! ds-lint hot module, so the `sample*`/`note*` paths allocate nothing
-//! after construction.
+//! drop-counter discipline as [`crate::EventRing`]: `sample*` functions
+//! root ds-lint's cycle path, so the `sample*`/`note*` paths allocate
+//! nothing after construction.
 //!
 //! On top of the intervals, [`segment_phases`] runs a deterministic
 //! change-point pass (trailing-window smoothing, integer per-mille

@@ -44,6 +44,10 @@ pub fn for_each_ref(program: &Program, max_insts: u64, mut f: impl FnMut(RefEven
     let mut cpu = FuncCore::with_stack(program.entry, program.stack_top);
     let mut executed = 0;
     while executed < max_insts {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented Panics contract: workload programs are trusted"
+        )]
         let Some(rec) = cpu.step(&mut mem).expect("workload executes cleanly") else {
             break;
         };

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
-# Full verification: build, published-results check, --parallel output
-# check (the chaos matrix among them), tests, invariant lint, audit,
-# instrumented build, clippy, and a smoke run of the benchmark
-# (ds-ledger, benchmark/).
+# Full verification: format check, build, published-results check,
+# --parallel output check (the chaos matrix among them), tests,
+# invariant lint, audit, instrumented build, clippy with its seeded
+# fixture, and a smoke run of the benchmark (ds-ledger, benchmark/).
 #
 # Usage: scripts/verify.sh [--fast]
 #
-#   --fast      format check + invariant lint + unit tests only (quick iteration)
+#   --fast      format check + clippy + ds-lint + unit tests only (quick iteration)
 #
 # Nothing here gates on host time. Simulator speed is ds-ledger's job:
 # parent-vs-change pairs of `benchmark/run.sh` on the six workloads in
@@ -23,11 +23,11 @@ if [[ $# -gt 1 || ( $# -eq 1 && "$1" != "--fast" ) ]]; then
     exit 2
 fi
 
-# All five rules, call-graph ones included, in both modes. The
-# wall-clock budget keeps the linter honest about staying cheap enough
-# to run on every verify (<5s; it measures in milliseconds).
+# a1, the call-graph rule, in both modes. The wall-clock budget keeps
+# the linter honest about staying cheap enough to run on every verify
+# (<5s; it measures in milliseconds).
 run_lint() {
-    echo "== ds-lint (workspace invariants)"
+    echo "== ds-lint (allocation-free cycle path)"
     cargo build -q "$@" -p ds-lint
     local start=$(date +%s%N)
     cargo run -q "$@" -p ds-lint -- .
@@ -39,12 +39,20 @@ run_lint() {
     fi
 }
 
+# d1, d2 and p1 (clippy.toml and [workspace.lints], docs/analysis.md)
+# over every target of every member, in both modes.
+run_clippy() {
+    echo "== cargo clippy over the workspace (deny warnings)"
+    cargo clippy --workspace --all-targets -- -D warnings
+}
+
 # One style, recorded in rustfmt.toml; a change that is not formatted
 # stops here, in both modes.
 echo "== cargo fmt --all --check"
 cargo fmt --all --check
 
 if [[ "${1:-}" == "--fast" ]]; then
+    run_clippy
     run_lint
 
     echo "== cargo test (unit tests only)"
@@ -117,8 +125,34 @@ target/release/ds-dash --json "$tmp/fig7.json" \
 # embedded document (timeline interval sums included).
 cargo run -q --release -p ds-obs --bin obs_validate -- "$tmp/dash.html"
 
-echo "== cargo clippy over the workspace (deny warnings)"
-cargo clippy --workspace --all-targets -- -D warnings
+run_clippy
+
+echo "== seeded clippy fixture: every invariant clippy and rustc hold still fires"
+# The fixture is its own workspace, so its [lints] table is a copy of
+# the root's [workspace.lints]: lint_clean.rs checks the two are equal.
+# It finds the root clippy.toml by walking up from its directory.
+cargo test -q --test lint_clean
+fixture=crates/lint/tests/fixtures/clippy
+if cargo clippy -q --manifest-path "$fixture/Cargo.toml" --target-dir target/clippy-fixture \
+    -- -D warnings > "$tmp/clippy-fixture.txt" 2>&1; then
+    echo "verify: clippy passed $fixture, whose every item is a seeded violation" >&2
+    exit 1
+fi
+for want in \
+    'disallowed type `std::collections::HashMap`' \
+    'disallowed type `std::collections::HashSet`' \
+    'disallowed method `std::time::Instant::now`' \
+    'disallowed type `std::time::SystemTime`' \
+    'disallowed type `std::sync::Mutex`' \
+    'disallowed type `std::sync::atomic::AtomicU64`' \
+    'disallowed method `std::thread::spawn`' \
+    '#unwrap_used' '#expect_used' '#panic' '#unreachable' \
+    'usage of an `unsafe` block'; do
+    grep -qF -- "$want" "$tmp/clippy-fixture.txt" || {
+        echo "verify: clippy no longer reports the seeded violation: $want" >&2
+        exit 1
+    }
+done
 
 echo "== ds-ledger smoke: the benchmark builds against crates/* and its output checks pass"
 # No host-time gating (--quick): a public-API change that breaks the
