@@ -94,14 +94,11 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// One parsed suppression: findings of `rule` on line `line` are
-/// allowed.
+/// One parsed `allow(a1)`: a1 findings on line `line` are allowed.
 #[derive(Debug)]
 pub struct Allow {
     /// 1-based line of the directive.
     pub at: usize,
-    /// The rule it suppresses.
-    pub rule: Rule,
     /// The covered line.
     pub line: usize,
 }
@@ -138,13 +135,13 @@ pub fn parse_directives(file: &str, raw: &str, cleaned: &str) -> (Vec<Allow>, Ve
             continue;
         };
         let code = args[..close].trim();
-        let Some(rule) = Rule::ALL.into_iter().find(|r| r.code() == code) else {
+        if !Rule::ALL.into_iter().any(|r| r.code() == code) {
             errors.push(bad(format!(
                 "unknown lint rule `{code}` (known: {})",
                 Rule::ALL.map(Rule::code).join(" ")
             )));
             continue;
-        };
+        }
         if args[close + 1..].trim().is_empty() {
             errors.push(bad(format!(
                 "allow({code}) requires a reason: `{DIRECTIVE} allow({code}) <why this is safe>`"
@@ -161,7 +158,7 @@ pub fn parse_directives(file: &str, raw: &str, cleaned: &str) -> (Vec<Allow>, Ve
                 target += 1;
             }
         }
-        allows.push(Allow { at: lineno, rule, line: target });
+        allows.push(Allow { at: lineno, line: target });
     }
     (allows, errors)
 }
@@ -191,7 +188,7 @@ pub fn lint(w: &Workspace) -> Vec<Diagnostic> {
             let line = m.index.line_of(s.offset);
             let mut allowed = false;
             for (a, used) in m.allows.iter().zip(&mut used) {
-                if a.rule == Rule::A1 && a.line == line {
+                if a.line == line {
                     *used = true;
                     allowed = true;
                 }
@@ -215,7 +212,7 @@ pub fn lint(w: &Workspace) -> Vec<Diagnostic> {
                 &file.rel_path,
                 a.at,
                 Rule::Directive,
-                format!("allow({}) suppresses nothing: remove it", a.rule),
+                format!("allow({}) suppresses nothing: remove it", Rule::A1),
             ));
         }
     }
