@@ -660,6 +660,51 @@ mod tests {
         drop(sys);
     }
 
+    /// Every broadcast a node sends is granted the bus (and counted in
+    /// `bus.broadcasts`) or is still queued when the run stops: in the
+    /// node's outgoing queue or in one of the fabric's port queues. On
+    /// budget-stopped runs that is the whole gap between Table 3's sum
+    /// of `broadcasts_sent` and the ablations' `bus.broadcasts`.
+    #[test]
+    fn broadcasts_sent_are_granted_or_still_queued_at_the_stop() {
+        let mut gaps = Vec::new();
+        for name in ["compress", "turb3d", "wave5"] {
+            let w = ds_workloads::by_name(name).unwrap();
+            let prog = (w.build)(ds_workloads::Scale::Tiny);
+            let mut config = DsConfig::with_nodes(2);
+            config.max_insts = Some(40_000);
+            let mut sys = DsSystem::new(config, &prog);
+            let r = sys.run().unwrap();
+            let sent: u64 = r.nodes.iter().map(|n| n.broadcasts_sent).sum();
+            // The run is over: empty the nodes' queues, then let the
+            // fabric grant what its ports still hold (a transfer already
+            // in flight was counted at its grant).
+            let mut at_nodes = 0;
+            for node in &mut sys.machine.nodes {
+                while let Some(msg) = node.next_outgoing(Cycle::MAX) {
+                    at_nodes += u64::from(msg.kind == ds_net::MsgKind::Broadcast);
+                }
+            }
+            let fabric = &mut sys.machine.bus;
+            let mut out = Vec::new();
+            let mut now = r.cycles;
+            while !fabric.is_idle() && now < r.cycles + 100_000 {
+                fabric.step_into(now, &mut out);
+                now += 1;
+            }
+            assert!(fabric.is_idle(), "{name}: the fabric copy did not drain");
+            let in_fabric = fabric.stats().broadcasts - r.bus.broadcasts;
+            assert_eq!(
+                sent,
+                r.bus.broadcasts + at_nodes + in_fabric,
+                "{name}: sent {sent}, granted {}, queued at nodes {at_nodes}, in the fabric {in_fabric}",
+                r.bus.broadcasts
+            );
+            gaps.push(sent - r.bus.broadcasts);
+        }
+        assert!(gaps.iter().any(|&g| g > 0), "no run stopped with a broadcast queued: {gaps:?}");
+    }
+
     #[test]
     fn four_node_system_works() {
         let prog = strided_prog();

@@ -234,15 +234,17 @@ impl FuncCore {
         }
         let pc = self.pc;
         let slot = dcache_index(pc);
-        let inst = if self.dcache[slot].pc == pc {
-            self.dcache[slot].inst
-        } else {
+        if self.dcache[slot].pc != pc {
             let word = mem.read_u64(pc);
             let inst =
                 Inst::decode(word).map_err(|cause| ExecError::BadInstruction { pc, cause })?;
             self.dcache[slot] = DecodeSlot { pc, inst };
-            inst
-        };
+        }
+        // Copied whole from the decode-cache slot: one 8-byte store, not
+        // one per field, for the caller's block copy of the record to
+        // wait on (DESIGN.md §8, "The first node's remaining stall").
+        out.inst = self.dcache[slot].inst;
+        let inst = out.inst;
         let mut next_pc = pc + INST_BYTES;
         let mut taken = false;
         let mut mem_addr = 0u64;
@@ -393,7 +395,6 @@ impl FuncCore {
         }
         out.icount = self.icount;
         out.pc = pc;
-        out.inst = inst;
         out.next_pc = next_pc;
         out.taken = taken;
         out.mem_addr = mem_addr;

@@ -718,8 +718,7 @@ fn store_filter_sees_both_words_of_an_unaligned_store() {
 #[cfg(feature = "obs")]
 #[test]
 fn retirements_carry_their_slot_stamps_into_the_crit_window() {
-    let mut small = OooConfig::default();
-    small.ruu_entries = 4;
+    let small = OooConfig { ruu_entries: 4, ..OooConfig::default() };
     let prog: Vec<Inst> = [
         Inst::rri(Opcode::Addi, reg::T0, reg::ZERO, 0x4000),
         Inst::load(Opcode::Ld, reg::T1, reg::T0, 0),
@@ -739,7 +738,7 @@ fn retirements_carry_their_slot_stamps_into_the_crit_window() {
             core.complete_load_from(tag, at.max(now + 1), 0x4000, 3);
         }
     });
-    let nodes: Vec<ds_obs::CritNode> = core.crit_window().iter().copied().collect();
+    let nodes: Vec<ds_obs::CritNode> = core.crit_window().iter().collect();
     assert_eq!(nodes.len(), prog.len(), "one node per retirement");
     for (k, n) in nodes.iter().enumerate() {
         assert!(

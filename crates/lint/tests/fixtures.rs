@@ -117,7 +117,7 @@ fn stall_accounting_helpers_are_in_the_proven_region() {
         "BroadcastTags::next",
         "PageTable::classify",
         "PcProfile::charge_pc_many",
-        "walk_nodes",
+        "walk_segment",
     ] {
         let f = by_name(q).unwrap_or_else(|| panic!("{q} exists"));
         assert!(parent[f.id].is_some(), "{q} is reachable from the cycle-loop roots");

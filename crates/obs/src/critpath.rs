@@ -29,6 +29,15 @@
 //! polices, so the recording path is a1-clean all the way down.) The report-time walk only covers the
 //! retained tail segment and folds it into a copy of the accumulator.
 //!
+//! The segment stores each retirement as a 40-byte packed record
+//! rather than a 64-byte [`CritNode`]: the timestamps as exact `u32`
+//! back-deltas from the commit cycle, which every node a core retires
+//! fits. A node that does not fit is kept whole beside the segment (the
+//! escape, see [`CritWindow::escaped`]), so the packing is lossless for
+//! any input. The end-to-end communication edges are counted as each
+//! node retires, so a segment flush reads only the nodes the
+//! last-arrival walk visits.
+//!
 //! Segment boundaries cost a little precision: a producer retired in an
 //! already-flushed segment cannot be chased (the walk truncates there),
 //! and adjacent segments' covered spans overlap by up to a pipeline
@@ -40,8 +49,8 @@ use crate::{Cycle, Probe};
 
 /// Default [`CritWindow`] capacity — the *segment* size. The walk
 /// flushes each full segment into the accumulator, so any capacity
-/// attributes the whole run; this default keeps the buffer (1 MiB of
-/// 64-byte nodes per instrumented core, plus the accumulator's 64 KiB
+/// attributes the whole run; this default keeps the buffer (640 KiB of
+/// 40-byte records per instrumented core, plus the accumulator's 64 KiB
 /// per-PC table) while giving the backward walk ~16 K retirements of
 /// producer reach.
 pub const DEFAULT_CRIT_WINDOW_CAPACITY: usize = 1 << 14;
@@ -59,6 +68,22 @@ pub const UNKNOWN_SEND: Cycle = Cycle::MAX;
 
 /// Hot PCs kept per report (mirrors the cycle-accounting table width).
 const CRIT_PC_TOP: usize = 16;
+
+/// [`PackedNode::sent_back`] for a node without a send stamp
+/// ([`UNKNOWN_SEND`]).
+const NO_SEND: u32 = u32::MAX;
+
+/// [`PackedNode::sent_back`] for an escaped node: the record keeps `pc`
+/// and `commit`, and the whole [`CritNode`] sits in the window's escape
+/// list at the index `back[0] | back[1] << 32`.
+const ESCAPED: u32 = u32::MAX - 1;
+
+/// [`PackedNode::link`] holds `producer_back` below this bit and the
+/// [`FillKind`] in the two bits from it.
+const FILL_SHIFT: u32 = 30;
+
+/// The largest `producer_back` a packed record holds.
+const PRODUCER_BACK_MAX: u32 = (1 << FILL_SHIFT) - 1;
 
 /// How a retired instruction's completion was produced — the last
 /// arrival into its *complete* event.
@@ -210,6 +235,26 @@ impl FillKind {
             FillKind::RemoteFill => EdgeKind::RemoteFill,
         }
     }
+
+    /// The two bits a [`PackedNode`] stores this kind in.
+    fn bits(self) -> u32 {
+        match self {
+            FillKind::Exec => 0,
+            FillKind::Forward => 1,
+            FillKind::LocalFill => 2,
+            FillKind::RemoteFill => 3,
+        }
+    }
+
+    /// Inverse of [`FillKind::bits`] (only the low two bits are read).
+    fn from_bits(bits: u32) -> Self {
+        match bits & 3 {
+            0 => FillKind::Exec,
+            1 => FillKind::Forward,
+            2 => FillKind::LocalFill,
+            _ => FillKind::RemoteFill,
+        }
+    }
 }
 
 /// One retired instruction's graph node: pipeline timestamps plus its
@@ -252,6 +297,103 @@ impl Default for CritNode {
             sent: UNKNOWN_SEND,
             producer_back: 0,
             fill: FillKind::Exec,
+        }
+    }
+}
+
+/// One retained retirement in 40 bytes (a [`CritNode`] takes 64).
+///
+/// `pc` and `commit` are kept in full. `dispatch`, `ready`, `issue`
+/// and `complete` are exact `u32` back-deltas from `commit`, `sent` a
+/// `u32` back-delta from `complete` (with [`NO_SEND`] for
+/// [`UNKNOWN_SEND`]), and `producer_back` shares one word with the
+/// fill kind. Every node a core retires packs: its stages are ordered
+/// (`dispatch ≤ ready ≤ issue ≤ complete ≤ commit`, a send precedes
+/// its fill), no instruction is in flight for 2³² cycles, and a
+/// producer is at most an RUU's length back. Anything else — a stage
+/// after the commit, a stage 2³² or more cycles before it, a send after
+/// the fill or 2³² − 2 or more cycles before it, a `producer_back` above
+/// [`PRODUCER_BACK_MAX`] — takes the escape: the record is marked
+/// [`ESCAPED`] and the node is kept whole beside the segment. No field
+/// ever wraps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PackedNode {
+    /// Static PC.
+    pc: u64,
+    /// Cycle it retired.
+    commit: Cycle,
+    /// `commit` minus `complete`, `issue`, `ready` and `dispatch`; for
+    /// an escaped node, its escape-list index in the first two words.
+    back: [u32; 4],
+    /// `complete` minus `sent`, or [`NO_SEND`], or [`ESCAPED`].
+    sent_back: u32,
+    /// `producer_back | fill << FILL_SHIFT`.
+    link: u32,
+}
+
+impl PackedNode {
+    /// `node` packed, or `None` when it needs the escape. A stage `t`
+    /// packs as `commit.wrapping_sub(t)`, which is exact when it is at
+    /// most `commit` (a stage after the commit wraps past it) and fits a
+    /// `u32`; the send stamp likewise against `complete`. Inlined into
+    /// `edge_retire`, the record stays in registers until it is stored
+    /// in the segment (one assembled in a stack temporary with 4-byte
+    /// stores and copied out with 16-byte loads stalled on store
+    /// forwarding).
+    #[inline]
+    fn pack(node: &CritNode) -> Option<PackedNode> {
+        let back = [node.complete, node.issue, node.ready, node.dispatch]
+            .map(|t| node.commit.wrapping_sub(t));
+        let farthest = back[0].max(back[1]).max(back[2]).max(back[3]);
+        let sent_back = node.complete.wrapping_sub(node.sent);
+        let sent_fits =
+            node.sent == UNKNOWN_SEND || sent_back <= node.complete.min(u64::from(ESCAPED) - 1);
+        let fits = farthest <= node.commit.min(u64::from(u32::MAX))
+            && sent_fits
+            && node.producer_back <= PRODUCER_BACK_MAX;
+        fits.then(|| PackedNode {
+            pc: node.pc,
+            commit: node.commit,
+            back: back.map(|d| d as u32),
+            sent_back: if node.sent == UNKNOWN_SEND { NO_SEND } else { sent_back as u32 },
+            link: node.producer_back | node.fill.bits() << FILL_SHIFT,
+        })
+    }
+
+    /// The record of a node kept at `at` in the escape list.
+    fn escape(node: &CritNode, at: usize) -> PackedNode {
+        let at = at as u64;
+        PackedNode {
+            pc: node.pc,
+            commit: node.commit,
+            back: [at as u32, (at >> 32) as u32, 0, 0],
+            sent_back: ESCAPED,
+            link: 0,
+        }
+    }
+
+    /// The node this record holds, exactly as it was recorded.
+    #[inline]
+    fn unpack(&self, escapes: &[CritNode]) -> CritNode {
+        if self.sent_back == ESCAPED {
+            let at = u64::from(self.back[0]) | u64::from(self.back[1]) << 32;
+            return escapes[at as usize];
+        }
+        let complete = self.commit - u64::from(self.back[0]);
+        CritNode {
+            pc: self.pc,
+            dispatch: self.commit - u64::from(self.back[3]),
+            ready: self.commit - u64::from(self.back[2]),
+            issue: self.commit - u64::from(self.back[1]),
+            complete,
+            commit: self.commit,
+            sent: if self.sent_back == NO_SEND {
+                UNKNOWN_SEND
+            } else {
+                complete - u64::from(self.sent_back)
+            },
+            producer_back: self.link & PRODUCER_BACK_MAX,
+            fill: FillKind::from_bits(self.link >> FILL_SHIFT),
         }
     }
 }
@@ -327,10 +469,9 @@ struct CritAccum {
     truncated: bool,
     /// Nodes folded in and discarded by segment flushes.
     flushed: u64,
-    /// Cycles per [`EdgeKind`].
+    /// Cycles per [`EdgeKind`]; the per-class cycles are their sums,
+    /// rolled up at report time.
     kind_cycles: [u64; EDGE_KIND_COUNT],
-    /// Cycles per [`EdgeClass`].
-    class_cycles: [u64; EDGE_CLASS_COUNT],
     /// Remote fills carrying a cross-node send stamp.
     comm_edges: u64,
     /// Sum of their end-to-end cycles.
@@ -348,7 +489,6 @@ impl CritAccum {
             truncated: false,
             flushed: 0,
             kind_cycles: [0; EDGE_KIND_COUNT],
-            class_cycles: [0; EDGE_CLASS_COUNT],
             comm_edges: 0,
             comm_edge_cycles: 0,
             comm_edge_max: 0,
@@ -360,110 +500,110 @@ impl CritAccum {
     /// segment-flush path under `edge_retire` (rule a1 applies).
     fn charge(&mut self, kind: EdgeKind, span: u64, pc: u64) {
         self.kind_cycles[kind.index()] += span;
-        self.class_cycles[kind.class().index()] += span;
         if span > 0 {
             self.pcs.charge_pc(pc, span);
+        }
+    }
+
+    /// Cycles per [`EdgeClass`]: each kind's cycles summed into its class.
+    fn class_cycles(&self) -> [u64; EDGE_CLASS_COUNT] {
+        let mut classes = [0; EDGE_CLASS_COUNT];
+        for kind in EdgeKind::ALL {
+            classes[kind.class().index()] += self.kind_cycles[kind.index()];
+        }
+        classes
+    }
+
+    /// Counts one end-to-end communication edge of `node` if it is a
+    /// remote fill with a send stamp: every such retirement, not only
+    /// the ones the walk lands on. Runs under `edge_retire` (rule a1
+    /// applies).
+    fn charge_comm_edge(&mut self, node: &CritNode) {
+        if node.fill == FillKind::RemoteFill && node.sent != UNKNOWN_SEND {
+            // Data cannot complete before it was sent, so this never
+            // saturates on a core's stream.
+            let e2e = node.complete.saturating_sub(node.sent);
+            self.comm_edges += 1;
+            self.comm_edge_cycles += e2e;
+            self.comm_edge_max = self.comm_edge_max.max(e2e);
         }
     }
 }
 
 /// Walks one contiguous retirement-ordered segment backwards from its
 /// newest commit along the last-arrival chain, attributing every
-/// covered cycle to exactly one edge, and folds the result into `acc`.
-/// Runs on the segment-flush path under `edge_retire` (rule a1's
-/// transitive closure applies: nothing here allocates) and once more at
-/// report time over the retained tail.
-fn walk_nodes(nodes: &[CritNode], acc: &mut CritAccum) {
-    // End-to-end communication edge lengths over every remote fill in
-    // the segment (not only the ones the walk lands on): complete
-    // minus the cross-node send stamp. A negative-overlap case cannot
-    // arise (data cannot complete before it was sent).
-    for n in nodes {
-        if n.fill == FillKind::RemoteFill && n.sent != UNKNOWN_SEND {
-            let e2e = n.complete.saturating_sub(n.sent);
-            acc.comm_edges += 1;
-            acc.comm_edge_cycles += e2e;
-            acc.comm_edge_max = acc.comm_edge_max.max(e2e);
-        }
-    }
-    let Some(last) = nodes.last() else { return };
-
-    enum Entry {
-        /// Walking into the node's commit event.
-        Commit,
-        /// Walking into its complete event (via a data-dep edge).
-        Complete,
-        /// Walking its in-order dispatch chain.
-        Dispatch,
-    }
-
+/// covered cycle to exactly one edge, and folds the result into `acc`;
+/// `escapes` holds the segment's escaped nodes. Runs on the
+/// segment-flush path under `edge_retire` (rule a1's transitive
+/// closure applies: nothing here allocates) and once more at report
+/// time over the retained tail. It decodes only the records it visits.
+fn walk_segment(seg: &[PackedNode], escapes: &[CritNode], acc: &mut CritAccum) {
+    let Some(last) = seg.last() else { return };
+    let node = |i: usize| seg[i].unpack(escapes);
     let end = last.commit;
     let mut cur = end;
-    let mut i = nodes.len() - 1;
-    let mut entry = Entry::Commit;
+    let mut i = seg.len() - 1;
+    let mut nd = node(i);
     // Each span is clamped monotone (`point.min(cur)`), so the
     // per-edge cycles telescope exactly to `end - cur` at exit —
-    // the invariant behind "shares sum to 1.0".
+    // the invariant behind "shares sum to 1.0". The walk passes
+    // through three phases and never goes back to an earlier one, so
+    // each visited record is decoded once.
+
+    // Commit events: while a node was done before its predecessor
+    // committed, the in-order commit edge was the last arrival.
+    while i > 0 && seg[i - 1].commit >= nd.complete {
+        let t = seg[i - 1].commit.min(cur);
+        acc.charge(EdgeKind::CommitSerial, cur - t, nd.pc);
+        cur = t;
+        i -= 1;
+        nd = node(i);
+    }
+    // Commit gated by its own completion; the commit-window pop rides
+    // on the fill edge.
+    let t = nd.complete.min(cur);
+    acc.charge(nd.fill.edge(), cur - t, nd.pc);
+    cur = t;
+
+    // Complete events: the fill and the functional-unit wait, then the
+    // data dependence back into the producer's complete event.
     loop {
-        let nd = nodes[i];
-        match entry {
-            Entry::Commit => {
-                let head_blocked = i > 0 && nodes[i - 1].commit >= nd.complete;
-                if head_blocked {
-                    // Done before the predecessor committed: the
-                    // in-order commit edge was the last arrival.
-                    let t = nodes[i - 1].commit.min(cur);
-                    acc.charge(EdgeKind::CommitSerial, cur - t, nd.pc);
-                    cur = t;
-                    i -= 1;
-                } else {
-                    // Commit gated by its own completion; the
-                    // commit-window pop rides on the fill edge.
-                    let t = nd.complete.min(cur);
-                    acc.charge(nd.fill.edge(), cur - t, nd.pc);
-                    cur = t;
-                    entry = Entry::Complete;
-                }
-            }
-            Entry::Complete => {
-                let t_issue = nd.issue.min(cur);
-                acc.charge(nd.fill.edge(), cur - t_issue, nd.pc);
-                cur = t_issue;
-                let t_ready = nd.ready.min(cur);
-                acc.charge(EdgeKind::FuWait, cur - t_ready, nd.pc);
-                cur = t_ready;
-                if nd.producer_back > 0 {
-                    let back = nd.producer_back as usize;
-                    if back > i {
-                        // The producer retired in an earlier segment.
-                        acc.truncated = true;
-                        break;
-                    }
-                    let j = i - back;
-                    let p = &nodes[j];
-                    let t = p.complete.min(cur);
-                    // The hand-off cycle belongs to the producer.
-                    acc.charge(EdgeKind::DataDep, cur - t, p.pc);
-                    cur = t;
-                    i = j;
-                } else {
-                    let t = nd.dispatch.min(cur);
-                    acc.charge(EdgeKind::Fetch, cur - t, nd.pc);
-                    cur = t;
-                    entry = Entry::Dispatch;
-                }
-            }
-            Entry::Dispatch => {
-                if i == 0 {
-                    break;
-                }
-                let prev = &nodes[i - 1];
-                let t = prev.dispatch.min(cur);
-                acc.charge(EdgeKind::Fetch, cur - t, prev.pc);
-                cur = t;
-                i -= 1;
-            }
+        let t_issue = nd.issue.min(cur);
+        acc.charge(nd.fill.edge(), cur - t_issue, nd.pc);
+        cur = t_issue;
+        let t_ready = nd.ready.min(cur);
+        acc.charge(EdgeKind::FuWait, cur - t_ready, nd.pc);
+        cur = t_ready;
+        if nd.producer_back == 0 {
+            break;
         }
+        let back = nd.producer_back as usize;
+        if back > i {
+            // The producer retired in an earlier segment.
+            acc.truncated = true;
+            acc.attributed += end - cur;
+            return;
+        }
+        i -= back;
+        let p = node(i);
+        let t = p.complete.min(cur);
+        // The hand-off cycle belongs to the producer.
+        acc.charge(EdgeKind::DataDep, cur - t, p.pc);
+        cur = t;
+        nd = p;
+    }
+
+    // Dispatch: it dispatched ready, so the front end was the last
+    // arrival, and the in-order dispatch chain runs to the segment's
+    // first node.
+    let t = nd.dispatch.min(cur);
+    acc.charge(EdgeKind::Fetch, cur - t, nd.pc);
+    cur = t;
+    for prev in seg[..i].iter().rev() {
+        let prev = prev.unpack(escapes);
+        let t = prev.dispatch.min(cur);
+        acc.charge(EdgeKind::Fetch, cur - t, prev.pc);
+        cur = t;
     }
     acc.attributed += end - cur;
 }
@@ -471,13 +611,20 @@ fn walk_nodes(nodes: &[CritNode], acc: &mut CritAccum) {
 /// The bounded segment buffer of retired-instruction graph nodes plus
 /// the accumulator full segments are flushed into, and — for a core's
 /// window — the nodes of the instructions still in flight, stamped as
-/// they go. All pre-allocated; recording never fails, blocks or
-/// allocates, and attribution covers the whole run regardless of
-/// capacity.
+/// they go. All pre-allocated; recording never fails or blocks, never
+/// allocates on a core's stream (only an escape can, see
+/// [`CritWindow::escaped`]), and attribution covers the whole run
+/// regardless of capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CritWindow {
-    /// Backing storage, allocated once; `buf.capacity()` never changes.
-    buf: Vec<CritNode>,
+    /// The segment's packed records, allocated once; `buf.capacity()`
+    /// never changes.
+    buf: Vec<PackedNode>,
+    /// The segment's escaped nodes, in retirement order; cleared with
+    /// the segment, and never touched by a core's stream.
+    escapes: Vec<CritNode>,
+    /// Escaped retirements in total (retained + flushed).
+    escaped: u64,
     /// Attribution folded in from flushed segments.
     acc: CritAccum,
     /// In-flight nodes by RUU ring slot, stamped from dispatch to
@@ -495,19 +642,49 @@ impl CritWindow {
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "a critical-path window needs at least one slot");
-        CritWindow { buf: Vec::with_capacity(capacity), acc: CritAccum::new(), stamps: Vec::new() }
+        CritWindow {
+            buf: Vec::with_capacity(capacity),
+            escapes: Vec::new(),
+            escaped: 0,
+            acc: CritAccum::new(),
+            stamps: Vec::new(),
+        }
     }
 
     /// Appends one retirement. A full buffer is first walked into the
     /// accumulator and cleared — amortized O(1). This is the
-    /// per-retirement hot path (rule a1 applies).
+    /// per-retirement hot path (rule a1 applies), inlined into the
+    /// core's commit so that the node never leaves registers.
+    #[inline(always)]
     pub fn edge_retire(&mut self, node: CritNode) {
+        self.acc.charge_comm_edge(&node);
         if self.buf.len() == self.buf.capacity() {
-            walk_nodes(&self.buf, &mut self.acc);
-            self.acc.flushed += self.buf.len() as u64;
-            self.buf.clear();
+            self.edge_flush();
         }
-        self.buf.push(node);
+        let packed = if let Some(packed) = PackedNode::pack(&node) {
+            packed
+        } else {
+            // The escape: keep the node whole and point the record at
+            // it. The list grows on demand, up to the segment capacity,
+            // and keeps its storage across flushes; a core's stream
+            // never gets here. Inline, so `node` never needs an address
+            // and stays out of memory on the packing path.
+            self.escapes.push(node);
+            self.escaped += 1;
+            PackedNode::escape(&node, self.escapes.len() - 1)
+        };
+        self.buf.push(packed);
+    }
+
+    /// Walks the full segment into the accumulator and clears it, once
+    /// per `capacity` retirements (rule a1 applies).
+    #[cold]
+    #[inline(never)]
+    fn edge_flush(&mut self) {
+        walk_segment(&self.buf, &self.escapes, &mut self.acc);
+        self.acc.flushed += self.buf.len() as u64;
+        self.buf.clear();
+        self.escapes.clear();
     }
 
     /// Retained (not yet flushed) nodes.
@@ -531,9 +708,18 @@ impl CritWindow {
         self.buf.len() as u64 + self.acc.flushed
     }
 
-    /// Retained nodes, oldest to newest (retirement order).
-    pub fn iter(&self) -> impl Iterator<Item = &CritNode> + '_ {
-        self.buf.iter()
+    /// Retirements that did not fit a packed record and were kept whole
+    /// (retained + flushed): a stage after the commit or 2³² or more
+    /// cycles before it, a send after the fill or 2³² − 2 or more cycles
+    /// before it, a `producer_back` of 2³⁰ or more. Always 0 on a core's
+    /// stream.
+    pub fn escaped(&self) -> u64 {
+        self.escaped
+    }
+
+    /// Retained nodes, oldest to newest (retirement order), decoded.
+    pub fn iter(&self) -> impl Iterator<Item = CritNode> + '_ {
+        self.buf.iter().map(|p| p.unpack(&self.escapes))
     }
 
     /// Folds the retained tail segment into a copy of the accumulator
@@ -541,13 +727,13 @@ impl CritWindow {
     /// (allocation here is fine; recording is not).
     pub fn path_report(&self) -> CritPathNodeReport {
         let mut acc = self.acc.clone();
-        walk_nodes(&self.buf, &mut acc);
+        walk_segment(&self.buf, &self.escapes, &mut acc);
         CritPathNodeReport {
             attributed_cycles: acc.attributed,
             truncated: acc.truncated,
             window_recorded: self.recorded(),
             window_dropped: 0,
-            class_cycles: acc.class_cycles,
+            class_cycles: acc.class_cycles(),
             kind_cycles: acc.kind_cycles,
             comm_edges: acc.comm_edges,
             comm_edge_cycles: acc.comm_edge_cycles,
@@ -714,6 +900,8 @@ impl CritPathReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn node(
         pc: u64,
@@ -898,6 +1086,276 @@ mod tests {
         }
         assert_eq!(w.capacity(), cap, "capacity must never change");
         assert_eq!(w.buf.as_ptr(), ptr, "storage must never reallocate");
+    }
+
+    #[test]
+    fn a_retained_record_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<PackedNode>(), 40);
+        assert_eq!(std::mem::size_of::<CritNode>(), 64);
+        // The escape list and its count took the bytes of the per-class
+        // counters the accumulator no longer keeps, so every probe
+        // owner's inline size, and what its constructor allocates, is
+        // unchanged by them.
+        assert_eq!(std::mem::size_of::<CritWindow>(), 224);
+    }
+
+    #[test]
+    fn nodes_that_do_not_pack_escape_whole() {
+        const LIMIT: u64 = u32::MAX as u64;
+        let base = 1u64 << 40;
+        let ordered = node(0x10, base - LIMIT, base - 3, base - 2, base - 1, base);
+        let cases = [
+            // At the limits: these pack.
+            (ordered, false),
+            (CritNode { sent: ordered.complete - (LIMIT - 2), ..ordered }, false),
+            (CritNode { producer_back: PRODUCER_BACK_MAX, ..ordered }, false),
+            (CritNode { ready: base - 1, issue: base - 2, ..ordered }, false),
+            // Past them: these escape.
+            (CritNode { dispatch: base - LIMIT - 1, ..ordered }, true),
+            (CritNode { complete: base + 1, ..ordered }, true),
+            // So far after the commit that the difference wraps into range.
+            (CritNode { complete: u64::MAX - 2, ..node(0x30, 0, 1, 2, 3, 5) }, true),
+            (CritNode { sent: ordered.complete - (LIMIT - 1), ..ordered }, true),
+            (CritNode { sent: ordered.complete + 1, ..ordered }, true),
+            (CritNode { producer_back: PRODUCER_BACK_MAX + 1, ..ordered }, true),
+            (node(0x20, 0, 0, 0, 0, u64::MAX), true),
+        ];
+        let mut w = CritWindow::with_capacity(cases.len());
+        for (k, &(n, escapes)) in cases.iter().enumerate() {
+            let n = CritNode { fill: FillKind::from_bits(k as u32), ..n };
+            assert_eq!(PackedNode::pack(&n).is_none(), escapes, "case {k}: {n:?}");
+            w.edge_retire(n);
+        }
+        let expected = cases.iter().filter(|c| c.1).count() as u64;
+        assert_eq!(w.escaped(), expected);
+        let back: Vec<CritNode> = w.iter().collect();
+        let sent: Vec<CritNode> = cases
+            .iter()
+            .enumerate()
+            .map(|(k, c)| CritNode { fill: FillKind::from_bits(k as u32), ..c.0 })
+            .collect();
+        assert_eq!(back, sent, "every node reads back exactly");
+        // The next segment starts with an empty escape list.
+        w.edge_retire(ordered);
+        assert_eq!(w.iter().collect::<Vec<_>>(), [ordered]);
+        assert_eq!(w.escapes.len(), 0);
+    }
+
+    /// The accumulator as it was beside 64-byte nodes, class cycles
+    /// charged edge by edge.
+    struct ReferenceAccum {
+        attributed: u64,
+        truncated: bool,
+        kind_cycles: [u64; EDGE_KIND_COUNT],
+        class_cycles: [u64; EDGE_CLASS_COUNT],
+        comm_edges: u64,
+        comm_edge_cycles: u64,
+        comm_edge_max: u64,
+        pcs: PcTable,
+    }
+
+    impl ReferenceAccum {
+        fn charge(&mut self, kind: EdgeKind, span: u64, pc: u64) {
+            self.kind_cycles[kind.index()] += span;
+            self.class_cycles[kind.class().index()] += span;
+            if span > 0 {
+                self.pcs.charge_pc(pc, span);
+            }
+        }
+    }
+
+    /// The segment walk as it ran over 64-byte nodes, communication-edge
+    /// pass included: the reference the packed window must reproduce.
+    fn reference_walk(nodes: &[CritNode], acc: &mut ReferenceAccum) {
+        for n in nodes {
+            if n.fill == FillKind::RemoteFill && n.sent != UNKNOWN_SEND {
+                let e2e = n.complete.saturating_sub(n.sent);
+                acc.comm_edges += 1;
+                acc.comm_edge_cycles += e2e;
+                acc.comm_edge_max = acc.comm_edge_max.max(e2e);
+            }
+        }
+        let Some(last) = nodes.last() else { return };
+
+        enum Entry {
+            Commit,
+            Complete,
+            Dispatch,
+        }
+
+        let end = last.commit;
+        let mut cur = end;
+        let mut i = nodes.len() - 1;
+        let mut entry = Entry::Commit;
+        loop {
+            let nd = nodes[i];
+            match entry {
+                Entry::Commit => {
+                    let head_blocked = i > 0 && nodes[i - 1].commit >= nd.complete;
+                    if head_blocked {
+                        let t = nodes[i - 1].commit.min(cur);
+                        acc.charge(EdgeKind::CommitSerial, cur - t, nd.pc);
+                        cur = t;
+                        i -= 1;
+                    } else {
+                        let t = nd.complete.min(cur);
+                        acc.charge(nd.fill.edge(), cur - t, nd.pc);
+                        cur = t;
+                        entry = Entry::Complete;
+                    }
+                }
+                Entry::Complete => {
+                    let t_issue = nd.issue.min(cur);
+                    acc.charge(nd.fill.edge(), cur - t_issue, nd.pc);
+                    cur = t_issue;
+                    let t_ready = nd.ready.min(cur);
+                    acc.charge(EdgeKind::FuWait, cur - t_ready, nd.pc);
+                    cur = t_ready;
+                    if nd.producer_back > 0 {
+                        let back = nd.producer_back as usize;
+                        if back > i {
+                            acc.truncated = true;
+                            break;
+                        }
+                        let j = i - back;
+                        let p = &nodes[j];
+                        let t = p.complete.min(cur);
+                        acc.charge(EdgeKind::DataDep, cur - t, p.pc);
+                        cur = t;
+                        i = j;
+                    } else {
+                        let t = nd.dispatch.min(cur);
+                        acc.charge(EdgeKind::Fetch, cur - t, nd.pc);
+                        cur = t;
+                        entry = Entry::Dispatch;
+                    }
+                }
+                Entry::Dispatch => {
+                    if i == 0 {
+                        break;
+                    }
+                    let prev = &nodes[i - 1];
+                    let t = prev.dispatch.min(cur);
+                    acc.charge(EdgeKind::Fetch, cur - t, prev.pc);
+                    cur = t;
+                    i -= 1;
+                }
+            }
+        }
+        acc.attributed += end - cur;
+    }
+
+    /// What a window of 64-byte nodes reported for `stream`: every full
+    /// segment but the newest walked as it filled, the newest at report
+    /// time.
+    fn reference_report(stream: &[CritNode], capacity: usize) -> CritPathNodeReport {
+        let mut acc = ReferenceAccum {
+            attributed: 0,
+            truncated: false,
+            kind_cycles: [0; EDGE_KIND_COUNT],
+            class_cycles: [0; EDGE_CLASS_COUNT],
+            comm_edges: 0,
+            comm_edge_cycles: 0,
+            comm_edge_max: 0,
+            pcs: PcTable::new(),
+        };
+        let tail = if stream.is_empty() { 0 } else { (stream.len() - 1) % capacity + 1 };
+        let (flushed, retained) = stream.split_at(stream.len() - tail);
+        for seg in flushed.chunks(capacity) {
+            reference_walk(seg, &mut acc);
+        }
+        reference_walk(retained, &mut acc);
+        CritPathNodeReport {
+            attributed_cycles: acc.attributed,
+            truncated: acc.truncated,
+            window_recorded: stream.len() as u64,
+            window_dropped: 0,
+            class_cycles: acc.class_cycles,
+            kind_cycles: acc.kind_cycles,
+            comm_edges: acc.comm_edges,
+            comm_edge_cycles: acc.comm_edge_cycles,
+            comm_edge_max: acc.comm_edge_max,
+            crit_pcs: acc.pcs.ranked(),
+        }
+    }
+
+    /// A retirement stream shaped like a core's — commits in order, each
+    /// node's stages ordered a few cycles apart, producers close behind —
+    /// salted with what a core never retires: stages at and past the
+    /// `u32` back-delta limit, stages after the commit, sends after the
+    /// fill or at the reserved deltas, producers in earlier segments or
+    /// past the packed range.
+    fn random_stream(rng: &mut SmallRng, len: usize, capacity: usize) -> Vec<CritNode> {
+        const LIMIT: u64 = u32::MAX as u64;
+        let mut commit = 1u64 << 34;
+        let mut stream = Vec::with_capacity(len);
+        for k in 0..len {
+            commit += rng.gen_range(0..4u64);
+            let complete = commit - rng.gen_range(0..6u64);
+            let issue = complete - rng.gen_range(0..40u64);
+            let ready = issue - rng.gen_range(0..4u64);
+            let dispatch = ready - rng.gen_range(0..8u64);
+            let mut n = CritNode {
+                pc: 0x1000 + 8 * rng.gen_range(0..64u64),
+                dispatch,
+                ready,
+                issue,
+                complete,
+                commit,
+                sent: UNKNOWN_SEND,
+                producer_back: match rng.gen_range(0..100u32) {
+                    0..=39 => 0,
+                    40..=89 => rng.gen_range(1..=k.min(8) as u32 + 1),
+                    90..=97 => rng.gen_range(1..=2 * capacity as u32 + 1),
+                    98 => PRODUCER_BACK_MAX,
+                    _ => PRODUCER_BACK_MAX + 1,
+                },
+                fill: FillKind::from_bits(rng.gen_range(0..4u32)),
+            };
+            if rng.gen_bool(0.5) {
+                n.sent = complete - rng.gen_range(0..200u64);
+            }
+            match rng.gen_range(0..100u32) {
+                0 => n.dispatch = commit - LIMIT,
+                1 => n.dispatch = commit - LIMIT - 1,
+                2 => n.complete = commit + rng.gen_range(1..20u64),
+                3 => n.ready = n.issue + rng.gen_range(1..20u64),
+                4 => n.sent = n.complete - (LIMIT - 2),
+                5 => n.sent = n.complete - (LIMIT - 1),
+                6 => n.sent = n.complete - LIMIT,
+                7 => n.sent = n.complete + rng.gen_range(1..20u64),
+                8 => n.issue = 0,
+                _ => {}
+            }
+            stream.push(n);
+        }
+        stream
+    }
+
+    #[test]
+    fn packed_window_reports_what_the_64_byte_walk_reported() {
+        let mut escaped = 0;
+        for (capacity, lens) in [
+            (1, [0, 1, 2, 57, 300]),
+            (4, [3, 4, 5, 64, 1_999]),
+            (16, [15, 16, 17, 160, 4_001]),
+            (1 << 14, [1 << 14, (1 << 14) + 1, 3, 2 * (1 << 14) + 7_001, 100]),
+        ] {
+            for (seed, len) in lens.into_iter().enumerate() {
+                let mut rng = SmallRng::seed_from_u64(capacity as u64 * 1_000 + seed as u64);
+                let stream = random_stream(&mut rng, len, capacity);
+                let mut w = CritWindow::with_capacity(capacity);
+                for n in &stream {
+                    w.edge_retire(*n);
+                }
+                let case = format!("capacity {capacity}, seed {seed}, {len} nodes");
+                assert_eq!(w.path_report(), reference_report(&stream, capacity), "{case}");
+                let tail = stream.len() - w.len();
+                assert!(w.iter().eq(stream[tail..].iter().copied()), "{case}: tail reads back");
+                escaped += w.escaped();
+            }
+        }
+        assert!(escaped > 100, "the streams exercise the escape: {escaped}");
     }
 
     #[test]

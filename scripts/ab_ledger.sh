@@ -15,15 +15,25 @@
 # workload BENCHMARK.json declares); they run one after another and the
 # summaries print together at the end.
 #
-# <rev> is exported with `git archive` into target/ab/<sha>/ and built
-# into target/ab/<sha>.rev/; the working tree builds into
-# target/ab/<sha>.cur/. The two target paths have the same length on
-# purpose: run.sh exports the binaries' paths and the ledger copies them
-# into heap blocks before the first rep, and that block's size alone
-# moved li.ds2.bus's setup_s between ~1.0 and ~2.0 ms (glibc heap
-# trimming, DESIGN.md §12). Nothing under benchmark/ is touched. A 16 s run per
-# side per pair: ten pairs take ~6 min per workload once both trees are
-# built.
+# <rev> is exported with `git archive` into target/ab/<sha>.r/, and the
+# working tree (tracked and untracked files, ignored ones left out) is
+# copied into target/ab/<sha>.w/ on every call. Each side is built and
+# run through one path, target/ab/<sha>.src, a symlink pointed at the
+# side about to run, so cargo and rustc see the same source paths for
+# both and their binaries differ only where the code does. Built from
+# two different directories, even identical trees got different crate
+# hashes for every path dependency (cargo hashes a dependency outside
+# the benchmark's workspace by its absolute path), and fat LTO then
+# placed 464 of 1,050 functions differently in .text. Each side keeps
+# its own build output in its copy's benchmark/target/, which run.sh
+# reaches as target/ab/<sha>.src/benchmark/target/ on both sides: the
+# binary paths are equal too, and they matter, because run.sh exports
+# them and the ledger copies them into heap blocks before the first
+# rep, and that block's size alone moved li.ds2.bus's setup_s between
+# ~1.0 and ~2.0 ms (glibc heap trimming, DESIGN.md §12). Two calls for
+# the same <rev> must not run at once. Nothing under benchmark/ is
+# touched. A 16 s run per side per pair: ten pairs take ~6 min per
+# workload once both sides are built.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,31 +57,40 @@ done
 
 sha="$(git rev-parse --short "$rev^{commit}")"
 ab="$PWD/target/ab"
-tree="$ab/$sha"
-if [[ ! -d "$tree" ]]; then
-    mkdir -p "$tree.tmp"
-    git archive "$sha" | tar -x -C "$tree.tmp"
-    mv "$tree.tmp" "$tree"
+if [[ ! -d "$ab/$sha.r" ]]; then
+    mkdir -p "$ab/$sha.r.tmp"
+    git archive "$sha" | tar -x -C "$ab/$sha.r.tmp"
+    mv "$ab/$sha.r.tmp" "$ab/$sha.r"
 fi
+# The working tree's copy is replaced file by file; its build output
+# stays, and tar keeps modification times, so cargo rebuilds only what
+# changed since the last call.
+work="$ab/$sha.w"
+mkdir -p "$work"
+find "$work" -mindepth 1 -maxdepth 1 ! -name benchmark -exec rm -rf {} +
+if [[ -d "$work/benchmark" ]]; then
+    find "$work/benchmark" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} +
+fi
+git ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' f; do if [[ -e "$f" ]]; then printf '%s\0' "$f"; fi; done |
+    tar --null -T - -cf - | tar -x -C "$work"
 
 # One contract-form run; prints the result line (the last line of
-# stdout). run.sh builds first, which is a no-op once the tree is built.
-run_side() { # side, seed
+# stdout). run.sh builds first, which is a no-op once the side is
+# built: each side's sources are older than its own build output.
+run_side() { # side (r or w), seed
     local contract=(--workload "$workload" --seed "$2" --seconds 16 --trace 0)
-    if [[ "$1" == rev ]]; then
-        CARGO_TARGET_DIR="$tree.rev" bash "$tree/benchmark/run.sh" "${contract[@]}"
-    else
-        CARGO_TARGET_DIR="$tree.cur" bash benchmark/run.sh "${contract[@]}"
-    fi | tail -n 1
+    ln -sfn "$sha.$1" "$ab/$sha.src"
+    bash "$ab/$sha.src/benchmark/run.sh" "${contract[@]}" | tail -n 1
 }
 
 for workload in "${workloads[@]}"; do
     out="$ab/$sha.$workload"
-    : > "$out.rev.jsonl"
-    : > "$out.tree.jsonl"
+    : > "$out.r.jsonl"
+    : > "$out.w.jsonl"
     for ((pair = 1; pair <= pairs; pair++)); do
-        order=(rev tree)
-        ((pair % 2 == 0)) && order=(tree rev)
+        order=(r w)
+        ((pair % 2 == 0)) && order=(w r)
         for side in "${order[@]}"; do
             run_side "$side" "$pair" >> "$out.$side.jsonl"
         done
@@ -85,7 +104,7 @@ done
 summarize() { # workload
     local out="$ab/$sha.$1"
     echo "$1: $sha (rev) vs working tree, $pairs alternating pairs, --seconds 16 --trace 0"
-    jq -rs --slurpfile tree "$out.tree.jsonl" '
+    jq -rs --slurpfile tree "$out.w.jsonl" '
         def sig: if . == 0 then 0 else (3 - (fabs | log10 | floor)) as $d | . * pow(10; $d) | round / pow(10; $d) end;
         def quartiles: sort | [.[((length - 1) * (0.25, 0.5, 0.75) | round)] | sig] | join(" / ");
         def median: sort | .[(length - 1) * 0.5 | round];
@@ -101,7 +120,7 @@ summarize() { # workload
               + "\ttree/rev \(($b | median) / ($a | median) * 1000 | round / 1000)"
               + "\ttree better in \($wins)/\($a | length)"
           end
-    ' "$out.rev.jsonl" | awk -F'\t' '{ printf "%-16s %-42s %-42s %-15s %s\n", $1, $2, $3, $4, $5 }'
+    ' "$out.r.jsonl" | awk -F'\t' '{ printf "%-16s %-42s %-42s %-15s %s\n", $1, $2, $3, $4, $5 }'
 }
 for workload in "${workloads[@]}"; do
     summarize "$workload"

@@ -265,6 +265,23 @@ fn critpath_folded_stacks_sum_to_attributed_cycles() {
     assert_eq!(folded, sys2.critpath_folded(), "critpath folding diverged across runs");
 }
 
+/// Every retirement a core records fits the critical-path window's
+/// 40-byte record: none takes the escape for nodes that do not pack.
+#[test]
+fn core_retirements_always_pack() {
+    let b = Budget::quick();
+    for name in ["compress", "go", "li"] {
+        let prog = (by_name(name).expect("registered workload").build)(b.scale);
+        let mut sys = DsSystem::new(baseline_config(2, b.max_insts), &prog);
+        sys.run().expect("workload executes");
+        for (i, node) in sys.nodes().iter().enumerate() {
+            let w = node.crit_window();
+            assert!(w.recorded() > 0, "{name} node {i} recorded nothing");
+            assert_eq!(w.escaped(), 0, "{name} node {i}: a retirement did not pack");
+        }
+    }
+}
+
 #[test]
 fn perfetto_trace_is_valid_json_with_monotonic_tracks() {
     let b = Budget::quick();
