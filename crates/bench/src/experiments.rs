@@ -13,7 +13,7 @@ mod chaos;
 mod paper;
 mod section5;
 
-pub use paper::FIGURE7_TRACE;
+pub use paper::figure7_trace;
 
 /// One registered experiment.
 #[derive(Debug)]

@@ -2,10 +2,12 @@
 
 use crate::report::Report;
 use crate::sweep::{figure8_axes, sweep_point};
-use crate::{figure7_rows, run_datascalar, run_perfect, run_traditional, runner, Budget};
+use crate::{baseline_config, figure7_rows, run_datascalar, runner, Budget, System};
 use ds_core::datathread::{compare_chain, datascalar_crossings, mean_thread_length};
 use ds_core::mmm;
+use ds_core::DsSystem;
 use ds_mem::PageTableBuilder;
+use ds_obs::Obs;
 use ds_stats::{percent, ratio, Table};
 use ds_trace::datathread::pick_block_pages;
 use ds_trace::{
@@ -224,7 +226,7 @@ pub fn table2_datathreads(budget: Budget, r: &mut Report) {
 /// systems — perfect data cache, 2- and 4-node DataScalar, and the
 /// traditional system with 1/2 and 1/4 of memory on-chip.
 ///
-/// On instrumented builds (`--features obs`) the document also carries
+/// The document also carries, from instrumented (`Obs`) runs,
 /// per-system critical-path edge-class attributions (`critpath` member,
 /// labels like `compress/ds2`) and `*_communication_share` numbers for
 /// `compress` and `go`, the direct answer to "is the broadcast on the
@@ -263,26 +265,28 @@ pub fn figure7_ipc(budget: Budget, r: &mut Report) {
     r.line("       at 4 nodes; compress nearly doubles; perfect bounds everything;");
     r.line("       traditional drops sharply from 1/2 to 1/4 on-chip");
     r.number("mean_ds2_speedup_vs_trad_half", speedup_sum / rows.len().max(1) as f64);
-    if cfg!(feature = "obs") {
-        append_critpath(r, budget);
-    }
+    append_critpath(r, budget);
 }
 
 /// Attaches critical-path edge-class attributions for the paper's two
-/// headline benchmarks across three of the Figure 7 systems. The
+/// headline benchmarks across three of the Figure 7 systems, from
+/// instrumented (`Obs`) runs; the document only, never the text. The
 /// interesting contrast: the traditional system's request round-trips
 /// sit *on* its critical path (large communication share), while the
 /// DataScalar broadcast largely hides under compute.
 fn append_critpath(r: &mut Report, budget: Budget) {
     for name in ["compress", "go"] {
-        let w = by_name(name).expect("registered workload");
+        let prog = (by_name(name).expect("registered workload").build)(budget.scale);
+        let run = |system: System, nodes| {
+            system.run_as::<Obs>(baseline_config(nodes, budget.max_insts), &prog, name)
+        };
         let systems = [
-            ("ds2", run_datascalar(&w, 2, budget)),
-            ("trad2", run_traditional(&w, 2, budget)),
-            ("perfect", run_perfect(&w, budget)),
+            ("ds2", run(System::DataScalar, 2)),
+            ("trad2", run(System::Traditional, 2)),
+            ("perfect", run(System::Perfect, 1)),
         ];
         for (sys, run) in &systems {
-            let m = run.metrics.as_ref().expect("obs builds carry metrics");
+            let m = run.metrics.as_ref().expect("Obs runs carry metrics");
             r.critpath(&format!("{name}/{sys}"), &m.critpath);
             r.number(
                 &format!("{name}_{sys}_communication_share"),
@@ -301,19 +305,14 @@ fn append_critpath(r: &mut Report, budget: Budget) {
 
 /// What `ds-bench figure7_ipc --trace-out` writes: the Chrome
 /// trace-event / Perfetto JSON trace of the 4-node DataScalar `compress`
-/// run. `None` on a plain build, which records no events to render.
-#[cfg(feature = "obs")]
-pub const FIGURE7_TRACE: Option<fn(Budget) -> String> = Some(|budget| {
-    use crate::baseline_config;
-    use ds_core::DsSystem;
+/// run, on the `Obs` flavour.
+pub fn figure7_trace(budget: Budget) -> String {
     let w = by_name("compress").expect("registered workload");
     let prog = (w.build)(budget.scale);
-    let mut sys = DsSystem::new(baseline_config(4, budget.max_insts), &prog);
+    let mut sys = DsSystem::<Obs>::with_flavour(baseline_config(4, budget.max_insts), &prog);
     sys.run().expect("workload executes");
     sys.perfetto_trace()
-});
-#[cfg(not(feature = "obs"))]
-pub const FIGURE7_TRACE: Option<fn(Budget) -> String> = None;
+}
 
 /// Figure 8: sensitivity analysis of the DataScalar experiments for go
 /// and compress — IPC of all five systems while sweeping, one at a

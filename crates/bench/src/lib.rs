@@ -32,6 +32,7 @@
 use ds_asm::Program;
 use ds_core::{DsConfig, DsSystem, PerfectSystem, RunResult, TraditionalConfig, TraditionalSystem};
 use ds_cpu::ExecError;
+use ds_obs::{DefaultFlavour, Flavour};
 use ds_workloads::{figure7_set, Scale, Workload};
 
 pub mod experiments;
@@ -92,15 +93,21 @@ pub enum System {
 }
 
 impl System {
-    /// Runs `prog` on this machine, its node count taken from
-    /// `config.nodes`, through [`expect_no_deadlock`] (`what` names the
-    /// run in the panic).
+    /// Runs `prog` on this machine of the [`DefaultFlavour`], its node
+    /// count taken from `config.nodes`, through [`expect_no_deadlock`]
+    /// (`what` names the run in the panic).
     pub fn run(self, config: DsConfig, prog: &Program, what: &str) -> RunResult {
+        self.run_as::<DefaultFlavour>(config, prog, what)
+    }
+
+    /// [`System::run`] on a machine of flavour `F`.
+    pub fn run_as<F: Flavour>(self, config: DsConfig, prog: &Program, what: &str) -> RunResult {
         let run = match self {
-            System::Perfect => PerfectSystem::new(&config, prog).run(),
-            System::DataScalar => DsSystem::new(config, prog).run(),
+            System::Perfect => PerfectSystem::<F>::with_flavour(&config, prog).run(),
+            System::DataScalar => DsSystem::<F>::with_flavour(config, prog).run(),
             System::Traditional => {
-                TraditionalSystem::new(&TraditionalConfig { base: config }, prog).run()
+                TraditionalSystem::<F>::with_flavour(&TraditionalConfig { base: config }, prog)
+                    .run()
             }
         };
         expect_no_deadlock(run, what)

@@ -2,12 +2,12 @@
 //!
 //! Runs one registered experiment ([`ds_bench::experiments`]), prints
 //! its report, and optionally writes the same report as a
-//! `ds-bench-result/v1` document (`--json`) and, for `figure7_ipc` on
-//! an instrumented build, a Perfetto trace (`--trace-out`). Anything
+//! `ds-bench-result/v1` document (`--json`) and, for `figure7_ipc`, a
+//! Perfetto trace of an instrumented run (`--trace-out`). Anything
 //! wrong with the command line or the output paths is reported before a
 //! single simulation runs: one `ds-bench: …` line on stderr, exit 2.
 
-use ds_bench::experiments::{self, Experiment, EXPERIMENTS, FIGURE7_TRACE};
+use ds_bench::experiments::{self, figure7_trace, Experiment, EXPERIMENTS};
 use ds_bench::report::Report;
 use ds_bench::Budget;
 use std::fs::File;
@@ -21,17 +21,14 @@ fn main() {
     }
 }
 
-/// What renders the `--trace-out` document at a budget.
-type RenderTrace = fn(Budget) -> String;
-
 /// A checked command line.
 #[derive(Debug)]
 struct Invocation {
     experiment: &'static Experiment,
     budget: Budget,
     json: Option<String>,
-    /// The `--trace-out` path and what renders the trace.
-    trace: Option<(String, RenderTrace)>,
+    /// The `--trace-out` path (`figure7_ipc` only).
+    trace: Option<String>,
 }
 
 /// `reason`, then the synopsis and the registered experiments.
@@ -47,7 +44,7 @@ fn usage(reason: &str) -> String {
 }
 
 fn parse(args: &[String]) -> Result<Invocation, String> {
-    let (mut name, mut budget, mut json, mut trace_out) = (None, Budget::full(), None, None);
+    let (mut name, mut budget, mut json, mut trace) = (None, Budget::full(), None, None);
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -59,7 +56,7 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
                     .next()
                     .filter(|p| !p.starts_with("--"))
                     .ok_or_else(|| usage(&format!("{arg} needs a path")))?;
-                let slot = if arg == "--json" { &mut json } else { &mut trace_out };
+                let slot = if arg == "--json" { &mut json } else { &mut trace };
                 *slot = Some(path.clone());
             }
             flag if flag.starts_with('-') => return Err(usage(&format!("unknown flag `{flag}`"))),
@@ -70,18 +67,9 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
     let name = name.ok_or_else(|| usage("no experiment named"))?;
     let experiment =
         experiments::find(name).ok_or_else(|| usage(&format!("unknown experiment `{name}`")))?;
-    let trace = match trace_out {
-        None => None,
-        Some(_) if experiment.name != "figure7_ipc" => {
-            return Err(usage("--trace-out applies to figure7_ipc only"));
-        }
-        Some(path) => Some((
-            path,
-            FIGURE7_TRACE.ok_or_else(|| {
-                usage("--trace-out needs event recording: rebuild with `--features obs`")
-            })?,
-        )),
-    };
+    if trace.is_some() && experiment.name != "figure7_ipc" {
+        return Err(usage("--trace-out applies to figure7_ipc only"));
+    }
     Ok(Invocation { experiment, budget, json, trace })
 }
 
@@ -97,7 +85,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let inv = parse(args)?;
     // An unwritable path should cost no simulation time: create the
     // output files before running anything.
-    for path in inv.json.iter().chain(inv.trace.iter().map(|(path, _)| path)) {
+    for path in inv.json.iter().chain(&inv.trace) {
         File::create(path).map_err(|e| format!("{path}: {e}"))?;
     }
     let mut report = Report::new(inv.experiment.name);
@@ -107,8 +95,8 @@ fn run(args: &[String]) -> Result<(), String> {
     if let Some(path) = &inv.json {
         write(path, &report.render())?;
     }
-    if let Some((path, render)) = &inv.trace {
-        write(path, &render(inv.budget))?;
+    if let Some(path) = &inv.trace {
+        write(path, &figure7_trace(inv.budget))?;
     }
     Ok(())
 }
@@ -170,12 +158,7 @@ mod tests {
             "--trace-out applies to figure7_ipc only"
         );
         let on_figure7 = parse(&args("figure7_ipc --quick --trace-out t.json"));
-        if cfg!(feature = "obs") {
-            assert_eq!(on_figure7.unwrap().trace.unwrap().0, "t.json");
-        } else {
-            let e = on_figure7.unwrap_err();
-            assert!(e.starts_with("--trace-out needs event recording"), "{e}");
-        }
+        assert_eq!(on_figure7.unwrap().trace.unwrap(), "t.json");
     }
 
     #[test]

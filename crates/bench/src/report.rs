@@ -8,9 +8,8 @@
 //! `ds-bench-result/v1`, is documented in `docs/observability.md`:
 //! table cells are the exact strings of the text output (no
 //! re-rounding, so text and JSON can never disagree), plus free-form
-//! named numbers, notes, and — on instrumented builds (`--features
-//! obs`) — labelled critical-path edge-class attributions under
-//! `critpath`.
+//! named numbers, notes, and — from instrumented (`Obs`) runs —
+//! labelled critical-path edge-class attributions under `critpath`.
 
 use crate::Budget;
 use ds_obs::{CritPathReport, EdgeClass, StallBucket, TimelineReport};
@@ -107,8 +106,8 @@ impl Report {
 
     /// Adds one labelled critical-path attribution (e.g. `"compress/ds2"`)
     /// to the document's `critpath` member. Pass the
-    /// [`CritPathReport`] off `RunResult::metrics`; obs-off builds have
-    /// no metrics, so the member simply stays empty there.
+    /// [`CritPathReport`] off an `Obs` run's `RunResult::metrics`; an
+    /// experiment that adds none leaves the member empty.
     pub fn critpath(&mut self, label: &str, r: &CritPathReport) -> &mut Self {
         let mut shares = [0.0; ds_obs::critpath::EDGE_CLASS_COUNT];
         for (i, c) in EdgeClass::ALL.iter().enumerate() {
@@ -134,8 +133,8 @@ impl Report {
 
     /// Adds one labelled interval timeline (e.g. `"compress/ds2"`) to
     /// the document's `timeline` member. Pass the [`TimelineReport`]
-    /// off `RunResult::metrics`; obs-off builds have no metrics, so the
-    /// member simply stays empty there.
+    /// off an `Obs` run's `RunResult::metrics`; an experiment that adds
+    /// none leaves the member empty.
     pub fn timeline(&mut self, label: &str, t: &TimelineReport) -> &mut Self {
         self.timeline.push((label.to_string(), t.clone()));
         self
@@ -435,7 +434,7 @@ mod tests {
     fn critpath_member_is_empty_without_entries_and_typed_with() {
         let r = Report::new("unit_test");
         let doc = ds_obs::json::parse(&r.render()).expect("valid JSON");
-        // Always present, so obs-off and obs-on documents have one shape.
+        // Always present, so every document has one shape.
         assert!(matches!(doc.get("critpath"), Some(ds_obs::json::Value::Obj(m)) if m.is_empty()));
 
         // A window with one remote-fill instruction: communication must

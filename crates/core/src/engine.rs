@@ -25,8 +25,11 @@ pub(crate) trait Machine {
     /// interconnect steps and delivers, fault timers are polled.
     fn step_cycle(&mut self, trace: &mut TraceSource, now: Cycle) -> Result<(), ExecError>;
 
+    /// The machine's flavour (`ds_obs::Flavour`).
+    type Flavour: ds_obs::Flavour;
+
     /// Calls `visit` on every core, in node order.
-    fn each_core(&self, visit: impl FnMut(&OooCore));
+    fn each_core(&self, visit: impl FnMut(&OooCore<Self::Flavour>));
 
     /// Earliest cycle after `now` at which any component's state can
     /// change, given that cycle `now` has fully completed. Conservative:
@@ -223,6 +226,8 @@ mod tests {
             self.stepped.push(now);
             Ok(())
         }
+
+        type Flavour = ds_obs::DefaultFlavour;
 
         fn each_core(&self, mut visit: impl FnMut(&OooCore)) {
             visit(&self.core);

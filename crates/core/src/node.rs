@@ -33,34 +33,16 @@ use ds_mem::{
     AccessKind, Cache, CacheOutcome, MainMemory, NodeId, PageClass, PageTable, Tlb, Victim,
 };
 use ds_net::{Message, MsgKind};
-use ds_obs::{EventKind, Probe as _};
+use ds_obs::{
+    EventKind, Flavour, Instrument as _, MetricsReport, Obs, Probe as _, SAMPLE_INTERVAL,
+};
 use std::sync::Arc;
-
-/// The memory side's observability probe: the ds-obs recorder when the
-/// `obs` feature is on, a zero-sized no-op otherwise. Call sites below
-/// record unconditionally; without the feature each call monomorphises
-/// against the ZST's empty inline default and compiles to nothing.
-#[cfg(feature = "obs")]
-pub(crate) type NodeProbe = ds_obs::Recorder;
-/// The disabled probe (ZST).
-#[cfg(not(feature = "obs"))]
-pub(crate) type NodeProbe = ds_obs::NoopProbe;
-
-/// A node's cycle ledger (stall buckets and per-PC profile), held by
-/// whoever charges its cycles: the ds-obs ledger when the `obs` feature
-/// is on, the same zero-sized no-op otherwise.
-#[cfg(feature = "obs")]
-pub(crate) type NodeLedger = ds_obs::CycleLedger;
-/// The disabled ledger (ZST).
-#[cfg(not(feature = "obs"))]
-pub(crate) type NodeLedger = ds_obs::NoopProbe;
 
 /// The one `CoreStall → StallBucket` table all three system models
 /// charge through. They differ only in how a remote-memory wait is
 /// refined (`remote_wait` names its bucket); only the residual pure
 /// `bshr-wait-remote` wait is attributed to the PC, so per-PC cycles
 /// sum to that bucket exactly. Pure — no counters touched.
-#[cfg(feature = "obs")]
 pub(crate) fn stall_bucket(
     stall: ds_cpu::CoreStall,
     remote_wait: impl FnOnce() -> ds_obs::StallBucket,
@@ -87,15 +69,13 @@ pub(crate) fn stall_bucket(
 
 /// The [`ds_obs::MetricsReport`] of `nodes` after `cycles` simulated
 /// cycles: every node's memory-side and core event rings, cycle ledger,
-/// per-PC profile, critical path and timeline. `None` unless built with
-/// `obs`.
-#[cfg(feature = "obs")]
-pub(crate) fn nodes_metrics(nodes: &[Node], cycles: Cycle) -> Option<ds_obs::MetricsReport> {
-    let mut m = ds_obs::MetricsReport::default();
+/// per-PC profile, critical path and timeline. `None` on `Plain`.
+pub(crate) fn nodes_metrics<F: Flavour>(nodes: &[Node<F>], cycles: Cycle) -> Option<MetricsReport> {
+    let mut m = MetricsReport::default();
     for (i, n) in nodes.iter().enumerate() {
-        m.absorb(n.events());
-        m.absorb(n.core_events());
-        let acct = *n.cycle_account();
+        m.absorb(n.ms.probe.get()?.ring());
+        m.absorb(n.core.probe().get()?.ring());
+        let acct = *n.ledger.get()?.account();
         // The tentpole invariant: every simulated cycle was charged to
         // exactly one bucket.
         #[cfg(any(debug_assertions, feature = "audit"))]
@@ -103,28 +83,15 @@ pub(crate) fn nodes_metrics(nodes: &[Node], cycles: Cycle) -> Option<ds_obs::Met
         let _ = (i, cycles);
         m.node_accounts.push(acct);
     }
-    m.hot_pcs = ds_obs::top_hot_pcs(nodes.iter().map(|n| n.pc_profile()), 16);
+    let profiles = nodes.iter().filter_map(|n| n.ledger.get().map(|l| l.pc_profile()));
+    m.hot_pcs = ds_obs::top_hot_pcs(profiles, 16);
     for n in nodes {
-        m.critpath.nodes.push(n.crit_window().path_report());
+        m.critpath.nodes.push(n.core.crit().get()?.path_report());
     }
-    m.timeline = timeline_report(nodes);
+    for n in nodes {
+        m.timeline.nodes.push(n.timeline.get()?.report());
+    }
     Some(m)
-}
-
-/// Uninstrumented builds carry no metrics.
-#[cfg(not(feature = "obs"))]
-pub(crate) fn nodes_metrics(_nodes: &[Node], _cycles: Cycle) -> Option<ds_obs::MetricsReport> {
-    None
-}
-
-/// Every node's interval timeline, phases segmented.
-#[cfg(feature = "obs")]
-pub(crate) fn timeline_report(nodes: &[Node]) -> ds_obs::TimelineReport {
-    let mut t = ds_obs::TimelineReport::default();
-    for n in nodes {
-        t.nodes.push(n.timeline().report());
-    }
-    t
 }
 
 /// Serves the point-to-point read `req` the way a memory chip does: the
@@ -247,7 +214,7 @@ impl BroadcastTags {
 /// The memory side of a node (everything in Figure 5 except the CPU
 /// logic).
 #[derive(Debug)]
-pub(crate) struct MemSide {
+pub(crate) struct MemSide<F: Flavour> {
     id: NodeId,
     remote: Remote,
     pt: Arc<PageTable>,
@@ -273,14 +240,14 @@ pub(crate) struct MemSide {
     /// Sequence number of the next point-to-point message.
     p2p_seq: u64,
     stats: NodeStats,
-    /// Cycle-stamped protocol events (no-op unless built with `obs`).
-    probe: NodeProbe,
+    /// Cycle-stamped protocol events (a no-op on `Plain`).
+    pub(crate) probe: F::Recorder,
     /// Commit-time correspondence auditor (observational only).
     #[cfg(feature = "audit")]
     pub(crate) audit: crate::audit::NodeAudit,
 }
 
-impl MemSide {
+impl<F: Flavour> MemSide<F> {
     fn new(id: NodeId, pt: Arc<PageTable>, config: &DsConfig, remote: Remote) -> Self {
         let access = match remote {
             Remote::Broadcast => config.bshr_access_cycles,
@@ -307,7 +274,7 @@ impl MemSide {
             tags,
             p2p_seq: 0,
             stats: NodeStats::default(),
-            probe: NodeProbe::default(),
+            probe: Default::default(),
             #[cfg(feature = "audit")]
             audit: crate::audit::NodeAudit::default(),
         }
@@ -429,7 +396,7 @@ impl MemSide {
     }
 }
 
-impl MemSystem for MemSide {
+impl<F: Flavour> MemSystem for MemSide<F> {
     fn load_issued(&mut self, rec: &ExecRecord, now: Cycle, tag: RuuTag) -> (LoadResponse, bool) {
         let addr = rec.mem_addr;
         let line = self.canon.line_addr(addr);
@@ -630,31 +597,25 @@ impl MemSystem for MemSide {
 }
 
 /// One node (CPU + memory side of Figure 5): a DataScalar node, or the
-/// traditional machine's CPU chip.
+/// traditional machine's CPU chip. `F` is its machine's flavour.
 #[derive(Debug)]
-pub struct Node {
-    pub(crate) core: OooCore,
-    pub(crate) ms: MemSide,
+pub struct Node<F: Flavour = ds_obs::DefaultFlavour> {
+    pub(crate) core: OooCore<F>,
+    pub(crate) ms: MemSide<F>,
     /// Chaos tick stalls scheduled for this node, as half-open
     /// `[start, end)` cycle windows sorted by start. Empty (the common
     /// case) costs one slice-length check per cycle.
     stalls: Vec<(Cycle, Cycle)>,
     /// The node's cycle ledger, charged once per cycle by the machine
-    /// (no-op unless built with `obs`, the only flavour that charges).
-    #[cfg_attr(not(feature = "obs"), allow(dead_code))]
-    ledger: NodeLedger,
+    /// (a no-op on `Plain`, which charges nothing).
+    ledger: F::Ledger,
     /// Interval time-series telemetry: counter deltas closed at every
     /// [`SAMPLE_INTERVAL`] boundary. Also feeds the Perfetto stall
     /// counter track.
-    #[cfg(feature = "obs")]
-    timeline: ds_obs::IntervalRing,
+    timeline: F::Timeline,
 }
 
-/// Cycles between timeline interval boundaries.
-#[cfg(feature = "obs")]
-use ds_obs::SAMPLE_INTERVAL;
-
-impl Node {
+impl<F: Flavour> Node<F> {
     pub(crate) fn new(id: NodeId, pt: Arc<PageTable>, config: &DsConfig, remote: Remote) -> Self {
         let mut stalls: Vec<(Cycle, Cycle)> = config
             .fault_plan
@@ -665,12 +626,11 @@ impl Node {
             .collect();
         stalls.sort_unstable();
         Node {
-            core: OooCore::new(config.core, config.icache.line_bytes),
+            core: OooCore::with_flavour(config.core, config.icache.line_bytes),
             ms: MemSide::new(id, pt, config, remote),
             stalls,
-            ledger: NodeLedger::default(),
-            #[cfg(feature = "obs")]
-            timeline: ds_obs::IntervalRing::default(),
+            ledger: Default::default(),
+            timeline: Default::default(),
         }
     }
 
@@ -937,30 +897,9 @@ impl Node {
         self.ms.outgoing.is_empty()
     }
 
-    /// The memory side's recorded protocol events (instrumented builds
-    /// only).
-    #[cfg(feature = "obs")]
-    pub fn events(&self) -> &ds_obs::EventRing {
-        self.ms.probe.ring()
-    }
-
-    /// The core's recorded commit events (instrumented builds only).
-    #[cfg(feature = "obs")]
-    pub fn core_events(&self) -> &ds_obs::EventRing {
-        self.core.events()
-    }
-
-    /// The core's critical-path window of retired-instruction graph
-    /// nodes (instrumented builds only).
-    #[cfg(feature = "obs")]
-    pub fn crit_window(&self) -> &ds_obs::CritWindow {
-        self.core.crit_window()
-    }
-
     /// Classifies the node's stall state at `now`. Pure (no counters
     /// touched), so the per-cycle and batch charge paths share one
     /// classification.
-    #[cfg(feature = "obs")]
     fn classify_stall(&self, now: Cycle, bus_busy: bool) -> ds_obs::StallCharge {
         use ds_obs::StallBucket;
         stall_bucket(self.core.stall_class(now), || {
@@ -985,24 +924,24 @@ impl Node {
     /// Charges `now` to exactly one stall bucket (top-down cycle
     /// accounting). Called once per simulated cycle by the machine's
     /// `step_cycle`, after the node stepped; `bus_busy` is whether the
-    /// interconnect was occupied this cycle. Hot path: one
-    /// classification, one array increment, no allocation.
-    #[cfg(feature = "obs")]
+    /// interconnect was occupied this cycle. Hot path on `Obs`: one
+    /// classification, one array increment, no allocation. Nothing on
+    /// `Plain`.
     pub(crate) fn charge_cycle(&mut self, now: Cycle, bus_busy: bool) {
+        if !F::OBS {
+            return;
+        }
         if now.is_multiple_of(SAMPLE_INTERVAL) {
             // Close *before* charging: the interval ending at cycle C
             // covers charges for cycles [.., C). Cycle C's charge and
             // occupancy belong to the new interval; the cumulative
             // counters are read after this cycle's step.
-            self.timeline.sample_close(
-                now,
-                self.core.committed(),
-                self.ms.stats.broadcasts_sent,
-                self.ms.bshr.stats().arrivals,
-                self.ledger.account(),
-            );
+            self.close_timeline(now);
         }
-        self.timeline.note_occ(self.ms.bshr.occupancy() as u64);
+        let occ = self.ms.bshr.occupancy() as u64;
+        if let Some(timeline) = self.timeline.get_mut() {
+            timeline.note_occ(occ);
+        }
         let charge = self.classify_stall(now, bus_busy);
         self.ledger.charge(charge, 1);
     }
@@ -1014,10 +953,10 @@ impl Node {
     /// stall all hold still, and the interconnect skipped too — so one
     /// classification at `start` covers the whole range; interval
     /// boundaries inside the range are honoured one by one.
-    #[cfg(feature = "obs")]
     pub(crate) fn charge_skipped(&mut self, start: Cycle, count: u64, bus_busy: bool) {
-        #[cfg(any(debug_assertions, feature = "audit"))]
-        let before = *self.ledger.account();
+        if !F::OBS {
+            return;
+        }
         let charge = self.classify_stall(start, bus_busy);
         // A skipped range is quiescent: every counter the timeline
         // samples (commits, sends, arrivals, BSHR occupancy) is frozen
@@ -1027,6 +966,12 @@ impl Node {
         let sends = self.ms.stats.broadcasts_sent;
         let arrives = self.ms.bshr.stats().arrivals;
         let occ = self.ms.bshr.occupancy() as u64;
+        let (Some(timeline), Some(ledger)) = (self.timeline.get_mut(), self.ledger.get_mut())
+        else {
+            return;
+        };
+        #[cfg(any(debug_assertions, feature = "audit"))]
+        let before = *ledger.account();
         let end = start + count;
         let mut from = start;
         let mut boundary = start.next_multiple_of(SAMPLE_INTERVAL);
@@ -1037,25 +982,25 @@ impl Node {
             // have noted the (frozen) occupancy once per skipped cycle
             // — once per sub-interval reaches the same high-water mark.
             if boundary > from {
-                self.timeline.note_occ(occ);
-                self.timeline.note_skipped(boundary - from);
+                timeline.note_occ(occ);
+                timeline.note_skipped(boundary - from);
             }
-            self.ledger.charge(charge, boundary - from);
-            self.timeline.sample_close(boundary, committed, sends, arrives, self.ledger.account());
+            ledger.charge(charge, boundary - from);
+            timeline.sample_close(boundary, committed, sends, arrives, ledger.account());
             from = boundary;
             boundary += SAMPLE_INTERVAL;
         }
         if end > from {
-            self.timeline.note_occ(occ);
-            self.timeline.note_skipped(end - from);
+            timeline.note_occ(occ);
+            timeline.note_skipped(end - from);
         }
-        self.ledger.charge(charge, end - from);
+        ledger.charge(charge, end - from);
         // Skip/charge parity: a horizon advance of `count` cycles must
         // charge exactly `count` cycles, all into the one bucket the
         // quiescent range classifies to.
         #[cfg(any(debug_assertions, feature = "audit"))]
         {
-            let after = self.ledger.account();
+            let after = ledger.account();
             assert_eq!(
                 after.total() - before.total(),
                 count,
@@ -1069,37 +1014,21 @@ impl Node {
         }
     }
 
-    /// This node's cycle ledger (instrumented builds only).
-    #[cfg(feature = "obs")]
-    pub fn cycle_account(&self) -> &ds_obs::CycleAccount {
-        self.ledger.account()
-    }
-
-    /// This node's per-PC memory-wait profile (instrumented builds
-    /// only).
-    #[cfg(feature = "obs")]
-    pub fn pc_profile(&self) -> &ds_obs::PcProfile {
-        self.ledger.pc_profile()
-    }
-
-    /// Closes the final (possibly partial) timeline interval at the
-    /// run's end cycle. Called once by `DsSystem::run`; a run
-    /// ending exactly on an already-closed boundary is a no-op.
-    #[cfg(feature = "obs")]
+    /// Closes the timeline interval ending at `end`: at every
+    /// [`SAMPLE_INTERVAL`] boundary, and once more at the run's end
+    /// cycle (a run ending exactly on an already-closed boundary is a
+    /// no-op). Nothing on `Plain`.
     pub(crate) fn close_timeline(&mut self, end: Cycle) {
-        self.timeline.sample_close(
+        let (Some(timeline), Some(ledger)) = (self.timeline.get_mut(), self.ledger.get()) else {
+            return;
+        };
+        timeline.sample_close(
             end,
             self.core.committed(),
             self.ms.stats.broadcasts_sent,
             self.ms.bshr.stats().arrivals,
-            self.ledger.account(),
+            ledger.account(),
         );
-    }
-
-    /// This node's interval timeline (instrumented builds only).
-    #[cfg(feature = "obs")]
-    pub fn timeline(&self) -> &ds_obs::IntervalRing {
-        &self.timeline
     }
 
     /// Snapshot of this node's statistics.
@@ -1130,6 +1059,34 @@ impl Node {
     }
 }
 
+impl Node<Obs> {
+    /// The memory side's recorded protocol events.
+    pub fn events(&self) -> &ds_obs::EventRing {
+        self.ms.probe.ring()
+    }
+
+    /// The core's critical-path window of retired-instruction graph
+    /// nodes.
+    pub fn crit_window(&self) -> &ds_obs::CritWindow {
+        self.core.crit()
+    }
+
+    /// This node's cycle ledger.
+    pub fn cycle_account(&self) -> &ds_obs::CycleAccount {
+        self.ledger.account()
+    }
+
+    /// This node's per-PC memory-wait profile.
+    pub fn pc_profile(&self) -> &ds_obs::PcProfile {
+        self.ledger.pc_profile()
+    }
+
+    /// This node's interval timeline.
+    pub fn timeline(&self) -> &ds_obs::IntervalRing {
+        &self.timeline
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1153,7 +1110,7 @@ mod tests {
         b.add_region(heap, heap + 256 * page, Segment::Heap);
         b.distribute_round_robin(1);
         let pt = Arc::new(b.build());
-        let mut ms = MemSide::new(0, Arc::clone(&pt), &config, Remote::Broadcast);
+        let mut ms = MemSide::<ds_obs::Plain>::new(0, Arc::clone(&pt), &config, Remote::Broadcast);
 
         // 22,528 distinct heap lines on the 176 pages whose index is not
         // 3 mod 8, broadcast once to three times each, plus one line far

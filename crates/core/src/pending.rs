@@ -62,6 +62,7 @@ impl PendingQueue {
     }
 
     /// Queues `msg` to become visible at `ready`.
+    #[inline]
     pub(crate) fn push(&mut self, ready: Cycle, msg: Message) {
         let idx = self.next_idx;
         self.next_idx += 1;

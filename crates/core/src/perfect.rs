@@ -13,6 +13,7 @@ use crate::Cycle;
 use ds_asm::Program;
 use ds_cpu::{ExecError, ExecRecord, LoadResponse, MemSystem, OooCore, RuuTag, TraceSource};
 use ds_mem::{AccessKind, Cache, CacheOutcome, MainMemory};
+use ds_obs::{DefaultFlavour, Flavour, Instrument as _, Probe as _};
 
 #[derive(Debug)]
 struct PerfectMem {
@@ -46,11 +47,12 @@ impl MemSystem for PerfectMem {
     }
 }
 
-/// A single core with a perfect (single-cycle) data cache.
+/// A single core with a perfect (single-cycle) data cache, of flavour
+/// `F` (`ds_obs::Flavour`).
 #[derive(Debug)]
-pub struct PerfectSystem {
+pub struct PerfectSystem<F: Flavour = DefaultFlavour> {
     engine: Engine,
-    machine: PerfectMachine,
+    machine: PerfectMachine<F>,
 }
 
 /// What the engine drives: one core and its idealised memory. A
@@ -58,26 +60,37 @@ pub struct PerfectSystem {
 /// with the other system models (a broken core model would still
 /// surface as a report rather than a hang).
 #[derive(Debug)]
-struct PerfectMachine {
-    core: OooCore,
+struct PerfectMachine<F: Flavour> {
+    core: OooCore<F>,
     ms: PerfectMem,
-    /// Cycle accounting (observational; a no-op ZST unless built with
-    /// `obs`).
-    ledger: crate::node::NodeLedger,
+    /// Cycle accounting (observational; a no-op ZST on `Plain`).
+    ledger: F::Ledger,
 }
 
 impl PerfectSystem {
-    /// Builds the perfect-cache comparator for `program`; core, I-cache
-    /// and local-memory parameters are taken from `config`.
+    /// Builds the perfect-cache comparator of the [`DefaultFlavour`].
+    ///
+    /// # Panics
+    ///
+    /// As [`PerfectSystem::with_flavour`].
+    pub fn new(config: &DsConfig, program: &Program) -> Self {
+        PerfectSystem::with_flavour(config, program)
+    }
+}
+
+impl<F: Flavour> PerfectSystem<F> {
+    /// Builds the perfect-cache comparator of flavour `F` for
+    /// `program`; core, I-cache and local-memory parameters are taken
+    /// from `config`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent
     /// (see [`DsConfig::validate`]).
-    pub fn new(config: &DsConfig, program: &Program) -> Self {
+    pub fn with_flavour(config: &DsConfig, program: &Program) -> Self {
         config.validate();
         let machine = PerfectMachine {
-            core: OooCore::new(config.core, config.icache.line_bytes),
+            core: OooCore::with_flavour(config.core, config.icache.line_bytes),
             ms: PerfectMem {
                 icache: Cache::new(config.icache),
                 mem: MainMemory::new(config.memory),
@@ -115,15 +128,16 @@ impl PerfectSystem {
     }
 }
 
-impl Machine for PerfectMachine {
+impl<F: Flavour> Machine for PerfectMachine<F> {
     fn step_cycle(&mut self, trace: &mut TraceSource, now: Cycle) -> Result<(), ExecError> {
         self.core.step(&mut self.ms, trace, now)?;
-        #[cfg(feature = "obs")]
         self.charge(now, 1);
         Ok(())
     }
 
-    fn each_core(&self, mut visit: impl FnMut(&OooCore)) {
+    type Flavour = F;
+
+    fn each_core(&self, mut visit: impl FnMut(&OooCore<F>)) {
         visit(&self.core);
     }
 
@@ -133,7 +147,6 @@ impl Machine for PerfectMachine {
 
     fn advance_to(&mut self, now: Cycle, horizon: Cycle) {
         self.core.advance_to(now, horizon);
-        #[cfg(feature = "obs")]
         self.charge(now + 1, horizon - (now + 1));
     }
 
@@ -144,51 +157,42 @@ impl Machine for PerfectMachine {
             oldest: self.core.oldest_entry(),
             ..Default::default()
         });
-        #[cfg(feature = "obs")]
-        report.recent_events.extend(self.core.events().iter().cloned());
+        report
+            .recent_events
+            .extend(self.core.probe().get().into_iter().flat_map(|r| r.ring().iter()));
     }
 }
 
 /// The [`ds_obs::MetricsReport`] of the one core: its event ring, cycle
-/// account, per-PC profile and critical path. `None` unless built with
-/// `obs`.
-#[cfg(feature = "obs")]
-fn metrics(
-    core: &OooCore,
-    ledger: &crate::node::NodeLedger,
+/// account, per-PC profile and critical path. `None` on `Plain`.
+fn metrics<F: Flavour>(
+    core: &OooCore<F>,
+    ledger: &F::Ledger,
     cycles: Cycle,
 ) -> Option<ds_obs::MetricsReport> {
+    let ledger = ledger.get()?;
     let mut m = ds_obs::MetricsReport::default();
-    m.absorb(core.events());
+    m.absorb(core.probe().get()?.ring());
     let acct = *ledger.account();
     if cfg!(any(debug_assertions, feature = "audit")) {
         assert_eq!(acct.total(), cycles, "stall buckets must sum to total cycles");
     }
     m.node_accounts.push(acct);
     m.hot_pcs = ds_obs::top_hot_pcs([ledger.pc_profile()], 16);
-    m.critpath.nodes.push(core.crit_window().path_report());
+    m.critpath.nodes.push(core.crit().get()?.path_report());
     Some(m)
 }
 
-/// Uninstrumented builds carry no metrics.
-#[cfg(not(feature = "obs"))]
-fn metrics(
-    _core: &OooCore,
-    _ledger: &crate::node::NodeLedger,
-    _cycles: Cycle,
-) -> Option<ds_obs::MetricsReport> {
-    None
-}
-
-impl PerfectMachine {
+impl<F: Flavour> PerfectMachine<F> {
     /// Charges the `n` cycles from `at` to the stall bucket `at`
     /// classifies to (`n > 1` only for a quiescent block, which one
     /// classification covers). Loads are always serviced in one cycle
     /// here, so a remote wait can never arise; it maps to its generic
-    /// bucket for totality.
-    #[cfg(feature = "obs")]
+    /// bucket for totality. Nothing on `Plain`.
     fn charge(&mut self, at: Cycle, n: u64) {
-        use ds_obs::Probe as _;
+        if !F::OBS {
+            return;
+        }
         let charge = crate::node::stall_bucket(self.core.stall_class(at), || {
             ds_obs::StallBucket::BshrWaitRemote
         });

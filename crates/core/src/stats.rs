@@ -100,9 +100,9 @@ pub struct RunResult {
     pub trace_window_high_water: usize,
     /// Derived event-stream metrics (broadcast latency, BSHR/DCUB
     /// occupancy, datathread run lengths, per-node cycle accounts and
-    /// hot-PC tables). `Some` under the `obs` feature — DataScalar runs
+    /// hot-PC tables). `Some` on the `Obs` flavour — DataScalar runs
     /// carry the full event stream, traditional/perfect runs commit
-    /// events plus cycle accounting — and `None` otherwise.
+    /// events plus cycle accounting — and `None` on `Plain`.
     /// Deliberately excluded from the golden fingerprints —
     /// observation must not perturb the pinned counters.
     pub metrics: Option<MetricsReport>,
@@ -133,7 +133,7 @@ impl RunResult {
 
     /// The per-node stall buckets merged into one machine-wide ledger
     /// (its total is `cycles * nodes`). `None` without cycle-accounting
-    /// metrics (the `obs` feature off).
+    /// metrics (a `Plain` run).
     pub fn stall_totals(&self) -> Option<ds_obs::CycleAccount> {
         let m = self.metrics.as_ref()?;
         if m.node_accounts.is_empty() {

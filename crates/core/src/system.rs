@@ -10,27 +10,31 @@ use ds_asm::Program;
 use ds_cpu::{ExecError, OooCore, TraceSource};
 use ds_mem::{MemImage, PageTable};
 use ds_net::{Delivery, Fabric};
+use ds_obs::{DefaultFlavour, Flavour, Instrument as _, Obs};
 use std::sync::Arc;
 
 /// The DataScalar machine: `N` nodes on a broadcast bus, all running
-/// the same program.
+/// the same program. `F` is its flavour (`ds_obs::Flavour`):
+/// [`DsSystem::new`] builds the [`DefaultFlavour`],
+/// [`DsSystem::with_flavour`] any flavour; the instruments' readers
+/// (`perfetto_trace`, `folded_stacks`, …) exist on `DsSystem<Obs>`.
 ///
 /// # Examples
 ///
 /// See the crate-level examples and `examples/quickstart.rs`.
 #[derive(Debug)]
-pub struct DsSystem {
+pub struct DsSystem<F: Flavour = DefaultFlavour> {
     engine: Engine,
-    machine: DsMachine,
+    machine: DsMachine<F>,
 }
 
 /// What the engine drives: the nodes, the interconnect between them,
 /// and the observers that watch both.
 #[derive(Debug)]
-struct DsMachine {
+struct DsMachine<F: Flavour> {
     config: DsConfig,
-    nodes: Vec<Node>,
-    bus: Fabric,
+    nodes: Vec<Node<F>>,
+    bus: Fabric<F>,
     page_table: Arc<PageTable>,
     /// This cycle's completed deliveries. Reused every cycle; the hot
     /// loop allocates nothing.
@@ -38,23 +42,32 @@ struct DsMachine {
     /// Cross-node commit-stream auditor (observational only).
     #[cfg(feature = "audit")]
     audit: crate::audit::SystemAudit,
-    /// System-level events (lead changes) — observational only.
-    #[cfg(feature = "obs")]
-    probe: ds_obs::Recorder,
-    /// Node currently holding the commit lead (argmax committed, ties
-    /// to the lowest id) and the cycle it took the lead.
-    #[cfg(feature = "obs")]
-    lead: (usize, Cycle),
+    /// The node holding the commit lead (argmax committed, ties to the
+    /// lowest id), since when, and its lead-change events — a no-op on
+    /// `Plain`.
+    lead: F::Lead,
 }
 
 impl DsSystem {
-    /// Builds a system for `program` under `config`.
+    /// Builds a system of the [`DefaultFlavour`] for `program` under
+    /// `config`.
+    ///
+    /// # Panics
+    ///
+    /// As [`DsSystem::with_flavour`].
+    pub fn new(config: DsConfig, program: &Program) -> Self {
+        DsSystem::with_flavour(config, program)
+    }
+}
+
+impl<F: Flavour> DsSystem<F> {
+    /// Builds a system of flavour `F` for `program` under `config`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent
     /// (see [`DsConfig::validate`]).
-    pub fn new(config: DsConfig, program: &Program) -> Self {
+    pub fn with_flavour(config: DsConfig, program: &Program) -> Self {
         config.validate();
         // The ledger's `setup_s` is sensitive to this allocation order
         // (see `drain_interconnect`).
@@ -73,10 +86,7 @@ impl DsSystem {
             deliveries: Vec::new(),
             #[cfg(feature = "audit")]
             audit: crate::audit::SystemAudit::new(config.nodes),
-            #[cfg(feature = "obs")]
-            probe: ds_obs::Recorder::default(),
-            #[cfg(feature = "obs")]
-            lead: (0, 0),
+            lead: Default::default(),
             config,
         };
         DsSystem { engine, machine }
@@ -88,7 +98,7 @@ impl DsSystem {
     }
 
     /// The nodes.
-    pub fn nodes(&self) -> &[Node] {
+    pub fn nodes(&self) -> &[Node<F>] {
         &self.machine.nodes
     }
 
@@ -122,15 +132,14 @@ impl DsSystem {
     pub fn run(&mut self) -> Result<RunResult, ExecError> {
         self.engine.run(&mut self.machine)?;
         let end = self.engine.cycles();
-        #[cfg(feature = "obs")]
-        {
-            self.machine.close_lead_segment(end);
-            // Close each node's final (partial) timeline interval at
-            // the run's end cycle, so the interval deltas partition the
-            // whole run.
-            for node in &mut self.machine.nodes {
-                node.close_timeline(end);
-            }
+        if let Some(lead) = self.machine.lead.get_mut() {
+            lead.close(end);
+        }
+        // Close each node's final (partial) timeline interval at the
+        // run's end cycle, so the interval deltas partition the whole
+        // run.
+        for node in &mut self.machine.nodes {
+            node.close_timeline(end);
         }
         let result = self.result();
         // A deadlocked interconnect cannot drain (the wedged episode's
@@ -162,10 +171,14 @@ impl DsSystem {
         self.machine.bus.fault_stats()
     }
 
-    /// Derived event-stream metrics: `None` unless built with `obs`.
-    #[cfg(not(feature = "obs"))]
+    /// Folds every ring — per-node memory sides and cores, the
+    /// interconnect, and the system's own lead events — into one
+    /// [`ds_obs::MetricsReport`]. `None` on `Plain`.
     fn metrics(&self) -> Option<ds_obs::MetricsReport> {
-        None
+        let mut m = crate::node::nodes_metrics(&self.machine.nodes, self.engine.cycles())?;
+        m.absorb(self.machine.bus.probe().get()?.ring());
+        m.absorb(self.machine.lead.get()?.ring());
+        Some(m)
     }
 
     /// Checks the cache-correspondence invariant: with all nodes at the
@@ -183,7 +196,7 @@ impl DsSystem {
     }
 }
 
-impl Machine for DsMachine {
+impl<F: Flavour> Machine for DsMachine<F> {
     fn step_cycle(&mut self, trace: &mut TraceSource, now: Cycle) -> Result<(), ExecError> {
         // 1. Every node simulates this cycle (the paper's simulator
         //    "switches contexts after executing each cycle").
@@ -192,17 +205,13 @@ impl Machine for DsMachine {
         }
         #[cfg(feature = "audit")]
         self.absorb_audit();
-        #[cfg(feature = "obs")]
         self.track_lead(now);
         // Top-down cycle accounting: charge this cycle to exactly one
         // bucket per node. Runs before the engine's `cycles += 1`, so
         // every node's account total equals `cycles` exactly.
-        #[cfg(feature = "obs")]
-        {
-            let bus_busy = !self.bus.is_idle();
-            for node in &mut self.nodes {
-                node.charge_cycle(now, bus_busy);
-            }
+        let bus_busy = !self.bus.is_idle();
+        for node in &mut self.nodes {
+            node.charge_cycle(now, bus_busy);
         }
         // 2–3. Ready broadcasts launch; the bus steps and delivers.
         launch_and_deliver(&mut self.nodes, &mut self.bus, now, &mut self.deliveries);
@@ -218,7 +227,9 @@ impl Machine for DsMachine {
         Ok(())
     }
 
-    fn each_core(&self, mut visit: impl FnMut(&OooCore)) {
+    type Flavour = F;
+
+    fn each_core(&self, mut visit: impl FnMut(&OooCore<F>)) {
         for node in &self.nodes {
             visit(&node.core);
         }
@@ -235,11 +246,9 @@ impl Machine for DsMachine {
     }
 
     fn advance_to(&mut self, now: Cycle, horizon: Cycle) {
-        #[cfg(feature = "obs")]
         let bus_busy = !self.bus.is_idle();
         for node in &mut self.nodes {
             node.advance_to(now, horizon);
-            #[cfg(feature = "obs")]
             node.charge_skipped(now + 1, horizon - (now + 1), bus_busy);
         }
     }
@@ -251,9 +260,8 @@ impl Machine for DsMachine {
     fn deadlock_evidence(&self, now: Cycle, report: &mut DeadlockReport) {
         report.nodes = self.nodes.iter().map(|n| n.deadlock_state(now)).collect();
         self.bus.pending_into(&mut report.in_flight);
-        #[cfg(feature = "obs")]
         for n in &self.nodes {
-            report.recent_events.extend(n.events().iter().cloned());
+            report.recent_events.extend(n.ms.probe.get().into_iter().flat_map(|r| r.ring().iter()));
         }
     }
 }
@@ -261,9 +269,9 @@ impl Machine for DsMachine {
 /// Steps 2 and 3 of a cycle: ready broadcasts enter the bus; the bus
 /// advances and completed messages are delivered. `deliveries` is the
 /// caller's reused scratch buffer.
-fn launch_and_deliver(
-    nodes: &mut [Node],
-    bus: &mut Fabric,
+fn launch_and_deliver<F: Flavour>(
+    nodes: &mut [Node<F>],
+    bus: &mut Fabric<F>,
     now: Cycle,
     deliveries: &mut Vec<Delivery>,
 ) {
@@ -278,7 +286,7 @@ fn launch_and_deliver(
     }
 }
 
-impl DsMachine {
+impl<F: Flavour> DsMachine<F> {
     /// Delivers every in-flight broadcast after the cores finish, so
     /// the ESP send/consume ledgers balance (a node can retire its last
     /// instruction while a reparative broadcast it triggered is still
@@ -307,21 +315,16 @@ impl DsMachine {
             assert!(t < deadline, "interconnect failed to drain");
         }
     }
-}
 
-/// Event-stream observability (docs/observability.md): cycle-stamped
-/// protocol events per node plus system-level lead tracking.
-/// Observational only — an `obs` build produces the same cycles and
-/// stats (asserted by `tests/golden_stats.rs` under `--features obs`).
-#[cfg(feature = "obs")]
-impl DsMachine {
     /// Per-cycle lead tracking: the node with the most committed
     /// instructions holds the lead (ties to the lowest id, so lead
     /// changes are deterministic). A change of leader ends one
     /// datathread run; the closed segment's length feeds the
     /// datathread-run histogram.
     fn track_lead(&mut self, now: Cycle) {
-        use ds_obs::Probe as _;
+        let Some(lead) = self.lead.get_mut() else {
+            return;
+        };
         let mut leader = 0usize;
         let mut best = 0u64;
         for (i, n) in self.nodes.iter().enumerate() {
@@ -331,47 +334,15 @@ impl DsMachine {
                 leader = i;
             }
         }
-        let (prev, since) = self.lead;
-        if leader != prev {
-            self.probe.record(
-                now,
-                ds_obs::EventKind::LeadChange {
-                    node: prev as u32,
-                    held_cycles: now.saturating_sub(since),
-                },
-            );
-            self.lead = (leader, now);
-        }
-    }
-
-    /// Closes the final lead segment when the run ends at `end`, so
-    /// every cycle of the run is covered by exactly one datathread run.
-    fn close_lead_segment(&mut self, end: Cycle) {
-        use ds_obs::Probe as _;
-        let (prev, since) = self.lead;
-        self.probe.record(
-            end,
-            ds_obs::EventKind::LeadChange {
-                node: prev as u32,
-                held_cycles: end.saturating_sub(since),
-            },
-        );
-        self.lead = (prev, end);
+        lead.note(now, leader);
     }
 }
 
-#[cfg(feature = "obs")]
-impl DsSystem {
-    /// Folds every ring — per-node memory sides and cores, the
-    /// interconnect, and the system's own lead events — into one
-    /// [`ds_obs::MetricsReport`].
-    fn metrics(&self) -> Option<ds_obs::MetricsReport> {
-        let mut m = crate::node::nodes_metrics(&self.machine.nodes, self.engine.cycles())?;
-        m.absorb(self.machine.bus.events());
-        m.absorb(self.machine.probe.ring());
-        Some(m)
-    }
-
+/// Event-stream observability (docs/observability.md): the readers of
+/// the `Obs` flavour's instruments. Observational only — an `Obs`
+/// system produces the same cycles and stats as a `Plain` one (asserted
+/// by `tests/golden_stats.rs`, which runs both).
+impl DsSystem<Obs> {
     /// Renders the per-node cycle accounts (and per-PC memory-wait
     /// profiles) in the flamegraph folded-stacks text format: one
     /// `frame;frame value` line per leaf. Feed to `flamegraph.pl` or
@@ -418,14 +389,6 @@ impl DsSystem {
         out
     }
 
-    /// Snapshots every node's interval timeline (and segments phases)
-    /// into one [`ds_obs::TimelineReport`]. Also carried on
-    /// `RunResult::metrics`; exposed separately so exporters can reach
-    /// it without absorbing the event rings.
-    pub fn timeline_report(&self) -> ds_obs::TimelineReport {
-        crate::node::timeline_report(&self.machine.nodes)
-    }
-
     /// Renders the per-node critical-path attribution in the
     /// flamegraph folded-stacks text format, rooted at `crit` (kept
     /// separate from [`DsSystem::folded_stacks`], whose per-node leaves
@@ -466,13 +429,17 @@ impl DsSystem {
         let mut sources: Vec<TraceSource<'_>> = Vec::new();
         for (i, node) in self.machine.nodes.iter().enumerate() {
             sources.push(TraceSource { pid: i as u32, name: &names[i], ring: node.events() });
-            sources.push(TraceSource { pid: i as u32, name: &names[i], ring: node.core_events() });
+            sources.push(TraceSource {
+                pid: i as u32,
+                name: &names[i],
+                ring: node.core.probe().ring(),
+            });
         }
-        sources.push(TraceSource { pid: n, name: "system", ring: self.machine.probe.ring() });
+        sources.push(TraceSource { pid: n, name: "system", ring: self.machine.lead.ring() });
         sources.push(TraceSource {
             pid: n + 1,
             name: "interconnect",
-            ring: self.machine.bus.events(),
+            ring: self.machine.bus.probe().ring(),
         });
         // Stall-bucket occupancy counter tracks, one sample per closed
         // timeline interval (they live outside the event rings).
@@ -488,7 +455,7 @@ impl DsSystem {
 /// dynamic counterpart of the static rules (docs/analysis.md). Observational
 /// only — an audit build produces the same cycles and stats.
 #[cfg(feature = "audit")]
-impl DsMachine {
+impl<F: Flavour> DsMachine<F> {
     /// Feeds every node's freshly recorded commit events into the
     /// shared reference stream, panicking at the first divergence.
     fn absorb_audit(&mut self) {
@@ -501,7 +468,7 @@ impl DsMachine {
 }
 
 #[cfg(feature = "audit")]
-impl DsSystem {
+impl<F: Flavour> DsSystem<F> {
     /// End-of-run ledger checks. Only meaningful for complete,
     /// fault-free runs: with injected faults the machine deadlocks
     /// before reaching here, and an instruction-budget stop leaves
@@ -829,14 +796,13 @@ mod tests {
         assert_eq!(bus.1, ring.1, "same broadcast count (topology changes timing only)");
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn ring_grants_reach_the_perfetto_trace() {
         let mut config = DsConfig::with_nodes(4);
         config.interconnect = ds_net::FabricKind::Ring;
-        let mut sys = DsSystem::new(config, &strided_prog());
+        let mut sys = DsSystem::<Obs>::with_flavour(config, &strided_prog());
         let r = sys.run().unwrap();
-        let grants = sys.machine.bus.events();
+        let grants = sys.machine.bus.probe().ring();
         assert_eq!(grants.len() as u64 + grants.dropped(), r.bus.transactions);
         let trace = sys.perfetto_trace();
         assert!(trace.contains(r#""args":{"name":"interconnect"}"#), "no interconnect process");

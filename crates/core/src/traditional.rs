@@ -20,7 +20,8 @@ use crate::Cycle;
 use ds_asm::Program;
 use ds_cpu::{ExecError, OooCore, TraceSource};
 use ds_mem::MainMemory;
-use ds_net::{Delivery, Fabric, FabricKind, Message, MsgKind};
+use ds_net::{Delivery, Fabric, FabricKind, FaultPlan, Message, MsgKind};
+use ds_obs::{DefaultFlavour, Flavour, Instrument as _};
 use std::sync::Arc;
 
 /// Configuration of the traditional system.
@@ -49,21 +50,22 @@ const MEM_PORT: usize = 1;
 /// `bshr_access_cycles`).
 const FILL_CYCLES: Cycle = 1;
 
-/// The traditional (request/response) IRAM system.
+/// The traditional (request/response) IRAM system, of flavour `F`
+/// (`ds_obs::Flavour`).
 #[derive(Debug)]
-pub struct TraditionalSystem {
+pub struct TraditionalSystem<F: Flavour = DefaultFlavour> {
     engine: Engine,
-    machine: TradMachine,
+    machine: TradMachine<F>,
 }
 
 /// What the engine drives: the CPU chip, the bus, and the memory chips
 /// behind it.
 #[derive(Debug)]
-struct TradMachine {
+struct TradMachine<F: Flavour> {
     /// The CPU chip, on `CPU_PORT`; "node 0" of the page distribution
     /// is its on-chip share.
-    node: Node,
-    bus: Fabric,
+    node: Node<F>,
+    bus: Fabric<F>,
     /// Off-chip memory chips behind the bus, on `MEM_PORT`.
     remote_mem: MainMemory,
     /// Responses waiting for their data-ready cycle.
@@ -74,14 +76,25 @@ struct TradMachine {
 }
 
 impl TraditionalSystem {
-    /// Builds the system for `program`.
+    /// Builds the system of the [`DefaultFlavour`] for `program`.
+    ///
+    /// # Panics
+    ///
+    /// As [`TraditionalSystem::with_flavour`].
+    pub fn new(config: &TraditionalConfig, program: &Program) -> Self {
+        TraditionalSystem::with_flavour(config, program)
+    }
+}
+
+impl<F: Flavour> TraditionalSystem<F> {
+    /// Builds the system of flavour `F` for `program`.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent
     /// (see [`DsConfig::validate`]) or asks for fault injection or BSHR
     /// timeouts, which only the DataScalar protocol has.
-    pub fn new(config: &TraditionalConfig, program: &Program) -> Self {
+    pub fn with_flavour(config: &TraditionalConfig, program: &Program) -> Self {
         let base = &config.base;
         base.validate();
         assert!(base.fault_plan.is_empty(), "the traditional system takes no fault plan");
@@ -94,7 +107,7 @@ impl TraditionalSystem {
         let remote = Remote::Request { server: MEM_PORT, fill_cycles: FILL_CYCLES };
         let machine = TradMachine {
             node: Node::new(CPU_PORT, pt, base, remote),
-            bus: Fabric::new(FabricKind::Bus, bus_cfg),
+            bus: Fabric::with_chaos(FabricKind::Bus, bus_cfg, &FaultPlan::default()),
             remote_mem: MainMemory::new(base.memory),
             pending_responses: PendingQueue::new(),
             deliveries: Vec::new(),
@@ -112,7 +125,6 @@ impl TraditionalSystem {
     /// Propagates functional-execution errors.
     pub fn run(&mut self) -> Result<RunResult, ExecError> {
         self.engine.run(&mut self.machine)?;
-        #[cfg(feature = "obs")]
         self.machine.node.close_timeline(self.engine.cycles());
         Ok(self.result())
     }
@@ -142,14 +154,13 @@ impl TraditionalSystem {
     }
 }
 
-impl Machine for TradMachine {
+impl<F: Flavour> Machine for TradMachine<F> {
     fn step_cycle(&mut self, trace: &mut TraceSource, now: Cycle) -> Result<(), ExecError> {
         self.node.step(trace, now)?;
         // Each commit is checked against the residency model as it is
         // recorded; one node has no peer stream to compare it with.
         #[cfg(feature = "audit")]
         self.node.ms.audit.pending.clear();
-        #[cfg(feature = "obs")]
         self.node.charge_cycle(now, !self.bus.is_idle());
         // Due CPU-side messages leave from CPU_PORT, due responses from
         // MEM_PORT; the fabric queues per source port, so draining one
@@ -167,7 +178,9 @@ impl Machine for TradMachine {
         Ok(())
     }
 
-    fn each_core(&self, mut visit: impl FnMut(&OooCore)) {
+    type Flavour = F;
+
+    fn each_core(&self, mut visit: impl FnMut(&OooCore<F>)) {
         visit(&self.node.core);
     }
 
@@ -183,7 +196,6 @@ impl Machine for TradMachine {
 
     fn advance_to(&mut self, now: Cycle, horizon: Cycle) {
         self.node.advance_to(now, horizon);
-        #[cfg(feature = "obs")]
         self.node.charge_skipped(now + 1, horizon - (now + 1), !self.bus.is_idle());
     }
 
@@ -191,12 +203,12 @@ impl Machine for TradMachine {
     fn deadlock_evidence(&self, now: Cycle, report: &mut DeadlockReport) {
         report.nodes.push(self.node.deadlock_state(now));
         self.bus.pending_into(&mut report.in_flight);
-        #[cfg(feature = "obs")]
-        report.recent_events.extend(self.node.events().iter().cloned());
+        let events = self.node.ms.probe.get().into_iter().flat_map(|r| r.ring().iter());
+        report.recent_events.extend(events);
     }
 }
 
-impl TradMachine {
+impl<F: Flavour> TradMachine<F> {
     /// A message left the bus: a request or write for the memory chips,
     /// or a response for the CPU chip.
     fn deliver(&mut self, msg: Message, now: Cycle) {

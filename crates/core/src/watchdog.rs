@@ -103,7 +103,7 @@ pub struct DeadlockReport {
     /// interconnect at the trip.
     pub in_flight: Vec<Message>,
     /// The last events (up to 64) from the observability rings; empty
-    /// on uninstrumented builds.
+    /// on the `Plain` flavour.
     pub recent_events: Vec<Event>,
 }
 

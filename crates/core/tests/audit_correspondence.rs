@@ -7,63 +7,65 @@
 use ds_core::{DsConfig, DsSystem, TraditionalConfig, TraditionalSystem};
 use ds_workloads::{by_name, Scale};
 
-fn run_audited(workload: &str, nodes: usize, max_insts: u64) -> u64 {
-    let w = by_name(workload).expect("workload registered");
+/// The auditor's check count after a run, or why the run could not be
+/// made.
+fn run_audited(workload: &str, nodes: usize, max_insts: u64) -> Result<u64, String> {
+    let w = by_name(workload).ok_or_else(|| format!("{workload} is not registered"))?;
     let prog = (w.build)(Scale::Tiny);
     let mut config = DsConfig::with_nodes(nodes);
     config.max_insts = Some(max_insts);
     let mut sys = DsSystem::new(config, &prog);
-    let result = sys.run().expect("workload executes under audit");
+    let result = sys.run().map_err(|e| format!("{workload}/{nodes} under audit: {e:?}"))?;
     assert!(result.committed > 0, "{workload}/{nodes}: nothing committed");
-    sys.audit_checks()
+    Ok(sys.audit_checks())
 }
 
 #[test]
 fn compress_2_nodes_passes_audit() {
-    let checks = run_audited("compress", 2, 40_000);
+    let checks = run_audited("compress", 2, 40_000).unwrap();
     assert!(checks > 1_000, "auditor barely ran: {checks} checks");
 }
 
 #[test]
 fn compress_4_nodes_passes_audit() {
-    let checks = run_audited("compress", 4, 40_000);
+    let checks = run_audited("compress", 4, 40_000).unwrap();
     assert!(checks > 1_000, "auditor barely ran: {checks} checks");
 }
 
 #[test]
 fn go_2_nodes_passes_audit() {
-    let checks = run_audited("go", 2, 40_000);
+    let checks = run_audited("go", 2, 40_000).unwrap();
     assert!(checks > 1_000, "auditor barely ran: {checks} checks");
 }
 
 #[test]
 fn go_4_nodes_passes_audit() {
-    let checks = run_audited("go", 4, 40_000);
+    let checks = run_audited("go", 4, 40_000).unwrap();
     assert!(checks > 1_000, "auditor barely ran: {checks} checks");
 }
 
 /// The traditional machine's CPU chip is the same node, so its commit
 /// stream runs through the same residency model.
-fn run_audited_traditional(workload: &str, max_insts: u64) -> u64 {
-    let w = by_name(workload).expect("workload registered");
+fn run_audited_traditional(workload: &str, max_insts: u64) -> Result<u64, String> {
+    let w = by_name(workload).ok_or_else(|| format!("{workload} is not registered"))?;
     let prog = (w.build)(Scale::Tiny);
     let mut base = DsConfig::with_nodes(2);
     base.max_insts = Some(max_insts);
     let mut sys = TraditionalSystem::new(&TraditionalConfig { base }, &prog);
-    let result = sys.run().expect("workload executes under audit");
+    let result = sys.run().map_err(|e| format!("traditional {workload} under audit: {e:?}"))?;
     assert!(result.committed > 0, "traditional {workload}: nothing committed");
-    sys.audit_checks()
+    Ok(sys.audit_checks())
 }
 
 #[test]
 fn traditional_compress_passes_audit() {
-    let checks = run_audited_traditional("compress", 40_000);
+    let checks = run_audited_traditional("compress", 40_000).unwrap();
     assert!(checks > 1_000, "auditor barely ran: {checks} checks");
 }
 
 #[test]
 fn traditional_go_passes_audit() {
-    let checks = run_audited_traditional("go", 40_000);
+    let checks = run_audited_traditional("go", 40_000).unwrap();
     assert!(checks > 1_000, "auditor barely ran: {checks} checks");
 }
 

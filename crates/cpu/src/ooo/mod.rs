@@ -27,29 +27,11 @@ use crate::exec::{ExecError, ExecRecord};
 use crate::trace::InstFeed;
 use crate::Cycle;
 use ds_isa::{FuClass, Opcode};
-use ds_obs::{FillKind, Probe as _};
+use ds_obs::{DefaultFlavour, FillKind, Flavour, Probe as _};
 use opinfo::{Dest, OpInfo};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use window::{EState, Window, MAX_EDGES};
-
-/// The core's observability probe: the ds-obs recorder when the `obs`
-/// feature is on, a zero-sized no-op otherwise (every `record` call
-/// compiles away — see `ds_obs` crate docs on the zero-cost guarantee).
-#[cfg(feature = "obs")]
-pub(crate) type CoreProbe = ds_obs::Recorder;
-/// The disabled probe (ZST).
-#[cfg(not(feature = "obs"))]
-pub(crate) type CoreProbe = ds_obs::NoopProbe;
-
-/// The core's critical-path window, with the last-arrival stamps of its
-/// in-flight instructions by RUU ring slot: ds-obs's `CritWindow` when
-/// the `obs` feature is on, the same zero-sized no-op otherwise.
-#[cfg(feature = "obs")]
-pub(crate) type CoreCrit = ds_obs::CritWindow;
-/// The disabled window (ZST).
-#[cfg(not(feature = "obs"))]
-pub(crate) type CoreCrit = ds_obs::NoopProbe;
 
 /// Identifies an instruction in flight: its global instruction number.
 pub type RuuTag = u64;
@@ -193,8 +175,8 @@ pub struct OooStats {
 
 /// Per-cycle facts the stall classifier needs that the pipeline stages
 /// would otherwise discard: whether anything retired and whether fetch
-/// hit a structural limit *this* cycle. Maintained only when the probe
-/// is enabled (see [`OooCore::step`]).
+/// hit a structural limit *this* cycle. Maintained only on the `Obs`
+/// flavour (see [`OooCore::step`]).
 #[derive(Debug, Clone, Copy, Default)]
 struct StepFlags {
     retired: u32,
@@ -205,8 +187,8 @@ struct StepFlags {
 /// What one zero-or-more-commit cycle was spent on, classified
 /// top-down from the head of the commit window: on a cycle where
 /// nothing retires, the oldest instruction is what the machine is
-/// truly waiting on. Meaningful only on instrumented builds (the
-/// flags feeding it are maintained only while the probe is enabled).
+/// truly waiting on. Meaningful only on the `Obs` flavour (the flags
+/// feeding it are maintained only there).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreStall {
     /// At least one instruction retired.
@@ -261,9 +243,12 @@ pub struct RuuSnapshot {
 /// The out-of-order core of one node.
 ///
 /// Drive it with one [`OooCore::step`] per cycle; deliver remote load
-/// data with [`OooCore::complete_load`].
+/// data with [`OooCore::complete_load`]. `F` picks the core's event
+/// probe and critical-path window (see `ds_obs::Flavour`):
+/// [`OooCore::new`] builds the [`DefaultFlavour`],
+/// [`OooCore::with_flavour`] any flavour.
 #[derive(Debug)]
-pub struct OooCore {
+pub struct OooCore<F: Flavour = DefaultFlavour> {
     config: OooConfig,
     /// The RUU: in-flight instructions, their ready bits and wake-up
     /// lists.
@@ -308,11 +293,11 @@ pub struct OooCore {
     predictor: Predictor,
     /// A mispredicted control transfer fetch is waiting on.
     redirect_tag: Option<RuuTag>,
-    /// Cycle-stamped commit events (no-op unless built with `obs`).
-    probe: CoreProbe,
-    /// Last-arrival stamps and retirements for the critical path (no-op
-    /// unless built with `obs`).
-    crit: CoreCrit,
+    /// Cycle-stamped commit events (a no-op on `Plain`).
+    probe: F::Recorder,
+    /// Last-arrival stamps and retirements for the critical path (a
+    /// no-op on `Plain`).
+    crit: F::Crit,
     /// Current-cycle facts for [`OooCore::stall_class`] (instrumented
     /// builds only; stays zeroed otherwise).
     flags: StepFlags,
@@ -346,7 +331,18 @@ fn store_buckets(addr: u64, bytes: u64) -> impl Iterator<Item = usize> {
 }
 
 impl OooCore {
-    /// Builds an empty core.
+    /// Builds an empty core of the [`DefaultFlavour`].
+    ///
+    /// # Panics
+    ///
+    /// As [`OooCore::with_flavour`].
+    pub fn new(config: OooConfig, fetch_line_bytes: u64) -> Self {
+        OooCore::with_flavour(config, fetch_line_bytes)
+    }
+}
+
+impl<F: Flavour> OooCore<F> {
+    /// Builds an empty core of flavour `F`.
     ///
     /// `fetch_line_bytes` is the I-cache line size (fetch consults the
     /// [`MemSystem`] once per line crossed).
@@ -355,7 +351,7 @@ impl OooCore {
     ///
     /// Panics on degenerate configurations (zero widths or window
     /// sizes).
-    pub fn new(config: OooConfig, fetch_line_bytes: u64) -> Self {
+    pub fn with_flavour(config: OooConfig, fetch_line_bytes: u64) -> Self {
         assert!(config.fetch_width > 0 && config.issue_width > 0 && config.commit_width > 0);
         assert!(config.ruu_entries > 0 && config.lsq_entries > 0);
         assert!(fetch_line_bytes.is_power_of_two());
@@ -388,22 +384,21 @@ impl OooCore {
             fetch_line_bytes,
             predictor: Predictor::new(config.branch),
             redirect_tag: None,
-            probe: CoreProbe::default(),
-            crit: CoreCrit::with_ruu_slots(config.ruu_entries.next_power_of_two()),
+            probe: Default::default(),
+            crit: F::Crit::with_ruu_slots(config.ruu_entries.next_power_of_two()),
             flags: StepFlags::default(),
         }
     }
 
-    /// The recorded commit events (instrumented builds only).
-    #[cfg(feature = "obs")]
-    pub fn events(&self) -> &ds_obs::EventRing {
-        self.probe.ring()
+    /// The commit-event probe: on `Obs` a `Recorder` (`Commit`,
+    /// `RemoteFillCommit`), on `Plain` a ZST.
+    pub fn probe(&self) -> &F::Recorder {
+        &self.probe
     }
 
-    /// The critical-path window of retired-instruction graph nodes
-    /// (instrumented builds only).
-    #[cfg(feature = "obs")]
-    pub fn crit_window(&self) -> &ds_obs::CritWindow {
+    /// The critical-path window of retired-instruction graph nodes: on
+    /// `Obs` a `CritWindow`, on `Plain` a ZST.
+    pub fn crit(&self) -> &F::Crit {
         &self.crit
     }
 
@@ -483,13 +478,13 @@ impl OooCore {
     /// # Errors
     ///
     /// Propagates functional-execution errors from the trace source.
-    pub fn step<M: MemSystem + ?Sized, F: InstFeed + ?Sized>(
+    pub fn step<M: MemSystem + ?Sized, I: InstFeed + ?Sized>(
         &mut self,
         ms: &mut M,
-        feed: &mut F,
+        feed: &mut I,
         now: Cycle,
     ) -> Result<(), ExecError> {
-        if self.probe.enabled() {
+        if F::OBS {
             self.flags = StepFlags::default();
         }
         self.writeback(now);
@@ -566,7 +561,7 @@ impl OooCore {
         } else if self.window.len() >= self.config.ruu_entries {
             // RUU-full: fetch retried and was turned away every cycle.
             self.stats.ruu_full_stalls += skipped;
-            if self.probe.enabled() {
+            if F::OBS {
                 self.flags.ruu_full = true;
             }
         }
@@ -574,7 +569,7 @@ impl OooCore {
 
     /// Classifies what this cycle was spent on, for top-down cycle
     /// accounting. Call after [`OooCore::step`] for the same `now`.
-    /// Meaningful only on instrumented builds.
+    /// Meaningful only on the `Obs` flavour.
     pub fn stall_class(&self, now: Cycle) -> CoreStall {
         if self.flags.retired > 0 {
             return CoreStall::Committing;
@@ -703,7 +698,7 @@ impl OooCore {
             self.stats.committed += 1;
         }
         if retired > 0 {
-            if self.probe.enabled() {
+            if F::OBS {
                 self.flags.retired = retired as u32;
             }
             self.probe.record(now, ds_obs::EventKind::Commit { n: retired as u32 });
@@ -792,10 +787,10 @@ impl OooCore {
         }
     }
 
-    fn fetch<M: MemSystem + ?Sized, F: InstFeed + ?Sized>(
+    fn fetch<M: MemSystem + ?Sized, I: InstFeed + ?Sized>(
         &mut self,
         ms: &mut M,
-        feed: &mut F,
+        feed: &mut I,
         now: Cycle,
     ) -> Result<(), ExecError> {
         if self.fetch_done {
@@ -808,7 +803,7 @@ impl OooCore {
         for _ in 0..self.config.fetch_width {
             if self.window.len() >= self.config.ruu_entries {
                 self.stats.ruu_full_stalls += 1;
-                if self.probe.enabled() {
+                if F::OBS {
                     self.flags.ruu_full = true;
                 }
                 break;
@@ -821,7 +816,7 @@ impl OooCore {
             let info = OpInfo::of(rec.inst.op);
             if info.is_mem && self.mem_in_window >= self.config.lsq_entries {
                 self.stats.lsq_full_stalls += 1;
-                if self.probe.enabled() {
+                if F::OBS {
                     self.flags.lsq_full = true;
                 }
                 break;

@@ -7,6 +7,7 @@ use crate::exec::FuncCore;
 use crate::trace::TraceSource;
 use ds_isa::{reg, Inst};
 use ds_mem::MemImage;
+use ds_obs::Obs;
 
 /// A perfect memory system: 1-cycle loads, instant fetch.
 struct PerfectMem {
@@ -63,11 +64,11 @@ fn trace_at(entry: u64, prog: &[Inst]) -> TraceSource {
     TraceSource::new(FuncCore::new(entry), mem)
 }
 
-fn run_to_completion<M: MemSystem>(
-    core: &mut OooCore,
+fn run_to_completion<M: MemSystem, F: Flavour>(
+    core: &mut OooCore<F>,
     ms: &mut M,
     trace: &mut TraceSource,
-    deliver: impl Fn(&mut M, &mut OooCore, Cycle),
+    deliver: impl Fn(&mut M, &mut OooCore<F>, Cycle),
 ) -> Cycle {
     let mut now = 0;
     while !core.is_done() {
@@ -709,13 +710,12 @@ fn store_filter_sees_both_words_of_an_unaligned_store() {
     assert!(at > 12, "ld waits for the store's 12-cycle value, issued at {at}");
 }
 
-/// Under `obs` every retirement reaches the core's own critical-path
+/// On `Obs` every retirement reaches the core's own critical-path
 /// window, stamped from the ring slot it occupied — on a 4-slot ring
 /// every slot is reused several times, so a stale stamp from an earlier
 /// occupant would break the orderings. The remote load keeps its send
 /// stamp, its consumer points back at it, and its commit closes the
 /// fill's trace flow.
-#[cfg(feature = "obs")]
 #[test]
 fn retirements_carry_their_slot_stamps_into_the_crit_window() {
     let small = OooConfig { ruu_entries: 4, ..OooConfig::default() };
@@ -729,7 +729,7 @@ fn retirements_carry_their_slot_stamps_into_the_crit_window() {
     .chain([Inst::halt()])
     .collect();
     let mut trace = trace_of(&prog);
-    let mut core = OooCore::new(small, 32);
+    let mut core = OooCore::<Obs>::with_flavour(small, 32);
     let mut ms = SlowMem { latency: 50, pending: Vec::new() };
     run_to_completion(&mut core, &mut ms, &mut trace, |ms, core, now| {
         let due: Vec<_> = ms.pending.iter().filter(|&&(_, at)| at <= now).cloned().collect();
@@ -738,7 +738,7 @@ fn retirements_carry_their_slot_stamps_into_the_crit_window() {
             core.complete_load_from(tag, at.max(now + 1), 0x4000, 3);
         }
     });
-    let nodes: Vec<ds_obs::CritNode> = core.crit_window().iter().collect();
+    let nodes: Vec<ds_obs::CritNode> = core.crit().iter().collect();
     assert_eq!(nodes.len(), prog.len(), "one node per retirement");
     for (k, n) in nodes.iter().enumerate() {
         assert!(
@@ -757,7 +757,8 @@ fn retirements_carry_their_slot_stamps_into_the_crit_window() {
     assert!(load.complete >= load.issue + 50, "{load:?}");
     assert_eq!((add.producer_back, add.ready), (1, load.complete), "{add:?}");
     let flows: Vec<_> = core
-        .events()
+        .probe()
+        .ring()
         .iter()
         .filter(|e| matches!(e.kind, ds_obs::EventKind::RemoteFillCommit { .. }))
         .map(|e| (e.cycle, e.kind))

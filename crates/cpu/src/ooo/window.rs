@@ -210,6 +210,7 @@ impl Window {
     /// hanging it on the wake-up list of every producer that has not
     /// finished. `rec.icount` must be the next tag in sequence and the
     /// ring must have a free slot.
+    #[inline]
     pub fn dispatch(&mut self, rec: &ExecRecord, producers: &[RuuTag], lane: u8) {
         let tag = rec.icount;
         debug_assert_eq!(tag, self.next_tag);
@@ -396,7 +397,7 @@ mod tests {
     }
 
     /// A field added to the entry shows up here, not in the ledger —
-    /// on both flavours: the obs build keeps its critical-path stamps
+    /// on both flavours: the `Obs` flavour keeps its critical-path stamps
     /// out of the ring.
     #[test]
     fn entry_is_96_bytes_on_both_flavours() {

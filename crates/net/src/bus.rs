@@ -7,6 +7,7 @@
 
 use crate::fabric::Ports;
 use crate::{Cycle, Delivery, Message};
+use ds_obs::Flavour;
 
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
@@ -25,7 +26,12 @@ pub(crate) struct Bus {
 impl Bus {
     /// Advances one core cycle, appending the deliveries completing
     /// now to `out`.
-    pub(crate) fn step_into(&mut self, ports: &mut Ports, now: Cycle, out: &mut Vec<Delivery>) {
+    pub(crate) fn step_into<F: Flavour>(
+        &mut self,
+        ports: &mut Ports<F>,
+        now: Cycle,
+        out: &mut Vec<Delivery>,
+    ) {
         if let Some(InFlight { msg, .. }) = self.in_flight.take_if(|fl| fl.done_at <= now) {
             match msg.dest {
                 Some(d) => out.push(Delivery { dest: d, msg, at: now }),
@@ -50,7 +56,7 @@ impl Bus {
     /// Earliest cycle after `now` at which stepping can change the
     /// bus's state: the in-flight transfer's completion or, with only
     /// queued work, the next bus-clock edge. `Cycle::MAX` when idle.
-    pub(crate) fn next_event(&self, ports: &Ports, now: Cycle) -> Cycle {
+    pub(crate) fn next_event<F: Flavour>(&self, ports: &Ports<F>, now: Cycle) -> Cycle {
         if let Some(fl) = &self.in_flight {
             return fl.done_at.max(now + 1);
         }
@@ -71,7 +77,7 @@ impl Bus {
         out.extend(self.in_flight.map(|fl| fl.msg));
     }
 
-    fn arbitrate(&mut self, ports: &mut Ports) -> Option<Message> {
+    fn arbitrate<F: Flavour>(&mut self, ports: &mut Ports<F>) -> Option<Message> {
         let n = ports.config.ports;
         for i in 0..n {
             let p = (self.next_port + i) % n;

@@ -17,8 +17,8 @@
 use crate::bus::Bus;
 use crate::chaos::{FaultInjector, FaultPlan, FaultStats};
 use crate::ring::Ring;
-use crate::{BusConfig, BusStats, Cycle, Delivery, Message, MsgKind, NetProbe};
-use ds_obs::Probe as _;
+use crate::{BusConfig, BusStats, Cycle, Delivery, Message, MsgKind};
+use ds_obs::{DefaultFlavour, Flavour, Probe as _};
 use std::collections::VecDeque;
 
 /// Which interconnect to build.
@@ -35,16 +35,16 @@ pub enum FabricKind {
 /// What every timing model shares: the geometry, one FIFO output queue
 /// per port, the statistics, and the grant-event probe.
 #[derive(Debug, Clone)]
-pub(crate) struct Ports {
+pub(crate) struct Ports<F: Flavour> {
     pub(crate) config: BusConfig,
     /// Messages waiting at each port for the model to grant them.
     pub(crate) queues: Vec<VecDeque<Message>>,
     stats: BusStats,
-    /// Cycle-stamped grant events (no-op unless built with `obs`).
-    probe: NetProbe,
+    /// Cycle-stamped grant events (a no-op on `Plain`).
+    probe: F::Recorder,
 }
 
-impl Ports {
+impl<F: Flavour> Ports<F> {
     fn new(config: BusConfig) -> Self {
         assert!(config.ports > 0, "need at least one port");
         assert!(config.width_bytes > 0, "fabric must be at least a byte wide");
@@ -53,7 +53,7 @@ impl Ports {
             queues: vec![VecDeque::new(); config.ports],
             config,
             stats: BusStats::default(),
-            probe: NetProbe::default(),
+            probe: Default::default(),
         }
     }
 
@@ -94,7 +94,8 @@ enum Model {
 /// A bus or ring behind one interface, optionally faulted by ds-chaos.
 ///
 /// Drive it with [`Fabric::enqueue`] and one [`Fabric::step_into`] per
-/// core cycle.
+/// core cycle. `F` picks the grant-event probe; [`Fabric::new`] builds
+/// the [`DefaultFlavour`], [`Fabric::with_chaos`] any flavour.
 ///
 /// # Examples
 ///
@@ -116,8 +117,8 @@ enum Model {
 /// assert!(ring.is_idle());
 /// ```
 #[derive(Debug, Clone)]
-pub struct Fabric {
-    ports: Ports,
+pub struct Fabric<F: Flavour = DefaultFlavour> {
+    ports: Ports<F>,
     model: Model,
     /// Present only under a non-empty fault plan; boxed because the
     /// fault path is rare and the common case should not pay its
@@ -126,31 +127,36 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Builds a fault-free fabric of `kind` from shared geometry. Rings
-    /// need at least two ports; degenerate single-node systems fall
-    /// back to a bus (which never carries traffic there anyway).
+    /// Builds a fault-free fabric of `kind` from shared geometry, of
+    /// the [`DefaultFlavour`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Fabric::with_chaos`].
+    pub fn new(kind: FabricKind, config: BusConfig) -> Self {
+        Fabric::with_chaos(kind, config, &FaultPlan::default())
+    }
+}
+
+impl<F: Flavour> Fabric<F> {
+    /// Builds a fabric of `kind` from shared geometry, with `plan`'s
+    /// message faults injected at the delivery boundary. An empty plan
+    /// constructs no injector at all. Rings need at least two ports;
+    /// degenerate single-node systems fall back to a bus (which never
+    /// carries traffic there anyway).
     ///
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (no ports, zero width,
     /// or zero divisor).
-    pub fn new(kind: FabricKind, config: BusConfig) -> Self {
+    pub fn with_chaos(kind: FabricKind, config: BusConfig, plan: &FaultPlan) -> Self {
         let ports = Ports::new(config);
         let model = match kind {
             FabricKind::Ring if config.ports >= 2 => Model::Ring(Ring::new(config.ports)),
             _ => Model::Bus(Bus::default()),
         };
-        Fabric { ports, model, chaos: None }
-    }
-
-    /// Builds a fabric with `plan`'s message faults injected at the
-    /// delivery boundary. An empty plan constructs no injector at all.
-    pub fn with_chaos(kind: FabricKind, config: BusConfig, plan: &FaultPlan) -> Self {
-        let mut f = Fabric::new(kind, config);
-        if !plan.is_empty() {
-            f.chaos = Some(Box::new(FaultInjector::new(plan)));
-        }
-        f
+        let chaos = (!plan.is_empty()).then(|| Box::new(FaultInjector::new(plan)));
+        Fabric { ports, model, chaos }
     }
 
     /// Fault-injection statistics (`None` without an active plan).
@@ -233,10 +239,10 @@ impl Fabric {
         }
     }
 
-    /// The recorded grant events (instrumented builds only).
-    #[cfg(feature = "obs")]
-    pub fn events(&self) -> &ds_obs::EventRing {
-        self.ports.probe.ring()
+    /// The grant-event probe: on `Obs` a `Recorder` (`BusGrant`), on
+    /// `Plain` a ZST.
+    pub fn probe(&self) -> &F::Recorder {
+        &self.ports.probe
     }
 }
 
@@ -245,6 +251,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::chaos::{FaultKind, FaultRule};
     use crate::PortId;
+    use ds_obs::Obs;
 
     /// A core-clocked, 8-byte-wide geometry with `ports` ports.
     pub(crate) fn fast(ports: usize) -> BusConfig {
@@ -345,18 +352,17 @@ pub(crate) mod tests {
         Fabric::new(FabricKind::Ring, fast(2)).enqueue(msg(1, Some(1), MsgKind::Response, 0));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn both_kinds_record_one_grant_event_per_transaction() {
         for kind in [FabricKind::Bus, FabricKind::Ring] {
-            let mut f = Fabric::new(kind, fast(3));
+            let mut f = Fabric::<Obs>::with_chaos(kind, fast(3), &FaultPlan::default());
             f.enqueue(bmsg(0));
             // First stepped at cycle 3: the grant waited three cycles.
             let mut out = Vec::new();
             for now in 3..100 {
                 f.step_into(now, &mut out);
             }
-            let grants: Vec<_> = f.events().iter().map(|e| (e.cycle, e.kind)).collect();
+            let grants: Vec<_> = f.probe().ring().iter().map(|e| (e.cycle, e.kind)).collect();
             let s = f.stats();
             let expected =
                 ds_obs::EventKind::BusGrant { bytes: s.bytes, queue_delay: s.queue_delay_cycles };
@@ -367,7 +373,8 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_plan_builds_no_injector() {
-        let f = Fabric::with_chaos(FabricKind::Bus, BusConfig::default(), &FaultPlan::default());
+        let f: Fabric =
+            Fabric::with_chaos(FabricKind::Bus, BusConfig::default(), &FaultPlan::default());
         assert!(f.fault_stats().is_none());
     }
 
@@ -392,7 +399,7 @@ pub(crate) mod tests {
             rules: vec![FaultRule::broadcasts(FaultKind::Delay(40), 1, u64::MAX)],
             stalls: Vec::new(),
         };
-        let mut f = Fabric::with_chaos(FabricKind::Bus, fast(2), &plan);
+        let mut f: Fabric = Fabric::with_chaos(FabricKind::Bus, fast(2), &plan);
         f.enqueue(bmsg(0));
         let (mut arrivals, mut out) = (Vec::new(), Vec::new());
         let mut now = 0;

@@ -13,7 +13,8 @@
 //!
 //! * the shared layer holds a FIFO output queue per port, validates
 //!   every enqueue, and charges each granted transaction to
-//!   [`BusStats`] (and, with the `obs` feature, a `BusGrant` event);
+//!   [`BusStats`] (and, on the `ds_obs::Obs` flavour, a `BusGrant`
+//!   event);
 //! * the **bus** model (`FabricKind::Bus`) arbitrates round-robin among
 //!   the queues on bus-clock edges and carries one transaction at a
 //!   time, delivering at every other port (broadcast) or at the
@@ -40,14 +41,6 @@ mod ring;
 
 pub use chaos::{FaultInjector, FaultKind, FaultPlan, FaultRule, FaultStats, StallRule};
 pub use fabric::{Fabric, FabricKind};
-
-/// The interconnect's observability probe: the ds-obs recorder when the
-/// `obs` feature is on, a zero-sized no-op otherwise.
-#[cfg(feature = "obs")]
-pub(crate) type NetProbe = ds_obs::Recorder;
-/// The disabled probe (ZST).
-#[cfg(not(feature = "obs"))]
-pub(crate) type NetProbe = ds_obs::NoopProbe;
 
 /// A core-clock cycle count.
 pub type Cycle = u64;

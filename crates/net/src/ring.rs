@@ -18,6 +18,7 @@
 
 use crate::fabric::Ports;
 use crate::{Cycle, Delivery, Message, PortId};
+use ds_obs::Flavour;
 
 #[derive(Debug, Clone)]
 struct Flit {
@@ -44,7 +45,12 @@ impl Ring {
 
     /// Advances one core cycle, appending the deliveries completing
     /// now to `out` — no allocation once the buffers have grown.
-    pub(crate) fn step_into(&mut self, ports: &mut Ports, now: Cycle, out: &mut Vec<Delivery>) {
+    pub(crate) fn step_into<F: Flavour>(
+        &mut self,
+        ports: &mut Ports<F>,
+        now: Cycle,
+        out: &mut Vec<Delivery>,
+    ) {
         let config = ports.config;
         let n = config.ports;
         // Advance the flits that complete a hop this cycle; the rest
@@ -91,7 +97,7 @@ impl Ring {
     /// ring's state: the min over every circulating flit's next hop
     /// completion and, for each node with queued messages, the cycle
     /// its outgoing link frees up. `Cycle::MAX` when idle.
-    pub(crate) fn next_event(&self, ports: &Ports, now: Cycle) -> Cycle {
+    pub(crate) fn next_event<F: Flavour>(&self, ports: &Ports<F>, now: Cycle) -> Cycle {
         let mut horizon = Cycle::MAX;
         for flit in &self.in_flight {
             horizon = horizon.min(flit.next_hop_done);

@@ -127,7 +127,7 @@ fn render(results: &[ResultDoc]) -> String {
             }
             _ => out.push_str(
                 "<p class=\"muted\">no timeline member in this document \
-                               (obs-off run?)</p>\n",
+                               (uninstrumented run?)</p>\n",
             ),
         }
     }

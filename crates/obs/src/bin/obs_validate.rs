@@ -101,8 +101,8 @@ fn check_bench_result(v: &Value) -> Result<(), String> {
 /// Checks the `critpath` member of a `ds-bench-result/v1` document:
 /// each labelled entry carries the four edge-class shares, each in
 /// `[0, 1]`, summing to ~1 whenever any cycles were attributed. Absent
-/// or `null` members pass — obs-off builds legitimately have nothing to
-/// report.
+/// or `null` members pass — experiments without instrumented runs
+/// legitimately have nothing to report.
 fn check_critpath_member(v: &Value) -> Result<(), String> {
     let entries = match v.get("critpath") {
         Some(Value::Obj(entries)) => entries,
@@ -156,8 +156,8 @@ fn check_critpath_member(v: &Value) -> Result<(), String> {
 /// `[start, len, committed, sends, arrives, bshr_occ_hw, skipped,
 /// bucket0..bucket10]` with strictly increasing starts and bucket
 /// columns summing exactly to the interval length, and the phases
-/// partition the intervals. Absent or `null` members pass (obs-off
-/// builds).
+/// partition the intervals. Absent or `null` members pass (experiments
+/// without instrumented runs).
 fn check_timeline_member(v: &Value) -> Result<(), String> {
     let entries = match v.get("timeline") {
         Some(Value::Obj(entries)) => entries,

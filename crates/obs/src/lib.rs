@@ -19,21 +19,27 @@
 //!
 //! [`Probe`] has one implementation per structure it can feed, and each
 //! owner holds only the ones it writes: [`Recorder`] is an event ring
-//! and nothing else (core, memory side, interconnect, system);
-//! [`CycleLedger`] is one node's stall buckets and per-PC profile (held
-//! by whoever charges the node's cycles); [`CritWindow`] is one core's
-//! per-slot critical-path stamps and retirement segment. [`NoopProbe`]
-//! is a zero-sized type whose hooks are all inlined empty defaults.
-//! Consumer crates hold each field behind a crate-local alias switched
-//! by their own `obs` cargo feature, so with the feature off every call
-//! site monomorphises against the ZST and compiles to nothing — no
-//! branch, no field, no cache pressure. With the feature on, every hook
-//! is a constant-time write into storage allocated at construction: the
+//! and nothing else (core, memory side, interconnect); [`CycleLedger`]
+//! is one node's stall buckets and per-PC profile (held by whoever
+//! charges the node's cycles); [`CritWindow`] is one core's per-slot
+//! critical-path stamps and retirement segment. [`NoopProbe`] is a
+//! zero-sized type whose hooks are all inlined empty defaults.
+//!
+//! Which one an owner holds is a type, not a build: every owner is
+//! generic over a [`Flavour`], and each field is that flavour's
+//! associated type. On [`Plain`] every one is the ZST, so every call
+//! site monomorphises against an empty hook and compiles to nothing —
+//! no branch, no field, no cache pressure. On [`Obs`] every hook is a
+//! constant-time write into storage allocated at construction: the
 //! cycle loop still allocates nothing (ds-lint rule a1 polices the
-//! `record*`, `charge*` and `edge*` paths like any other cycle-loop root).
+//! `record*`, `charge*` and `edge*` paths like any other cycle-loop
+//! root). Both flavours are compiled into every build and can run side
+//! by side in one process; [`DefaultFlavour`] only picks the one the
+//! plain constructors build (the `obs` cargo feature makes it [`Obs`]).
 
 pub mod account;
 pub mod critpath;
+mod flavour;
 pub mod json;
 pub mod perfetto;
 mod ring;
@@ -46,6 +52,7 @@ pub use account::{
 pub use critpath::{
     CritNode, CritPathNodeReport, CritPathReport, CritWindow, EdgeClass, EdgeKind, FillKind,
 };
+pub use flavour::{DefaultFlavour, Flavour, Instrument, LeadTracker, Obs, Plain};
 pub use ring::{EventRing, Recorder};
 pub use timeline::{
     segment_phases, IntervalRing, IntervalSample, Phase, TimelineNodeReport, TimelineReport,
@@ -257,18 +264,10 @@ pub trait Probe {
     fn edge_commit(&mut self, _slot: usize, _pc: u64, _now: Cycle) -> Option<Cycle> {
         None
     }
-
-    /// True when events are actually retained (lets callers skip
-    /// expensive event *construction*, not just recording).
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
 }
 
 /// The compile-time no-op probe: a zero-sized type whose inherited
-/// `record` is empty. This is what every call site monomorphises
-/// against when the `obs` feature is off.
+/// hooks are empty. Every instrument of the [`Plain`] flavour is one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoopProbe;
 
@@ -276,8 +275,7 @@ impl Probe for NoopProbe {}
 
 /// Derived metrics over one run's event stream, exposed on
 /// `RunResult::metrics`. Deterministic: two identical runs produce
-/// equal reports (asserted by `tests/determinism.rs` under
-/// `--features obs`).
+/// equal reports (asserted by `tests/obs_goldens.rs`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsReport {
     /// Broadcast latency (send-queue entry to arrival), one sample per
@@ -352,10 +350,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn noop_probe_records_nothing_and_reports_disabled() {
+    fn noop_probe_records_nothing_and_is_zero_sized() {
         let mut p = NoopProbe;
         p.record(1, EventKind::Commit { n: 4 });
-        assert!(!p.enabled());
         assert_eq!(std::mem::size_of::<NoopProbe>(), 0);
     }
 

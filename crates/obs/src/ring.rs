@@ -1,7 +1,7 @@
 //! The pre-allocated event ring and the instrumented [`Probe`].
 //!
 //! `record*` functions here root ds-lint's cycle path: they run
-//! inside the simulator's cycle loop when the `obs` feature is on, so
+//! inside the simulator's cycle loop on the `Obs` flavour, so
 //! rule a1 (no allocation) applies to them exactly as it does to
 //! `OooCore::step`. All storage is allocated once at construction;
 //! recording is a slot write plus two index updates.
@@ -82,8 +82,7 @@ impl Default for EventRing {
 }
 
 /// The instrumented event probe: an owned [`EventRing`] and nothing
-/// else. This is what consumer crates alias their event `Probe` types
-/// to when their `obs` feature is on.
+/// else. The `Obs` flavour's `Recorder` instrument (`crate::Flavour`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Recorder {
     ring: EventRing,
@@ -109,11 +108,6 @@ impl Probe for Recorder {
     #[inline]
     fn record(&mut self, cycle: Cycle, kind: EventKind) {
         self.ring.record(Event { cycle, kind });
-    }
-
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
     }
 }
 
@@ -173,9 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn recorder_is_an_enabled_probe() {
+    fn recorder_records_into_its_ring() {
         let mut p = Recorder::with_capacity(4);
-        assert!(p.enabled());
         p.record(3, EventKind::BroadcastSend { line: 0x40 });
         assert_eq!(p.ring().len(), 1);
         assert_eq!(p.ring().iter().next().unwrap().cycle, 3);

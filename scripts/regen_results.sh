@@ -18,7 +18,9 @@ if [[ "${1:-}" == "--check" ]]; then
     trap 'rm -rf "$out"' EXIT
 fi
 
-# Plain (obs-off) build: the flavour the committed tables come from.
+# The default build: its shared runners are the `Plain` flavour's, like
+# the tables the paper reports (figure7_ipc's `Obs` runs feed only its
+# --json document, never the text).
 cargo build -q --release -p ds-bench --bin ds-bench
 
 status=0

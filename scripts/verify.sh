@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Full verification: format check, build, published-results check,
 # --parallel output check (the chaos matrix among them), tests,
-# invariant lint, audit, instrumented build, clippy with its seeded
-# fixture, and a smoke run of the benchmark (ds-ledger, benchmark/).
+# invariant lint, audit, the instrumented (`Obs`) smokes, clippy with
+# its seeded fixture, and a smoke run of the benchmark (ds-ledger,
+# benchmark/). The uninstrumented and instrumented flavours
+# (`ds_obs::Plain`, `ds_obs::Obs`) are type parameters, not features:
+# one build holds both, and the test stages run both.
 #
 # Usage: scripts/verify.sh [--fast]
 #
@@ -40,10 +43,12 @@ run_lint() {
 }
 
 # d1, d2 and p1 (clippy.toml and [workspace.lints], docs/analysis.md)
-# over every target of every member, in both modes.
+# over every target of every member, and of ds-core's audit build, in
+# both modes.
 run_clippy() {
-    echo "== cargo clippy over the workspace (deny warnings)"
+    echo "== cargo clippy over the workspace and the audit build (deny warnings)"
     cargo clippy --workspace --all-targets -- -D warnings
+    cargo clippy -p ds-core --all-targets --features audit -- -D warnings
 }
 
 # One style, recorded in rustfmt.toml; a change that is not formatted
@@ -66,9 +71,6 @@ echo "== cargo build --release"
 cargo build --workspace --release
 
 echo "== results/*.txt are what ds-bench prints (regen_results.sh --check)"
-# Before the obs smoke below replaces target/release/ds-bench — every
-# experiment at once — with the recording build: the committed tables
-# come from the plain build.
 scripts/regen_results.sh --check
 
 tmp="$(mktemp -d)"
@@ -91,22 +93,15 @@ run_lint --release
 echo "== cargo test -p ds-core --features audit (correspondence auditor)"
 cargo test -p ds-core --features audit -q
 
-echo "== cargo test --features obs (instrumented build: goldens must stay byte-identical)"
-cargo test --features obs -q
-cargo test -p ds-core --features obs -q
-cargo test -p ds-cpu --features obs -q
-cargo test -p ds-net --features obs -q
-
 echo "== obs smoke: ds-bench figure7_ipc --json/--trace-out, validated by obs_validate"
-cargo build -q --release -p ds-bench --features obs --bin ds-bench
 target/release/ds-bench figure7_ipc --quick \
     --json "$tmp/fig7.json" --trace-out "$tmp/trace.json" > /dev/null
 # obs_validate checks schema members, trace flow-id pairing, and the
 # critpath section (class shares in range, summing to ~1 per system).
-cargo run -q --release -p ds-obs --bin obs_validate -- \
-    "$tmp/fig7.json" "$tmp/trace.json"
-# An instrumented figure7 run must actually attribute a critical path:
-# an empty critpath member means the edge hooks silently stopped firing.
+target/release/obs_validate "$tmp/fig7.json" "$tmp/trace.json"
+# figure7_ipc's instrumented runs must actually attribute a critical
+# path: an empty critpath member means the edge hooks silently stopped
+# firing.
 grep -q '"critpath":{"' "$tmp/fig7.json" || {
     echo "verify: ds-bench figure7_ipc --json carries no critpath entries" >&2
     exit 1
@@ -118,12 +113,11 @@ grep -q '"timeline":{"' "$tmp/fig7.json" || {
 }
 
 echo "== ds-dash smoke: render the dashboard, re-validate its embedded payload"
-cargo build -q --release -p ds-obs --bin ds-dash
 target/release/ds-dash --json "$tmp/fig7.json" \
     --out "$tmp/dash.html" 2> /dev/null
 # obs_validate extracts the ds-dash-data payload and re-checks every
 # embedded document (timeline interval sums included).
-cargo run -q --release -p ds-obs --bin obs_validate -- "$tmp/dash.html"
+target/release/obs_validate "$tmp/dash.html"
 
 run_clippy
 

@@ -8,6 +8,8 @@
 //! each fingerprint below byte-identical. The counters are exact
 //! integers — any drift in cycle accounting, broadcast ordering, cache
 //! behavior, or interconnect arbitration shows up here immediately.
+//! Every fingerprint is asserted on both flavours (`Plain` and `Obs`):
+//! the instruments observe without perturbing.
 //!
 //! After an *intentional* model change, regenerate with
 //! `cargo test --test golden_stats -- --ignored --nocapture`.
@@ -16,9 +18,21 @@ use datascalar::core_model::RunResult;
 use datascalar::core_model::{DsSystem, TraditionalConfig, TraditionalSystem};
 use datascalar::mem::{TlbConfig, WritePolicy};
 use datascalar::net::FabricKind;
+use datascalar::obs::{Flavour, Obs, Plain};
 use datascalar::trace::{measure_traffic, TrafficConfig};
 use datascalar::workloads::{by_name, Scale, Workload};
-use ds_bench::{baseline_config, run_datascalar, run_perfect, run_traditional, Budget};
+use ds_bench::{baseline_config, runner, Budget, System};
+
+/// The same run on each flavour, labelled; the two run side by side
+/// (`ds_bench::runner`), so pinning both costs about the slower one's
+/// time.
+fn on_both<T: Send>(
+    plain: impl Fn() -> T + Sync,
+    obs: impl Fn() -> T + Sync,
+) -> Vec<(&'static str, T)> {
+    let runs: [(&'static str, &(dyn Fn() -> T + Sync)); 2] = [("Plain", &plain), ("Obs", &obs)];
+    runner::pmap(&runs, |&(flavour, run)| (flavour, run()))
+}
 
 /// Every counter that a hot-path change could plausibly disturb,
 /// rendered as one canonical line.
@@ -73,14 +87,18 @@ fn traffic_line(w: &Workload) -> String {
 }
 
 /// (system label, produce-fingerprint) pairs for one workload.
-fn figure7_fingerprints(w: &Workload) -> Vec<(&'static str, String)> {
+fn figure7_fingerprints<F: Flavour>(w: &Workload) -> Vec<(&'static str, String)> {
     let b = Budget::quick();
+    let prog = (w.build)(b.scale);
+    let run = |system: System, nodes| {
+        fingerprint(&system.run_as::<F>(baseline_config(nodes, b.max_insts), &prog, w.name))
+    };
     vec![
-        ("perfect", fingerprint(&run_perfect(w, b))),
-        ("ds2", fingerprint(&run_datascalar(w, 2, b))),
-        ("ds4", fingerprint(&run_datascalar(w, 4, b))),
-        ("trad2", fingerprint(&run_traditional(w, 2, b))),
-        ("trad4", fingerprint(&run_traditional(w, 4, b))),
+        ("perfect", run(System::Perfect, 1)),
+        ("ds2", run(System::DataScalar, 2)),
+        ("ds4", run(System::DataScalar, 4)),
+        ("trad2", run(System::Traditional, 2)),
+        ("trad4", run(System::Traditional, 4)),
     ]
 }
 
@@ -104,14 +122,14 @@ const GOLDEN_GO: &[(&str, &str)] = &[
 /// options the Figure 7 grid leaves at their defaults: a real D-TLB and
 /// a write-allocate D-cache. `dcub_max` rides along because both change
 /// how long lines stay in flight.
-fn trad2_variant_fingerprints(name: &str) -> Vec<(&'static str, String)> {
+fn trad2_variant_fingerprints<F: Flavour>(name: &str) -> Vec<(&'static str, String)> {
     let w = by_name(name).expect("registered workload");
     let b = Budget::quick();
     let prog = (w.build)(b.scale);
     let run = |tweak: &dyn Fn(&mut datascalar::core_model::DsConfig)| {
         let mut base = baseline_config(2, b.max_insts);
         tweak(&mut base);
-        let r = TraditionalSystem::new(&TraditionalConfig { base }, &prog)
+        let r = TraditionalSystem::<F>::with_flavour(&TraditionalConfig { base }, &prog)
             .run()
             .expect("workload executes");
         assert!(r.deadlock.is_none(), "{name}: traditional run wedged");
@@ -137,13 +155,13 @@ const GOLDEN_TRAD2_LI: &[(&str, &str)] = &[
 /// and the bus, where every owner broadcasts the most distinct lines
 /// (the per-line tag table's largest load), and wave5 on four nodes and
 /// the ring, the only multi-hop fabric. `dcub_max` rides along.
-fn ds_variant_fingerprint(name: &str, nodes: usize, fabric: FabricKind) -> String {
+fn ds_variant_fingerprint<F: Flavour>(name: &str, nodes: usize, fabric: FabricKind) -> String {
     let w = by_name(name).expect("registered workload");
     let b = Budget::quick();
     let prog = (w.build)(b.scale);
     let mut config = baseline_config(nodes, b.max_insts);
     config.interconnect = fabric;
-    let r = DsSystem::new(config, &prog).run().expect("workload executes");
+    let r = DsSystem::<F>::with_flavour(config, &prog).run().expect("workload executes");
     assert!(r.deadlock.is_none(), "{name}: DataScalar run wedged");
     let dcub: Vec<String> = r.nodes.iter().map(|n| n.dcub_max.to_string()).collect();
     format!("{} dcub_max={}", fingerprint(&r), dcub.join(","))
@@ -161,14 +179,17 @@ const GOLDEN_TRAFFIC_GO: &str =
 
 fn check(name: &str, golden: &[(&str, &str)]) {
     let w = by_name(name).expect("registered workload");
-    for ((label, got), (glabel, want)) in figure7_fingerprints(&w).iter().zip(golden) {
-        assert_eq!(label, glabel);
-        assert_eq!(
-            got, want,
-            "{name}/{label}: simulation statistics changed — hot-path \
-             optimizations must be behavior-preserving; if the model \
-             itself changed intentionally, regenerate the goldens"
-        );
+    let runs = on_both(|| figure7_fingerprints::<Plain>(&w), || figure7_fingerprints::<Obs>(&w));
+    for (flavour, fingerprints) in runs {
+        for ((label, got), (glabel, want)) in fingerprints.iter().zip(golden) {
+            assert_eq!(label, glabel);
+            assert_eq!(
+                got, want,
+                "{name}/{label} on {flavour}: simulation statistics changed — \
+                 hot-path optimizations must be behavior-preserving; if the \
+                 model itself changed intentionally, regenerate the goldens"
+            );
+        }
     }
 }
 
@@ -185,30 +206,38 @@ fn figure7_stats_pinned_for_go() {
 #[test]
 fn traditional_variants_pinned() {
     for (name, golden) in [("compress", GOLDEN_TRAD2_COMPRESS), ("li", GOLDEN_TRAD2_LI)] {
-        for ((label, got), (glabel, want)) in trad2_variant_fingerprints(name).iter().zip(golden) {
-            assert_eq!(label, glabel);
-            assert_eq!(got, want, "{name}/trad2/{label}: simulation statistics changed");
+        let runs = on_both(
+            || trad2_variant_fingerprints::<Plain>(name),
+            || trad2_variant_fingerprints::<Obs>(name),
+        );
+        for (flavour, fingerprints) in runs {
+            for ((label, got), (glabel, want)) in fingerprints.iter().zip(golden) {
+                assert_eq!(label, glabel);
+                assert_eq!(got, want, "{name}/trad2/{label} on {flavour}: statistics changed");
+            }
         }
     }
 }
 
 #[test]
 fn ds_variants_pinned() {
-    assert_eq!(
-        ds_variant_fingerprint("li", 2, FabricKind::Bus),
-        GOLDEN_DS2_BUS_LI,
-        "li/ds2/bus: simulation statistics changed"
-    );
-    assert_eq!(
-        ds_variant_fingerprint("wave5", 4, FabricKind::Ring),
-        GOLDEN_DS4_RING_WAVE5,
-        "wave5/ds4/ring: simulation statistics changed"
-    );
+    for (name, nodes, fabric, want) in [
+        ("li", 2, FabricKind::Bus, GOLDEN_DS2_BUS_LI),
+        ("wave5", 4, FabricKind::Ring, GOLDEN_DS4_RING_WAVE5),
+    ] {
+        let runs = on_both(
+            || ds_variant_fingerprint::<Plain>(name, nodes, fabric),
+            || ds_variant_fingerprint::<Obs>(name, nodes, fabric),
+        );
+        for (flavour, got) in runs {
+            assert_eq!(got, want, "{name}/ds{nodes}/{fabric:?} on {flavour}: statistics changed");
+        }
+    }
 }
 
 /// The trace window's high-water mark on one DataScalar machine: the
 /// worst node skew plus the in-flight window, in records.
-fn high_water(
+fn high_water<F: Flavour>(
     name: &str,
     scale: Scale,
     nodes: usize,
@@ -219,7 +248,7 @@ fn high_water(
     let prog = (w.build)(scale);
     let mut config = baseline_config(nodes, max_insts);
     config.interconnect = fabric;
-    let r = DsSystem::new(config, &prog).run().expect("workload executes");
+    let r = DsSystem::<F>::with_flavour(config, &prog).run().expect("workload executes");
     assert!(r.deadlock.is_none(), "{name}: DataScalar run wedged");
     (r.trace_window_high_water, r.committed)
 }
@@ -249,25 +278,41 @@ const GOLDEN_HIGH_WATER_LEDGER: &[(&str, Scale, usize, FabricKind, u64, usize)] 
 fn trace_window_high_water_is_tracked_and_bounded() {
     let b = Budget::quick();
     for &(name, nodes, fabric, want) in GOLDEN_HIGH_WATER_QUICK {
-        let (hw, committed) = high_water(name, b.scale, nodes, fabric, b.max_insts);
-        // The window is bounded by worst-case node skew plus the
-        // in-flight OoO window; for these budgets that stays far below
-        // the full committed stream (which would indicate trimming
-        // stopped working).
-        assert!(hw > 0, "{name}/ds{nodes}: high-water mark never recorded");
-        assert!(
-            hw < committed as usize,
-            "{name}/ds{nodes}: trace window grew to the whole stream ({hw} of {committed} insts) — trim is broken"
+        let runs = on_both(
+            || high_water::<Plain>(name, b.scale, nodes, fabric, b.max_insts),
+            || high_water::<Obs>(name, b.scale, nodes, fabric, b.max_insts),
         );
-        assert_eq!(hw, want, "{name}/ds{nodes}/{fabric:?}: trace window high-water mark changed");
+        for (flavour, (hw, committed)) in runs {
+            // The window is bounded by worst-case node skew plus the
+            // in-flight OoO window; for these budgets that stays far
+            // below the full committed stream (which would indicate
+            // trimming stopped working).
+            assert!(hw > 0, "{name}/ds{nodes}: high-water mark never recorded");
+            assert!(
+                hw < committed as usize,
+                "{name}/ds{nodes}: trace window grew to the whole stream ({hw} of {committed} insts) — trim is broken"
+            );
+            assert_eq!(
+                hw, want,
+                "{name}/ds{nodes}/{fabric:?} on {flavour}: high-water mark changed"
+            );
+        }
     }
 }
 
 #[test]
 fn trace_window_high_water_pinned_on_the_benchmark_workloads() {
     for &(name, scale, nodes, fabric, max_insts, want) in GOLDEN_HIGH_WATER_LEDGER {
-        let (hw, _) = high_water(name, scale, nodes, fabric, max_insts);
-        assert_eq!(hw, want, "{name}/ds{nodes}/{fabric:?}: trace window high-water mark changed");
+        let runs = on_both(
+            || high_water::<Plain>(name, scale, nodes, fabric, max_insts),
+            || high_water::<Obs>(name, scale, nodes, fabric, max_insts),
+        );
+        for (flavour, (hw, _)) in runs {
+            assert_eq!(
+                hw, want,
+                "{name}/ds{nodes}/{fabric:?} on {flavour}: high-water mark changed"
+            );
+        }
     }
 }
 
@@ -287,27 +332,30 @@ fn print_golden_stats() {
     for name in ["compress", "go"] {
         let w = by_name(name).unwrap();
         println!("== {name} ==");
-        for (label, fp) in figure7_fingerprints(&w) {
+        for (label, fp) in figure7_fingerprints::<Plain>(&w) {
             println!("    (\"{label}\", \"{fp}\"),");
         }
         println!("    traffic: \"{}\"", traffic_line(&w));
     }
     for name in ["compress", "li"] {
         println!("== {name} trad2 variants ==");
-        for (label, fp) in trad2_variant_fingerprints(name) {
+        for (label, fp) in trad2_variant_fingerprints::<Plain>(name) {
             println!("    (\"{label}\", \"{fp}\"),");
         }
     }
-    println!("li ds2 bus: \"{}\"", ds_variant_fingerprint("li", 2, FabricKind::Bus));
-    println!("wave5 ds4 ring: \"{}\"", ds_variant_fingerprint("wave5", 4, FabricKind::Ring));
+    println!("li ds2 bus: \"{}\"", ds_variant_fingerprint::<Plain>("li", 2, FabricKind::Bus));
+    println!(
+        "wave5 ds4 ring: \"{}\"",
+        ds_variant_fingerprint::<Plain>("wave5", 4, FabricKind::Ring)
+    );
     let b = Budget::quick();
     println!("== trace window high-water marks ==");
     for &(name, nodes, fabric, _) in GOLDEN_HIGH_WATER_QUICK {
-        let (hw, _) = high_water(name, b.scale, nodes, fabric, b.max_insts);
+        let (hw, _) = high_water::<Plain>(name, b.scale, nodes, fabric, b.max_insts);
         println!("    (\"{name}\", {nodes}, FabricKind::{fabric:?}, {hw}),");
     }
     for &(name, scale, nodes, fabric, max_insts, _) in GOLDEN_HIGH_WATER_LEDGER {
-        let (hw, _) = high_water(name, scale, nodes, fabric, max_insts);
+        let (hw, _) = high_water::<Plain>(name, scale, nodes, fabric, max_insts);
         println!("    (\"{name}\", Scale::{scale:?}, {nodes}, FabricKind::{fabric:?}, {max_insts}, {hw}),");
     }
 }

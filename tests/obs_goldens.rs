@@ -1,25 +1,43 @@
-//! Observability acceptance tests (built with `--features obs` only).
+//! Observability acceptance tests, on the `Obs` flavour.
 //!
-//! The contract of the `obs` feature is *observation without
-//! perturbation*: `tests/golden_stats.rs` already re-asserts the exact
-//! pinned counters under this feature (it is not feature-gated, so
-//! `cargo test --features obs` runs it against the instrumented build).
-//! This file checks the other half — that the instrumented build
-//! actually *observes*: metrics are populated for DataScalar runs,
-//! deterministic across runs, the Perfetto export is well-formed, and
-//! what the stall, critical-path and timeline instruments report is
-//! pinned to the integer (`GOLDEN_INSTRUMENTS`).
+//! The contract of the `Obs` flavour is *observation without
+//! perturbation*: `tests/golden_stats.rs` asserts the exact pinned
+//! counters on both flavours. This file checks the other half — that
+//! the instrumented machine actually *observes*: metrics are populated
+//! for DataScalar runs, deterministic across runs, the Perfetto export
+//! is well-formed, and what the stall, critical-path and timeline
+//! instruments report is pinned to the integer (`GOLDEN_INSTRUMENTS`).
 
-#![cfg(feature = "obs")]
-
-use datascalar::core_model::DsSystem;
+use datascalar::core_model::{DsSystem, RunResult};
 use datascalar::obs::json::{self, Value};
-use datascalar::workloads::by_name;
-use ds_bench::{baseline_config, run_datascalar, run_perfect, run_traditional, Budget};
+use datascalar::obs::Obs;
+use datascalar::workloads::{by_name, Workload};
+use ds_bench::{baseline_config, Budget, System};
 
-/// Every node of every system: the ten stall buckets partition the run
+/// `w` at the budget's scale on `system` of the `Obs` flavour, in the
+/// Figure 7 baseline configuration for `nodes` nodes.
+fn run_obs(w: &Workload, system: System, nodes: usize, b: Budget) -> RunResult {
+    system.run_as::<Obs>(baseline_config(nodes, b.max_insts), &(w.build)(b.scale), w.name)
+}
+
+/// `ds_bench::run_datascalar`, on the `Obs` flavour.
+fn run_datascalar(w: &Workload, nodes: usize, b: Budget) -> RunResult {
+    run_obs(w, System::DataScalar, nodes, b)
+}
+
+/// `ds_bench::run_traditional`, on the `Obs` flavour.
+fn run_traditional(w: &Workload, nodes: usize, b: Budget) -> RunResult {
+    run_obs(w, System::Traditional, nodes, b)
+}
+
+/// `ds_bench::run_perfect`, on the `Obs` flavour.
+fn run_perfect(w: &Workload, b: Budget) -> RunResult {
+    run_obs(w, System::Perfect, 1, b)
+}
+
+/// Every node of every system: the eleven stall buckets partition the run
 /// exactly — no cycle uncounted, none double-counted.
-fn assert_accounts_cover(label: &str, r: &datascalar::core_model::RunResult, nodes: usize) {
+fn assert_accounts_cover(label: &str, r: &RunResult, nodes: usize) {
     let m = r.metrics.as_ref().unwrap_or_else(|| panic!("{label}: metrics missing"));
     assert_eq!(m.node_accounts.len(), nodes, "{label}: one account per node");
     for (i, acct) in m.node_accounts.iter().enumerate() {
@@ -122,7 +140,7 @@ fn folded_stacks_sum_to_cycles_per_node() {
     let b = Budget::quick();
     let w = by_name("compress").expect("registered workload");
     let prog = (w.build)(b.scale);
-    let mut sys = DsSystem::new(baseline_config(2, b.max_insts), &prog);
+    let mut sys = DsSystem::<Obs>::with_flavour(baseline_config(2, b.max_insts), &prog);
     let r = sys.run().expect("workload executes");
     let folded = sys.folded_stacks();
 
@@ -143,7 +161,7 @@ fn folded_stacks_sum_to_cycles_per_node() {
     }
 
     // Determinism: a fresh identical run folds identically.
-    let mut sys2 = DsSystem::new(baseline_config(2, b.max_insts), &prog);
+    let mut sys2 = DsSystem::<Obs>::with_flavour(baseline_config(2, b.max_insts), &prog);
     sys2.run().expect("workload executes");
     assert_eq!(folded, sys2.folded_stacks(), "folded stacks diverged across runs");
 }
@@ -203,9 +221,8 @@ fn critpath_attribution_telescopes_for_all_figure7_systems() {
 fn traditional_communication_share_dominates_datascalar_on_compress() {
     let b = Budget::quick();
     let w = by_name("compress").expect("registered workload");
-    let comm = |r: &datascalar::core_model::RunResult| {
-        r.metrics.as_ref().expect("obs metrics").critpath.communication_share()
-    };
+    let comm =
+        |r: &RunResult| r.metrics.as_ref().expect("obs metrics").critpath.communication_share();
     let ds = comm(&run_datascalar(&w, 2, b));
     let trad = comm(&run_traditional(&w, 2, b));
     let perfect = comm(&run_perfect(&w, b));
@@ -231,7 +248,7 @@ fn critpath_folded_stacks_sum_to_attributed_cycles() {
     let b = Budget::quick();
     let w = by_name("compress").expect("registered workload");
     let prog = (w.build)(b.scale);
-    let mut sys = DsSystem::new(baseline_config(2, b.max_insts), &prog);
+    let mut sys = DsSystem::<Obs>::with_flavour(baseline_config(2, b.max_insts), &prog);
     let r = sys.run().expect("workload executes");
     let folded = sys.critpath_folded();
 
@@ -260,7 +277,7 @@ fn critpath_folded_stacks_sum_to_attributed_cycles() {
         );
     }
 
-    let mut sys2 = DsSystem::new(baseline_config(2, b.max_insts), &prog);
+    let mut sys2 = DsSystem::<Obs>::with_flavour(baseline_config(2, b.max_insts), &prog);
     sys2.run().expect("workload executes");
     assert_eq!(folded, sys2.critpath_folded(), "critpath folding diverged across runs");
 }
@@ -272,7 +289,7 @@ fn core_retirements_always_pack() {
     let b = Budget::quick();
     for name in ["compress", "go", "li"] {
         let prog = (by_name(name).expect("registered workload").build)(b.scale);
-        let mut sys = DsSystem::new(baseline_config(2, b.max_insts), &prog);
+        let mut sys = DsSystem::<Obs>::with_flavour(baseline_config(2, b.max_insts), &prog);
         sys.run().expect("workload executes");
         for (i, node) in sys.nodes().iter().enumerate() {
             let w = node.crit_window();
@@ -287,7 +304,7 @@ fn perfetto_trace_is_valid_json_with_monotonic_tracks() {
     let b = Budget::quick();
     let w = by_name("compress").expect("registered workload");
     let prog = (w.build)(b.scale);
-    let mut sys = DsSystem::new(baseline_config(4, b.max_insts), &prog);
+    let mut sys = DsSystem::<Obs>::with_flavour(baseline_config(4, b.max_insts), &prog);
     sys.run().expect("workload executes");
     let text = sys.perfetto_trace();
 
@@ -386,7 +403,7 @@ fn perfetto_trace_is_valid_json_with_monotonic_tracks() {
 /// Every integer the three attribution instruments report for one run,
 /// rendered as one canonical line: machine-wide stall buckets, per-node
 /// critical-path classes, and the merged timeline's phases.
-fn instrument_line(r: &datascalar::core_model::RunResult) -> String {
+fn instrument_line(r: &RunResult) -> String {
     use datascalar::obs::{EdgeClass, StallBucket};
     let m = r.metrics.as_ref().expect("obs metrics");
     let totals = r.stall_totals().expect("accounts present");
@@ -422,7 +439,7 @@ const GOLDEN_INSTRUMENTS: &[(&str, &str)] = &[
 /// the run computes (`tests/golden_stats.rs`): a change that moves one
 /// cycle between stall buckets, critical-path classes or phases fails
 /// here. After an *intentional* instrument or model change, regenerate
-/// with `cargo test --features obs --test obs_goldens -- --ignored --nocapture`.
+/// with `cargo test --test obs_goldens -- --ignored --nocapture`.
 #[test]
 fn instrument_shape_pinned_for_compress_and_go() {
     for (name, want) in GOLDEN_INSTRUMENTS {

@@ -1,8 +1,8 @@
 //! The event-horizon engine's behavior-invariance contract: skipping
 //! quiescent cycle ranges must produce *exactly* the `RunResult` of
 //! the naive cycle-by-cycle loop — cycles, every node counter, bus
-//! statistics, trace high-water mark,
-//! and (under `--features obs`) the derived metrics report with its
+//! statistics, trace high-water mark, and (every comparison is made on
+//! both flavours) on `Obs` the derived metrics report with its
 //! per-node cycle ledgers and critical-path attribution (`RunResult`
 //! equality covers `CritPathReport` field-by-field: identical edge
 //! timestamps, class/kind cycles, window drop counts and top-PC
@@ -22,6 +22,7 @@
 use datascalar::core_model::{
     DsConfig, DsSystem, PerfectSystem, RunResult, TraditionalConfig, TraditionalSystem,
 };
+use datascalar::obs::{Flavour, Obs, Plain};
 use datascalar::workloads::by_name;
 use ds_bench::Budget;
 
@@ -33,30 +34,36 @@ enum Model {
     Perfect,
 }
 
-/// Runs one workload on `model` under `config`; returns its full result
-/// and the cycles covered by horizon jumps.
-fn run_on(model: Model, config: DsConfig, workload: &str, budget: Budget) -> (RunResult, u64) {
+/// Runs one workload on `model` of flavour `F` under `config`; returns
+/// its full result and the cycles covered by horizon jumps.
+fn run_on<F: Flavour>(
+    model: Model,
+    config: DsConfig,
+    workload: &str,
+    budget: Budget,
+) -> (RunResult, u64) {
     let w = by_name(workload).expect("known workload");
     let prog = (w.build)(budget.scale);
     match model {
         Model::DataScalar => {
-            let mut sys = DsSystem::new(config, &prog);
+            let mut sys = DsSystem::<F>::with_flavour(config, &prog);
             (sys.run().expect("workload executes"), sys.cycles_skipped())
         }
         Model::Traditional => {
-            let mut sys = TraditionalSystem::new(&TraditionalConfig { base: config }, &prog);
+            let config = TraditionalConfig { base: config };
+            let mut sys = TraditionalSystem::<F>::with_flavour(&config, &prog);
             (sys.run().expect("workload executes"), sys.cycles_skipped())
         }
         Model::Perfect => {
-            let mut sys = PerfectSystem::new(&config, &prog);
+            let mut sys = PerfectSystem::<F>::with_flavour(&config, &prog);
             (sys.run().expect("workload executes"), sys.cycles_skipped())
         }
     }
 }
 
-/// Asserts the two engines agree exactly on `base`; returns the agreed
-/// result.
-fn assert_engines_agree(
+/// Asserts the two engines agree exactly on `base` on flavour `F`;
+/// returns the agreed result.
+fn engines_agree<F: Flavour>(
     model: Model,
     base: DsConfig,
     workload: &str,
@@ -65,13 +72,29 @@ fn assert_engines_agree(
 ) -> RunResult {
     let mut reference = base.clone();
     reference.no_skip = true;
-    let (naive, _) = run_on(model, reference, workload, budget);
+    let (naive, _) = run_on::<F>(model, reference, workload, budget);
 
     let mut skipping = base;
     skipping.no_skip = false;
-    let (skipped, _) = run_on(model, skipping, workload, budget);
-    assert_eq!(skipped, naive, "horizon skipping diverged from the naive loop on {label}");
+    let (skipped, _) = run_on::<F>(model, skipping, workload, budget);
+    let flavour = std::any::type_name::<F>();
+    assert_eq!(
+        skipped, naive,
+        "horizon skipping diverged from the naive loop on {label} ({flavour})"
+    );
     skipped
+}
+
+/// [`engines_agree`] on both flavours; returns the `Plain` result.
+fn assert_engines_agree(
+    model: Model,
+    base: DsConfig,
+    workload: &str,
+    budget: Budget,
+    label: &str,
+) -> RunResult {
+    engines_agree::<Obs>(model, base.clone(), workload, budget, label);
+    engines_agree::<Plain>(model, base, workload, budget, label)
 }
 
 #[test]
@@ -149,7 +172,7 @@ fn skipping_actually_skips() {
         let mut config = DsConfig::with_nodes(nodes);
         config.max_insts = Some(budget.max_insts);
 
-        let (r, skipped) = run_on(model, config.clone(), workload, budget);
+        let (r, skipped) = run_on::<Plain>(model, config.clone(), workload, budget);
         assert!(
             skipped as f64 > r.cycles as f64 * min_share,
             "{model:?}/{workload}: expected over {min_share} of {} cycles skipped, got {skipped}",
@@ -157,7 +180,7 @@ fn skipping_actually_skips() {
         );
 
         config.no_skip = true;
-        let (_, skipped) = run_on(model, config, workload, budget);
+        let (_, skipped) = run_on::<Plain>(model, config, workload, budget);
         assert_eq!(skipped, 0, "{model:?}: the reference path must never skip");
     }
 }

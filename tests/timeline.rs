@@ -9,9 +9,8 @@
 //! (naive vs. horizon-skipping) is pinned separately by
 //! `tests/skip_equivalence.rs` through `RunResult` equality.
 
-#![cfg(feature = "obs")]
-
 use datascalar::core_model::{DsConfig, DsSystem, RunResult};
+use datascalar::obs::Obs;
 use datascalar::workloads::by_name;
 use ds_bench::Budget;
 use ds_obs::{StallBucket, SAMPLE_INTERVAL};
@@ -22,14 +21,14 @@ fn run(nodes: usize, workload: &str) -> RunResult {
     let prog = (w.build)(budget.scale);
     let mut config = DsConfig::with_nodes(nodes);
     config.max_insts = Some(budget.max_insts);
-    let mut sys = DsSystem::new(config, &prog);
+    let mut sys = DsSystem::<Obs>::with_flavour(config, &prog);
     sys.run().expect("workload executes")
 }
 
 #[test]
 fn interval_deltas_sum_exactly_to_the_whole_run_ledgers() {
     let r = run(2, "compress");
-    let m = r.metrics.as_ref().expect("obs builds carry metrics");
+    let m = r.metrics.as_ref().expect("Obs runs carry metrics");
     let t = &m.timeline;
     assert_eq!(t.interval_cycles, SAMPLE_INTERVAL);
     assert_eq!(t.nodes.len(), m.node_accounts.len(), "one timeline per node");
@@ -78,7 +77,7 @@ fn interval_deltas_sum_exactly_to_the_whole_run_ledgers() {
 #[test]
 fn phases_partition_the_intervals() {
     let r = run(4, "go");
-    let t = &r.metrics.as_ref().expect("obs builds carry metrics").timeline;
+    let t = &r.metrics.as_ref().expect("Obs runs carry metrics").timeline;
     for (ni, node) in t.nodes.iter().enumerate() {
         let phases = &node.phases;
         assert!(!phases.is_empty(), "node {ni}: a non-empty run must have phases");
@@ -101,7 +100,7 @@ fn phases_partition_the_intervals() {
 #[test]
 fn merged_timeline_aggregates_all_nodes() {
     let r = run(2, "compress");
-    let t = &r.metrics.as_ref().expect("obs builds carry metrics").timeline;
+    let t = &r.metrics.as_ref().expect("Obs runs carry metrics").timeline;
     let merged = t.merged();
     // Every node records the same interval grid (all charge every
     // cycle), so the merged view keeps the grid and sums the counters
