@@ -14,9 +14,8 @@ use ds_trace::PageProfile;
 use ds_workloads::{by_name, figure7_set, Workload};
 
 /// Runs `job` for every workload × variant through [`runner::map`];
-/// results come back workload-major, variants in order (identical with
-/// or without `--parallel`), so `chunks(variants.len())` is one group
-/// per workload.
+/// results come back workload-major, variants in order, so
+/// `chunks(variants.len())` is one group per workload.
 fn sweep<W: Sync, V: Sync, T: Send>(
     workloads: &[(&str, W)],
     variants: &[V],

@@ -120,16 +120,19 @@ pub fn table1_traffic(budget: Budget, r: &mut Report) {
     r.line("");
     let mut t =
         Table::new(&["benchmark", "traffic (bytes)", "transactions", "fills", "writebacks"]);
-    for w in table1_set() {
+    let rows = runner::map(&table1_set(), |w| {
         let prog = (w.build)(budget.scale);
         let m = measure_traffic(&prog, &config);
-        t.row(&[
+        [
             w.name.to_string(),
             percent(m.bytes_eliminated()),
             percent(m.transactions_eliminated()),
             m.fills.to_string(),
             m.writebacks.to_string(),
-        ]);
+        ]
+    });
+    for row in &rows {
+        t.row(row);
     }
     r.table("Table 1: off-chip data traffic reduced by ESP", t);
     r.line("paper: traffic 25-50% eliminated; transactions 50-75% (never below 50%)");
@@ -173,7 +176,7 @@ pub fn table2_datathreads(budget: Budget, r: &mut Report) {
         "data-dt",
         "repl-run",
     ]);
-    for w in table1_set() {
+    let rows = runner::map(&table1_set(), |w| {
         let prog = (w.build)(budget.scale);
         // Profile and replicate the most heavily accessed pages (§3.2),
         // capped at a third of the declared pages so no segment is
@@ -202,7 +205,7 @@ pub fn table2_datathreads(budget: Budget, r: &mut Report) {
 
         let config = DatathreadConfig { max_insts, ..Default::default() };
         let m = measure_datathreads(&prog, &pt, &config);
-        t.row(&[
+        [
             w.name.to_string(),
             (block * PAGE / 1024).to_string(),
             per_seg.iter().sum::<usize>().to_string(),
@@ -214,7 +217,10 @@ pub fn table2_datathreads(budget: Budget, r: &mut Report) {
             fmt_mean(m.text, m.text_runs),
             fmt_mean(m.data, m.data_runs),
             format!("{:.1}", m.replicated),
-        ]);
+        ]
+    });
+    for row in &rows {
+        t.row(row);
     }
     r.table("Table 2: approximate datathread measurements", t);
     r.line("paper: text datathreads > 10 everywhere (often 100s-1000s);");
@@ -275,30 +281,26 @@ pub fn figure7_ipc(budget: Budget, r: &mut Report) {
 /// sit *on* its critical path (large communication share), while the
 /// DataScalar broadcast largely hides under compute.
 fn append_critpath(r: &mut Report, budget: Budget) {
-    for name in ["compress", "go"] {
-        let prog = (by_name(name).expect("registered workload").build)(budget.scale);
-        let run = |system: System, nodes| {
-            system.run_as::<Obs>(baseline_config(nodes, budget.max_insts), &prog, name)
-        };
-        let systems = [
-            ("ds2", run(System::DataScalar, 2)),
-            ("trad2", run(System::Traditional, 2)),
-            ("perfect", run(System::Perfect, 1)),
-        ];
-        for (sys, run) in &systems {
-            let m = run.metrics.as_ref().expect("Obs runs carry metrics");
-            r.critpath(&format!("{name}/{sys}"), &m.critpath);
-            r.number(
-                &format!("{name}_{sys}_communication_share"),
-                m.critpath.communication_share(),
-            );
-            // Full interval timelines ride along for the DataScalar
-            // systems only: they are what ds-dash renders, and the
-            // single-node comparators add bulk without adding phases of
-            // interest.
-            if *sys == "ds2" {
-                r.timeline(&format!("{name}/{sys}"), &m.timeline);
-            }
+    const SYSTEMS: [(&str, System, usize); 3] = [
+        ("ds2", System::DataScalar, 2),
+        ("trad2", System::Traditional, 2),
+        ("perfect", System::Perfect, 1),
+    ];
+    let progs = ["compress", "go"]
+        .map(|name| (name, (by_name(name).expect("registered workload").build)(budget.scale)));
+    let jobs: Vec<_> = progs.iter().flat_map(|p| SYSTEMS.iter().map(move |s| (p, s))).collect();
+    let runs = runner::map(&jobs, |&((name, prog), &(_, system, nodes))| {
+        system.run_as::<Obs>(baseline_config(nodes, budget.max_insts), prog, name)
+    });
+    for (&((name, _), &(sys, ..)), run) in jobs.iter().zip(&runs) {
+        let m = run.metrics.as_ref().expect("Obs runs carry metrics");
+        r.critpath(&format!("{name}/{sys}"), &m.critpath);
+        r.number(&format!("{name}_{sys}_communication_share"), m.critpath.communication_share());
+        // Full interval timelines ride along for the DataScalar systems
+        // only: they are what ds-dash renders, and the single-node
+        // comparators add bulk without adding phases of interest.
+        if sys == "ds2" {
+            r.timeline(&format!("{name}/{sys}"), &m.timeline);
         }
     }
 }
@@ -328,8 +330,7 @@ pub fn figure8_sensitivity(mut budget: Budget, r: &mut Report) {
     let ws: Vec<_> = names.iter().map(|n| by_name(n).expect("registered workload")).collect();
     let axes = figure8_axes();
     // One job per (workload × axis × knob) sweep point; each runs its
-    // five systems. Results come back in job order, so the printed
-    // tables are identical with or without --parallel.
+    // five systems. Results come back in job order, as the tables print.
     let jobs: Vec<(usize, usize, usize)> = (0..ws.len())
         .flat_map(|wi| {
             axes.iter()
@@ -377,9 +378,9 @@ pub fn table3_broadcast(budget: Budget, r: &mut Report) {
         "false misses",
         "broadcasts",
     ]);
-    for w in figure7_set() {
-        let run = run_datascalar(&w, 2, budget);
-        t.row(&[
+    let rows = runner::map(&figure7_set(), |w| {
+        let run = run_datascalar(w, 2, budget);
+        [
             w.name.to_string(),
             percent(run.node_mean(|n| n.late_broadcast_frac())),
             percent(run.node_mean(|n| n.squash_frac())),
@@ -387,7 +388,10 @@ pub fn table3_broadcast(budget: Budget, r: &mut Report) {
             run.nodes.iter().map(|n| n.false_hits).sum::<u64>().to_string(),
             run.nodes.iter().map(|n| n.false_misses).sum::<u64>().to_string(),
             run.nodes.iter().map(|n| n.broadcasts_sent).sum::<u64>().to_string(),
-        ]);
+        ]
+    });
+    for row in &rows {
+        t.row(row);
     }
     r.table("Table 3: DataScalar broadcast statistics", t);
     r.line("paper: late broadcasts 8-29%; squashes 0-59%; data found in BSHR 2-49%");

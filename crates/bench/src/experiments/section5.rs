@@ -1,7 +1,7 @@
 //! The §5 extension studies the paper describes but does not evaluate.
 
 use crate::report::Report;
-use crate::{run_datascalar, run_traditional, Budget};
+use crate::{run_baseline, runner, Budget, System};
 use ds_core::hybrid;
 use ds_mem::{PageTableBuilder, Segment};
 use ds_stats::{percent, ratio, Table};
@@ -20,7 +20,7 @@ pub fn result_comm(budget: Budget, r: &mut Report) {
     r.heading(budget, format!("Section 5.1: result-communication upper bound ({NODES} nodes)"));
     let mut t =
         Table::new(&["benchmark", "operand bcasts", "result bcasts", "mean run", "max savings"]);
-    for w in table1_set() {
+    let rows = runner::map(&table1_set(), |w| {
         let prog = (w.build)(budget.scale);
         let mut ptb = PageTableBuilder::new(PAGE, NODES);
         for (s, e, seg) in prog.regions() {
@@ -31,13 +31,16 @@ pub fn result_comm(budget: Budget, r: &mut Report) {
         let pt = ptb.build();
         let config = ResultCommConfig { max_insts: budget.max_insts * 10, ..Default::default() };
         let m = measure_result_comm(&prog, &pt, &config);
-        t.row(&[
+        [
             w.name.to_string(),
             m.operand_broadcasts.to_string(),
             m.result_broadcasts.to_string(),
             ratio(m.mean_run()),
             percent(m.max_savings()),
-        ]);
+        ]
+    });
+    for row in &rows {
+        t.row(row);
     }
     r.table("Section 5.1: result-communication upper bound", t);
     r.line("an upper bound: it assumes every same-owner run is a private");
@@ -54,10 +57,12 @@ pub fn result_comm(budget: Budget, r: &mut Report) {
 /// and node count.
 pub fn hybrid(budget: Budget, r: &mut Report) {
     r.heading(budget, "Section 5.2: hybrid parallel/DataScalar scalability");
-    for name in ["compress", "go"] {
-        let w = by_name(name).expect("registered");
-        let ds = run_datascalar(&w, 2, budget).ipc();
-        let trad = run_traditional(&w, 2, budget).ipc();
+    let ws = ["compress", "go"].map(|name| by_name(name).expect("registered"));
+    let jobs: Vec<_> =
+        ws.iter().flat_map(|w| [System::DataScalar, System::Traditional].map(|s| (w, s))).collect();
+    let ipcs = runner::map(&jobs, |&(w, system)| run_baseline(w, system, 2, budget).ipc());
+    for (w, ipc) in ws.iter().zip(ipcs.chunks_exact(2)) {
+        let (name, ds, trad) = (w.name, ipc[0], ipc[1]);
         let s = ds / trad;
         r.line(format!(
             "=== {name}: measured serial-section DataScalar speedup s = {s:.2} \

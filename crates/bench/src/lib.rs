@@ -176,9 +176,9 @@ pub fn figure7_row(w: &Workload, budget: Budget) -> Figure7Row {
     Figure7Row::new(w.name, FIGURE7.map(ipc))
 }
 
-/// All Figure 7 rows, one simulation per (benchmark × system) job —
-/// fanned across threads when `--parallel` is given, with identical
-/// results either way. Each job builds its own program.
+/// All Figure 7 rows, one simulation per (benchmark × system) job,
+/// fanned across cores by [`runner::map`] and returned in job order.
+/// Each job builds its own program.
 pub fn figure7_rows(budget: Budget) -> Vec<Figure7Row> {
     let set = figure7_set();
     let jobs: Vec<(&Workload, &(System, usize))> =

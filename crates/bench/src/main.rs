@@ -1,4 +1,4 @@
-//! `ds-bench <experiment> [--quick] [--parallel] [--json <path>] [--trace-out <path>]`
+//! `ds-bench <experiment> [--quick] [--json <path>] [--trace-out <path>]`
 //!
 //! Runs one registered experiment ([`ds_bench::experiments`]), prints
 //! its report, and optionally writes the same report as a
@@ -34,8 +34,8 @@ struct Invocation {
 /// `reason`, then the synopsis and the registered experiments.
 fn usage(reason: &str) -> String {
     let mut text = format!(
-        "{reason}\nusage: ds-bench <experiment> [--quick] [--parallel] [--json <path>] \
-         [--trace-out <path>]\nexperiments:"
+        "{reason}\nusage: ds-bench <experiment> [--quick] [--json <path>] [--trace-out <path>]\n\
+         experiments:"
     );
     for e in EXPERIMENTS {
         text.push_str(&format!("\n  {:<22} {}", e.name, e.about));
@@ -49,8 +49,6 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => budget = Budget::quick(),
-            // Read where it is used, by `runner::parallel_requested`.
-            "--parallel" => {}
             "--json" | "--trace-out" => {
                 let path = args
                     .next()
@@ -120,11 +118,12 @@ mod tests {
     }
 
     #[test]
-    fn accepts_the_four_flags_in_any_order() {
-        let inv = parse(&args("--quick figure7_ipc --parallel --json out.json")).unwrap();
+    fn accepts_the_three_flags_in_any_order() {
+        let inv = parse(&args("--trace-out t.json --quick figure7_ipc --json out.json")).unwrap();
         assert_eq!(inv.experiment.name, "figure7_ipc");
         assert_eq!(inv.budget, Budget::quick());
         assert_eq!(inv.json.as_deref(), Some("out.json"));
+        assert_eq!(inv.trace.as_deref(), Some("t.json"));
         assert_eq!(parse(&args("figure3_chain")).unwrap().budget, Budget::full());
     }
 
@@ -132,6 +131,8 @@ mod tests {
     fn a_typoed_flag_is_rejected_not_ignored() {
         // Not silently the full budget.
         assert_eq!(rejected("figure3_chain --quik"), "unknown flag `--quik`");
+        // Every experiment runs on all cores; there is no mode to pick.
+        assert_eq!(rejected("figure7_ipc --parallel"), "unknown flag `--parallel`");
     }
 
     #[test]

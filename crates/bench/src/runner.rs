@@ -2,18 +2,18 @@
 //!
 //! Every `ds-bench` experiment is a pile of *independent* timing
 //! simulations (workload × configuration), each deterministic and
-//! single-threaded (DESIGN.md §6). [`map`] runs them in input order,
-//! or with `--parallel` fans them across `std::thread::scope` workers,
-//! one per available core; results come back **in input order** either
-//! way, so a table printed from them is byte-identical.
+//! single-threaded (DESIGN.md §6). [`map`] fans them across
+//! `std::thread::scope` workers, one per available core, and hands the
+//! results back **in input order**, so a table printed from them is
+//! byte-identical to one computed a job at a time.
 //!
 //! There is no crash containment. A panicking job is a bug in the
 //! simulator or the experiment, and no table with a hole in it is worth
-//! printing, so the panic fails the run at once: sequentially it
-//! unwinds straight out, in parallel the other workers take no new job
-//! and the panic propagates to the caller. Nor can a job hang: the
-//! engine's forward-progress watchdog ends every wedged simulation, and
-//! [`crate::expect_no_deadlock`] turns its report into that panic.
+//! printing, so the panic fails the run at once: the other workers take
+//! no new job and the panic propagates to the caller. Nor can a job
+//! hang: the engine's forward-progress watchdog ends every wedged
+//! simulation, and [`crate::expect_no_deadlock`] turns its report into
+//! that panic.
 #![expect(
     clippy::disallowed_types,
     clippy::disallowed_methods,
@@ -22,26 +22,6 @@
 )]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// True when `--parallel` was passed on the command line.
-fn parallel_requested() -> bool {
-    std::env::args().any(|a| a == "--parallel")
-}
-
-/// Applies `f` to every input, across threads when `--parallel` was
-/// given, and returns the results in input order either way.
-pub fn map<I, T, F>(inputs: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    if parallel_requested() {
-        pmap(inputs, f)
-    } else {
-        inputs.iter().map(f).collect()
-    }
-}
 
 /// Ends the job queue if the worker holding it unwinds, so a panic is
 /// not followed by the rest of the jobs.
@@ -58,12 +38,12 @@ impl Drop for StopOnPanic<'_> {
     }
 }
 
-/// Applies `f` to every input across scoped worker threads, returning
-/// results in input order. Workers pull the next job index from a
-/// shared counter, so scheduling is dynamic but the output order is
-/// not: result `i` always corresponds to input `i`. A job's panic is
-/// resumed in the caller with its original payload.
-pub fn pmap<I, T, F>(inputs: &[I], f: F) -> Vec<T>
+/// Applies `f` to every input across scoped worker threads, one per
+/// available core, returning results in input order. Workers pull the
+/// next job index from a shared counter, so scheduling is dynamic but
+/// the output order is not: result `i` always corresponds to input `i`.
+/// A job's panic is resumed in the caller with its original payload.
+pub fn map<I, T, F>(inputs: &[I], f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
@@ -105,43 +85,76 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
+
+    /// Long enough for a loaded host to schedule a second worker; a
+    /// pool of one reaches it instead of hanging.
+    const DEADLINE: Duration = Duration::from_secs(30);
+
+    fn workers() -> usize {
+        std::thread::available_parallelism().map_or(1, |t| t.get())
+    }
+
+    /// Spins until `ready` holds; false if [`DEADLINE`] passes first.
+    fn wait_for(ready: impl Fn() -> bool) -> bool {
+        let start = Instant::now();
+        while !ready() {
+            if start.elapsed() > DEADLINE {
+                return false;
+            }
+            std::hint::spin_loop();
+        }
+        true
+    }
 
     #[test]
-    fn pmap_preserves_input_order() {
-        let inputs: Vec<u64> = (0..100).collect();
-        let got = pmap(&inputs, |&x| x * x);
+    fn results_come_back_in_input_order_when_later_jobs_finish_first() {
+        // Job 0 is the dearest: with two or more workers it finishes
+        // only after every later job has, so results arrive out of
+        // order and must be put back.
+        let inputs: Vec<u64> = (0..16).collect();
+        let finished = AtomicUsize::new(0);
+        let pooled = workers() >= 2;
+        let got = map(&inputs, |&x| {
+            if x == 0 && pooled {
+                let later = inputs.len() - 1;
+                let overtaken = wait_for(|| finished.load(Ordering::SeqCst) == later);
+                assert!(overtaken, "later jobs never finished while job 0 ran: one worker?");
+            }
+            finished.fetch_add(1, Ordering::SeqCst);
+            x * x
+        });
         let want: Vec<u64> = inputs.iter().map(|&x| x * x).collect();
         assert_eq!(got, want);
     }
 
     #[test]
-    fn pmap_handles_empty_and_single() {
-        assert_eq!(pmap::<u32, u32, _>(&[], |&x| x), Vec::<u32>::new());
-        assert_eq!(pmap(&[7u32], |&x| x + 1), vec![8]);
+    fn two_jobs_run_at_once_when_the_host_has_two_cores() {
+        if workers() < 2 {
+            eprintln!("skipped: available_parallelism() is 1");
+            return;
+        }
+        let arrived = AtomicUsize::new(0);
+        let met = map(&[0, 1], |_: &i32| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            wait_for(|| arrived.load(Ordering::SeqCst) == 2)
+        });
+        assert_eq!(met, [true, true], "the two jobs never overlapped: the pool ran one worker");
+    }
+
+    #[test]
+    fn map_handles_empty_and_single() {
+        assert_eq!(map::<u32, u32, _>(&[], |&x| x), Vec::<u32>::new());
+        assert_eq!(map(&[7u32], |&x| x + 1), vec![8]);
     }
 
     #[test]
     #[should_panic(expected = "workload seven exploded (payload 7)")]
     fn a_panicking_job_panics_the_caller_with_its_payload() {
         let inputs: Vec<u64> = (0..16).collect();
-        pmap(&inputs, |&x| {
+        map(&inputs, |&x| {
             assert!(x != 7, "workload seven exploded (payload {x})");
             x * 2
         });
-    }
-
-    #[test]
-    fn pmap_with_heavier_jobs_matches_sequential() {
-        let inputs: Vec<u64> = (0..32).collect();
-        let work = |&seed: &u64| {
-            // splitmix-ish scramble: enough work to force interleaving.
-            let mut x = seed.wrapping_mul(0x9e3779b97f4a7c15);
-            for _ in 0..10_000 {
-                x ^= x >> 30;
-                x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-            }
-            x
-        };
-        assert_eq!(pmap(&inputs, work), inputs.iter().map(work).collect::<Vec<_>>());
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full verification: format check, build, published-results check,
-# --parallel output check (the chaos matrix among them), tests,
-# invariant lint, audit, the instrumented (`Obs`) smokes, clippy with
+# Full verification: format check, build, published-results check
+# (every experiment's pooled output, the chaos matrix among them),
+# tests, invariant lint, audit, the instrumented (`Obs`) smokes, clippy with
 # its seeded fixture, and a smoke run of the benchmark (ds-ledger,
 # benchmark/). The uninstrumented and instrumented flavours
 # (`ds_obs::Plain`, `ds_obs::Obs`) are type parameters, not features:
@@ -75,15 +75,6 @@ scripts/regen_results.sh --check
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-
-echo "== ds-bench --parallel prints what the sequential run prints"
-# The runner hands results back in input order, so the two runs must
-# match byte for byte. chaos_matrix is budget-free (its whole grid).
-for exp in "figure7_ipc --quick" chaos_matrix; do
-    target/release/ds-bench $exp > "$tmp/seq.txt"
-    target/release/ds-bench $exp --parallel > "$tmp/par.txt"
-    cmp "$tmp/seq.txt" "$tmp/par.txt"
-done
 
 echo "== cargo test"
 cargo test --workspace -q

@@ -23,15 +23,25 @@ use datascalar::trace::{measure_traffic, TrafficConfig};
 use datascalar::workloads::{by_name, Scale, Workload};
 use ds_bench::{baseline_config, runner, Budget, System};
 
-/// The same run on each flavour, labelled; the two run side by side
-/// (`ds_bench::runner`), so pinning both costs about the slower one's
-/// time.
-fn on_both<T: Send>(
-    plain: impl Fn() -> T + Sync,
-    obs: impl Fn() -> T + Sync,
-) -> Vec<(&'static str, T)> {
-    let runs: [(&'static str, &(dyn Fn() -> T + Sync)); 2] = [("Plain", &plain), ("Obs", &obs)];
-    runner::pmap(&runs, |&(flavour, run)| (flavour, run()))
+/// Every case run on each flavour, labelled. All the runs go to one
+/// `ds_bench::runner::map` call, so one case's slow `Obs` run overlaps
+/// the next case's runs instead of waiting for its own pair to end.
+fn on_both<C: Sync, T: Send>(
+    cases: &[C],
+    plain: impl Fn(&C) -> T + Sync,
+    obs: impl Fn(&C) -> T + Sync,
+) -> Vec<(&C, &'static str, T)> {
+    let jobs: Vec<_> = cases.iter().flat_map(|c| [(c, false), (c, true)]).collect();
+    runner::map(
+        &jobs,
+        |&(case, on_obs)| {
+            if on_obs {
+                (case, "Obs", obs(case))
+            } else {
+                (case, "Plain", plain(case))
+            }
+        },
+    )
 }
 
 /// Every counter that a hot-path change could plausibly disturb,
@@ -178,9 +188,9 @@ const GOLDEN_TRAFFIC_GO: &str =
     "fills=212 writebacks=0 insts=737639 refs=153387 trad_bytes=10176 esp_bytes=8480 trad_txn=424 esp_txn=212";
 
 fn check(name: &str, golden: &[(&str, &str)]) {
-    let w = by_name(name).expect("registered workload");
-    let runs = on_both(|| figure7_fingerprints::<Plain>(&w), || figure7_fingerprints::<Obs>(&w));
-    for (flavour, fingerprints) in runs {
+    let w = [by_name(name).expect("registered workload")];
+    let runs = on_both(&w, figure7_fingerprints::<Plain>, figure7_fingerprints::<Obs>);
+    for (_, flavour, fingerprints) in runs {
         for ((label, got), (glabel, want)) in fingerprints.iter().zip(golden) {
             assert_eq!(label, glabel);
             assert_eq!(
@@ -205,33 +215,31 @@ fn figure7_stats_pinned_for_go() {
 
 #[test]
 fn traditional_variants_pinned() {
-    for (name, golden) in [("compress", GOLDEN_TRAD2_COMPRESS), ("li", GOLDEN_TRAD2_LI)] {
-        let runs = on_both(
-            || trad2_variant_fingerprints::<Plain>(name),
-            || trad2_variant_fingerprints::<Obs>(name),
-        );
-        for (flavour, fingerprints) in runs {
-            for ((label, got), (glabel, want)) in fingerprints.iter().zip(golden) {
-                assert_eq!(label, glabel);
-                assert_eq!(got, want, "{name}/trad2/{label} on {flavour}: statistics changed");
-            }
+    let runs = on_both(
+        &[("compress", GOLDEN_TRAD2_COMPRESS), ("li", GOLDEN_TRAD2_LI)],
+        |&(name, _)| trad2_variant_fingerprints::<Plain>(name),
+        |&(name, _)| trad2_variant_fingerprints::<Obs>(name),
+    );
+    for (&(name, golden), flavour, fingerprints) in runs {
+        for ((label, got), (glabel, want)) in fingerprints.iter().zip(golden) {
+            assert_eq!(label, glabel);
+            assert_eq!(got, want, "{name}/trad2/{label} on {flavour}: statistics changed");
         }
     }
 }
 
 #[test]
 fn ds_variants_pinned() {
-    for (name, nodes, fabric, want) in [
-        ("li", 2, FabricKind::Bus, GOLDEN_DS2_BUS_LI),
-        ("wave5", 4, FabricKind::Ring, GOLDEN_DS4_RING_WAVE5),
-    ] {
-        let runs = on_both(
-            || ds_variant_fingerprint::<Plain>(name, nodes, fabric),
-            || ds_variant_fingerprint::<Obs>(name, nodes, fabric),
-        );
-        for (flavour, got) in runs {
-            assert_eq!(got, want, "{name}/ds{nodes}/{fabric:?} on {flavour}: statistics changed");
-        }
+    let runs = on_both(
+        &[
+            ("li", 2, FabricKind::Bus, GOLDEN_DS2_BUS_LI),
+            ("wave5", 4, FabricKind::Ring, GOLDEN_DS4_RING_WAVE5),
+        ],
+        |&(name, nodes, fabric, _)| ds_variant_fingerprint::<Plain>(name, nodes, fabric),
+        |&(name, nodes, fabric, _)| ds_variant_fingerprint::<Obs>(name, nodes, fabric),
+    );
+    for (&(name, nodes, fabric, want), flavour, got) in runs {
+        assert_eq!(got, want, "{name}/ds{nodes}/{fabric:?} on {flavour}: statistics changed");
     }
 }
 
@@ -277,42 +285,38 @@ const GOLDEN_HIGH_WATER_LEDGER: &[(&str, Scale, usize, FabricKind, u64, usize)] 
 #[test]
 fn trace_window_high_water_is_tracked_and_bounded() {
     let b = Budget::quick();
-    for &(name, nodes, fabric, want) in GOLDEN_HIGH_WATER_QUICK {
-        let runs = on_both(
-            || high_water::<Plain>(name, b.scale, nodes, fabric, b.max_insts),
-            || high_water::<Obs>(name, b.scale, nodes, fabric, b.max_insts),
+    let runs = on_both(
+        GOLDEN_HIGH_WATER_QUICK,
+        |&(name, nodes, fabric, _)| high_water::<Plain>(name, b.scale, nodes, fabric, b.max_insts),
+        |&(name, nodes, fabric, _)| high_water::<Obs>(name, b.scale, nodes, fabric, b.max_insts),
+    );
+    for (&(name, nodes, fabric, want), flavour, (hw, committed)) in runs {
+        // The window is bounded by worst-case node skew plus the
+        // in-flight OoO window; for these budgets that stays far below
+        // the full committed stream (which would indicate trimming
+        // stopped working).
+        assert!(hw > 0, "{name}/ds{nodes}: high-water mark never recorded");
+        assert!(
+            hw < committed as usize,
+            "{name}/ds{nodes}: trace window grew to the whole stream ({hw} of {committed} insts) — trim is broken"
         );
-        for (flavour, (hw, committed)) in runs {
-            // The window is bounded by worst-case node skew plus the
-            // in-flight OoO window; for these budgets that stays far
-            // below the full committed stream (which would indicate
-            // trimming stopped working).
-            assert!(hw > 0, "{name}/ds{nodes}: high-water mark never recorded");
-            assert!(
-                hw < committed as usize,
-                "{name}/ds{nodes}: trace window grew to the whole stream ({hw} of {committed} insts) — trim is broken"
-            );
-            assert_eq!(
-                hw, want,
-                "{name}/ds{nodes}/{fabric:?} on {flavour}: high-water mark changed"
-            );
-        }
+        assert_eq!(hw, want, "{name}/ds{nodes}/{fabric:?} on {flavour}: high-water mark changed");
     }
 }
 
 #[test]
 fn trace_window_high_water_pinned_on_the_benchmark_workloads() {
-    for &(name, scale, nodes, fabric, max_insts, want) in GOLDEN_HIGH_WATER_LEDGER {
-        let runs = on_both(
-            || high_water::<Plain>(name, scale, nodes, fabric, max_insts),
-            || high_water::<Obs>(name, scale, nodes, fabric, max_insts),
-        );
-        for (flavour, (hw, _)) in runs {
-            assert_eq!(
-                hw, want,
-                "{name}/ds{nodes}/{fabric:?} on {flavour}: high-water mark changed"
-            );
-        }
+    let runs = on_both(
+        GOLDEN_HIGH_WATER_LEDGER,
+        |&(name, scale, nodes, fabric, max_insts, _)| {
+            high_water::<Plain>(name, scale, nodes, fabric, max_insts)
+        },
+        |&(name, scale, nodes, fabric, max_insts, _)| {
+            high_water::<Obs>(name, scale, nodes, fabric, max_insts)
+        },
+    );
+    for (&(name, _, nodes, fabric, _, want), flavour, (hw, _)) in runs {
+        assert_eq!(hw, want, "{name}/ds{nodes}/{fabric:?} on {flavour}: high-water mark changed");
     }
 }
 
